@@ -3,8 +3,8 @@
 
 use icm_bench::{black_box, Bench};
 use icm_placement::{
-    anneal_estimator, anneal_unconstrained, AnnealConfig, Estimator, PlacementError,
-    PlacementProblem, PlacementState, RuntimePredictor, SearchGoal,
+    anneal, anneal_estimator, AnnealConfig, Estimator, PlacementError, PlacementProblem,
+    PlacementState, RuntimePredictor, SearchGoal,
 };
 use icm_rng::Rng;
 
@@ -86,9 +86,10 @@ fn main() {
     // The pre-incremental formulation (full estimate per candidate via
     // the closure API) — kept as the speedup reference.
     b.bench("placement/anneal/closure/4000", || {
-        anneal_unconstrained(
+        anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 4000,
                 ..AnnealConfig::default()

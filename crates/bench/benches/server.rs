@@ -2,9 +2,10 @@
 //! engine (framing → parse → admit → execute → reply), measured on the
 //! paths that dominate the latency distribution.
 //!
-//! `server/request/p50` is the typical admitted request — an
-//! interactive predict against a warm world. `server/request/p99` is
-//! the tail — a `place` request that runs the annealer. `server/
+//! `server/request/predict` is the typical admitted request — an
+//! interactive predict against a warm world. `server/request/place` is
+//! the slowest request kind — a 400-iteration placement search.
+//! Neither is a percentile: each times one request kind. `server/
 //! overload/shed` is the cost of *refusing* work: a request arriving at
 //! a saturated queue and leaving with a typed `overloaded` reply. Shed
 //! cost matters as much as service cost — under overload it becomes the
@@ -34,13 +35,13 @@ fn main() {
     let predict = "{\"id\":\"p\",\"kind\":\"predict\",\"app\":\"M.milc\",\
                    \"corunners\":[\"H.KM\"]}";
     feed(&mut server, predict.to_owned());
-    b.bench("server/request/p50", || {
+    b.bench("server/request/predict", || {
         black_box(feed(&mut server, predict.to_owned()))
     });
 
-    // The tail request: a placement search through the annealer.
+    // The slowest request kind: a placement search through the annealer.
     let place = "{\"id\":\"a\",\"kind\":\"place\",\"iterations\":400}";
-    b.bench("server/request/p99", || {
+    b.bench("server/request/place", || {
         black_box(feed(&mut server, place.to_owned()))
     });
 

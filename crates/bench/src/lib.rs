@@ -13,8 +13,9 @@
 //! When the `ICM_BENCH_JSON` environment variable names a file, every
 //! bench target additionally merges its results into that file as
 //! deterministically ordered JSON (`{"benches": {name: {best_ns,
-//! median_ns, iters}}}`), so successive targets build one combined
-//! perf-trajectory document (`BENCH_icm.json` at the repo root).
+//! median_ns, iters, cores}}}`), so successive targets build one
+//! combined perf-trajectory document (`BENCH_icm.json` at the repo
+//! root). `cores` is the measuring host's available parallelism.
 
 #![forbid(unsafe_code)]
 
@@ -41,6 +42,8 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Iterations per timed sample (calibration outcome).
     pub iters: u32,
+    /// Cores available to the measuring process.
+    pub cores: u32,
 }
 
 /// A registry that times closures and prints one summary line each.
@@ -97,6 +100,7 @@ impl Bench {
                 best_ns: per_iter[0],
                 median_ns: per_iter[SAMPLES / 2],
                 iters,
+                cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
             },
         );
     }
@@ -127,6 +131,7 @@ impl Bench {
                     ("best_ns", Json::Number(r.best_ns)),
                     ("median_ns", Json::Number(r.median_ns)),
                     ("iters", Json::Number(f64::from(r.iters))),
+                    ("cores", Json::Number(f64::from(r.cores))),
                 ]),
             );
         }
@@ -222,6 +227,7 @@ mod tests {
                         best_ns: 200.0,
                         median_ns: 220.0,
                         iters: 10,
+                        cores: 2,
                     },
                 ),
                 (
@@ -230,6 +236,7 @@ mod tests {
                         best_ns: 5.0,
                         median_ns: 6.0,
                         iters: 3,
+                        cores: 2,
                     },
                 ),
             ]),
@@ -244,6 +251,7 @@ mod tests {
                     best_ns: 7.0,
                     median_ns: 8.0,
                     iters: 4,
+                    cores: 2,
                 },
             )]),
         );
@@ -257,6 +265,7 @@ mod tests {
         let a = doc.get("benches").unwrap().get("a/old").unwrap();
         assert_eq!(a.get("best_ns").and_then(Json::as_f64), Some(7.0));
         assert_eq!(a.get("iters").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(a.get("cores").and_then(Json::as_f64), Some(2.0));
         // Same inputs render byte-identically.
         assert_eq!(
             merged,
@@ -268,6 +277,7 @@ mod tests {
                         best_ns: 7.0,
                         median_ns: 8.0,
                         iters: 4,
+                        cores: 2,
                     },
                 )])
             )

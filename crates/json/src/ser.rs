@@ -1,5 +1,7 @@
 //! Serialization of [`Json`] trees to text.
 
+use std::fmt::Write as _;
+
 use crate::Json;
 
 /// Appends the compact form of `value` to `out`.
@@ -86,29 +88,36 @@ fn write_number(n: f64, out: &mut String) {
         // and `-0` would parse back as `0` anyway; normalize for
         // byte-stable output across arithmetic that flips the sign bit.
         let n = if n == 0.0 { 0.0 } else { n };
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}").expect("writing to a String cannot fail");
     } else {
         out.push_str("null");
     }
 }
 
+/// Writes a quoted, escaped string. Every byte that needs escaping is
+/// ASCII, so the runs between them are copied whole and every cut lands
+/// on a char boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -132,6 +141,28 @@ mod tests {
     #[test]
     fn control_characters_escape_as_unicode() {
         assert_eq!(compact(&Json::String("\u{1}".into())), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn every_ascii_byte_escapes_exactly_as_pinned() {
+        let all: String = (0u8..0x80).map(char::from).collect();
+        let expected = concat!(
+            r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f"#,
+            r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+            r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"#,
+            r##" !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`"##,
+            "abcdefghijklmnopqrstuvwxyz{|}~\u{7f}\"",
+        );
+        assert_eq!(compact(&Json::String(all)), expected);
+    }
+
+    #[test]
+    fn multi_byte_characters_pass_through_between_escapes() {
+        assert_eq!(compact(&Json::String("é🦀".into())), "\"é🦀\"");
+        assert_eq!(
+            compact(&Json::String("a\"é\n🦀\u{1}b".into())),
+            r#""a\"é\n🦀\u0001b""#
+        );
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //! [`DetectionRecord`]; the serialized action log is byte-identical
 //! across same-seed, same-fault-plan replays.
 
-use std::collections::BTreeSet;
-
 use icm_core::{DriftConfig, DriftDetector, DriftSignal, ModelQuality};
 use icm_obs::manager as events;
 use icm_obs::provenance::{CAUSE_FAULT, CAUSE_LATENCY, CAUSE_MISPREDICT, QOS_VIOLATION};
@@ -38,8 +36,7 @@ use icm_obs::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, Tracer, Value,
 };
 use icm_placement::{
-    anneal_with, re_anneal_with, AnnealConfig, Eval, Objective, PlacementConstraints,
-    PlacementError, PlacementState, QosConfig,
+    anneal_with, re_anneal_with, AnnealConfig, PlacementConstraints, PlacementState, QosConfig,
 };
 use icm_simcluster::{Deployment, Placement, SimTestbed, TestbedError, TestbedStats};
 
@@ -48,11 +45,7 @@ use crate::action::{
 };
 use crate::error::ManagerError;
 use crate::fleet::Fleet;
-
-/// Objective penalty (simulated seconds) per occupied host currently
-/// under drift suspicion: steers re-annealing away from hosts whose
-/// residents mispredicted, without pretending to know the cause.
-const SUSPICION_COST_S: f64 = 50.0;
+use crate::objective::{context_of, FleetObjective};
 
 /// Ambient pressure applied to the cluster from a given tick onward —
 /// the environment drift the recovery experiment sweeps. The manager
@@ -245,219 +238,6 @@ fn sim_elapsed(stats: &TestbedStats, start: &TestbedStats) -> f64 {
 /// Deterministic per-reaction seed: distinct per tick and purpose.
 fn reaction_seed(base: u64, tick: u64, salt: u64) -> u64 {
     base ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt
-}
-
-/// Sorted hosts and co-runner context of live workload `i` in `state`:
-/// per-host co-runner pressure (bubble scores of other live residents)
-/// and the co-runner signature key for the online model.
-fn context_of(
-    fleet: &Fleet,
-    state: &PlacementState,
-    live: &[bool],
-    i: usize,
-) -> (Vec<f64>, String) {
-    let problem = fleet.problem();
-    let hosts = fleet.hosts_of(state, i);
-    let mut pressures = Vec::with_capacity(hosts.len());
-    let mut corunners: BTreeSet<&str> = BTreeSet::new();
-    for &h in &hosts {
-        let mut pressure = 0.0;
-        for (j, app) in fleet.apps().iter().enumerate() {
-            if j == i || !live[j] {
-                continue;
-            }
-            if state.hosts_of(problem, j).contains(&h) {
-                pressure += app.online.base().bubble_score();
-                corunners.insert(app.name.as_str());
-            }
-        }
-        pressures.push(pressure);
-    }
-    let key = if corunners.is_empty() {
-        "none".to_owned()
-    } else {
-        corunners.into_iter().collect::<Vec<_>>().join("+")
-    };
-    (pressures, key)
-}
-
-/// Fleet-wide predicted cost of a candidate state: predicted seconds of
-/// every live application under its co-runner pressures, plus the
-/// suspicion penalty for occupying recently drifted hosts.
-///
-/// The reference formulation [`FleetObjective`] is asserted against in
-/// tests — the searches themselves run the pooled objective.
-#[cfg(test)]
-fn fleet_cost(
-    fleet: &Fleet,
-    live: &[bool],
-    suspicion: &[f64],
-    state: &PlacementState,
-) -> Result<f64, PlacementError> {
-    let mut total = 0.0;
-    for (i, app) in fleet.apps().iter().enumerate() {
-        if !live[i] {
-            continue;
-        }
-        let (pressures, key) = context_of(fleet, state, live, i);
-        let predicted = app
-            .online
-            .predict_for(&key, &pressures)
-            .map_err(|e| PlacementError::Predictor(e.to_string()))?;
-        total += predicted * app.online.base().solo_seconds();
-        for &h in &fleet.hosts_of(state, i) {
-            total += suspicion[h] * SUSPICION_COST_S;
-        }
-    }
-    Ok(total)
-}
-
-/// The fleet-cost evaluation the manager's searches actually run: the
-/// exact arithmetic of [`fleet_cost`] (same terms, same order — asserted
-/// bit-for-bit in tests), but with pooled per-host/per-app scratch and a
-/// co-runner-signature cache instead of fresh `Vec`/`BTreeSet`/`String`
-/// allocations per candidate. One independent instance per annealing
-/// lane (see [`AnnealConfig::lanes`]).
-struct FleetObjective<'a> {
-    fleet: &'a Fleet,
-    live: &'a [bool],
-    suspicion: &'a [f64],
-    /// Live residents of each host, ascending app index.
-    residents: Vec<Vec<usize>>,
-    /// Hosts of each app, ascending (slot order implies host order).
-    app_hosts: Vec<Vec<usize>>,
-    /// Pressure vector scratch for the app under evaluation.
-    pressures: Vec<f64>,
-    /// Co-runner signature strings keyed by the co-runner app-index
-    /// bitmask; only usable for fleets of ≤ 128 applications.
-    key_cache: std::collections::BTreeMap<u128, String>,
-}
-
-impl<'a> FleetObjective<'a> {
-    fn new(fleet: &'a Fleet, live: &'a [bool], suspicion: &'a [f64]) -> Self {
-        let hosts = fleet.problem().hosts();
-        let apps = fleet.apps().len();
-        Self {
-            fleet,
-            live,
-            suspicion,
-            residents: vec![Vec::new(); hosts],
-            app_hosts: vec![Vec::new(); apps],
-            pressures: Vec::new(),
-            key_cache: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// The co-runner signature for a co-runner set given as an app-index
-    /// bitmask: distinct names, lexicographically sorted, joined with
-    /// `+` — exactly the key [`context_of`] builds.
-    fn key_for(&mut self, mask: u128) -> &str {
-        let fleet = self.fleet;
-        self.key_cache.entry(mask).or_insert_with(|| {
-            let mut names: BTreeSet<&str> = BTreeSet::new();
-            let mut bits = mask;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                names.insert(fleet.apps()[j].name.as_str());
-            }
-            if names.is_empty() {
-                "none".to_owned()
-            } else {
-                names.into_iter().collect::<Vec<_>>().join("+")
-            }
-        })
-    }
-
-    fn eval(&mut self, state: &PlacementState) -> Result<f64, PlacementError> {
-        let problem = self.fleet.problem();
-        let per_host = problem.slots_per_host();
-        for list in &mut self.residents {
-            list.clear();
-        }
-        for list in &mut self.app_hosts {
-            list.clear();
-        }
-        // Idle filler workloads (indices past the real applications)
-        // carry no model and no pressure — exactly as in [`context_of`],
-        // which only ever iterates the real fleet.
-        let real = self.fleet.apps().len();
-        for (slot, &w) in state.assignment().iter().enumerate() {
-            let host = slot / per_host;
-            if w < real && self.live[w] {
-                self.residents[host].push(w);
-            }
-            if w < real {
-                self.app_hosts[w].push(host);
-            }
-        }
-        // Slot order puts each host's residents in slot order, not app
-        // order; the pressure sum below must add scores in ascending app
-        // index to stay bit-identical to the reference formulation.
-        for list in &mut self.residents {
-            list.sort_unstable();
-        }
-
-        let cacheable = self.fleet.apps().len() <= 128;
-        let mut total = 0.0;
-        for i in 0..self.fleet.apps().len() {
-            if !self.live[i] {
-                continue;
-            }
-            let mut mask: u128 = 0;
-            self.pressures.clear();
-            for k in 0..self.app_hosts[i].len() {
-                let host = self.app_hosts[i][k];
-                let mut pressure = 0.0;
-                for &j in &self.residents[host] {
-                    if j == i {
-                        continue;
-                    }
-                    pressure += self.fleet.apps()[j].online.base().bubble_score();
-                    if cacheable {
-                        mask |= 1u128 << j;
-                    }
-                }
-                self.pressures.push(pressure);
-            }
-            let app = &self.fleet.apps()[i];
-            let predicted = if cacheable {
-                let mut pressures = std::mem::take(&mut self.pressures);
-                let key = self.key_for(mask);
-                let predicted = app.online.predict_for(key, &pressures);
-                pressures.clear();
-                self.pressures = pressures;
-                predicted
-            } else {
-                let (pressures, key) = context_of(self.fleet, state, self.live, i);
-                app.online.predict_for(&key, &pressures)
-            }
-            .map_err(|e| PlacementError::Predictor(e.to_string()))?;
-            total += predicted * app.online.base().solo_seconds();
-            for &host in &self.app_hosts[i] {
-                total += self.suspicion[host] * SUSPICION_COST_S;
-            }
-        }
-        Ok(total)
-    }
-}
-
-impl Objective for FleetObjective<'_> {
-    fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
-        Ok(Eval {
-            cost: self.eval(state)?,
-            violation: 0.0,
-        })
-    }
-
-    fn probe(
-        &mut self,
-        state: &PlacementState,
-        _a: usize,
-        _b: usize,
-    ) -> Result<Eval, PlacementError> {
-        self.reset(state)
-    }
 }
 
 /// Exclusion constraints keeping every live application off `downed`.
@@ -1541,99 +1321,12 @@ mod tests {
     use super::*;
     use icm_core::model::ModelBuilder;
     use icm_core::OnlineModel;
-    use icm_placement::anneal;
     use icm_rng::Rng;
     use icm_workloads::{Catalog, TestbedBuilder};
 
     use crate::fleet::ManagedApp;
 
     const SPAN: usize = 4;
-
-    /// Two profiled paper applications on the 8×2 cluster: four
-    /// workload slots, so two of them are idle fillers — the case the
-    /// pooled objective must skip exactly as [`context_of`] does.
-    fn fleet_fixture() -> Fleet {
-        let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(2016).build();
-        let apps = ["M.milc", "H.KM"]
-            .iter()
-            .map(|&name| {
-                let model = ModelBuilder::new(name)
-                    .hosts(SPAN)
-                    .policy_samples(6)
-                    .solo_repeats(1)
-                    .score_repeats(1)
-                    .seed(0xFEED)
-                    .build(&mut tb)
-                    .expect("model builds");
-                ManagedApp::new(name, 1, OnlineModel::new(model))
-            })
-            .collect();
-        Fleet::new(8, 2, SPAN, apps).expect("fleet packs")
-    }
-
-    #[test]
-    fn pooled_objective_matches_the_reference_cost_bit_for_bit() {
-        let fleet = fleet_fixture();
-        let n = fleet.apps().len();
-        let hosts = fleet.problem().hosts();
-        let live_patterns = [vec![true; n], {
-            let mut dead_first = vec![true; n];
-            dead_first[0] = false;
-            dead_first
-        }];
-        let suspicion_patterns = [vec![0.0; hosts], {
-            (0..hosts).map(|h| h as f64 * 0.125).collect()
-        }];
-        let mut rng = Rng::from_seed(0xF1EE7);
-        for live in &live_patterns {
-            for suspicion in &suspicion_patterns {
-                let mut objective = FleetObjective::new(&fleet, live, suspicion);
-                for _ in 0..40 {
-                    let state = PlacementState::random(fleet.problem(), &mut rng);
-                    let reference =
-                        fleet_cost(&fleet, live, suspicion, &state).expect("reference cost");
-                    let eval = objective.reset(&state).expect("pooled cost");
-                    assert_eq!(
-                        eval.cost.to_bits(),
-                        reference.to_bits(),
-                        "pooled {} != reference {reference}",
-                        eval.cost
-                    );
-                    assert_eq!(eval.violation, 0.0);
-                    let probe = objective.probe(&state, 0, 1).expect("probe");
-                    assert_eq!(probe.cost.to_bits(), reference.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_search_matches_the_closure_search() {
-        let fleet = fleet_fixture();
-        let n = fleet.apps().len();
-        let live = vec![true; n];
-        let suspicion = vec![0.0; fleet.problem().hosts()];
-        let config = AnnealConfig {
-            iterations: 400,
-            seed: 77,
-            ..AnnealConfig::default()
-        };
-        let pooled = anneal_with(
-            fleet.problem(),
-            |_| FleetObjective::new(&fleet, &live, &suspicion),
-            &config,
-            &Tracer::disabled(),
-        )
-        .expect("pooled search");
-        let closure = anneal(
-            fleet.problem(),
-            |s| fleet_cost(&fleet, &live, &suspicion, s),
-            |_| Ok(0.0),
-            &config,
-        )
-        .expect("closure search");
-        assert_eq!(pooled, closure);
-    }
 
     #[test]
     fn zero_search_lanes_is_a_config_error() {
@@ -1645,8 +1338,9 @@ mod tests {
         assert!(matches!(err, ManagerError::Config(msg) if msg.contains("search_lanes")));
     }
 
-    /// Like [`fleet_fixture`], but keeps the testbed the models were
-    /// profiled against, so tests can run the supervisory loop on it.
+    /// Two profiled paper applications on the 8×2 cluster, plus the
+    /// testbed they were profiled against, so tests can run the
+    /// supervisory loop on it.
     fn fleet_and_testbed() -> (SimTestbed, Fleet) {
         let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(2016).build();
         let apps = ["M.milc", "H.KM"]

@@ -3,9 +3,7 @@
 //! Two families live here:
 //!
 //! * [`fixed_index`] — the linear scan over a small slice of explicit
-//!   upper bounds used by [`Histogram`](crate::Histogram) and
-//!   [`WallStats`](crate::WallStats). It existed as two hand-rolled
-//!   copies before this module unified them.
+//!   upper bounds used by [`WallStats`](crate::WallStats).
 //! * [`log_index`] and friends — logarithmic buckets for the
 //!   [`QuantileSketch`](crate::QuantileSketch), DDSketch-style but
 //!   derived purely from the IEEE-754 bit pattern: the index of a
@@ -66,7 +64,7 @@ pub fn bucket_mid(index: i64) -> f64 {
 
 /// Index of the first bound `value` does not exceed; `bounds.len()` is
 /// the overflow bucket. NaN compares false against every bound and so
-/// always lands in overflow — the documented `Histogram` behavior.
+/// always lands in overflow.
 #[inline]
 pub fn fixed_index<T: PartialOrd>(bounds: &[T], value: &T) -> usize {
     bounds

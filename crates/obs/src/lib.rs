@@ -60,7 +60,6 @@ use icm_json::{FromJson, Json, JsonError, ToJson};
 
 pub mod bucket;
 pub mod manager;
-mod metrics;
 pub mod provenance;
 mod reader;
 mod sink;
@@ -68,7 +67,6 @@ mod sketch;
 mod telemetry;
 mod wall;
 
-pub use metrics::{Histogram, Metrics};
 pub use provenance::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, QOS_VIOLATION,
 };

@@ -255,7 +255,6 @@ impl ToJson for QuantileSketch {
 mod tests {
     use super::*;
     use crate::bucket::RELATIVE_ERROR;
-    use crate::Histogram;
     use icm_rng::Rng;
 
     fn seeded_stream(seed: u64, n: usize, scale: f64) -> Vec<f64> {
@@ -407,12 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn sketch_agrees_with_histogram_overflow_buckets() {
-        // `Histogram::slowdown`'s top bound (4.0) is a power of two —
-        // a log-bucket lower edge — so "overflowed the histogram" and
-        // "sketched strictly above 4.0" must count identical
-        // observations.
-        let mut hist = Histogram::slowdown();
+    fn sketch_counts_exactly_above_a_bucket_edge() {
+        // 4.0 is a power of two — a log-bucket lower edge — so the
+        // sketch's count strictly above it must equal an exact count of
+        // the same observations.
         let mut sketch = QuantileSketch::new();
         // Half-integer values: every one is a log-bucket *edge*, so no
         // observation straddles the 4.0 cut inside one bucket.
@@ -421,22 +418,15 @@ mod tests {
             .map(|_| (rng.next_u64() % 16 + 1) as f64 * 0.5)
             .collect();
         for &v in &values {
-            hist.observe(v);
             sketch.observe(v);
         }
-        let overflow = *hist.bucket_counts().last().expect("overflow bucket");
-        assert!(overflow > 0, "stream must actually overflow");
-        assert_eq!(sketch.count_above(4.0), overflow);
-        // NaN goes to the histogram's overflow bucket but is excluded
-        // from the sketch's bucketed population — the interaction is
-        // explicit, not accidental.
-        hist.observe(f64::NAN);
+        let above = values.iter().filter(|&&v| v > 4.0).count() as u64;
+        assert!(above > 0, "stream must actually cross the edge");
+        assert_eq!(sketch.count_above(4.0), above);
+        // NaN is excluded from the bucketed population and counted as
+        // non-finite instead.
         sketch.observe(f64::NAN);
-        assert_eq!(
-            *hist.bucket_counts().last().expect("overflow bucket"),
-            overflow + 1
-        );
-        assert_eq!(sketch.count_above(4.0), overflow);
+        assert_eq!(sketch.count_above(4.0), above);
         assert_eq!(sketch.non_finite_count(), 1);
     }
 

@@ -672,22 +672,6 @@ where
     )
 }
 
-/// Minimizes `cost` without any feasibility constraint.
-///
-/// # Errors
-///
-/// Propagates objective failures.
-pub fn anneal_unconstrained<C>(
-    problem: &PlacementProblem,
-    cost: C,
-    config: &AnnealConfig,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal(problem, cost, |_| Ok(0.0), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,7 +698,7 @@ mod tests {
             iterations: 1500,
             ..AnnealConfig::default()
         };
-        let result = anneal_unconstrained(&problem, estimator_cost(&estimator), &config)
+        let result = anneal(&problem, estimator_cost(&estimator), |_| Ok(0.0), &config)
             .expect("search runs");
         // Greedy hill climbing guarantees it never leaves its own start
         // worse off; with the max-coupled sensitive workload in this
@@ -750,9 +734,10 @@ mod tests {
         // move strictly improves everyone else while the max is already
         // saturated) and cannot climb back out. Use the Metropolis
         // extension, which crosses that barrier reliably.
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
             estimator_cost(&estimator),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -834,18 +819,20 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let greedy = anneal_unconstrained(
+        let greedy = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 3000,
                 ..AnnealConfig::default()
             },
         )
         .expect("runs");
-        let metropolis = anneal_unconstrained(
+        let metropolis = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -883,9 +870,10 @@ mod tests {
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
         let run = |seed| {
-            anneal_unconstrained(
+            anneal(
                 &problem,
                 |s| Ok(estimator.estimate(s)?.weighted_total),
+                |_| Ok(0.0),
                 &AnnealConfig {
                     iterations: 500,
                     seed,
@@ -1084,9 +1072,10 @@ mod tests {
             iterations: 300,
             ..AnnealConfig::default()
         };
-        let plain = anneal_unconstrained(
+        let plain = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &config,
         )
         .expect("runs");
@@ -1117,13 +1106,14 @@ mod tests {
             ..AnnealConfig::default()
         };
         let run =
-            || anneal_unconstrained(&problem, estimator_cost(&estimator), &config).expect("runs");
+            || anneal(&problem, estimator_cost(&estimator), |_| Ok(0.0), &config).expect("runs");
         let a = run();
         let b = run();
         assert_eq!(a, b, "same-seed parallel searches diverged");
-        let single = anneal_unconstrained(
+        let single = anneal(
             &problem,
             estimator_cost(&estimator),
+            |_| Ok(0.0),
             &AnnealConfig { lanes: 1, ..config },
         )
         .expect("runs");
@@ -1192,8 +1182,9 @@ mod tests {
     #[test]
     fn zero_lanes_is_rejected_and_config_json_defaults_to_one() {
         let problem = fake_problem();
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
+            |_| Ok(0.0),
             |_| Ok(0.0),
             &AnnealConfig {
                 lanes: 0,
@@ -1225,9 +1216,10 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
@@ -1253,9 +1245,10 @@ mod tests {
         let estimator = Estimator::new(&problem, refs).expect("valid");
         // First find a good state, then re-anneal from it with a tiny
         // budget: the result must never be worse than the warm start.
-        let good = anneal_unconstrained(
+        let good = anneal(
             &problem,
             estimator_cost(&estimator),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
@@ -1410,9 +1403,10 @@ mod tests {
     #[test]
     fn objective_errors_propagate() {
         let problem = fake_problem();
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
             |_| Err(PlacementError::Predictor("boom".into())),
+            |_| Ok(0.0),
             &AnnealConfig::default(),
         );
         assert!(result.is_err());

@@ -628,7 +628,7 @@ pub fn anneal_estimator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annealing::{anneal, anneal_unconstrained, AcceptRule, AnnealConfig};
+    use crate::annealing::{anneal, AcceptRule, AnnealConfig};
     use crate::energy::estimate_waste;
     use crate::estimator::tests::{
         fake_predictors, fake_problem, DefaultedPredictor, FakePredictor,
@@ -773,9 +773,10 @@ mod tests {
                 &Tracer::disabled(),
             )
             .expect("runs");
-            let closure = anneal_unconstrained(
+            let closure = anneal(
                 &problem,
                 |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
+                |_| Ok(0.0),
                 &config,
             )
             .expect("runs");
@@ -793,9 +794,10 @@ mod tests {
             &Tracer::disabled(),
         )
         .expect("runs");
-        let closure = anneal_unconstrained(
+        let closure = anneal(
             &problem,
             |s: &PlacementState| Ok(estimate_waste(&estimator, s)?.total_wasted),
+            |_| Ok(0.0),
             &config,
         )
         .expect("runs");

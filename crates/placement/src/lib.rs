@@ -66,8 +66,8 @@ mod state;
 mod throughput;
 
 pub use annealing::{
-    anneal, anneal_traced, anneal_unconstrained, anneal_with, re_anneal, re_anneal_with,
-    AcceptRule, AnnealConfig, AnnealResult,
+    anneal, anneal_traced, anneal_with, re_anneal, re_anneal_with, AcceptRule, AnnealConfig,
+    AnnealResult,
 };
 pub use dense::{AppId, DenseKey, DenseMap, HostId, SlotId};
 pub use energy::{estimate_waste, place_min_waste, EnergyEstimate};

@@ -5,8 +5,8 @@
 //! its case index.
 
 use icm_placement::{
-    anneal_unconstrained, AnnealConfig, Estimator, PlacementError, PlacementProblem,
-    PlacementState, RuntimePredictor,
+    anneal, AnnealConfig, Estimator, PlacementError, PlacementProblem, PlacementState,
+    RuntimePredictor,
 };
 use icm_rng::Rng;
 
@@ -103,9 +103,10 @@ fn search_never_returns_worse_than_its_start_population() {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 200,
                 seed,

@@ -39,10 +39,11 @@ use std::time::Instant;
 
 use icm_json::fs::SnapshotStore;
 use icm_json::{Json, JsonError};
+use icm_manager::objective::FleetObjective;
 use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
 use icm_manager::{Fleet, ManagedRun, ManagerConfig};
 use icm_obs::{QuantileSketch, Tracer};
-use icm_placement::{anneal_unconstrained, AnnealConfig};
+use icm_placement::{anneal_with, AnnealConfig};
 use icm_simcluster::SimTestbed;
 
 use crate::cache::{CacheEntry, PredictionCache};
@@ -51,7 +52,7 @@ use crate::frame::Frame;
 use crate::journal::{JournalEntry, LineJournal};
 use crate::protocol::{ErrorCode, Reply, Request, RequestKind};
 use crate::queue::{Admission, AdmissionQueue, Pending};
-use crate::world::{build_world, context_for, fleet_cost, ServerConfig};
+use crate::world::{build_world, context_for, ServerConfig};
 
 /// Virtual cost of a fresh model prediction (microseconds).
 pub const PREDICT_FULL_COST_US: u64 = 2_000;
@@ -772,11 +773,16 @@ impl Server {
                     lanes: self.manager_config.search_lanes.max(1),
                     ..AnnealConfig::default()
                 };
+                // A placement query prices the whole fleet as live and
+                // unsuspected: crash suspicion is the manager's business.
                 let fleet = &self.fleet;
-                let result = match anneal_unconstrained(
+                let all_live = vec![true; fleet.apps().len()];
+                let no_suspicion = vec![0.0; fleet.problem().hosts()];
+                let result = match anneal_with(
                     fleet.problem(),
-                    |state| fleet_cost(fleet, state),
+                    |_| FleetObjective::new(fleet, &all_live, &no_suspicion),
                     &anneal_config,
+                    &self.tracer,
                 ) {
                     Ok(result) => result,
                     Err(e) => return refuse(self, ErrorCode::Unavailable, e.to_string(), replies),

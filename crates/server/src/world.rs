@@ -1,5 +1,6 @@
 //! The daemon's world: configuration, fleet construction, and the
-//! placement-cost arithmetic its `predict`/`place` answers rest on.
+//! co-location context its `predict` answers rest on (`place` runs the
+//! manager's [`icm_manager::objective::FleetObjective`]).
 //!
 //! The server owns exactly what the endurance experiment owns — a
 //! simulated testbed, a supervised [`Fleet`] with online models, and a
@@ -10,7 +11,7 @@
 use icm_core::model::ModelBuilder;
 use icm_core::{OnlineModel, ProfilingAlgorithm};
 use icm_manager::{Fleet, ManagedApp, ManagedRun, ManagerConfig};
-use icm_placement::{PlacementError, PlacementState, QosConfig};
+use icm_placement::QosConfig;
 use icm_simcluster::SimTestbed;
 use icm_workloads::{Catalog, TestbedBuilder};
 
@@ -205,59 +206,6 @@ pub fn context_for(
         names.join("+")
     };
     Some((index, vec![pressure; fleet.span()], key))
-}
-
-/// The pooled fleet cost of a candidate placement: the sum over live
-/// applications of predicted normalized runtime × solo seconds, the
-/// same objective the manager's searches minimize (without crash
-/// suspicion, which a placement *query* has no business pricing).
-///
-/// # Errors
-///
-/// Propagates predictor failures.
-pub fn fleet_cost(fleet: &Fleet, state: &PlacementState) -> Result<f64, PlacementError> {
-    let problem = fleet.problem();
-    let per_host = problem.slots_per_host();
-    let real = fleet.apps().len();
-    let mut residents: Vec<Vec<usize>> = vec![Vec::new(); problem.hosts()];
-    let mut app_hosts: Vec<Vec<usize>> = vec![Vec::new(); real];
-    for (slot, &w) in state.assignment().iter().enumerate() {
-        let host = slot / per_host;
-        if w < real {
-            residents[host].push(w);
-            app_hosts[w].push(host);
-        }
-    }
-    for list in &mut residents {
-        list.sort_unstable();
-    }
-    let mut total = 0.0;
-    for (i, app) in fleet.apps().iter().enumerate() {
-        let mut pressures = Vec::with_capacity(app_hosts[i].len());
-        let mut names: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for &host in &app_hosts[i] {
-            let mut pressure = 0.0;
-            for &j in &residents[host] {
-                if j == i {
-                    continue;
-                }
-                pressure += fleet.apps()[j].online.base().bubble_score();
-                names.insert(fleet.apps()[j].name.as_str());
-            }
-            pressures.push(pressure);
-        }
-        let key = if names.is_empty() {
-            "none".to_owned()
-        } else {
-            names.into_iter().collect::<Vec<_>>().join("+")
-        };
-        let predicted = app
-            .online
-            .predict_for(&key, &pressures)
-            .map_err(|e| PlacementError::Predictor(e.to_string()))?;
-        total += predicted * app.online.base().solo_seconds();
-    }
-    Ok(total)
 }
 
 #[cfg(test)]

@@ -464,6 +464,30 @@ fn same_seed_reruns_commit_byte_identical_journals() {
     let _ = std::fs::remove_dir_all(&b);
 }
 
+/// `place` replies are pinned byte for byte: the search, its seed
+/// derivation and its objective's arithmetic may be rebuilt, but a
+/// same-seed daemon must keep answering with exactly these lines.
+#[test]
+fn place_replies_are_pinned_byte_for_byte() {
+    let mut server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
+    let requests = [
+        r#"{"id":"pl1","kind":"place","iterations":120}"#,
+        r#"{"id":"pl2","kind":"place","iterations":400}"#,
+        r#"{"id":"pl3","kind":"place"}"#,
+    ];
+    let expected = [
+        r#"{"id":"pl1","status":"ok","degraded":false,"latency_us":2200,"payload":{"cost":544.8805970810304,"evaluations":242,"best_iteration":0}}"#,
+        r#"{"id":"pl2","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":802,"best_iteration":6}}"#,
+        r#"{"id":"pl3","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":802,"best_iteration":16}}"#,
+    ];
+    for (request, expected) in requests.iter().zip(expected) {
+        let replies = server
+            .handle_frame(&Frame::Line((*request).to_owned()))
+            .expect("frame handled");
+        assert_eq!(replies, [expected], "reply to {request}");
+    }
+}
+
 #[test]
 fn snapshots_refuse_unknown_versions() {
     use icm_server::server::ServerSnapshot;

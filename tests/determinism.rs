@@ -73,9 +73,7 @@ fn profiler_json_is_byte_identical_across_runs() {
 
 #[test]
 fn placement_json_is_byte_identical_across_runs() {
-    use icm::placement::{
-        anneal_unconstrained, AnnealConfig, Estimator, PlacementProblem, RuntimePredictor,
-    };
+    use icm::placement::{anneal, AnnealConfig, Estimator, PlacementProblem, RuntimePredictor};
     let search = || {
         let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(23).build();
         let apps = ["M.milc", "C.libq", "H.KM", "N.cg"];
@@ -95,9 +93,10 @@ fn placement_json_is_byte_identical_across_runs() {
         let refs: Vec<&dyn RuntimePredictor> =
             models.iter().map(|m| m as &dyn RuntimePredictor).collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
             |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| Ok(0.0),
             &AnnealConfig {
                 iterations: 400,
                 ..AnnealConfig::default()

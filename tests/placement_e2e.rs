@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 use icm::core::model::ModelBuilder;
 use icm::core::InterferenceModel;
 use icm::placement::{
-    anneal_unconstrained, exhaustive, place_qos, AnnealConfig, Estimator, PlacementProblem,
-    QosConfig,
+    anneal, exhaustive, place_qos, AnnealConfig, Estimator, PlacementProblem, QosConfig,
 };
 use icm::simcluster::{Deployment, Placement};
 use icm::workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
@@ -101,9 +100,10 @@ fn annealer_matches_exhaustive_oracle_on_small_problem() {
     };
     let (oracle_state, oracle_cost) =
         exhaustive::exhaustive_best(&problem, cost).expect("enumerates");
-    let result = anneal_unconstrained(
+    let result = anneal(
         &problem,
         |s| Ok(cost(s)),
+        |_| Ok(0.0),
         &AnnealConfig {
             iterations: 400,
             ..AnnealConfig::default()
@@ -178,9 +178,10 @@ fn duplicate_instance_mix_places_cleanly() {
     ])
     .expect("valid");
     let estimator = Estimator::from_map(&problem, &models).expect("valid");
-    let result = anneal_unconstrained(
+    let result = anneal(
         &problem,
         |s| Ok(estimator.estimate(s)?.weighted_total),
+        |_| Ok(0.0),
         &AnnealConfig {
             iterations: 500,
             ..AnnealConfig::default()
