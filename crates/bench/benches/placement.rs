@@ -3,8 +3,8 @@
 
 use icm_bench::{black_box, Bench};
 use icm_placement::{
-    anneal, anneal_estimator, AnnealConfig, Estimator, PlacementError, PlacementProblem,
-    PlacementState, RuntimePredictor, SearchGoal,
+    anneal_estimator, AnnealConfig, Estimator, PlacementError, PlacementProblem, PlacementState,
+    RuntimePredictor, SearchGoal,
 };
 use icm_rng::Rng;
 
@@ -67,7 +67,7 @@ fn main() {
     });
 
     // Incremental (delta-evaluated) search — the hot path every caller
-    // now runs.
+    // runs.
     for iterations in [500usize, 4000] {
         b.bench(&format!("placement/anneal/iterations/{iterations}"), || {
             anneal_estimator(
@@ -82,21 +82,6 @@ fn main() {
             .expect("search runs")
         });
     }
-
-    // The pre-incremental formulation (full estimate per candidate via
-    // the closure API) — kept as the speedup reference.
-    b.bench("placement/anneal/closure/4000", || {
-        anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
-            &AnnealConfig {
-                iterations: 4000,
-                ..AnnealConfig::default()
-            },
-        )
-        .expect("search runs")
-    });
 
     // Lane-parallel search: same per-lane budget, K independent lanes.
     for lanes in [2usize, 4] {

@@ -700,23 +700,37 @@ mod tests {
 
     #[test]
     fn summary_reports_search_convergence() {
-        use icm_placement::{anneal_traced, AcceptRule, AnnealConfig, PlacementProblem};
+        use icm_placement::{
+            anneal_estimator, AcceptRule, AnnealConfig, Estimator, PlacementError,
+            PlacementProblem, RuntimePredictor, SearchGoal,
+        };
+
+        /// A toy interference model with the given bubble score: runtime
+        /// grows with the worst co-runner pressure.
+        struct Toy(f64);
+        impl RuntimePredictor for Toy {
+            fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError> {
+                Ok(1.0 + 0.1 * pressures.iter().cloned().fold(0.0f64, f64::max))
+            }
+            fn bubble_score(&self) -> f64 {
+                self.0
+            }
+            fn solo_seconds(&self) -> f64 {
+                100.0
+            }
+        }
 
         let problem =
             PlacementProblem::paper_default(vec!["a".into(), "b".into(), "c".into(), "d".into()])
                 .expect("valid problem");
+        let toys = [Toy(1.0), Toy(5.0), Toy(0.5), Toy(2.0)];
+        let predictors: Vec<&dyn RuntimePredictor> =
+            toys.iter().map(|t| t as &dyn RuntimePredictor).collect();
+        let estimator = Estimator::new(&problem, predictors).expect("valid estimator");
         let (tracer, recorder) = Tracer::recording(65536);
-        let result = anneal_traced(
-            &problem,
-            |state| {
-                Ok(state
-                    .assignment()
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &w)| (w + 1) as f64 * (problem.host_of_slot(slot) + 1) as f64)
-                    .sum())
-            },
-            |_| Ok(0.0),
+        let result = anneal_estimator(
+            &estimator,
+            SearchGoal::MinWeightedTotal,
             &AnnealConfig {
                 iterations: 200,
                 accept: AcceptRule::Metropolis {

@@ -251,7 +251,7 @@ mod tests {
     use icm_core::model::ModelBuilder;
     use icm_core::OnlineModel;
     use icm_obs::Tracer;
-    use icm_placement::{anneal, anneal_with, AnnealConfig};
+    use icm_placement::{anneal_with, AnnealConfig};
     use icm_rng::Rng;
     use icm_workloads::{Catalog, TestbedBuilder};
 
@@ -338,31 +338,46 @@ mod tests {
         }
     }
 
+    /// The searches the manager and the daemon run: for several seeds,
+    /// one and two lanes, and both suspicion patterns, the pooled
+    /// search's reported cost is exactly the reference cost of the
+    /// state it returns.
     #[test]
-    fn pooled_search_matches_the_closure_search() {
+    fn pooled_search_cost_re_evaluates_under_the_reference() {
         let fleet = fleet_fixture(&["M.milc", "H.KM"]);
         let n = fleet.apps().len();
+        let hosts = fleet.problem().hosts();
         let live = vec![true; n];
-        let suspicion = vec![0.0; fleet.problem().hosts()];
-        let config = AnnealConfig {
-            iterations: 400,
-            seed: 77,
-            ..AnnealConfig::default()
-        };
-        let pooled = anneal_with(
-            fleet.problem(),
-            |_| FleetObjective::new(&fleet, &live, &suspicion),
-            &config,
-            &Tracer::disabled(),
-        )
-        .expect("pooled search");
-        let closure = anneal(
-            fleet.problem(),
-            |s| fleet_cost(&fleet, &live, &suspicion, s),
-            |_| Ok(0.0),
-            &config,
-        )
-        .expect("closure search");
-        assert_eq!(pooled, closure);
+        let suspicion_patterns = [vec![0.0; hosts], {
+            (0..hosts).map(|h| h as f64 * 0.125).collect()
+        }];
+        for suspicion in &suspicion_patterns {
+            for seed in [77, 78, 2016] {
+                for lanes in [1, 2] {
+                    let config = AnnealConfig {
+                        iterations: 400,
+                        seed,
+                        lanes,
+                        ..AnnealConfig::default()
+                    };
+                    let pooled = anneal_with(
+                        fleet.problem(),
+                        |_| FleetObjective::new(&fleet, &live, suspicion),
+                        &config,
+                        &Tracer::disabled(),
+                    )
+                    .expect("pooled search");
+                    let reference = fleet_cost(&fleet, &live, suspicion, &pooled.state)
+                        .expect("reference cost");
+                    assert_eq!(
+                        pooled.cost.to_bits(),
+                        reference.to_bits(),
+                        "seed {seed}, {lanes} lane(s): pooled {} != reference {reference}",
+                        pooled.cost
+                    );
+                    assert!(pooled.feasible);
+                }
+            }
+        }
     }
 }

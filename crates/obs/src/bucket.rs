@@ -1,17 +1,14 @@
-//! Shared bucket-index math for every histogram in the crate.
+//! Bucket-index math for the crate's one aggregate, the
+//! [`QuantileSketch`](crate::QuantileSketch) (which the wall-time
+//! profile uses too).
 //!
-//! Two families live here:
-//!
-//! * [`fixed_index`] — the linear scan over a small slice of explicit
-//!   upper bounds used by [`WallStats`](crate::WallStats).
-//! * [`log_index`] and friends — logarithmic buckets for the
-//!   [`QuantileSketch`](crate::QuantileSketch), DDSketch-style but
-//!   derived purely from the IEEE-754 bit pattern: the index of a
-//!   positive normal `f64` is its exponent field concatenated with the
-//!   top [`SUB_BUCKET_BITS`] mantissa bits. That mapping is monotone,
-//!   needs no `ln()`, and — crucially for the determinism contract — is
-//!   exact integer arithmetic, so same-seed runs bucket identically on
-//!   every platform.
+//! [`log_index`] and friends are logarithmic buckets, DDSketch-style but
+//! derived purely from the IEEE-754 bit pattern: the index of a
+//! positive normal `f64` is its exponent field concatenated with the
+//! top [`SUB_BUCKET_BITS`] mantissa bits. That mapping is monotone,
+//! needs no `ln()`, and — crucially for the determinism contract — is
+//! exact integer arithmetic, so same-seed runs bucket identically on
+//! every platform.
 
 /// Mantissa bits kept in a log-bucket index. Each power of two is split
 /// into `2^SUB_BUCKET_BITS` sub-buckets.
@@ -60,17 +57,6 @@ pub fn bucket_mid(index: i64) -> f64 {
     } else {
         lower
     }
-}
-
-/// Index of the first bound `value` does not exceed; `bounds.len()` is
-/// the overflow bucket. NaN compares false against every bound and so
-/// always lands in overflow.
-#[inline]
-pub fn fixed_index<T: PartialOrd>(bounds: &[T], value: &T) -> usize {
-    bounds
-        .iter()
-        .position(|b| value <= b)
-        .unwrap_or(bounds.len())
 }
 
 #[cfg(test)]
@@ -134,19 +120,5 @@ mod tests {
             let i = log_index(v).expect("normal");
             assert_eq!(bucket_lower(i), v, "{v} must be a bucket lower edge");
         }
-    }
-
-    #[test]
-    fn fixed_index_matches_the_historic_scan() {
-        let bounds = [1.0, 2.0, 3.0];
-        assert_eq!(fixed_index(&bounds, &0.5), 0);
-        assert_eq!(fixed_index(&bounds, &1.0), 0, "bounds are inclusive");
-        assert_eq!(fixed_index(&bounds, &2.5), 2);
-        assert_eq!(fixed_index(&bounds, &3.0), 2);
-        assert_eq!(fixed_index(&bounds, &4.0), 3, "overflow bucket");
-        assert_eq!(fixed_index(&bounds, &f64::NAN), 3, "NaN overflows");
-        let ns: [u64; 2] = [1_000, 10_000];
-        assert_eq!(fixed_index(&ns, &500), 0);
-        assert_eq!(fixed_index(&ns, &50_000), 2);
     }
 }

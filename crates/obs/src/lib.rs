@@ -76,7 +76,7 @@ pub use sketch::{QuantileSketch, DEFAULT_MAX_BUCKETS};
 pub use telemetry::{
     HealthSnapshot, Telemetry, TelemetryConfig, TelemetrySink, TELEMETRY_BYTE_BUDGET,
 };
-pub use wall::{WallProfile, WallStats, WALL_BOUNDS_NS};
+pub use wall::WallProfile;
 
 /// A typed field value attached to an [`Event`].
 ///

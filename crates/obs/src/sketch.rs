@@ -26,7 +26,8 @@ use icm_json::{Json, ToJson};
 use crate::bucket;
 
 /// Default live-bucket cap. 2⁵ sub-buckets per octave means 128 buckets
-/// span 4 decades of dynamic range before any collapse happens.
+/// span 4 octaves (a factor of 16) of dynamic range before any collapse
+/// happens.
 pub const DEFAULT_MAX_BUCKETS: usize = 128;
 
 /// Mergeable log-bucket quantile sketch (see module docs).

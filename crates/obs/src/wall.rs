@@ -16,119 +16,22 @@ use std::time::Duration;
 
 use icm_json::{Json, ToJson};
 
-/// Decade bucket upper bounds in nanoseconds: 1µs, 10µs, … 10s. A
-/// duration lands in the first bucket whose bound it does not exceed;
-/// anything above 10s goes to the overflow bucket.
-pub const WALL_BOUNDS_NS: [u64; 8] = [
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-    10_000_000_000,
-];
+use crate::QuantileSketch;
 
-/// Wall-duration statistics for one span or scope name: count, total,
-/// extremes and a decade-bucket histogram (see [`WALL_BOUNDS_NS`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WallStats {
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-    buckets: [u64; WALL_BOUNDS_NS.len() + 1],
-}
+/// Live-bucket cap of each per-name sketch: 32 octaves at the sketch's
+/// 32 sub-buckets per octave, so durations spanning 1 ns to ~4 s keep
+/// full resolution before the low end collapses.
+const WALL_MAX_BUCKETS: usize = 1024;
 
-impl Default for WallStats {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            buckets: [0; WALL_BOUNDS_NS.len() + 1],
-        }
-    }
-}
-
-impl WallStats {
-    /// Records one wall duration.
-    pub fn record(&mut self, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[crate::bucket::fixed_index(&WALL_BOUNDS_NS, &ns)] += 1;
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Total recorded nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
-    }
-
-    /// Shortest recorded duration in nanoseconds (`None` when empty).
-    pub fn min_ns(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min_ns)
-    }
-
-    /// Longest recorded duration in nanoseconds (`None` when empty).
-    pub fn max_ns(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max_ns)
-    }
-
-    /// Mean duration in nanoseconds (`None` when empty).
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.total_ns as f64 / self.count as f64)
-    }
-
-    /// Per-bucket counts (`WALL_BOUNDS_NS.len() + 1` entries, the last
-    /// being the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
-impl ToJson for WallStats {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("count".to_owned(), self.count.to_json()),
-            ("total_ns".to_owned(), self.total_ns.to_json()),
-            (
-                "min_ns".to_owned(),
-                self.min_ns().unwrap_or_default().to_json(),
-            ),
-            (
-                "max_ns".to_owned(),
-                self.max_ns().unwrap_or_default().to_json(),
-            ),
-            (
-                "mean_ns".to_owned(),
-                self.mean_ns().unwrap_or_default().to_json(),
-            ),
-            (
-                "buckets".to_owned(),
-                Json::Array(self.buckets.iter().map(|c| c.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-/// Per-name wall-duration histograms, keyed by span/scope name.
+/// Per-name wall durations: one [`QuantileSketch`] of nanoseconds per
+/// span/scope name.
 ///
 /// The registry is a `BTreeMap`, so serialization is deterministically
 /// *ordered* — the recorded durations themselves are wall-clock
 /// measurements and naturally vary run to run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WallProfile {
-    spans: BTreeMap<String, WallStats>,
+    spans: BTreeMap<String, QuantileSketch>,
 }
 
 impl WallProfile {
@@ -141,17 +44,17 @@ impl WallProfile {
     pub fn record(&mut self, name: &str, elapsed: Duration) {
         self.spans
             .entry(name.to_owned())
-            .or_default()
-            .record(elapsed);
+            .or_insert_with(|| QuantileSketch::with_max_buckets(WALL_MAX_BUCKETS))
+            .observe(elapsed.as_nanos() as f64);
     }
 
-    /// Stats for one name.
-    pub fn get(&self, name: &str) -> Option<&WallStats> {
+    /// Nanosecond sketch for one name.
+    pub fn get(&self, name: &str) -> Option<&QuantileSketch> {
         self.spans.get(name)
     }
 
-    /// All recorded names with their stats, sorted by name.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, &WallStats)> {
+    /// All recorded names with their sketches, sorted by name.
+    pub fn spans(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -169,9 +72,9 @@ impl WallProfile {
                 "  {:<24}{:>8} calls  total {:>12}  mean {:>12}  max {:>12}\n",
                 name,
                 stats.count(),
-                format_ns(stats.total_ns() as f64),
-                format_ns(stats.mean_ns().unwrap_or_default()),
-                format_ns(stats.max_ns().unwrap_or_default() as f64),
+                format_ns(stats.sum()),
+                format_ns(stats.mean().unwrap_or_default()),
+                format_ns(stats.max().unwrap_or_default()),
             ));
         }
         out
@@ -192,21 +95,27 @@ fn format_ns(ns: f64) -> String {
 
 impl ToJson for WallProfile {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "bounds_ns".to_owned(),
-                Json::Array(WALL_BOUNDS_NS.iter().map(|b| b.to_json()).collect()),
+        let stats = |sketch: &QuantileSketch| {
+            let ns = |value: Option<f64>| value.unwrap_or_default().to_json();
+            Json::Object(vec![
+                ("count".to_owned(), sketch.count().to_json()),
+                ("total_ns".to_owned(), sketch.sum().to_json()),
+                ("min_ns".to_owned(), ns(sketch.min())),
+                ("max_ns".to_owned(), ns(sketch.max())),
+                ("mean_ns".to_owned(), ns(sketch.mean())),
+                ("p50_ns".to_owned(), ns(sketch.quantile(0.5))),
+                ("p99_ns".to_owned(), ns(sketch.quantile(0.99))),
+            ])
+        };
+        Json::object([(
+            "spans",
+            Json::Object(
+                self.spans
+                    .iter()
+                    .map(|(name, sketch)| (name.clone(), stats(sketch)))
+                    .collect(),
             ),
-            (
-                "spans".to_owned(),
-                Json::Object(
-                    self.spans
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+        )])
     }
 }
 
@@ -215,25 +124,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_accumulate_and_bucket() {
-        let mut stats = WallStats::default();
-        stats.record(Duration::from_nanos(500)); // bucket 0 (≤ 1µs)
-        stats.record(Duration::from_micros(5)); // bucket 1 (≤ 10µs)
-        stats.record(Duration::from_secs(20)); // overflow bucket
+    fn stats_accumulate_and_answer_quantiles() {
+        let mut profile = WallProfile::new();
+        profile.record("x", Duration::from_nanos(500));
+        profile.record("x", Duration::from_micros(5));
+        profile.record("x", Duration::from_secs(20));
+        let stats = profile.get("x").expect("recorded");
         assert_eq!(stats.count(), 3);
-        assert_eq!(stats.min_ns(), Some(500));
-        assert_eq!(stats.max_ns(), Some(20_000_000_000));
-        assert_eq!(stats.bucket_counts()[0], 1);
-        assert_eq!(stats.bucket_counts()[1], 1);
-        assert_eq!(*stats.bucket_counts().last().expect("overflow"), 1);
+        assert_eq!(stats.min(), Some(500.0));
+        assert_eq!(stats.max(), Some(20_000_000_000.0));
+        assert_eq!(stats.sum(), 20_000_005_500.0);
+        // The median is the middle duration within the sketch's relative
+        // error; the extremes are exact.
+        let p50 = stats.quantile(0.5).expect("non-empty");
+        assert!((p50 - 5_000.0).abs() <= 5_000.0 * crate::bucket::RELATIVE_ERROR);
+        assert_eq!(stats.quantile(0.0), Some(500.0));
+        assert_eq!(stats.quantile(1.0), Some(20_000_000_000.0));
     }
 
     #[test]
-    fn empty_stats_have_no_extremes() {
-        let stats = WallStats::default();
-        assert_eq!(stats.min_ns(), None);
-        assert_eq!(stats.max_ns(), None);
-        assert_eq!(stats.mean_ns(), None);
+    fn empty_profile_has_no_stats() {
+        let profile = WallProfile::new();
+        assert!(profile.is_empty());
+        assert_eq!(profile.get("x"), None);
+        assert_eq!(icm_json::to_string(&profile), r#"{"spans":{}}"#);
     }
 
     #[test]
@@ -247,7 +161,8 @@ mod tests {
         let z = text.find("\"zebra\"").expect("zebra present");
         assert!(a < z, "BTreeMap keys must serialize sorted");
         assert_eq!(profile.get("zebra").expect("recorded").count(), 2);
-        assert!(text.starts_with(r#"{"bounds_ns":[1000,"#));
+        assert!(text.starts_with(r#"{"spans":{"alpha":{"count":1,"total_ns":1000,"min_ns":1000,"#));
+        assert!(text.contains(r#""p50_ns":"#) && text.contains(r#""p99_ns":"#));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use icm_obs::{QuantileSketch, Tracer, Value};
 use icm_rng::Rng;
 
 use crate::error::PlacementError;
-use crate::objective::{Constrained, FnObjective, Objective};
+use crate::objective::{Constrained, Objective};
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
 /// The plateau tolerance shared by move acceptance, best-state tracking
@@ -509,12 +509,32 @@ where
     })
 }
 
-/// Minimizes an [`Objective`] over valid placements — the engine behind
-/// every closure-based entry point, exposed for objectives that evaluate
-/// incrementally (see [`crate::IncrementalObjective`]).
+/// Minimizes an [`Objective`] over valid placements — the one search
+/// engine behind every entry point ([`crate::anneal_estimator`], the
+/// `place_*` entry points, the manager's and the daemon's fleet searches).
+///
+/// The objective's [`Eval::violation`](crate::Eval::violation)
+/// quantifies how badly a state breaks the caller's constraint (`0` =
+/// feasible, larger = worse) — e.g. for QoS it is the excess of the
+/// target's predicted time over the allowed bound. This gives the search
+/// a gradient toward feasibility, which a boolean constraint cannot: from
+/// an infeasible state, swaps that reduce the violation are accepted
+/// (ties broken by cost); from a feasible state, only feasible
+/// neighbours are considered and accepted per the [`AcceptRule`],
+/// exactly the paper's §5.2 loop. The best feasible state seen is
+/// returned when one exists, otherwise the least-violating state.
 ///
 /// `objectives` builds one independent objective per lane index (lanes
 /// run on separate threads and may not share mutable caches).
+///
+/// With an enabled `tracer` the search is wrapped in an `anneal` span,
+/// every evaluated candidate emits an `anneal_iter` event (objective,
+/// violation, acceptance decision, temperature, lane), each lane emits
+/// an `anneal_lane` summary, and the span end carries the convergence
+/// summary (best cost, iterations-to-best, acceptance count, winning
+/// lane, final temperature). Same-seed runs produce byte-identical
+/// traces regardless of lane scheduling: lanes buffer their events and
+/// the caller replays them in lane order.
 ///
 /// # Errors
 ///
@@ -541,8 +561,19 @@ where
     )
 }
 
-/// [`anneal_with`] from a warm start under [`PlacementConstraints`] —
-/// the engine behind [`re_anneal`], exposed for incremental objectives.
+/// Incremental re-optimization from a warm start: [`anneal_with`]
+/// resumed at `start` (never a random restart) under per-app
+/// pin/exclude [`PlacementConstraints`], drawing fresh swap randomness
+/// from `config.seed`. Exclusion breaches are added to the objective's
+/// violation, giving the annealer a gradient that vacates excluded
+/// `(workload, host)` pairs; pinned workloads' slots are frozen. With no
+/// improvement found the warm start itself is returned, so a bounded
+/// budget (the manager runs a few hundred iterations, not thousands) can
+/// only help.
+///
+/// The returned [`AnnealResult::feasible`] covers caller feasibility
+/// *and* the constraints: it is `true` only when the objective's
+/// violation is zero and no exclusion is breached.
 ///
 /// # Errors
 ///
@@ -572,116 +603,48 @@ where
     )
 }
 
-/// Minimizes `cost` over valid placements subject to a constraint.
-///
-/// `violation` quantifies how badly a state breaks the constraint
-/// (`0` = feasible, larger = worse) — e.g. for QoS it is the excess of
-/// the target's predicted time over the allowed bound. This gives the
-/// search a gradient toward feasibility, which a boolean constraint
-/// cannot: from an infeasible state, swaps that reduce the violation are
-/// accepted (ties broken by cost); from a feasible state, only feasible
-/// neighbours are considered and accepted per the [`AcceptRule`], exactly
-/// the paper's §5.2 loop. The best feasible state seen is returned when
-/// one exists, otherwise the least-violating state.
-///
-/// # Errors
-///
-/// Propagates objective failures ([`PlacementError`]).
-pub fn anneal<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    config: &AnnealConfig,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal_traced(problem, cost, violation, config, &Tracer::disabled())
-}
-
-/// [`anneal`] with structured tracing: the search is wrapped in an
-/// `anneal` span, every evaluated candidate emits an `anneal_iter` event
-/// (objective, violation, acceptance decision, temperature, lane), each
-/// lane emits an `anneal_lane` summary, and the span end carries the
-/// convergence summary (best cost, iterations-to-best, acceptance count,
-/// winning lane, final temperature). Same-seed runs produce
-/// byte-identical traces regardless of lane scheduling: lanes buffer
-/// their events and the caller replays them in lane order.
-///
-/// # Errors
-///
-/// Propagates objective failures ([`PlacementError`]).
-pub fn anneal_traced<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal_with(
-        problem,
-        |_| FnObjective::new(&cost, &violation),
-        config,
-        tracer,
-    )
-}
-
-/// Incremental re-optimization from a warm start: resumes the search at
-/// `start` (never a random restart) under per-app pin/exclude
-/// [`PlacementConstraints`], drawing fresh swap randomness from
-/// `config.seed`. Exclusion breaches are added to `violation`, giving
-/// the annealer a gradient that vacates excluded `(workload, host)`
-/// pairs; pinned workloads' slots are frozen. With no improvement found
-/// the warm start itself is returned, so a bounded budget (the manager
-/// runs a few hundred iterations, not thousands) can only help.
-///
-/// The returned [`AnnealResult::feasible`] covers caller feasibility
-/// *and* the constraints: it is `true` only when the caller's violation
-/// is zero and no exclusion is breached.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Shape`] if the constraints reference an
-/// out-of-range workload or host; propagates objective failures.
-#[allow(clippy::too_many_arguments)]
-pub fn re_anneal<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    start: &PlacementState,
-    constraints: &PlacementConstraints,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    re_anneal_with(
-        problem,
-        |_| FnObjective::new(&cost, &violation),
-        start,
-        constraints,
-        config,
-        tracer,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::tests::{fake_predictors, fake_problem};
     use crate::estimator::{Estimator, RuntimePredictor};
+    use crate::incremental::{anneal_estimator, IncrementalObjective, SearchGoal};
+    use crate::objective::reference::{anneal_full_recompute, FullRecompute};
 
     fn estimator_cost<'a>(
         estimator: &'a Estimator<'a>,
     ) -> impl Fn(&PlacementState) -> Result<f64, PlacementError> + 'a {
         move |state| Ok(estimator.estimate(state)?.weighted_total)
+    }
+
+    /// The production search for the weighted-total goal.
+    fn min_total(
+        estimator: &Estimator<'_>,
+        config: &AnnealConfig,
+        tracer: &Tracer,
+    ) -> Result<AnnealResult, PlacementError> {
+        anneal_estimator(estimator, SearchGoal::MinWeightedTotal, config, tracer)
+    }
+
+    /// The production warm-start search for the weighted-total goal.
+    fn re_min_total(
+        estimator: &Estimator<'_>,
+        start: &PlacementState,
+        constraints: &PlacementConstraints,
+        config: &AnnealConfig,
+        tracer: &Tracer,
+    ) -> Result<AnnealResult, PlacementError> {
+        re_anneal_with(
+            estimator.problem(),
+            |_| {
+                IncrementalObjective::new(estimator, SearchGoal::MinWeightedTotal)
+                    .expect("valid goal")
+            },
+            start,
+            constraints,
+            config,
+            tracer,
+        )
     }
 
     #[test]
@@ -698,8 +661,7 @@ mod tests {
             iterations: 1500,
             ..AnnealConfig::default()
         };
-        let result = anneal(&problem, estimator_cost(&estimator), |_| Ok(0.0), &config)
-            .expect("search runs");
+        let result = min_total(&estimator, &config, &Tracer::disabled()).expect("search runs");
         // Greedy hill climbing guarantees it never leaves its own start
         // worse off; with the max-coupled sensitive workload in this
         // fixture it can stall in a local optimum (see
@@ -734,10 +696,8 @@ mod tests {
         // move strictly improves everyone else while the max is already
         // saturated) and cannot climb back out. Use the Metropolis
         // extension, which crosses that barrier reliably.
-        let result = anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let result = min_total(
+            &estimator,
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -746,6 +706,7 @@ mod tests {
                 },
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         // In the found placement, the sensitive workload (0) must never
@@ -770,14 +731,18 @@ mod tests {
         let estimator = Estimator::new(&problem, refs).expect("valid");
         // Constraint: workload 0 normalized time ≤ 1.3 (needs to avoid
         // the aggressor; feasible).
-        let result = anneal(
-            &problem,
-            |state| Ok(estimator.estimate(state)?.weighted_total),
-            |state| Ok((estimator.estimate(state)?.normalized_times[0] - 1.3).max(0.0)),
+        let result = anneal_estimator(
+            &estimator,
+            SearchGoal::Qos {
+                target: 0,
+                max_normalized: 1.3,
+                refuse_defaulted: false,
+            },
             &AnnealConfig {
                 iterations: 3000,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert!(
@@ -797,14 +762,15 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal(
+        let result = anneal_full_recompute(
             &problem,
-            |state| Ok(estimator.estimate(state)?.weighted_total),
+            estimator_cost(&estimator),
             |_| Ok(1.0),
             &AnnealConfig {
                 iterations: 200,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert!(!result.feasible);
@@ -819,20 +785,17 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let greedy = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+        let greedy = min_total(
+            &estimator,
             &AnnealConfig {
                 iterations: 3000,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
-        let metropolis = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+        let metropolis = min_total(
+            &estimator,
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -841,6 +804,7 @@ mod tests {
                 },
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
         // Metropolis crosses the herding barrier (see
@@ -870,15 +834,14 @@ mod tests {
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
         let run = |seed| {
-            anneal(
-                &problem,
-                |s| Ok(estimator.estimate(s)?.weighted_total),
-                |_| Ok(0.0),
+            min_total(
+                &estimator,
                 &AnnealConfig {
                     iterations: 500,
                     seed,
                     ..AnnealConfig::default()
                 },
+                &Tracer::disabled(),
             )
             .expect("runs")
         };
@@ -920,7 +883,7 @@ mod tests {
             |config: &AnnealConfig,
              violation: fn(&PlacementState) -> Result<f64, PlacementError>| {
                 let (tracer, recorder) = icm_obs::Tracer::recording(8192);
-                anneal_traced(
+                anneal_full_recompute(
                     &problem,
                     estimator_cost(&estimator),
                     violation,
@@ -974,7 +937,7 @@ mod tests {
         // costs would ignore most cheaper states. The best must be the
         // cheapest state the walk ever accepted (or the start).
         let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-        let result = anneal_traced(
+        let result = anneal_full_recompute(
             &problem,
             estimator_cost(&estimator),
             |s| Ok(1.0 + 5e-13 * ((s.workload_at(0) % 2) as f64)),
@@ -1021,14 +984,7 @@ mod tests {
             },
             ..AnnealConfig::default()
         };
-        let result = anneal_traced(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
-            &config,
-            &tracer,
-        )
-        .expect("runs");
+        let result = min_total(&estimator, &config, &tracer).expect("runs");
         let events = recorder.events();
         assert_eq!(events[0].name, "anneal.begin");
         assert_eq!(events[0].str("rule"), Some("metropolis"));
@@ -1072,22 +1028,9 @@ mod tests {
             iterations: 300,
             ..AnnealConfig::default()
         };
-        let plain = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
-            &config,
-        )
-        .expect("runs");
+        let plain = min_total(&estimator, &config, &Tracer::disabled()).expect("runs");
         let (tracer, _recorder) = icm_obs::Tracer::recording(8192);
-        let traced = anneal_traced(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
-            &config,
-            &tracer,
-        )
-        .expect("runs");
+        let traced = min_total(&estimator, &config, &tracer).expect("runs");
         assert_eq!(plain, traced);
     }
 
@@ -1105,16 +1048,14 @@ mod tests {
             lanes: 4,
             ..AnnealConfig::default()
         };
-        let run =
-            || anneal(&problem, estimator_cost(&estimator), |_| Ok(0.0), &config).expect("runs");
+        let run = || min_total(&estimator, &config, &Tracer::disabled()).expect("runs");
         let a = run();
         let b = run();
         assert_eq!(a, b, "same-seed parallel searches diverged");
-        let single = anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let single = min_total(
+            &estimator,
             &AnnealConfig { lanes: 1, ..config },
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert!(
@@ -1149,14 +1090,7 @@ mod tests {
         };
         let trace = || {
             let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-            anneal_traced(
-                &problem,
-                estimator_cost(&estimator),
-                |_| Ok(0.0),
-                &config,
-                &tracer,
-            )
-            .expect("runs");
+            min_total(&estimator, &config, &tracer).expect("runs");
             recorder
                 .events()
                 .iter()
@@ -1182,7 +1116,7 @@ mod tests {
     #[test]
     fn zero_lanes_is_rejected_and_config_json_defaults_to_one() {
         let problem = fake_problem();
-        let result = anneal(
+        let result = anneal_full_recompute(
             &problem,
             |_| Ok(0.0),
             |_| Ok(0.0),
@@ -1190,6 +1124,7 @@ mod tests {
                 lanes: 0,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         );
         assert!(matches!(result, Err(PlacementError::Shape(_))));
         // Pre-lanes JSON still parses (lanes defaults to 1)…
@@ -1216,14 +1151,13 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+        let result = min_total(
+            &estimator,
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert!(result.best_iteration >= 1, "some swap must have helped");
@@ -1245,20 +1179,17 @@ mod tests {
         let estimator = Estimator::new(&problem, refs).expect("valid");
         // First find a good state, then re-anneal from it with a tiny
         // budget: the result must never be worse than the warm start.
-        let good = anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let good = min_total(
+            &estimator,
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
-        let warm = re_anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let warm = re_min_total(
+            &estimator,
             &good.state,
             &PlacementConstraints::new(),
             &AnnealConfig {
@@ -1276,10 +1207,8 @@ mod tests {
         );
         // A zero-iteration budget returns the start state verbatim —
         // incremental, never a restart.
-        let frozen = re_anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let frozen = re_min_total(
+            &estimator,
             &good.state,
             &PlacementConstraints::new(),
             &AnnealConfig {
@@ -1314,10 +1243,8 @@ mod tests {
         constraints.pin(3);
         let pinned_slots = start.slots_of(3);
         assert!(constraints.breaches(&problem, &start) > 0);
-        let result = re_anneal(
-            &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
+        let result = re_min_total(
+            &estimator,
             &start,
             &constraints,
             &AnnealConfig {
@@ -1357,16 +1284,7 @@ mod tests {
             ..AnnealConfig::default()
         };
         let run = |tracer: &Tracer| {
-            re_anneal(
-                &problem,
-                estimator_cost(&estimator),
-                |_| Ok(0.0),
-                &start,
-                &constraints,
-                &config,
-                tracer,
-            )
-            .expect("runs")
+            re_min_total(&estimator, &start, &constraints, &config, tracer).expect("runs")
         };
         let a = run(&Tracer::disabled());
         let b = run(&Tracer::disabled());
@@ -1388,10 +1306,9 @@ mod tests {
         let start = PlacementState::random(&problem, &mut rng);
         let mut constraints = PlacementConstraints::new();
         constraints.exclude(0, 999);
-        let result = re_anneal(
+        let result = re_anneal_with(
             &problem,
-            |_| Ok(0.0),
-            |_| Ok(0.0),
+            |_| FullRecompute::new(|_: &PlacementState| Ok(0.0), |_: &PlacementState| Ok(0.0)),
             &start,
             &constraints,
             &AnnealConfig::default(),
@@ -1403,11 +1320,12 @@ mod tests {
     #[test]
     fn objective_errors_propagate() {
         let problem = fake_problem();
-        let result = anneal(
+        let result = anneal_full_recompute(
             &problem,
             |_| Err(PlacementError::Predictor("boom".into())),
             |_| Ok(0.0),
             &AnnealConfig::default(),
+            &Tracer::disabled(),
         );
         assert!(result.is_err());
     }

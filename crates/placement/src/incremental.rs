@@ -16,7 +16,10 @@
 //! approximate: a debug assertion in [`Objective::probe`] recomputes
 //! every probe through [`Estimator::estimate`]-equivalent code and
 //! compares bit patterns, and the test suite sweeps random move
-//! sequences across problem shapes doing the same.
+//! sequences across problem shapes doing the same. At search level,
+//! [`anneal_estimator`] is checked to return exactly what the engine
+//! returns over a test-only objective that recomputes the goal from
+//! scratch on every probe.
 
 use icm_core::ModelQuality;
 
@@ -230,8 +233,8 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Folds the per-workload times into the goal's cost/violation —
     /// always over *all* workloads in problem order, with the exact
-    /// operation sequence of the closure-based full path, so the result
-    /// is bit-identical to it.
+    /// operation sequence of the full recompute ([`Self::full_eval`]),
+    /// so the result is bit-identical to it.
     fn fold(&self, speculative: bool) -> Eval {
         let workloads = self.times.len();
         let mut total = 0.0f64;
@@ -283,8 +286,9 @@ impl<'a> IncrementalObjective<'a> {
         }
     }
 
-    /// The closure-equivalent full recompute of the goal on `state` —
-    /// the ground truth the delta path is asserted against.
+    /// The full recompute of the goal on `state` through
+    /// [`Estimator::estimate`] — the ground truth the delta path is
+    /// asserted against.
     fn full_eval(&self, state: &PlacementState) -> Result<Eval, PlacementError> {
         let estimate = self.estimator.estimate(state)?;
         Ok(match self.goal {
@@ -603,7 +607,8 @@ impl IncrementalObjective<'_> {
 /// [`crate::place_qos`], [`crate::place_min_waste`] and
 /// [`crate::find_placements`], exposed for callers that bring their own
 /// [`crate::AnnealConfig`]. Results are bit-identical to running
-/// [`crate::anneal`] with the equivalent full-recompute closures.
+/// [`crate::anneal_with`] over an objective that recomputes the goal
+/// from scratch on every probe.
 ///
 /// # Errors
 ///
@@ -628,12 +633,13 @@ pub fn anneal_estimator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annealing::{anneal, AcceptRule, AnnealConfig};
+    use crate::annealing::{AcceptRule, AnnealConfig};
     use crate::energy::estimate_waste;
     use crate::estimator::tests::{
         fake_predictors, fake_problem, DefaultedPredictor, FakePredictor,
     };
     use crate::estimator::RuntimePredictor;
+    use crate::objective::reference::anneal_full_recompute;
     use crate::state::PlacementProblem;
     use icm_obs::Tracer;
     use icm_rng::Rng;
@@ -746,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_search_is_bit_identical_to_the_closure_search() {
+    fn incremental_search_is_bit_identical_to_the_full_recompute_search() {
         let problem = fake_problem();
         let predictors = fake_predictors();
         let refs: Vec<&dyn RuntimePredictor> = predictors
@@ -773,16 +779,17 @@ mod tests {
                 &Tracer::disabled(),
             )
             .expect("runs");
-            let closure = anneal(
+            let full = anneal_full_recompute(
                 &problem,
                 |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
                 |_| Ok(0.0),
                 &config,
+                &Tracer::disabled(),
             )
             .expect("runs");
-            assert_eq!(incremental, closure, "paths diverged under {accept:?}");
+            assert_eq!(incremental, full, "paths diverged under {accept:?}");
         }
-        // The waste goal agrees with its closure formulation too.
+        // The waste goal agrees with its full recompute too.
         let config = AnnealConfig {
             iterations: 500,
             ..AnnealConfig::default()
@@ -794,15 +801,16 @@ mod tests {
             &Tracer::disabled(),
         )
         .expect("runs");
-        let closure = anneal(
+        let full = anneal_full_recompute(
             &problem,
             |s: &PlacementState| Ok(estimate_waste(&estimator, s)?.total_wasted),
             |_| Ok(0.0),
             &config,
+            &Tracer::disabled(),
         )
         .expect("runs");
-        assert_eq!(incremental, closure);
-        // And the QoS goal against its cost/violation closure pair.
+        assert_eq!(incremental, full);
+        // And the QoS goal against its cost/violation pair.
         let bound = 1.25;
         let incremental = anneal_estimator(
             &estimator,
@@ -815,14 +823,15 @@ mod tests {
             &Tracer::disabled(),
         )
         .expect("runs");
-        let closure = anneal(
+        let full = anneal_full_recompute(
             &problem,
             |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
             |s: &PlacementState| Ok((estimator.estimate(s)?.normalized_times[0] - bound).max(0.0)),
             &config,
+            &Tracer::disabled(),
         )
         .expect("runs");
-        assert_eq!(incremental, closure);
+        assert_eq!(incremental, full);
     }
 
     #[test]

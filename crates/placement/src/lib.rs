@@ -10,8 +10,20 @@
 //!   total runtime of everything else (§5.2, Fig. 10).
 //! * [`find_placements`] — best / worst / random placements of a mix for
 //!   the throughput study (§5.3, Fig. 11).
+//! * [`place_min_waste`] — minimize predicted wasted node-seconds.
 //! * [`exhaustive`] — a brute-force oracle for small problems, used to
 //!   validate the stochastic search.
+//!
+//! Every one of them runs the same search engine, which has exactly
+//! two doors:
+//!
+//! * [`anneal_estimator`] — the search over an estimator-backed
+//!   [`SearchGoal`], with delta evaluation ([`IncrementalObjective`]);
+//!   the entry points above are thin wrappers around it.
+//! * [`anneal_with`] / [`re_anneal_with`] — the search over any
+//!   [`Objective`], cold or warm-started under
+//!   [`PlacementConstraints`] (the manager's fleet objective comes in
+//!   this way).
 //!
 //! The search consumes models only through the [`RuntimePredictor`]
 //! trait, so the paper's full interference model and its naive
@@ -65,16 +77,13 @@ mod qos;
 mod state;
 mod throughput;
 
-pub use annealing::{
-    anneal, anneal_traced, anneal_with, re_anneal, re_anneal_with, AcceptRule, AnnealConfig,
-    AnnealResult,
-};
+pub use annealing::{anneal_with, re_anneal_with, AcceptRule, AnnealConfig, AnnealResult};
 pub use dense::{AppId, DenseKey, DenseMap, HostId, SlotId};
 pub use energy::{estimate_waste, place_min_waste, EnergyEstimate};
 pub use error::PlacementError;
 pub use estimator::{Estimator, PlacementEstimate, QualityAwareModel, RuntimePredictor};
 pub use incremental::{anneal_estimator, IncrementalObjective, SearchGoal};
-pub use objective::{Eval, FnObjective, Objective};
+pub use objective::{Eval, Objective};
 pub use qos::{place_qos, QosConfig, QosOutcome};
 pub use state::{PlacementConstraints, PlacementProblem, PlacementState};
 pub use throughput::{average_speedup, find_placements, ThroughputConfig, ThroughputPlacements};

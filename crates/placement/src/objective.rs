@@ -14,10 +14,13 @@
 //!    already undone the transposition, so the committed state is
 //!    unchanged.
 //!
-//! [`FnObjective`] adapts plain cost/violation closures (full recompute
-//! per probe) so the closure-based entry points keep working;
-//! [`crate::IncrementalObjective`] exploits the protocol to touch only
-//! the two affected hosts per probe.
+//! Every search runs through this one protocol:
+//! [`crate::IncrementalObjective`] exploits it to touch only the two
+//! affected hosts per probe, and the manager's fleet objective prices a
+//! whole fleet the same way. The engine's own tests drive hand-built
+//! costs and violations through a test-only full-recompute objective,
+//! which is also the reference the incremental search is checked
+//! against.
 
 use crate::error::PlacementError;
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
@@ -64,54 +67,8 @@ pub trait Objective {
     fn reject(&mut self) {}
 }
 
-/// Adapts a cost closure and a violation closure into an [`Objective`]
-/// that fully recomputes both on every probe — the semantics the
-/// closure-based entry points ([`crate::anneal`], [`crate::re_anneal`])
-/// always had.
-pub struct FnObjective<C, V> {
-    cost: C,
-    violation: V,
-}
-
-impl<C, V> FnObjective<C, V>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError>,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError>,
-{
-    /// Wraps the two closures.
-    pub fn new(cost: C, violation: V) -> Self {
-        Self { cost, violation }
-    }
-
-    fn eval(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
-        Ok(Eval {
-            cost: (self.cost)(state)?,
-            violation: (self.violation)(state)?,
-        })
-    }
-}
-
-impl<C, V> Objective for FnObjective<C, V>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError>,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError>,
-{
-    fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
-        self.eval(state)
-    }
-
-    fn probe(
-        &mut self,
-        state: &PlacementState,
-        _a: usize,
-        _b: usize,
-    ) -> Result<Eval, PlacementError> {
-        self.eval(state)
-    }
-}
-
 /// Adds [`PlacementConstraints`] exclusion breaches to an inner
-/// objective's violation — how [`crate::re_anneal`] prices its
+/// objective's violation — how [`crate::re_anneal_with`] prices its
 /// constraints, factored out so every objective composes with them.
 pub(crate) struct Constrained<'a, O> {
     inner: O,
@@ -157,5 +114,73 @@ impl<O: Objective> Objective for Constrained<'_, O> {
 
     fn reject(&mut self) {
         self.inner.reject();
+    }
+}
+
+/// The test-only reference objective: a cost closure and a violation
+/// closure, both recomputed from scratch on every probe. Engine tests
+/// use it for hand-built landscapes (plateau noise, always-infeasible
+/// states, flat or failing costs), and the incremental search is checked
+/// bit for bit against it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) struct FullRecompute<C, V> {
+        cost: C,
+        violation: V,
+    }
+
+    impl<C, V> FullRecompute<C, V>
+    where
+        C: Fn(&PlacementState) -> Result<f64, PlacementError>,
+        V: Fn(&PlacementState) -> Result<f64, PlacementError>,
+    {
+        pub(crate) fn new(cost: C, violation: V) -> Self {
+            Self { cost, violation }
+        }
+    }
+
+    impl<C, V> Objective for FullRecompute<C, V>
+    where
+        C: Fn(&PlacementState) -> Result<f64, PlacementError>,
+        V: Fn(&PlacementState) -> Result<f64, PlacementError>,
+    {
+        fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
+            Ok(Eval {
+                cost: (self.cost)(state)?,
+                violation: (self.violation)(state)?,
+            })
+        }
+
+        fn probe(
+            &mut self,
+            state: &PlacementState,
+            _a: usize,
+            _b: usize,
+        ) -> Result<Eval, PlacementError> {
+            self.reset(state)
+        }
+    }
+
+    /// [`crate::anneal_with`] over a [`FullRecompute`] objective built
+    /// from the two closures (shared by every lane).
+    pub(crate) fn anneal_full_recompute<C, V>(
+        problem: &PlacementProblem,
+        cost: C,
+        violation: V,
+        config: &crate::AnnealConfig,
+        tracer: &icm_obs::Tracer,
+    ) -> Result<crate::AnnealResult, PlacementError>
+    where
+        C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
+        V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
+    {
+        crate::anneal_with(
+            problem,
+            |_| FullRecompute::new(&cost, &violation),
+            config,
+            tracer,
+        )
     }
 }

@@ -96,12 +96,8 @@ pub fn place_qos(
     target: usize,
     config: &QosConfig,
 ) -> Result<QosOutcome, PlacementError> {
-    let workloads = estimator.problem().workloads().len();
-    if target >= workloads {
-        return Err(PlacementError::Predictor(format!(
-            "QoS target index {target} out of range ({workloads} workloads)"
-        )));
-    }
+    // The target index is validated by `anneal_estimator` (through
+    // `SearchGoal::validate`); the fraction is this function's own input.
     if !(0.0 < config.qos_fraction && config.qos_fraction <= 1.0) {
         return Err(PlacementError::Predictor(format!(
             "qos_fraction must be in (0,1], got {}",
@@ -205,7 +201,12 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        assert!(place_qos(&estimator, 4, &QosConfig::default()).is_err());
+        let err = place_qos(&estimator, 4, &QosConfig::default()).expect_err("out of range");
+        assert!(
+            matches!(&err, PlacementError::Predictor(m)
+                if m == "QoS target index 4 out of range (4 workloads)"),
+            "{err:?}"
+        );
     }
 
     #[test]

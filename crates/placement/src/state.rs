@@ -440,7 +440,7 @@ impl PlacementState {
 }
 
 /// Per-app constraints for incremental re-placement
-/// ([`re_anneal`](crate::re_anneal)):
+/// ([`re_anneal_with`](crate::re_anneal_with)):
 ///
 /// * **pin** — a pinned workload's slots never participate in swaps, so
 ///   its placement is frozen exactly as the warm start left it (e.g.

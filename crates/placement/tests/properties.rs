@@ -4,9 +4,10 @@
 //! pseudo-random case list, so a failure reproduces exactly and prints
 //! its case index.
 
+use icm_obs::Tracer;
 use icm_placement::{
-    anneal, AnnealConfig, Estimator, PlacementError, PlacementProblem, PlacementState,
-    RuntimePredictor,
+    anneal_estimator, AnnealConfig, Estimator, PlacementError, PlacementProblem, PlacementState,
+    RuntimePredictor, SearchGoal,
 };
 use icm_rng::Rng;
 
@@ -103,15 +104,15 @@ fn search_never_returns_worse_than_its_start_population() {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+        let result = anneal_estimator(
+            &estimator,
+            SearchGoal::MinWeightedTotal,
             &AnnealConfig {
                 iterations: 200,
                 seed,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert_valid(&problem, &result.state);

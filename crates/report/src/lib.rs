@@ -1339,9 +1339,9 @@ mod tests {
     #[test]
     fn profile_section_orders_spans_by_weight() {
         let profile: Json = icm_json::from_str(
-            r#"{"bounds_ns":[1000],"spans":{
-                "a.light":{"count":2,"total_ns":1000,"min_ns":400,"max_ns":600,"mean_ns":500,"buckets":[2,0]},
-                "b.heavy":{"count":1,"total_ns":9000000,"min_ns":9000000,"max_ns":9000000,"mean_ns":9000000,"buckets":[0,1]}
+            r#"{"spans":{
+                "a.light":{"count":2,"total_ns":1000,"min_ns":400,"max_ns":600,"mean_ns":500,"p50_ns":400,"p99_ns":600},
+                "b.heavy":{"count":1,"total_ns":9000000,"min_ns":9000000,"max_ns":9000000,"mean_ns":9000000,"p50_ns":9000000,"p99_ns":9000000}
             }}"#,
         )
         .expect("parses");

@@ -11,6 +11,10 @@ cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline -- -D warnings
 cargo fmt --check
+# perfbench is a workspace of its own (it builds the crates by path), so
+# the workspace commands above never compile it: test it here so a
+# public-API change that breaks the benchmark fails the gate.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,
 # summarize as JSON, and render into a non-empty self-contained report.

@@ -73,7 +73,9 @@ fn profiler_json_is_byte_identical_across_runs() {
 
 #[test]
 fn placement_json_is_byte_identical_across_runs() {
-    use icm::placement::{anneal, AnnealConfig, Estimator, PlacementProblem, RuntimePredictor};
+    use icm::placement::{
+        anneal_estimator, AnnealConfig, Estimator, PlacementProblem, RuntimePredictor, SearchGoal,
+    };
     let search = || {
         let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(23).build();
         let apps = ["M.milc", "C.libq", "H.KM", "N.cg"];
@@ -93,14 +95,14 @@ fn placement_json_is_byte_identical_across_runs() {
         let refs: Vec<&dyn RuntimePredictor> =
             models.iter().map(|m| m as &dyn RuntimePredictor).collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal(
-            &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+        let result = anneal_estimator(
+            &estimator,
+            SearchGoal::MinWeightedTotal,
             &AnnealConfig {
                 iterations: 400,
                 ..AnnealConfig::default()
             },
+            &icm_obs::Tracer::disabled(),
         )
         .expect("search runs");
         icm::json::to_string_pretty(&result)

@@ -5,7 +5,9 @@
 use icm::core::model::ModelBuilder;
 use icm::core::online::OnlineModel;
 use icm::core::{combine_scores, measure_bubble_score, ModelStore};
-use icm::placement::{anneal, AcceptRule, AnnealConfig, Estimator, PlacementProblem};
+use icm::placement::{
+    anneal_estimator, AcceptRule, AnnealConfig, Estimator, PlacementProblem, SearchGoal,
+};
 use icm::simcluster::{Deployment, Placement};
 use icm::workloads::{Catalog, PropagationClass, SyntheticWorkload, TestbedBuilder};
 
@@ -34,10 +36,9 @@ fn stored_fleet_drives_placement_after_reload() {
     // Metropolis acceptance: strict hill climbing can stall with the
     // aggressor still on the sensitive app's hosts (see
     // `icm_placement::annealing`), which this test asserts against.
-    let result = anneal(
-        &problem,
-        |s| Ok(estimator.estimate(s)?.weighted_total),
-        |_| Ok(0.0),
+    let result = anneal_estimator(
+        &estimator,
+        SearchGoal::MinWeightedTotal,
         &AnnealConfig {
             iterations: 800,
             accept: AcceptRule::Metropolis {
@@ -46,6 +47,7 @@ fn stored_fleet_drives_placement_after_reload() {
             },
             ..AnnealConfig::default()
         },
+        &icm_obs::Tracer::disabled(),
     )
     .expect("search runs");
     assert!(result.cost > 0.0);

@@ -9,7 +9,10 @@ use icm_experiments::context::{private_testbed, ExpConfig};
 use icm_experiments::profiling_source::AppSource;
 use icm_experiments::trace::summarize;
 use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer};
-use icm_placement::{anneal_traced, AcceptRule, AnnealConfig, PlacementProblem, PlacementState};
+use icm_placement::{
+    anneal_estimator, AcceptRule, AnnealConfig, Estimator, PlacementError, PlacementProblem,
+    RuntimePredictor, SearchGoal,
+};
 use icm_simcluster::TestbedStats;
 
 /// Runs the same profiling sweep with a JSONL sink — optionally with the
@@ -48,13 +51,22 @@ fn traced_profiling_sweep(seed: u64) -> (String, TestbedStats) {
     (trace, stats)
 }
 
-fn anneal_cost(problem: &PlacementProblem, state: &PlacementState) -> f64 {
-    state
-        .assignment()
-        .iter()
-        .enumerate()
-        .map(|(slot, &w)| (w + 1) as f64 * (problem.host_of_slot(slot) + 1) as f64)
-        .sum()
+/// A toy interference model with the given bubble score: runtime grows
+/// with the worst co-runner pressure.
+struct Toy(f64);
+
+impl RuntimePredictor for Toy {
+    fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError> {
+        Ok(1.0 + 0.1 * pressures.iter().cloned().fold(0.0f64, f64::max))
+    }
+
+    fn bubble_score(&self) -> f64 {
+        self.0
+    }
+
+    fn solo_seconds(&self) -> f64 {
+        100.0
+    }
 }
 
 /// Runs the same Metropolis search with a JSONL sink and returns the raw
@@ -63,12 +75,15 @@ fn traced_search(seed: u64) -> String {
     let problem =
         PlacementProblem::paper_default(vec!["a".into(), "b".into(), "c".into(), "d".into()])
             .expect("valid problem");
+    let toys = [Toy(1.0), Toy(5.0), Toy(0.5), Toy(2.0)];
+    let predictors: Vec<&dyn RuntimePredictor> =
+        toys.iter().map(|t| t as &dyn RuntimePredictor).collect();
+    let estimator = Estimator::new(&problem, predictors).expect("valid estimator");
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
-    anneal_traced(
-        &problem,
-        |state| Ok(anneal_cost(&problem, state)),
-        |_| Ok(0.0),
+    anneal_estimator(
+        &estimator,
+        SearchGoal::MinWeightedTotal,
         &AnnealConfig {
             iterations: 300,
             seed,
@@ -111,7 +126,7 @@ fn wall_profiling_leaves_the_deterministic_trace_byte_identical() {
             .get(span)
             .unwrap_or_else(|| panic!("wall profile must cover `{span}`"));
         assert!(stats.count() > 0, "`{span}` must have samples");
-        assert!(stats.total_ns() >= stats.max_ns().unwrap_or(0));
+        assert!(stats.sum() >= stats.max().unwrap_or(0.0));
     }
     // The disabled run records nothing.
     let (_, _, off) = traced_profiling_sweep_wall(2016, false);

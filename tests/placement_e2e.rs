@@ -6,10 +6,12 @@ use std::collections::BTreeMap;
 use icm::core::model::ModelBuilder;
 use icm::core::InterferenceModel;
 use icm::placement::{
-    anneal, exhaustive, place_qos, AnnealConfig, Estimator, PlacementProblem, QosConfig,
+    anneal_estimator, exhaustive, place_qos, AnnealConfig, Estimator, PlacementProblem, QosConfig,
+    SearchGoal,
 };
 use icm::simcluster::{Deployment, Placement};
 use icm::workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
+use icm_obs::Tracer;
 
 fn build_models(
     tb: &mut SimTestbedAdapter,
@@ -100,14 +102,14 @@ fn annealer_matches_exhaustive_oracle_on_small_problem() {
     };
     let (oracle_state, oracle_cost) =
         exhaustive::exhaustive_best(&problem, cost).expect("enumerates");
-    let result = anneal(
-        &problem,
-        |s| Ok(cost(s)),
-        |_| Ok(0.0),
+    let result = anneal_estimator(
+        &estimator,
+        SearchGoal::MinWeightedTotal,
         &AnnealConfig {
             iterations: 400,
             ..AnnealConfig::default()
         },
+        &Tracer::disabled(),
     )
     .expect("search runs");
     assert!(
@@ -178,14 +180,14 @@ fn duplicate_instance_mix_places_cleanly() {
     ])
     .expect("valid");
     let estimator = Estimator::from_map(&problem, &models).expect("valid");
-    let result = anneal(
-        &problem,
-        |s| Ok(estimator.estimate(s)?.weighted_total),
-        |_| Ok(0.0),
+    let result = anneal_estimator(
+        &estimator,
+        SearchGoal::MinWeightedTotal,
         &AnnealConfig {
             iterations: 500,
             ..AnnealConfig::default()
         },
+        &Tracer::disabled(),
     )
     .expect("search runs");
     // Both Gems instances own 4 distinct hosts each.
