@@ -82,21 +82,4 @@ fn main() {
             .expect("search runs")
         });
     }
-
-    // Lane-parallel search: same per-lane budget, K independent lanes.
-    for lanes in [2usize, 4] {
-        b.bench(&format!("placement/anneal/lanes/{lanes}"), || {
-            anneal_estimator(
-                &estimator,
-                SearchGoal::MinWeightedTotal,
-                &AnnealConfig {
-                    iterations: 4000,
-                    lanes,
-                    ..AnnealConfig::default()
-                },
-                &icm_obs::Tracer::disabled(),
-            )
-            .expect("search runs")
-        });
-    }
 }

@@ -92,7 +92,6 @@ fn endurance_config(cfg: &ExpConfig, hosts: usize) -> ManagerConfig {
             qos_fraction: 0.6,
             ..QosConfig::default()
         },
-        search_lanes: 2,
         environment: Some(EnvironmentDrift {
             from_tick: ticks / 2 + 1,
             pressures,

@@ -147,7 +147,6 @@ fn manager_config(cfg: &ExpConfig, drift_pressure: f64, hosts: usize) -> Manager
             qos_fraction: 0.6,
             ..QosConfig::default()
         },
-        search_lanes: 2,
         // Drift loads half the cluster so re-placement has somewhere
         // quiet to go — the manager only ever sees its consequences in
         // the observed slowdowns.

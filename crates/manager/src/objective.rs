@@ -89,15 +89,13 @@ fn fleet_cost(
 /// the exact arithmetic of `fleet_cost` (same terms, same order —
 /// asserted bit-for-bit in tests), but with pooled per-host/per-app
 /// scratch and a co-runner-signature cache instead of fresh
-/// `Vec`/`BTreeSet`/`String` allocations per candidate. One independent
-/// instance per annealing lane (see [`AnnealConfig::lanes`]).
+/// `Vec`/`BTreeSet`/`String` allocations per candidate. One instance
+/// per search.
 ///
 /// `probe` re-evaluates every live application: on the fleets this
 /// workspace runs (three applications spanning four of eight hosts) a
 /// swap's two hosts miss only about a fifth of the applications, too few
 /// to pay for a second, delta-evaluating engine.
-///
-/// [`AnnealConfig::lanes`]: icm_placement::AnnealConfig::lanes
 pub struct FleetObjective<'a> {
     fleet: &'a Fleet,
     live: &'a [bool],
@@ -338,10 +336,9 @@ mod tests {
         }
     }
 
-    /// The searches the manager and the daemon run: for several seeds,
-    /// one and two lanes, and both suspicion patterns, the pooled
-    /// search's reported cost is exactly the reference cost of the
-    /// state it returns.
+    /// The searches the manager and the daemon run: for several seeds
+    /// and both suspicion patterns, the pooled search's reported cost is
+    /// exactly the reference cost of the state it returns.
     #[test]
     fn pooled_search_cost_re_evaluates_under_the_reference() {
         let fleet = fleet_fixture(&["M.milc", "H.KM"]);
@@ -353,30 +350,27 @@ mod tests {
         }];
         for suspicion in &suspicion_patterns {
             for seed in [77, 78, 2016] {
-                for lanes in [1, 2] {
-                    let config = AnnealConfig {
-                        iterations: 400,
-                        seed,
-                        lanes,
-                        ..AnnealConfig::default()
-                    };
-                    let pooled = anneal_with(
-                        fleet.problem(),
-                        |_| FleetObjective::new(&fleet, &live, suspicion),
-                        &config,
-                        &Tracer::disabled(),
-                    )
-                    .expect("pooled search");
-                    let reference = fleet_cost(&fleet, &live, suspicion, &pooled.state)
-                        .expect("reference cost");
-                    assert_eq!(
-                        pooled.cost.to_bits(),
-                        reference.to_bits(),
-                        "seed {seed}, {lanes} lane(s): pooled {} != reference {reference}",
-                        pooled.cost
-                    );
-                    assert!(pooled.feasible);
-                }
+                let config = AnnealConfig {
+                    iterations: 400,
+                    seed,
+                    ..AnnealConfig::default()
+                };
+                let pooled = anneal_with(
+                    fleet.problem(),
+                    FleetObjective::new(&fleet, &live, suspicion),
+                    &config,
+                    &Tracer::disabled(),
+                )
+                .expect("pooled search");
+                let reference =
+                    fleet_cost(&fleet, &live, suspicion, &pooled.state).expect("reference cost");
+                assert_eq!(
+                    pooled.cost.to_bits(),
+                    reference.to_bits(),
+                    "seed {seed}: pooled {} != reference {reference}",
+                    pooled.cost
+                );
+                assert!(pooled.feasible);
             }
         }
     }

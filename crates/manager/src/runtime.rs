@@ -81,10 +81,6 @@ pub struct ManagerConfig {
     pub slo_trip_after: u32,
     /// The QoS contract every application is held to.
     pub qos: QosConfig,
-    /// Parallel annealing lanes for every search the manager launches
-    /// (initial placement and warm re-anneals); see
-    /// [`AnnealConfig::lanes`]. Deterministic for any value ≥ 1.
-    pub search_lanes: usize,
     /// Optional ambient drift injected by the environment.
     pub environment: Option<EnvironmentDrift>,
 }
@@ -100,7 +96,6 @@ impl Default for ManagerConfig {
             drift: DriftConfig::default(),
             slo_trip_after: 3,
             qos: QosConfig::default(),
-            search_lanes: 2,
             environment: None,
         }
     }
@@ -115,7 +110,6 @@ icm_json::impl_json!(struct ManagerConfig {
     drift,
     slo_trip_after,
     qos,
-    search_lanes,
     environment,
 });
 
@@ -149,9 +143,6 @@ impl ManagerConfig {
                 "qos fraction must be in (0, 1], got {}",
                 self.qos.qos_fraction
             )));
-        }
-        if self.search_lanes == 0 {
-            return Err(ManagerError::Config("search_lanes must be >= 1".into()));
         }
         if let Some(env) = &self.environment {
             if env.pressures.len() != hosts {
@@ -561,12 +552,11 @@ impl ManagedRun {
         let initial_config = AnnealConfig {
             iterations: config.initial_iterations,
             seed: reaction_seed(config.seed, 0, 0x1CF7),
-            lanes: config.search_lanes,
             ..AnnealConfig::default()
         };
         let state = anneal_with(
             fleet.problem(),
-            |_| FleetObjective::new(fleet, &live_all, &no_suspicion),
+            FleetObjective::new(fleet, &live_all, &no_suspicion),
             &initial_config,
             &icm_obs::Tracer::disabled(),
         )?
@@ -1207,13 +1197,11 @@ fn replan(
             let anneal_config = AnnealConfig {
                 iterations: config.reanneal_iterations,
                 seed: reaction_seed(config.seed, sup.tick, 0xD00D ^ attempt),
-                lanes: config.search_lanes,
                 ..AnnealConfig::default()
             };
-            let live_ref: &[bool] = live;
             let result = re_anneal_with(
                 fleet.problem(),
-                |_| FleetObjective::new(fleet, live_ref, suspicion),
+                FleetObjective::new(fleet, live, suspicion),
                 &current,
                 &constraints,
                 &anneal_config,
@@ -1327,16 +1315,6 @@ mod tests {
     use crate::fleet::ManagedApp;
 
     const SPAN: usize = 4;
-
-    #[test]
-    fn zero_search_lanes_is_a_config_error() {
-        let config = ManagerConfig {
-            search_lanes: 0,
-            ..ManagerConfig::default()
-        };
-        let err = config.validate(8).expect_err("must reject");
-        assert!(matches!(err, ManagerError::Config(msg) if msg.contains("search_lanes")));
-    }
 
     /// Two profiled paper applications on the 8×2 cluster, plus the
     /// testbed they were profiled against, so tests can run the
@@ -1481,7 +1459,6 @@ mod tests {
             ticks: 6,
             initial_iterations: 200,
             reanneal_iterations: 120,
-            search_lanes: 2,
             ..ManagerConfig::default()
         };
         let tracer = Tracer::disabled();

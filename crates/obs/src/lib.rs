@@ -714,8 +714,8 @@ impl Tracer {
         }
     }
 
-    /// Merges a pre-built sketch (e.g. built on a worker thread) into a
-    /// telemetry series — the exact-merge path the anneal lanes use.
+    /// Merges a pre-built sketch into a telemetry series — the exact-merge
+    /// path the annealer uses to add its candidate costs once per search.
     /// Emits **no** event. No-op without telemetry.
     pub fn telemetry_merge_sketch(&self, name: &str, sketch: &QuantileSketch) {
         if let Some(telemetry) = self.telemetry() {

@@ -9,8 +9,9 @@
 //!
 //! Merging two sketches adds their bucket counts — while both are under
 //! the bucket cap, `merge(sketch(A), sketch(B))` has exactly the
-//! buckets of `sketch(A ++ B)`, which is what lets anneal lanes sketch
-//! independently on worker threads and combine losslessly afterwards.
+//! buckets of `sketch(A ++ B)`, which is what lets a hot loop (the
+//! annealer) sketch locally and fold its sketch into a shared series
+//! losslessly afterwards.
 //!
 //! Memory is bounded: at most `max_buckets` live buckets. On overflow
 //! the *lowest* buckets collapse into their neighbor (counted in
@@ -345,9 +346,9 @@ mod tests {
     #[test]
     fn merge_order_does_not_matter() {
         let mut parts: Vec<QuantileSketch> = Vec::new();
-        for lane in 0..4u64 {
+        for part in 0..4u64 {
             let mut s = QuantileSketch::new();
-            for &v in &seeded_stream(lane + 10, 300, 50.0) {
+            for &v in &seeded_stream(part + 10, 300, 50.0) {
                 s.observe(v);
             }
             parts.push(s);

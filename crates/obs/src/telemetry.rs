@@ -344,8 +344,9 @@ impl Telemetry {
         inner.last_sim_s = last;
     }
 
-    /// Merges a pre-built sketch (e.g. one per anneal lane, merged
-    /// exactly) into the named series at simulated time `sim_s`.
+    /// Merges a pre-built sketch (e.g. one anneal search's candidate
+    /// costs, merged exactly) into the named series at simulated time
+    /// `sim_s`.
     pub fn merge_series_sketch(&self, name: &str, sim_s: f64, sketch: &QuantileSketch) {
         if sketch.is_empty() {
             return;
@@ -826,11 +827,7 @@ mod tests {
             1,
             100.0,
             "anneal.begin",
-            &[
-                ("span", Value::U64(9)),
-                ("rule", Value::from("metropolis")),
-                ("lanes", Value::U64(2)),
-            ],
+            &[("span", Value::U64(9)), ("rule", Value::from("metropolis"))],
         ));
         t.record_event(&event(
             2,

@@ -5,10 +5,9 @@
 //! description accepts only improvements).
 //!
 //! The search engine drives a pluggable [`Objective`] move-by-move
-//! (probe / accept / reject), applies swaps in place with undo instead
-//! of cloning the assignment per candidate, and can run several
-//! independent lanes in parallel on seed-split RNG streams with a
-//! deterministic merge — see [`AnnealConfig::lanes`].
+//! (probe / accept / reject) and applies swaps in place with undo instead
+//! of cloning the assignment per candidate. Every call runs exactly one
+//! walk, on the calling thread, from the RNG stream of `config.seed`.
 
 use icm_obs::{QuantileSketch, Tracer, Value};
 use icm_rng::Rng;
@@ -17,10 +16,9 @@ use crate::error::PlacementError;
 use crate::objective::{Constrained, Objective};
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
-/// The plateau tolerance shared by move acceptance, best-state tracking
-/// and the lane merge: two violations (or costs, where noted) within
-/// this distance are treated as equal, so a plateau-equal cheaper state
-/// is never missed to f64 noise.
+/// The plateau tolerance shared by move acceptance and best-state
+/// tracking: two violations within this distance are treated as equal,
+/// so a plateau-equal cheaper state is never missed to f64 noise.
 const PLATEAU_EPS: f64 = 1e-12;
 
 /// Acceptance rule for candidate swaps.
@@ -83,23 +81,17 @@ impl icm_json::FromJson for AcceptRule {
 /// Search configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
-    /// Number of candidate swaps to consider (per lane).
+    /// Number of candidate swaps to consider.
     pub iterations: usize,
-    /// RNG seed. Lane `k` draws from the stream
-    /// [`icm_rng::split_seed`]`(seed, k)`, so lane 0 reproduces the
-    /// single-lane search byte for byte.
+    /// RNG seed of the search's one stream.
     pub seed: u64,
     /// Acceptance rule.
     pub accept: AcceptRule,
     /// Attempts per iteration to find a valid random swap.
     pub swap_attempts: usize,
-    /// Number of independent search lanes run in parallel (each a full
-    /// search from its own seed stream), merged by deterministic argmin
-    /// with ties going to the lowest lane index. Must be at least 1.
-    pub lanes: usize,
 }
 
-icm_json::impl_json!(struct AnnealConfig { iterations, seed, accept, swap_attempts, lanes = 1 });
+icm_json::impl_json!(struct AnnealConfig { iterations, seed, accept, swap_attempts });
 
 impl Default for AnnealConfig {
     fn default() -> Self {
@@ -108,7 +100,6 @@ impl Default for AnnealConfig {
             seed: 0xA11E,
             accept: AcceptRule::Greedy,
             swap_attempts: 32,
-            lanes: 1,
         }
     }
 }
@@ -116,19 +107,20 @@ impl Default for AnnealConfig {
 /// Search outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealResult {
-    /// The best state found (across all lanes).
+    /// The best state found.
     pub state: PlacementState,
     /// Its objective value (lower is better).
     pub cost: f64,
     /// Whether the best state satisfies the feasibility predicate.
     pub feasible: bool,
-    /// Number of objective evaluations performed, summed over lanes.
+    /// Number of objective evaluations performed (the start state's
+    /// included).
     pub evaluations: usize,
-    /// Number of accepted swaps, summed over lanes.
+    /// Number of accepted swaps.
     pub accepted: usize,
-    /// Iteration (1-based, within the winning lane) at which the
-    /// returned best state was last improved; `0` means the lane's
-    /// initial state was never beaten. The convergence metric of Fig. 10.
+    /// Iteration (1-based) at which the returned best state was last
+    /// improved; `0` means the start state was never beaten. The
+    /// convergence metric of Fig. 10.
     pub best_iteration: usize,
 }
 
@@ -154,57 +146,52 @@ fn cool(accept: &AcceptRule, temperature: &mut f64) {
     }
 }
 
-/// One `anneal_iter` trace record, buffered inside a lane (lane threads
-/// cannot touch the [`Tracer`]) and replayed deterministically on the
-/// calling thread after the lanes join.
-struct IterTrace {
-    iter: usize,
-    cost: f64,
-    violation: f64,
-    accepted: bool,
-    current: f64,
-    best: f64,
-    temperature: f64,
-}
-
-/// Everything a lane reports back to the merge.
-struct LaneOutcome {
-    start_cost: f64,
-    start_violation: f64,
-    best: PlacementState,
-    cost: f64,
-    violation: f64,
-    evaluations: usize,
-    accepted: usize,
-    best_iteration: usize,
-    final_temperature: f64,
-    trace: Vec<IterTrace>,
-    /// Candidate-cost sketch, collected only when telemetry is attached.
-    /// Built lane-locally (the sketch is `Send`, the telemetry handle is
-    /// not) and merged exactly on the main thread.
-    sketch: Option<QuantileSketch>,
-}
-
-/// The per-lane search loop: walks `config.iterations` candidate swaps
-/// applied in place (undo on rejection), evaluating through the
-/// [`Objective`] protocol, with the byte-exact RNG draw order the
-/// clone-per-candidate loop always had. The temperature cools exactly
-/// once per iteration — including iterations that found no valid swap or
-/// rejected on feasibility — so the schedule is a pure function of the
-/// iteration count, never of the acceptance trajectory.
-#[allow(clippy::too_many_arguments)]
-fn run_lane<O: Objective>(
+/// The search loop: walks `config.iterations` candidate swaps applied
+/// in place (undo on rejection), evaluating through the [`Objective`]
+/// protocol, with the byte-exact RNG draw order the clone-per-candidate
+/// loop always had. The temperature cools exactly once per iteration —
+/// including iterations that found no valid swap or rejected on
+/// feasibility — so the schedule is a pure function of the iteration
+/// count, never of the acceptance trajectory.
+///
+/// `warm` resumes from a start state under constraints (a re-anneal);
+/// without it the walk starts from a random placement.
+fn search<O: Objective>(
     problem: &PlacementProblem,
     mut objective: O,
     config: &AnnealConfig,
-    mut rng: Rng,
-    mut current: PlacementState,
-    constraints: Option<&PlacementConstraints>,
-    record: bool,
-    collect_sketch: bool,
-) -> Result<LaneOutcome, PlacementError> {
+    tracer: &Tracer,
+    warm: Option<(&PlacementState, &PlacementConstraints)>,
+) -> Result<AnnealResult, PlacementError> {
+    // Wall-time side channel only: one histogram sample per search, no
+    // event, no trace perturbation.
+    let _search_scope = tracer.wall_scope("anneal.search");
+    let mut rng = Rng::from_seed(config.seed);
+    let (mut current, constraints, rule) = match warm {
+        Some((start, c)) => (start.clone(), Some(c), "re-anneal"),
+        None => (
+            PlacementState::random(problem, &mut rng),
+            None,
+            rule_name(&config.accept),
+        ),
+    };
+    let record = tracer.enabled();
     let start = objective.reset(&current)?;
-    let mut sketch = collect_sketch.then(QuantileSketch::new);
+    let span = record.then(|| {
+        tracer.span(
+            "anneal",
+            &[
+                ("rule", Value::from(rule)),
+                ("iterations", Value::from(config.iterations)),
+                ("seed", Value::from(config.seed)),
+                ("start_cost", Value::from(start.cost)),
+                ("start_violation", Value::from(start.violation)),
+            ],
+        )
+    });
+    // Candidate costs are sketched locally and merged into telemetry
+    // once per search, so no probe touches the shared handle.
+    let mut sketch = tracer.telemetry().is_some().then(QuantileSketch::new);
     if let Some(s) = sketch.as_mut() {
         s.observe(start.cost);
     }
@@ -225,11 +212,6 @@ fn run_lane<O: Objective>(
         } => initial_temperature,
         AcceptRule::Greedy => 0.0,
     };
-
-    let mut trace = Vec::new();
-    if record {
-        trace.reserve(config.iterations);
-    }
 
     // Slot→host table for the pick's validity checks, hoisted out of
     // the loop so no iteration divides.
@@ -308,204 +290,42 @@ fn run_lane<O: Objective>(
         cool(&config.accept, &mut temperature);
 
         if record {
-            trace.push(IterTrace {
-                iter: iteration,
-                cost: eval.cost,
-                violation: eval.violation,
-                accepted: accept,
-                current: current_cost,
-                best: best_cost,
-                temperature,
-            });
-        }
-    }
-
-    Ok(LaneOutcome {
-        start_cost: start.cost,
-        start_violation: start.violation,
-        best,
-        cost: best_cost,
-        violation: best_violation,
-        evaluations,
-        accepted,
-        best_iteration,
-        final_temperature: temperature,
-        trace,
-        sketch,
-    })
-}
-
-/// Runs `config.lanes` independent lanes (in parallel on OS threads when
-/// more than one) and merges them deterministically: the winner is the
-/// lane with the lowest violation, then the lowest cost, ties going to
-/// the lowest lane index. Errors are also reported in lane order.
-#[allow(clippy::too_many_arguments)]
-fn run_lanes<O, F>(
-    problem: &PlacementProblem,
-    objectives: &F,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-    warm: Option<&PlacementState>,
-    constraints: Option<&PlacementConstraints>,
-    rule: &str,
-) -> Result<AnnealResult, PlacementError>
-where
-    O: Objective + Send,
-    F: Fn(usize) -> O + Sync,
-{
-    if config.lanes == 0 {
-        return Err(PlacementError::Shape(
-            "anneal lanes must be at least 1".into(),
-        ));
-    }
-    let record = tracer.enabled();
-    let collect_sketch = tracer.telemetry().is_some();
-    let lane_body = |k: usize| -> Result<LaneOutcome, PlacementError> {
-        let mut rng = Rng::from_seed(icm_rng::split_seed(config.seed, k as u64));
-        let start = match warm {
-            Some(state) => state.clone(),
-            None => PlacementState::random(problem, &mut rng),
-        };
-        match constraints {
-            Some(c) => run_lane(
-                problem,
-                Constrained::new(objectives(k), problem, c),
-                config,
-                rng,
-                start,
-                Some(c),
-                record,
-                collect_sketch,
-            ),
-            None => run_lane(
-                problem,
-                objectives(k),
-                config,
-                rng,
-                start,
-                None,
-                record,
-                collect_sketch,
-            ),
-        }
-    };
-
-    let outcomes: Vec<Result<LaneOutcome, PlacementError>> = {
-        // Wall-time side channel only: one histogram sample per search,
-        // no event, no trace perturbation.
-        let _search_scope = tracer.wall_scope("anneal.search");
-        if config.lanes == 1 {
-            vec![lane_body(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let body = &lane_body;
-                let handles: Vec<_> = (1..config.lanes)
-                    .map(|k| scope.spawn(move || body(k)))
-                    .collect();
-                let mut all = Vec::with_capacity(config.lanes);
-                all.push(body(0));
-                for handle in handles {
-                    all.push(handle.join().expect("annealing lane panicked"));
-                }
-                all
-            })
-        }
-    };
-    let mut lanes = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        lanes.push(outcome?);
-    }
-
-    if collect_sketch {
-        // Exact cross-lane merge: each lane sketched its candidate costs
-        // on its own thread; merging the integer bucket counts here loses
-        // nothing and keeps the telemetry handle on the main thread.
-        let mut merged = QuantileSketch::new();
-        for lane in &lanes {
-            if let Some(sketch) = &lane.sketch {
-                merged.merge(sketch);
-            }
-        }
-        tracer.telemetry_merge_sketch("anneal.cost", &merged);
-    }
-
-    let mut winner = 0usize;
-    for k in 1..lanes.len() {
-        let better_feasibility = lanes[k].violation < lanes[winner].violation - PLATEAU_EPS;
-        let plateau_cheaper = (lanes[k].violation - lanes[winner].violation).abs() <= PLATEAU_EPS
-            && lanes[k].cost < lanes[winner].cost;
-        if better_feasibility || plateau_cheaper {
-            winner = k;
-        }
-    }
-    let evaluations = lanes.iter().map(|lane| lane.evaluations).sum();
-    let accepted = lanes.iter().map(|lane| lane.accepted).sum();
-
-    if record {
-        let span = tracer.span(
-            "anneal",
-            &[
-                ("rule", Value::from(rule)),
-                ("iterations", Value::from(config.iterations)),
-                ("seed", Value::from(config.seed)),
-                ("lanes", Value::from(config.lanes)),
-                ("start_cost", Value::from(lanes[0].start_cost)),
-                ("start_violation", Value::from(lanes[0].start_violation)),
-            ],
-        );
-        for (k, lane) in lanes.iter().enumerate() {
-            for it in &lane.trace {
-                tracer.event(
-                    "anneal_iter",
-                    &[
-                        ("iter", Value::from(it.iter)),
-                        ("cost", Value::from(it.cost)),
-                        ("violation", Value::from(it.violation)),
-                        ("accepted", Value::from(it.accepted)),
-                        ("current", Value::from(it.current)),
-                        ("best", Value::from(it.best)),
-                        ("temperature", Value::from(it.temperature)),
-                        ("lane", Value::from(k)),
-                    ],
-                );
-            }
-        }
-        for (k, lane) in lanes.iter().enumerate() {
             tracer.event(
-                "anneal_lane",
+                "anneal_iter",
                 &[
-                    ("lane", Value::from(k)),
-                    ("cost", Value::from(lane.cost)),
-                    ("violation", Value::from(lane.violation)),
-                    ("feasible", Value::from(lane.violation <= 0.0)),
-                    ("evaluations", Value::from(lane.evaluations)),
-                    ("accepted", Value::from(lane.accepted)),
-                    ("best_iteration", Value::from(lane.best_iteration)),
+                    ("iter", Value::from(iteration)),
+                    ("cost", Value::from(eval.cost)),
+                    ("violation", Value::from(eval.violation)),
+                    ("accepted", Value::from(accept)),
+                    ("current", Value::from(current_cost)),
+                    ("best", Value::from(best_cost)),
+                    ("temperature", Value::from(temperature)),
                 ],
             );
         }
+    }
+
+    if let Some(s) = &sketch {
+        tracer.telemetry_merge_sketch("anneal.cost", s);
+    }
+    if let Some(span) = span {
         span.end_with(&[
-            ("cost", Value::from(lanes[winner].cost)),
-            ("feasible", Value::from(lanes[winner].violation <= 0.0)),
+            ("cost", Value::from(best_cost)),
+            ("feasible", Value::from(best_violation <= 0.0)),
             ("evaluations", Value::from(evaluations)),
             ("accepted", Value::from(accepted)),
-            ("best_iteration", Value::from(lanes[winner].best_iteration)),
-            ("winner_lane", Value::from(winner)),
-            (
-                "final_temperature",
-                Value::from(lanes[winner].final_temperature),
-            ),
+            ("best_iteration", Value::from(best_iteration)),
+            ("final_temperature", Value::from(temperature)),
         ]);
     }
 
-    let win = lanes.swap_remove(winner);
     Ok(AnnealResult {
-        state: win.best,
-        cost: win.cost,
-        feasible: win.violation <= 0.0,
+        state: best,
+        cost: best_cost,
+        feasible: best_violation <= 0.0,
         evaluations,
         accepted,
-        best_iteration: win.best_iteration,
+        best_iteration,
     })
 }
 
@@ -524,41 +344,26 @@ where
 /// exactly the paper's §5.2 loop. The best feasible state seen is
 /// returned when one exists, otherwise the least-violating state.
 ///
-/// `objectives` builds one independent objective per lane index (lanes
-/// run on separate threads and may not share mutable caches).
+/// The search starts from a random placement drawn from
+/// `Rng::from_seed(config.seed)` and runs on the calling thread.
 ///
 /// With an enabled `tracer` the search is wrapped in an `anneal` span,
 /// every evaluated candidate emits an `anneal_iter` event (objective,
-/// violation, acceptance decision, temperature, lane), each lane emits
-/// an `anneal_lane` summary, and the span end carries the convergence
-/// summary (best cost, iterations-to-best, acceptance count, winning
-/// lane, final temperature). Same-seed runs produce byte-identical
-/// traces regardless of lane scheduling: lanes buffer their events and
-/// the caller replays them in lane order.
+/// violation, acceptance decision, temperature), and the span end
+/// carries the convergence summary (best cost, iterations-to-best,
+/// acceptance count, final temperature). Same-seed runs produce
+/// byte-identical traces.
 ///
 /// # Errors
 ///
-/// Returns [`PlacementError::Shape`] if `config.lanes` is zero;
-/// propagates objective failures.
-pub fn anneal_with<O, F>(
+/// Propagates objective failures.
+pub fn anneal_with<O: Objective>(
     problem: &PlacementProblem,
-    objectives: F,
+    objective: O,
     config: &AnnealConfig,
     tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    O: Objective + Send,
-    F: Fn(usize) -> O + Sync,
-{
-    run_lanes(
-        problem,
-        &objectives,
-        config,
-        tracer,
-        None,
-        None,
-        rule_name(&config.accept),
-    )
+) -> Result<AnnealResult, PlacementError> {
+    search(problem, objective, config, tracer, None)
 }
 
 /// Incremental re-optimization from a warm start: [`anneal_with`]
@@ -577,29 +382,23 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`PlacementError::Shape`] for out-of-range constraints or
-/// zero lanes; propagates objective failures.
-pub fn re_anneal_with<O, F>(
+/// Returns [`PlacementError::Shape`] for out-of-range constraints;
+/// propagates objective failures.
+pub fn re_anneal_with<O: Objective>(
     problem: &PlacementProblem,
-    objectives: F,
+    objective: O,
     start: &PlacementState,
     constraints: &PlacementConstraints,
     config: &AnnealConfig,
     tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    O: Objective + Send,
-    F: Fn(usize) -> O + Sync,
-{
+) -> Result<AnnealResult, PlacementError> {
     constraints.check(problem)?;
-    run_lanes(
+    search(
         problem,
-        &objectives,
+        Constrained::new(objective, problem, constraints),
         config,
         tracer,
-        Some(start),
-        Some(constraints),
-        "re-anneal",
+        Some((start, constraints)),
     )
 }
 
@@ -636,10 +435,7 @@ mod tests {
     ) -> Result<AnnealResult, PlacementError> {
         re_anneal_with(
             estimator.problem(),
-            |_| {
-                IncrementalObjective::new(estimator, SearchGoal::MinWeightedTotal)
-                    .expect("valid goal")
-            },
+            IncrementalObjective::new(estimator, SearchGoal::MinWeightedTotal).expect("valid goal"),
             start,
             constraints,
             config,
@@ -988,7 +784,6 @@ mod tests {
         let events = recorder.events();
         assert_eq!(events[0].name, "anneal.begin");
         assert_eq!(events[0].str("rule"), Some("metropolis"));
-        assert_eq!(events[0].num("lanes"), Some(1.0));
         let iters: Vec<_> = events.iter().filter(|e| e.name == "anneal_iter").collect();
         assert_eq!(iters.len(), result.evaluations - 1);
         let accepted = iters
@@ -1012,7 +807,6 @@ mod tests {
             Some(result.best_iteration as f64)
         );
         assert_eq!(end.num("accepted"), Some(result.accepted as f64));
-        assert_eq!(end.num("winner_lane"), Some(0.0));
     }
 
     #[test]
@@ -1032,114 +826,6 @@ mod tests {
         let (tracer, _recorder) = icm_obs::Tracer::recording(8192);
         let traced = min_total(&estimator, &config, &tracer).expect("runs");
         assert_eq!(plain, traced);
-    }
-
-    #[test]
-    fn parallel_lanes_are_deterministic_and_never_worse_than_lane_zero() {
-        let problem = fake_problem();
-        let predictors = fake_predictors();
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let estimator = Estimator::new(&problem, refs).expect("valid");
-        let config = AnnealConfig {
-            iterations: 600,
-            lanes: 4,
-            ..AnnealConfig::default()
-        };
-        let run = || min_total(&estimator, &config, &Tracer::disabled()).expect("runs");
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same-seed parallel searches diverged");
-        let single = min_total(
-            &estimator,
-            &AnnealConfig { lanes: 1, ..config },
-            &Tracer::disabled(),
-        )
-        .expect("runs");
-        assert!(
-            a.cost <= single.cost + 1e-12,
-            "lane merge ({}) lost to lane 0 alone ({})",
-            a.cost,
-            single.cost
-        );
-        assert!(
-            a.evaluations > single.evaluations,
-            "evaluations must aggregate across lanes"
-        );
-    }
-
-    #[test]
-    fn lane_traces_are_identical_across_same_seed_runs() {
-        let problem = fake_problem();
-        let predictors = fake_predictors();
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let estimator = Estimator::new(&problem, refs).expect("valid");
-        let config = AnnealConfig {
-            iterations: 200,
-            lanes: 3,
-            accept: AcceptRule::Metropolis {
-                initial_temperature: 0.5,
-                cooling: 0.999,
-            },
-            ..AnnealConfig::default()
-        };
-        let trace = || {
-            let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-            min_total(&estimator, &config, &tracer).expect("runs");
-            recorder
-                .events()
-                .iter()
-                .map(|e| {
-                    (
-                        e.name.clone(),
-                        e.num("lane").map(f64::to_bits),
-                        e.num("iter").map(f64::to_bits),
-                        e.num("cost").map(f64::to_bits),
-                        e.num("temperature").map(f64::to_bits),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let first = trace();
-        assert!(
-            first.iter().any(|(name, ..)| name == "anneal_lane"),
-            "per-lane summaries missing"
-        );
-        assert_eq!(first, trace(), "same-seed lane traces diverged");
-    }
-
-    #[test]
-    fn zero_lanes_is_rejected_and_config_json_defaults_to_one() {
-        let problem = fake_problem();
-        let result = anneal_full_recompute(
-            &problem,
-            |_| Ok(0.0),
-            |_| Ok(0.0),
-            &AnnealConfig {
-                lanes: 0,
-                ..AnnealConfig::default()
-            },
-            &Tracer::disabled(),
-        );
-        assert!(matches!(result, Err(PlacementError::Shape(_))));
-        // Pre-lanes JSON still parses (lanes defaults to 1)…
-        let legacy: AnnealConfig =
-            icm_json::from_str(r#"{"iterations":10,"seed":1,"accept":"Greedy","swap_attempts":4}"#)
-                .expect("legacy config parses");
-        assert_eq!(legacy.lanes, 1);
-        // …and the field round-trips.
-        let config = AnnealConfig {
-            lanes: 3,
-            ..AnnealConfig::default()
-        };
-        let back: AnnealConfig =
-            icm_json::from_str(&icm_json::to_string(&config)).expect("round-trips");
-        assert_eq!(back, config);
     }
 
     #[test]
@@ -1308,7 +994,7 @@ mod tests {
         constraints.exclude(0, 999);
         let result = re_anneal_with(
             &problem,
-            |_| FullRecompute::new(|_: &PlacementState| Ok(0.0), |_: &PlacementState| Ok(0.0)),
+            FullRecompute::new(|_: &PlacementState| Ok(0.0), |_: &PlacementState| Ok(0.0)),
             &start,
             &constraints,
             &AnnealConfig::default(),

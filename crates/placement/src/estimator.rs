@@ -13,14 +13,7 @@ use crate::state::{PlacementProblem, PlacementState};
 /// Implemented by the paper's [`InterferenceModel`] and by the
 /// [`NaiveModel`] baseline, so the placement algorithms can be run with
 /// either (Figs. 10 and 11 compare exactly that).
-///
-/// `Sync` is a supertrait because the annealer shares one predictor set
-/// across its parallel search lanes ([`AnnealConfig::lanes`]); every
-/// predictor is a read-only model during a search, so this costs
-/// implementors nothing.
-///
-/// [`AnnealConfig::lanes`]: crate::AnnealConfig::lanes
-pub trait RuntimePredictor: Sync {
+pub trait RuntimePredictor {
     /// Predicted normalized runtime under the given per-unit pressures.
     fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError>;
     /// The interference intensity this workload exerts on co-located

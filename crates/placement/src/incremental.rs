@@ -602,7 +602,7 @@ impl IncrementalObjective<'_> {
     }
 }
 
-/// Runs the (lane-parallel) annealing search over an estimator-backed
+/// Runs the annealing search over an estimator-backed
 /// [`SearchGoal`] using delta-energy evaluation — the hot path behind
 /// [`crate::place_qos`], [`crate::place_min_waste`] and
 /// [`crate::find_placements`], exposed for callers that bring their own
@@ -612,9 +612,8 @@ impl IncrementalObjective<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`PlacementError::Predictor`] for an invalid QoS goal,
-/// [`PlacementError::Shape`] for a zero-lane config; propagates
-/// predictor failures.
+/// Returns [`PlacementError::Predictor`] for an invalid QoS goal;
+/// propagates predictor failures.
 pub fn anneal_estimator(
     estimator: &Estimator<'_>,
     goal: SearchGoal,
@@ -624,7 +623,7 @@ pub fn anneal_estimator(
     goal.validate(estimator)?;
     crate::annealing::anneal_with(
         estimator.problem(),
-        |_| IncrementalObjective::prepared(estimator, goal),
+        IncrementalObjective::prepared(estimator, goal),
         config,
         tracer,
     )

@@ -5,7 +5,7 @@
 //! lets implementations evaluate candidate swaps *incrementally*:
 //!
 //! 1. [`reset`](Objective::reset) — evaluate a full state from scratch
-//!    (lane start, warm start);
+//!    (random start, warm start);
 //! 2. [`probe`](Objective::probe) — evaluate a state that differs from
 //!    the last committed state by exactly one slot transposition
 //!    `(a, b)`;
@@ -164,7 +164,7 @@ pub(crate) mod reference {
     }
 
     /// [`crate::anneal_with`] over a [`FullRecompute`] objective built
-    /// from the two closures (shared by every lane).
+    /// from the two closures.
     pub(crate) fn anneal_full_recompute<C, V>(
         problem: &PlacementProblem,
         cost: C,
@@ -173,14 +173,9 @@ pub(crate) mod reference {
         tracer: &icm_obs::Tracer,
     ) -> Result<crate::AnnealResult, PlacementError>
     where
-        C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-        V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
+        C: Fn(&PlacementState) -> Result<f64, PlacementError>,
+        V: Fn(&PlacementState) -> Result<f64, PlacementError>,
     {
-        crate::anneal_with(
-            problem,
-            |_| FullRecompute::new(&cost, &violation),
-            config,
-            tracer,
-        )
+        crate::anneal_with(problem, FullRecompute::new(cost, violation), config, tracer)
     }
 }

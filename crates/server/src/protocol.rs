@@ -43,7 +43,7 @@ pub enum RequestKind {
     /// Run a bounded placement search over the current fleet and
     /// report the best pooled cost found.
     Place {
-        /// Annealing iterations (per lane), capped at
+        /// Annealing iterations, capped at
         /// [`MAX_PLACE_ITERATIONS`].
         iterations: u64,
     },

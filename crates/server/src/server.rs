@@ -770,7 +770,6 @@ impl Server {
                         .config
                         .seed
                         .wrapping_add(pending.admitted.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    lanes: self.manager_config.search_lanes.max(1),
                     ..AnnealConfig::default()
                 };
                 // A placement query prices the whole fleet as live and
@@ -780,7 +779,7 @@ impl Server {
                 let no_suspicion = vec![0.0; fleet.problem().hosts()];
                 let result = match anneal_with(
                     fleet.problem(),
-                    |_| FleetObjective::new(fleet, &all_live, &no_suspicion),
+                    FleetObjective::new(fleet, &all_live, &no_suspicion),
                     &anneal_config,
                     &self.tracer,
                 ) {

@@ -125,7 +125,6 @@ impl ServerConfig {
                 qos_fraction: 0.6,
                 ..QosConfig::default()
             },
-            search_lanes: 2,
             environment: None,
             ..ManagerConfig::default()
         }

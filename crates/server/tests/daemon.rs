@@ -476,15 +476,57 @@ fn place_replies_are_pinned_byte_for_byte() {
         r#"{"id":"pl3","kind":"place"}"#,
     ];
     let expected = [
-        r#"{"id":"pl1","status":"ok","degraded":false,"latency_us":2200,"payload":{"cost":544.8805970810304,"evaluations":242,"best_iteration":0}}"#,
-        r#"{"id":"pl2","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":802,"best_iteration":6}}"#,
-        r#"{"id":"pl3","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":802,"best_iteration":16}}"#,
+        r#"{"id":"pl1","status":"ok","degraded":false,"latency_us":2200,"payload":{"cost":544.8805970810304,"evaluations":121,"best_iteration":0}}"#,
+        r#"{"id":"pl2","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":401,"best_iteration":6}}"#,
+        r#"{"id":"pl3","status":"ok","degraded":false,"latency_us":5000,"payload":{"cost":544.8805970810304,"evaluations":401,"best_iteration":16}}"#,
     ];
     for (request, expected) in requests.iter().zip(expected) {
         let replies = server
             .handle_frame(&Frame::Line((*request).to_owned()))
             .expect("frame handled");
         assert_eq!(replies, [expected], "reply to {request}");
+    }
+}
+
+/// The search-quality floor of the daemon's one-walk `place` search: on
+/// the full (non-fast) daemon world, 50 independent 400-iteration
+/// fleet searches, seeded the way the daemon seeds successive `place`
+/// requests, must each land within 1% of the cheapest of the 50.
+#[test]
+fn place_searches_land_within_one_percent_of_the_best_of_fifty() {
+    use icm_manager::objective::FleetObjective;
+    use icm_placement::{anneal_with, AnnealConfig};
+    use icm_server::world::build_world;
+
+    for seed in [1u64, 42] {
+        let (_, fleet, _, _) = build_world(&ServerConfig::new(seed, false)).expect("world builds");
+        let all_live = vec![true; fleet.apps().len()];
+        let no_suspicion = vec![0.0; fleet.problem().hosts()];
+        let costs: Vec<f64> = (1..=50u64)
+            .map(|admitted| {
+                let config = AnnealConfig {
+                    iterations: 400,
+                    seed: seed.wrapping_add(admitted.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    ..AnnealConfig::default()
+                };
+                anneal_with(
+                    fleet.problem(),
+                    FleetObjective::new(&fleet, &all_live, &no_suspicion),
+                    &config,
+                    &icm_obs::Tracer::disabled(),
+                )
+                .expect("search runs")
+                .cost
+            })
+            .collect();
+        let best = costs.iter().copied().fold(f64::INFINITY, f64::min);
+        for (k, cost) in costs.iter().enumerate() {
+            assert!(
+                *cost <= best * 1.01,
+                "world seed {seed}, search {}: cost {cost} is more than 1% above the best {best}",
+                k + 1
+            );
+        }
     }
 }
 
