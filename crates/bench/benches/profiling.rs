@@ -28,7 +28,7 @@ impl ProfileSource for FlakyEveryTenth {
     }
     fn measure(&mut self, pressure: usize, nodes: usize) -> Result<f64, ModelError> {
         self.calls += 1;
-        if self.calls % 10 == 0 {
+        if self.calls.is_multiple_of(10) {
             return Err(ModelError::Testbed("injected transient failure".into()));
         }
         self.inner.measure(pressure, nodes)

@@ -4,7 +4,13 @@
 //! `snapshot/save` measures capture + serialize + crash-safe write
 //! (the atomic tmp-write/fsync/rename path every checkpoint takes);
 //! `snapshot/restore` measures parse + world reconstruction from the
-//! same payload.
+//! same payload. Both use a 3-tick fast world, so neither sees history.
+//!
+//! `snapshot/encode/1100` measures capture + serialize of the full
+//! seed-7 endurance world stepped to 1100 ticks, whose 1.6 MB payload
+//! is 98% run history. Every sample after the first splices the
+//! history text its first capture sealed, as a checkpoint does with
+//! everything older than the previous checkpoint.
 
 use icm_bench::{black_box, Bench};
 use icm_experiments::endurance::World;
@@ -45,4 +51,17 @@ fn main() {
     });
 
     let _ = std::fs::remove_dir_all(&dir);
+
+    let cfg = ExpConfig {
+        seed: 7,
+        fast: false,
+    };
+    let mut world = World::new(&cfg, &tracer).expect("world builds");
+    world.config.ticks = 1100;
+    while !world.run.is_done(&world.config) {
+        world.step(&tracer).expect("steps");
+    }
+    b.bench("snapshot/encode/1100", || {
+        black_box(world.snapshot(&tracer, None, 0).to_text().len())
+    });
 }

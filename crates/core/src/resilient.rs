@@ -555,7 +555,7 @@ mod tests {
         let mut source = FnSource::new(8, 8, move |p, n| {
             call += 1;
             let v = truth(p, n);
-            if call % 5 == 0 {
+            if call.is_multiple_of(5) {
                 v * 3.0
             } else {
                 v

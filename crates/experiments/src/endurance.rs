@@ -152,13 +152,16 @@ impl World {
     }
 
     /// Captures the world (plus the tracer clock and trace position)
-    /// into a serializable savestate.
+    /// into a serializable savestate. Seals the run history first (see
+    /// [`ManagedRun::seal`]), so the savestate encodes only the records
+    /// that changed since the last one.
     pub fn snapshot(
-        &self,
+        &mut self,
         tracer: &Tracer,
         trace_path: Option<&str>,
         trace_bytes: u64,
     ) -> WorldSnapshot {
+        self.run.seal();
         WorldSnapshot {
             version: WORLD_SNAPSHOT_VERSION,
             testbed: self.testbed.snapshot(),

@@ -82,7 +82,7 @@ fn push_indent(indent: usize, out: &mut String) {
 /// never produces locale-dependent output. Non-finite values (which
 /// [`crate::ToJson`] for `f64` should have mapped to null already)
 /// degrade to `null` rather than emitting invalid JSON.
-fn write_number(n: f64, out: &mut String) {
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if n.is_finite() {
         // JSON has no negative zero distinct from zero worth preserving,
         // and `-0` would parse back as `0` anyway; normalize for
@@ -97,7 +97,7 @@ fn write_number(n: f64, out: &mut String) {
 /// Writes a quoted, escaped string. Every byte that needs escaping is
 /// ASCII, so the runs between them are copied whole and every cut lands
 /// on a char boundary.
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {

@@ -33,6 +33,7 @@
 mod action;
 mod error;
 mod fleet;
+mod ledger;
 pub mod objective;
 mod runtime;
 pub mod snapshot;

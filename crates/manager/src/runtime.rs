@@ -45,6 +45,7 @@ use crate::action::{
 };
 use crate::error::ManagerError;
 use crate::fleet::Fleet;
+use crate::ledger::Ledger;
 use crate::objective::{context_of, FleetObjective};
 
 /// Ambient pressure applied to the cluster from a given tick onward —
@@ -347,7 +348,7 @@ impl Supervisor<'_> {
         app: Option<&str>,
         cost_s: f64,
         ctx: ActCtx,
-        prov: &mut Vec<ProvenanceRecord>,
+        prov: &mut Ledger<ProvenanceRecord>,
     ) {
         if !self.managed {
             return;
@@ -415,13 +416,12 @@ impl Supervisor<'_> {
         });
     }
 
-    fn recovered(&mut self, latency_s: f64, prov: &mut [ProvenanceRecord]) {
+    fn recovered(&mut self, latency_s: f64, prov: &mut Ledger<ProvenanceRecord>) {
         self.announce();
-        let causes: Vec<u64> = prov
-            .iter()
-            .filter(|r| r.outcome.is_none())
-            .map(|r| r.event)
+        let unsettled: Vec<usize> = (0..prov.len())
+            .filter(|&i| prov[i].outcome.is_none())
             .collect();
+        let causes: Vec<u64> = unsettled.iter().map(|&i| prov[i].event).collect();
         let event = if self.tracer.enabled() {
             self.tracer.event_caused(
                 events::MANAGER_RECOVERY,
@@ -434,8 +434,8 @@ impl Supervisor<'_> {
         } else {
             0
         };
-        for record in prov.iter_mut().filter(|r| r.outcome.is_none()) {
-            record.outcome = Some(OutcomeRef {
+        for i in unsettled {
+            prov.get_mut(i).outcome = Some(OutcomeRef {
                 event,
                 tick: self.tick,
                 latency_s,
@@ -476,6 +476,14 @@ fn run(
 /// Serialization keeps private fields private: the JSON form exists for
 /// savestates, whose integrity the snapshot store checksums — it is not
 /// a mutation API.
+///
+/// The run history (detections, actions, provenance) only grows or
+/// settles, yet every savestate carries all of it. Each history record
+/// keeps its compact JSON text from the last [`ManagedRun::seal`] until
+/// it changes, and serialization splices that text in, so a checkpoint
+/// encodes only what changed since the previous one. The cached text is
+/// never serialized: a parsed run starts without it and writes the same
+/// bytes either way.
 #[derive(Debug, Clone)]
 pub struct ManagedRun {
     managed: bool,
@@ -489,9 +497,9 @@ pub struct ManagedRun {
     recovery_latencies: Vec<f64>,
     pending_recovery: Option<f64>,
     violation_seconds: f64,
-    detections: Vec<DetectionRecord>,
-    actions: Vec<ActionRecord>,
-    provenance: Vec<ProvenanceRecord>,
+    detections: Ledger<DetectionRecord>,
+    actions: Ledger<ActionRecord>,
+    provenance: Ledger<ProvenanceRecord>,
     start_stats: TestbedStats,
 }
 
@@ -584,9 +592,9 @@ impl ManagedRun {
             recovery_latencies: Vec::new(),
             pending_recovery: None,
             violation_seconds: 0.0,
-            detections: Vec::new(),
-            actions: Vec::new(),
-            provenance: Vec::new(),
+            detections: Ledger::default(),
+            actions: Ledger::default(),
+            provenance: Ledger::default(),
             start_stats: testbed.stats(),
         })
     }
@@ -604,6 +612,16 @@ impl ManagedRun {
     /// Violation-seconds accumulated so far.
     pub fn violation_seconds(&self) -> f64 {
         self.violation_seconds
+    }
+
+    /// Encodes every history record that is new or changed since the
+    /// last seal, so the next serialization splices cached text instead
+    /// of encoding it again. Call it before checkpointing; it changes no
+    /// serialized byte.
+    pub fn seal(&mut self) {
+        self.detections.seal();
+        self.actions.seal();
+        self.provenance.seal();
     }
 
     /// Executes one supervisory tick.
@@ -841,19 +859,25 @@ impl ManagedRun {
                 // Predicted-vs-realized resolution: the first completed
                 // tick after an action is its report card. App-scoped
                 // actions grade against their app's fresh observation;
-                // fleet-wide ones against the fleet mean.
-                if managed && self.provenance.iter().any(|r| !r.resolved && r.tick < tick) {
+                // fleet-wide ones against the fleet mean. Every record
+                // from an earlier tick resolves together and records
+                // arrive in tick order, so the open records are always
+                // a suffix and the due ones that suffix's prefix.
+                let open = self.provenance.partition_point(|r| r.resolved);
+                debug_assert!(
+                    self.provenance[open..].iter().all(|r| !r.resolved),
+                    "resolved provenance must be a prefix"
+                );
+                let due = open + self.provenance[open..].partition_point(|r| r.tick < tick);
+                if managed && due > open {
                     let tick_violation = self.violation_seconds - violation_before_tick;
                     let mean_normalized = live_idx
                         .iter()
                         .map(|&i| self.states[i].last_normalized)
                         .sum::<f64>()
                         / live_idx.len() as f64;
-                    for record in self
-                        .provenance
-                        .iter_mut()
-                        .filter(|r| !r.resolved && r.tick < tick)
-                    {
+                    for index in open..due {
+                        let record = self.provenance.get_mut(index);
                         let scoped = record
                             .app
                             .as_ref()
@@ -1105,12 +1129,12 @@ impl ManagedRun {
             ticks: config.ticks,
             sim_seconds: sim_elapsed(&testbed.stats(), &self.start_stats),
             violation_seconds: self.violation_seconds,
-            detections: self.detections,
-            actions: self.actions,
+            detections: self.detections.into_vec(),
+            actions: self.actions.into_vec(),
             shed: self.shed_order,
             recovery_latencies: self.recovery_latencies,
             finals,
-            provenance: self.provenance,
+            provenance: self.provenance.into_vec(),
         }
     }
 }
@@ -1182,7 +1206,7 @@ fn replan(
     state: &PlacementState,
     downed: &[usize],
     start_stats: &TestbedStats,
-    provenance: &mut Vec<ProvenanceRecord>,
+    provenance: &mut Ledger<ProvenanceRecord>,
     trigger_violation_s: f64,
 ) -> Result<PlacementState, ManagerError> {
     let mut before: Vec<Vec<usize>> = (0..fleet.apps().len())
@@ -1371,7 +1395,7 @@ mod tests {
             let mut dry = tb.clone();
             let mut live = vec![true; n];
             let mut shed = Vec::new();
-            let mut prov = Vec::new();
+            let mut prov = Ledger::default();
             let mut sup = test_supervisor(&tracer);
             let start = dry.stats();
             let planned = replan(
@@ -1413,7 +1437,7 @@ mod tests {
         }));
         let mut live = vec![true; n];
         let mut shed = Vec::new();
-        let mut prov = Vec::new();
+        let mut prov = Ledger::default();
         let mut sup = test_supervisor(&tracer);
         let start = tb.stats();
         let planned = replan(
@@ -1438,13 +1462,11 @@ mod tests {
                 .any(|d| d.kind == DetectionKind::HostDown && d.host == Some(crashed as u64)),
             "the surprise outage must be recorded as a typed detection"
         );
-        for i in 0..n {
-            if live[i] {
-                assert!(
-                    !fleet.hosts_of(&planned, i).contains(&crashed),
-                    "no surviving application may be routed through the dead host"
-                );
-            }
+        for (i, _) in live.iter().enumerate().filter(|(_, &alive)| alive) {
+            assert!(
+                !fleet.hosts_of(&planned, i).contains(&crashed),
+                "no surviving application may be routed through the dead host"
+            );
         }
         assert!(
             sup.actions.iter().any(|a| a.kind == ActionKind::Migrate),

@@ -87,6 +87,12 @@ impl FromJson for RngState {
 /// `version` is always serialized first so [`WorldSnapshot::parse`] can
 /// reject payloads from a different format generation with a typed
 /// error before attempting a full decode.
+///
+/// [`WorldSnapshot::to_text`] streams the compact text. The run's
+/// history records write the text cached at their last
+/// [`ManagedRun::seal`], so a snapshot taken from a sealed run encodes
+/// only the records that changed since; the bytes are the same either
+/// way, and the cache is never part of them.
 #[derive(Debug, Clone)]
 pub struct WorldSnapshot {
     /// Payload format version ([`WORLD_SNAPSHOT_VERSION`]).
@@ -148,7 +154,8 @@ impl fmt::Display for SnapshotFormatError {
 impl std::error::Error for SnapshotFormatError {}
 
 impl WorldSnapshot {
-    /// Serializes the snapshot to its canonical compact JSON text.
+    /// Serializes the snapshot to its canonical compact JSON text,
+    /// streaming it without building a JSON tree.
     pub fn to_text(&self) -> String {
         icm_json::to_string(self)
     }

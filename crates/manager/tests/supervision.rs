@@ -287,7 +287,7 @@ fn defaulted_model_cells_open_the_circuit_breaker_instead_of_replacing() {
         &[("M.milc", 4), ("M.Gems", 3), ("H.KM", 2), ("M.lmps", 1)],
     );
     let row = r#"["Defaulted","Defaulted","Defaulted","Defaulted","Defaulted"]"#;
-    let grid_text = format!(r#"{{"n":8,"m":4,"cells":[{}]}}"#, vec![row; 8].join(","));
+    let grid_text = format!(r#"{{"n":8,"m":4,"cells":[{}]}}"#, [row; 8].join(","));
     let grid: icm_core::QualityGrid = icm_json::from_str(&grid_text).expect("grid parses");
     for app in &mut apps {
         app.quality = Some(grid.clone());

@@ -952,6 +952,7 @@ impl Server {
         let Some(store) = &self.store else {
             return Ok(());
         };
+        self.run.seal();
         let snapshot = self.snapshot();
         store.save(icm_json::to_string(&snapshot).as_bytes())?;
         store.prune(self.config.keep_checkpoints)?;

@@ -259,7 +259,7 @@ fn saturation_serves_degraded_answers_and_deadlines_refuse_late_work() {
 fn the_circuit_opens_when_a_degraded_answer_would_rest_on_defaulted_cells() {
     let mut server = Server::start(fast_config(), None).expect("starts");
     let row = r#"["Defaulted","Defaulted","Defaulted","Defaulted","Defaulted"]"#;
-    let grid_text = format!(r#"{{"n":8,"m":4,"cells":[{}]}}"#, vec![row; 8].join(","));
+    let grid_text = format!(r#"{{"n":8,"m":4,"cells":[{}]}}"#, [row; 8].join(","));
     let grid: icm_core::QualityGrid = icm_json::from_str(&grid_text).expect("grid parses");
     for app in server.fleet_mut().apps_mut() {
         app.quality = Some(grid.clone());

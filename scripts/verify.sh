@@ -9,7 +9,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
-cargo clippy --workspace --offline -- -D warnings
+# --all-targets lints tests, benches and examples too, including every
+# `impl_json!` expansion in them.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
 # perfbench is a workspace of its own (it builds the crates by path), so
 # the workspace commands above never compile it: test it here so a

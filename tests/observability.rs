@@ -19,11 +19,7 @@ use icm_simcluster::TestbedStats;
 /// wall-time side channel enabled — and returns the raw trace bytes, the
 /// testbed's own accounting, and the tracer (for wall-profile access).
 fn traced_profiling_sweep_wall(seed: u64, wall: bool) -> (String, TestbedStats, Tracer) {
-    let cfg = ExpConfig {
-        fast: true,
-        seed,
-        ..ExpConfig::default()
-    };
+    let cfg = ExpConfig { fast: true, seed };
     let mut testbed = private_testbed(&cfg);
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));

@@ -8,12 +8,18 @@ use icm::core::{InterferenceModel, ModelStore, PropagationMatrix, SensitivityCur
 use icm::placement::{AcceptRule, AnnealConfig, PlacementProblem, PlacementState};
 use icm::workloads::{Catalog, TestbedBuilder};
 
-/// Serialize → parse → compare, for any type that is `PartialEq`.
+/// Serialize → parse → compare, for any type that is `PartialEq`. The
+/// streamed compact text must also equal the text of the value's tree.
 fn round_trip<T>(value: &T)
 where
     T: icm::json::ToJson + icm::json::FromJson + PartialEq + std::fmt::Debug,
 {
     let json = icm::json::to_string(value);
+    assert_eq!(
+        json,
+        value.to_json().to_text(),
+        "streamed text left the tree's bytes"
+    );
     let back: T = icm::json::from_str(&json).expect("round-trip parse");
     assert_eq!(&back, value, "value drifted through {json}");
     // Pretty output must parse back to the same value too.

@@ -10,11 +10,7 @@ use icm_report::{build_report, render_html, render_text};
 
 /// Runs the acceptance figures at `seed` into one results document.
 fn results_doc(seed: u64) -> ResultsDoc {
-    let cfg = ExpConfig {
-        seed,
-        fast: true,
-        ..ExpConfig::default()
-    };
+    let cfg = ExpConfig { seed, fast: true };
     let mut doc = ResultsDoc::new(cfg.seed, cfg.fast);
     for exp in [Experiment::Fig2, Experiment::Fig3, Experiment::Fig11] {
         let (_, json) = exp.run_full(&cfg).expect("experiment runs");

@@ -19,11 +19,7 @@ use icm_obs::{JsonlSink, SharedBuf, Tracer};
 use icm_simcluster::{FaultPlan, TestbedStats};
 
 fn cfg(seed: u64) -> ExpConfig {
-    ExpConfig {
-        fast: true,
-        seed,
-        ..ExpConfig::default()
-    }
+    ExpConfig { fast: true, seed }
 }
 
 /// One traced binary-optimized sweep of M.zeus through the *resilient*

@@ -12,11 +12,12 @@ use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use icm::experiments::endurance;
+use icm::experiments::endurance::{self, World};
 use icm::experiments::ExpConfig;
 use icm::json::fs::SnapshotStore;
 use icm_manager::snapshot::WorldSnapshot;
-use icm_obs::{JsonlSink, Tracer};
+use icm_obs::{JsonlSink, ProvenanceRecord, Tracer};
+use icm_simcluster::{CrashWindow, FaultPlan};
 
 fn fast_cfg() -> ExpConfig {
     ExpConfig {
@@ -220,4 +221,123 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
     }
 
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// What the history cache had to get right between two checks: records
+/// that were sealed at one check and then changed before the next.
+#[derive(Debug, Default)]
+struct Edited {
+    /// Sealed records whose report card resolved afterwards.
+    resolved: usize,
+    /// Sealed records a recovery settled afterwards.
+    settled: usize,
+}
+
+/// Differential oracle for the run-history cache: every `every` ticks
+/// the streamed savestate, which splices each sealed record's cached
+/// text, must equal the text of the snapshot's JSON tree, which never
+/// sees the cache. Every `restore_every`-th check rebuilds the world
+/// from that text, so the cache also restarts empty mid-run. `step`
+/// advances the world one tick.
+fn stream_matches_tree(
+    mut world: World,
+    every: u64,
+    restore_every: u64,
+    step: impl Fn(&mut World, &Tracer),
+) -> Edited {
+    let tracer = Tracer::disabled();
+    let mut edited = Edited::default();
+    let mut sealed: Vec<ProvenanceRecord> = Vec::new();
+    let mut checks = 0u64;
+    while !world.run.is_done(&world.config) {
+        step(&mut world, &tracer);
+        let tick = world.run.next_tick() - 1;
+        if !tick.is_multiple_of(every) {
+            continue;
+        }
+        let snapshot = world.snapshot(&tracer, None, 0);
+        let text = snapshot.to_text();
+        assert_eq!(
+            text,
+            icm_json::ToJson::to_json(&snapshot).to_text(),
+            "streamed savestate diverged from its tree at tick {tick}"
+        );
+        let provenance = world
+            .run
+            .clone()
+            .into_outcome(&world.testbed, &world.fleet, &world.config)
+            .provenance;
+        let open = provenance.iter().take_while(|r| r.resolved).count();
+        assert!(
+            provenance[open..].iter().all(|r| !r.resolved),
+            "resolved provenance must be a prefix at tick {tick}"
+        );
+        for (before, now) in sealed.iter().zip(&provenance) {
+            edited.resolved += usize::from(!before.resolved && now.resolved);
+            edited.settled += usize::from(before.outcome.is_none() && now.outcome.is_some());
+        }
+        sealed = provenance;
+        checks += 1;
+        if checks.is_multiple_of(restore_every) {
+            let parsed = WorldSnapshot::parse(&text).expect("savestate parses");
+            world = World::restore(parsed, &tracer).expect("restores");
+        }
+    }
+    edited
+}
+
+#[test]
+fn streamed_savestates_equal_their_trees_on_a_long_endurance_world() {
+    let cfg = ExpConfig {
+        seed: 7,
+        fast: false,
+    };
+    let mut world = World::new(&cfg, &Tracer::disabled()).expect("world builds");
+    world.config.ticks = 300;
+    let edited = stream_matches_tree(world, 10, 5, |world, tracer| {
+        world.step(tracer).expect("steps");
+    });
+    assert!(
+        edited.resolved > 0,
+        "no sealed record was resolved: {edited:?}"
+    );
+}
+
+/// The fast endurance fleet without ambient drift or the crash driver,
+/// under scripted crash windows and stragglers: a straggler kill fails
+/// its tick, so the re-anneal it triggers stays unsettled until a later
+/// tick's recovery, and the oracle checks after every tick.
+#[test]
+fn streamed_savestates_equal_their_trees_through_recoveries() {
+    let mut world = World::new(&fast_cfg(), &Tracer::disabled()).expect("world builds");
+    world.config.ticks = 120;
+    world.config.environment = None;
+    let hosts = world.testbed.cluster().hosts();
+    let first = world.testbed.peek_run();
+    world.testbed.set_fault_plan(Some(FaultPlan {
+        straggler_prob: 0.2,
+        straggler_severity: 2.0,
+        crash_windows: (0..12)
+            .map(|k| CrashWindow {
+                host: k % hosts,
+                from_run: first + 3 + 10 * k as u64,
+                until_run: first + 5 + 10 * k as u64,
+            })
+            .collect(),
+        ..FaultPlan::default()
+    }));
+    let edited = stream_matches_tree(world, 1, 25, |world, tracer| {
+        world
+            .run
+            .step(&mut world.testbed, &mut world.fleet, &world.config, tracer)
+            .expect("steps");
+    });
+    assert!(
+        edited.settled > 0,
+        "no sealed record was settled: {edited:?}"
+    );
+    assert!(
+        edited.resolved > 0,
+        "no sealed record was resolved: {edited:?}"
+    );
 }

@@ -14,7 +14,6 @@ fn real_trace() -> Vec<Event> {
     let cfg = ExpConfig {
         fast: true,
         seed: 2016,
-        ..ExpConfig::default()
     };
     let mut testbed = private_testbed(&cfg);
     let buf = SharedBuf::new();
