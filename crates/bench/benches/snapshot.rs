@@ -11,6 +11,10 @@
 //! is 98% run history. Every sample after the first splices the
 //! history text its first capture sealed, as a checkpoint does with
 //! everything older than the previous checkpoint.
+//!
+//! `snapshot/decode/1100` measures `WorldSnapshot::parse` of that same
+//! world's payload: the streaming decode a restore pays before it
+//! rebuilds the world.
 
 use icm_bench::{black_box, Bench};
 use icm_experiments::endurance::World;
@@ -63,5 +67,10 @@ fn main() {
     }
     b.bench("snapshot/encode/1100", || {
         black_box(world.snapshot(&tracer, None, 0).to_text().len())
+    });
+
+    let text = world.snapshot(&tracer, None, 0).to_text();
+    b.bench("snapshot/decode/1100", || {
+        icm_manager::snapshot::WorldSnapshot::parse(black_box(&text)).expect("parses")
     });
 }

@@ -131,10 +131,10 @@ fn main() -> ExitCode {
                     eprintln!("--seed requires a value\n{}", usage());
                     return ExitCode::FAILURE;
                 };
-                match value.parse() {
+                match icm_json::parse_exact_u64(value) {
                     Ok(seed) => cfg.seed = seed,
-                    Err(_) => {
-                        eprintln!("invalid seed `{value}`\n{}", usage());
+                    Err(err) => {
+                        eprintln!("invalid seed {err}\n{}", usage());
                         return ExitCode::FAILURE;
                     }
                 }

@@ -71,6 +71,13 @@ fn algorithm_by_name(name: &str) -> Result<ProfilingAlgorithm, String> {
     })
 }
 
+/// The `--seed` value, 2016 by default.
+fn seed(args: &Args) -> Result<u64, String> {
+    args.values.get("seed").map_or(Ok(2016), |s| {
+        icm_json::parse_exact_u64(s).map_err(|e| format!("invalid --seed {e}"))
+    })
+}
+
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let apps = args
         .values
@@ -84,10 +91,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         return Err("--apps must list at least one application".into());
     }
     let out = args.values.get("out").ok_or("profile requires --out")?;
-    let seed: u64 = args
-        .values
-        .get("seed")
-        .map_or(Ok(2016), |s| s.parse().map_err(|_| "invalid --seed"))?;
+    let seed = seed(args)?;
     let algorithm = algorithm_by_name(
         args.values
             .get("algorithm")
@@ -272,6 +276,16 @@ mod tests {
         assert_eq!(parsed.values["out"], "f.json");
         assert_eq!(parsed.values["seed"], "7");
         assert!(parsed.flags.iter().any(|f| f == "ec2"));
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_are_refused() {
+        let exact = parse_args(&args(&["--seed", "9007199254740992"])).expect("parses");
+        assert_eq!(seed(&exact), Ok(1 << 53));
+        let rounded = parse_args(&args(&["--seed", "9007199254740993"])).expect("parses");
+        let err = seed(&rounded).expect_err("refused");
+        assert!(err.contains("9007199254740992 (2^53)"), "{err}");
+        assert_eq!(seed(&parse_args(&[]).expect("parses")), Ok(2016));
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Strict recursive-descent JSON parser.
+//! Strict JSON reading: one pull [`Reader`] lexes the text, and both the
+//! [`Json`] tree builder ([`parse`]) and the typed decoders
+//! ([`crate::FromJson::read_json`]) consume its tokens, so string,
+//! escape, number and depth lexing exist once.
 //!
 //! Accepts exactly the JSON grammar (RFC 8259) with three deliberate
 //! tightenings that matter for a scientific store format:
@@ -10,50 +13,139 @@
 //! * nesting deeper than [`crate::MAX_DEPTH`] is an error, so corrupt
 //!   input cannot overflow the stack.
 
+use std::borrow::Cow;
+
 use crate::{Json, JsonError, MAX_DEPTH};
 
-/// Parses a complete JSON document.
+/// Parses a complete JSON document into a tree.
 ///
 /// # Errors
 ///
 /// Returns [`JsonError`] (with byte offset) on any syntax violation,
 /// duplicate object key, or trailing non-whitespace content.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
+    crate::from_str(text)
+}
+
+/// The length of the run of plain string bytes that starts `bytes`: the
+/// offset of its first quote, backslash or control character.
+///
+/// Eight bytes at a time: in each term below, the lowest set high bit
+/// marks the first byte that is the quote, is the backslash, or is below
+/// 0x20 (borrows only ever flag bytes above a true match), so the
+/// lowest set bit of their union is the first stop byte.
+#[inline]
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let quote = w ^ (ONES * u64::from(b'"'));
+        let backslash = w ^ (ONES * u64::from(b'\\'));
+        let stops = (quote.wrapping_sub(ONES) & !quote
+            | backslash.wrapping_sub(ONES) & !backslash
+            | w.wrapping_sub(ONES * 0x20) & !w)
+            & HIGHS;
+        if stops != 0 {
+            return i + (stops.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
     }
-    Ok(value)
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - i)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The kind of the next JSON value, as its first byte announces it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token {
+    /// `null`
+    Null,
+    /// `true` or `false`
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+impl Token {
+    /// One-word description, the same as [`Json::kind`] of the value.
+    pub fn name(self) -> &'static str {
+        match self {
+            Token::Null => "null",
+            Token::Bool => "bool",
+            Token::Number => "number",
+            Token::String => "string",
+            Token::Array => "array",
+            Token::Object => "object",
+        }
+    }
+}
+
+/// A strict pull reader over JSON text.
+///
+/// Each read consumes one whole value: [`Reader::null`],
+/// [`Reader::bool`], [`Reader::number`] and [`Reader::string`] read a
+/// scalar, [`Reader::array`] and [`Reader::object`] walk a container
+/// through a callback per element or field, [`Reader::skip_value`]
+/// validates a value without keeping it, and [`Reader::value`] builds
+/// its [`Json`] tree. A read of the wrong kind fails with
+/// `expected <kind>, found <kind>`, the message the tree decoders give.
+///
+/// The reader checks duplicate keys only where it keeps keys: in
+/// [`Reader::value`] and [`Reader::skip_value`]. A caller that walks an
+/// object with [`Reader::object`] checks its own keys.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers open around the next value.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// An error at the current byte offset.
+    #[cold]
     fn err(&self, msg: &str) -> JsonError {
         JsonError::msg(format!("{msg} at byte {}", self.pos))
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The error for a key seen twice in one object.
+    pub(crate) fn duplicate_key(&self, key: &str) -> JsonError {
+        self.err(&format!("duplicate object key `{key}`"))
     }
 
+    #[inline(always)]
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline(always)]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
+        if self.byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -61,114 +153,195 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("invalid literal (expected `{word}`)")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// The kind of the next value, skipping whitespace before it.
+    ///
+    /// # Errors
+    ///
+    /// At the end of input, on a byte no value starts with, and when the
+    /// value would sit deeper than [`MAX_DEPTH`].
+    #[inline(always)]
+    pub fn peek(&mut self) -> Result<Token, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting deeper than MAX_DEPTH"));
         }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.byte() {
+            Some(b'n') => Ok(Token::Null),
+            Some(b't' | b'f') => Ok(Token::Bool),
+            Some(b'"') => Ok(Token::String),
+            Some(b'[') => Ok(Token::Array),
+            Some(b'{') => Ok(Token::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Token::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
+    /// Peeks and checks that the next value is a `want`.
+    #[inline(always)]
+    fn start(&mut self, want: Token) -> Result<(), JsonError> {
+        let found = self.peek()?;
+        if found == want {
+            Ok(())
+        } else {
+            Err(JsonError::msg(format!(
+                "expected {}, found {}",
+                want.name(),
+                found.name()
+            )))
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate object key `{key}`")));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
+    #[inline]
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("invalid literal (expected `{word}`)")))
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes in one go.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
+    /// Reads `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not `null`.
+    #[inline]
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.start(Token::Null)?;
+        self.literal("null")
+    }
+
+    /// Reads `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a boolean.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        self.start(Token::Bool)?;
+        let value = self.byte() == Some(b't');
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    /// Reads a number.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a number, is malformed, or overflows
+    /// `f64` (`1e999`).
+    #[inline]
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.start(Token::Number)?;
+        self.lex_number()
+    }
+
+    /// Lexes the number that starts at the current byte.
+    #[inline]
+    fn lex_number(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        let negative = self.byte() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        // Integer part: `0` or non-zero digit followed by digits.
+        let digits = self.pos;
+        let mut magnitude = 0u64;
+        match self.byte() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.byte() {
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                    self.pos += 1;
                 }
+            }
+            _ => return Err(self.err("invalid number (missing digits)")),
+        }
+        let int_end = self.pos;
+        if self.byte() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.byte(), Some(b'0'..=b'9')) {
+                return Err(self.err("invalid number (missing fraction digits)"));
+            }
+            self.digits();
+        }
+        if matches!(self.byte(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and we only
-                // stopped on ASCII boundaries, so the slice is valid.
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                );
+            if !matches!(self.byte(), Some(b'0'..=b'9')) {
+                return Err(self.err("invalid number (missing exponent digits)"));
             }
-            match self.peek() {
+            self.digits();
+        }
+        // A plain integer of at most 15 digits is below 2^53, so its
+        // digits' value converts to exactly the double `str::parse` gives.
+        if self.pos == int_end && int_end - digits <= 15 {
+            let magnitude = magnitude as f64;
+            return Ok(if negative { -magnitude } else { magnitude });
+        }
+        let n: f64 = self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("number out of representable range"))?;
+        if !n.is_finite() {
+            // e.g. `1e999` overflows to infinity — not a usable model value.
+            return Err(self.err("number overflows f64"));
+        }
+        Ok(n)
+    }
+
+    #[inline]
+    fn digits(&mut self) {
+        self.pos += self.text.as_bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+    }
+
+    /// Reads a string. It borrows from the text unless it holds escapes.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a string, or the string is
+    /// unterminated, holds a raw control character or a bad escape.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.start(Token::String)?;
+        self.lex_string()
+    }
+
+    /// Lexes the string whose opening quote is the current byte.
+    #[inline]
+    fn lex_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.pos += 1;
+        let text = self.text;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            // Take a run of plain bytes in one go. Every byte that ends a
+            // run is ASCII, so the cuts land on char boundaries.
+            self.pos += plain_run(&text.as_bytes()[start..]);
+            let run = &text[start..self.pos];
+            match self.byte() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    let c = self.escape()?;
+                    out.push(c);
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
@@ -177,7 +350,7 @@ impl Parser<'_> {
     }
 
     fn escape(&mut self) -> Result<char, JsonError> {
-        let c = self.peek().ok_or_else(|| self.err("truncated escape"))?;
+        let c = self.byte().ok_or_else(|| self.err("truncated escape"))?;
         self.pos += 1;
         Ok(match c {
             b'"' => '"',
@@ -197,7 +370,7 @@ impl Parser<'_> {
         let mut code = 0u32;
         for _ in 0..4 {
             let d = self
-                .peek()
+                .byte()
                 .ok_or_else(|| self.err("truncated \\u escape"))?;
             let nibble = match d {
                 b'0'..=b'9' => u32::from(d - b'0'),
@@ -215,7 +388,7 @@ impl Parser<'_> {
         let first = self.hex4()?;
         // Surrogate pair handling.
         if (0xD800..0xDC00).contains(&first) {
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if !(0xDC00..0xE000).contains(&second) {
@@ -232,52 +405,172 @@ impl Parser<'_> {
         char::from_u32(first).ok_or_else(|| self.err("invalid \\u escape"))
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
+    /// Reads an array, calling `element` once per element with the
+    /// reader positioned at it; `element` must consume exactly that
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, is malformed, or `element`
+    /// fails.
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.start(Token::Array)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.byte() == Some(b']') {
             self.pos += 1;
+            return Ok(());
         }
-        // Integer part: `0` or non-zero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
+        self.depth += 1;
+        loop {
+            element(self)?;
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
                 }
+                _ => return Err(self.err("expected `,` or `]` in array")),
             }
-            _ => return Err(self.err("invalid number (missing digits)")),
         }
-        if self.peek() == Some(b'.') {
+    }
+
+    /// Reads an object, calling `field` once per member with its key
+    /// and the reader positioned at its value; `field` must consume
+    /// exactly that value. Keys borrow from the text unless they hold
+    /// escapes. Duplicate keys are the caller's to reject.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, is malformed, or `field`
+    /// fails.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.start(Token::Object)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.byte() == Some(b'}') {
             self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("invalid number (missing fraction digits)"));
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            self.skip_ws();
+            if self.byte() != Some(b'"') {
+                return Err(self.err("expected `\"`"));
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            let key = self.lex_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            field(self, key)?;
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("invalid number (missing exponent digits)"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+    }
+
+    /// Consumes the next value, checking it exactly as [`Reader::value`]
+    /// would (grammar, depth, finite numbers, duplicate keys) without
+    /// building it.
+    ///
+    /// # Errors
+    ///
+    /// When the value is malformed.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Token::Null => self.literal("null"),
+            Token::Bool => self.bool().map(drop),
+            Token::Number => self.lex_number().map(drop),
+            Token::String => self.lex_string().map(drop),
+            Token::Array => self.array(Self::skip_value),
+            Token::Object => {
+                let mut keys: Vec<Cow<'a, str>> = Vec::new();
+                self.object(|r, key| r.skip_unknown(key, &mut keys))
             }
         }
-        let slice = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
-        let n: f64 = slice
-            .parse()
-            .map_err(|_| self.err("number out of representable range"))?;
-        if !n.is_finite() {
-            // e.g. `1e999` overflows to infinity — not a usable model value.
-            return Err(self.err("number overflows f64"));
+    }
+
+    /// Skips the value of a member whose key the caller does not read,
+    /// rejecting the key if `seen` (the keys skipped so far in the same
+    /// object) already holds it.
+    ///
+    /// # Errors
+    ///
+    /// On a duplicate key or a malformed value.
+    pub(crate) fn skip_unknown(
+        &mut self,
+        key: Cow<'a, str>,
+        seen: &mut Vec<Cow<'a, str>>,
+    ) -> Result<(), JsonError> {
+        if seen.contains(&key) {
+            return Err(self.duplicate_key(&key));
         }
-        Ok(Json::Number(n))
+        seen.push(key);
+        self.skip_value()
+    }
+
+    /// Reads the next value as a [`Json`] tree.
+    ///
+    /// # Errors
+    ///
+    /// When the value is malformed.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.peek()? {
+            Token::Null => {
+                self.literal("null")?;
+                Json::Null
+            }
+            Token::Bool => Json::Bool(self.bool()?),
+            Token::Number => Json::Number(self.lex_number()?),
+            Token::String => Json::String(self.lex_string()?.into_owned()),
+            Token::Array => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Json::Array(items)
+            }
+            Token::Object => {
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                self.object(|r, key| {
+                    if fields.iter().any(|(k, _)| *k == key) {
+                        return Err(r.duplicate_key(&key));
+                    }
+                    fields.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Json::Object(fields)
+            }
+        })
+    }
+
+    /// Checks that only whitespace follows the values read so far.
+    ///
+    /// # Errors
+    ///
+    /// On trailing non-whitespace content.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
     }
 }
 
@@ -372,5 +665,87 @@ mod tests {
     #[test]
     fn unicode_passthrough() {
         assert_eq!(parse("\"héllo\"").unwrap(), Json::String("héllo".into()));
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_float_parser() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-42",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "18446744073709551615",
+            "123456789012345678901234567890",
+        ] {
+            let fast = Reader::new(text).number().unwrap();
+            let slow: f64 = text.parse().unwrap();
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn plain_runs_stop_at_the_first_quote_backslash_or_control_byte() {
+        for len in 0..20 {
+            for stop in [b'"', b'\\', 0x00, 0x1F] {
+                for filler in [b'a', 0x20, 0x7F, 0xC3, 0xFF, b'!', b'#', b'['] {
+                    let mut bytes = vec![filler; len];
+                    bytes.push(stop);
+                    bytes.extend_from_slice(b"\"\\xyz");
+                    assert_eq!(plain_run(&bytes), len, "{len} {stop:#x} {filler:#x}");
+                }
+            }
+            assert_eq!(plain_run(&vec![b'a'; len]), len);
+        }
+    }
+
+    #[test]
+    fn keys_and_strings_borrow_unless_escaped() {
+        let mut r = Reader::new(r#"{"plain":"v","t\u0061b":"a\tb"}"#);
+        let mut seen = Vec::new();
+        r.object(|r, key| {
+            let value = r.string()?;
+            seen.push((key, value));
+            Ok(())
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert!(matches!(seen[0].0, Cow::Borrowed("plain")));
+        assert!(matches!(seen[0].1, Cow::Borrowed("v")));
+        assert!(matches!(&seen[1].0, Cow::Owned(k) if k == "tab"));
+        assert!(matches!(&seen[1].1, Cow::Owned(v) if v == "a\tb"));
+    }
+
+    #[test]
+    fn skipping_is_as_strict_as_building() {
+        let deep = "[".repeat(MAX_DEPTH + 1) + "1" + &"]".repeat(MAX_DEPTH + 1);
+        let shallow = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        for text in [
+            r#"{"a":1,"a":2}"#,
+            r#"[{"a":{"b":1,"b":1}}]"#,
+            r#"{"a":1,"\u0061":2}"#,
+            "[1e999]",
+            "[1,]",
+            "\"\\x\"",
+            "[tru]",
+            &deep,
+            &shallow,
+            r#"{"a":[1,{"b":"c"}],"d":null}"#,
+        ] {
+            let mut r = Reader::new(text);
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert_eq!(skipped.is_ok(), parse(text).is_ok(), "{text}");
+        }
+    }
+
+    #[test]
+    fn reads_of_the_wrong_kind_name_both_kinds() {
+        let err = Reader::new("[1]").bool().unwrap_err();
+        assert_eq!(err.to_string(), "json error: expected bool, found array");
+        let err = Reader::new("{}").array(|_| Ok(())).unwrap_err();
+        assert_eq!(err.to_string(), "json error: expected array, found object");
     }
 }

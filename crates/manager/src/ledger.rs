@@ -15,7 +15,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use icm_json::{FromJson, Json, JsonError, ToJson};
+use icm_json::{FromJson, Json, JsonError, Reader, ToJson};
 
 /// An append-mostly list of records with a per-record cache of their
 /// compact JSON text. Cloning shares the cached text.
@@ -104,11 +104,20 @@ impl<T: ToJson> ToJson for Ledger<T> {
     }
 }
 
+impl<T> From<Vec<T>> for Ledger<T> {
+    fn from(records: Vec<T>) -> Self {
+        let text = vec![None; records.len()];
+        Self { records, text }
+    }
+}
+
 impl<T: FromJson> FromJson for Ledger<T> {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let records = Vec::<T>::from_json(value)?;
-        let text = vec![None; records.len()];
-        Ok(Self { records, text })
+        Vec::from_json(value).map(Self::from)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        Vec::read_json(r).map(Self::from)
     }
 }
 

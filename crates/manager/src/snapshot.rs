@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use icm_json::{FromJson, Json, JsonError, ToJson};
+use icm_json::{FromJson, Json, JsonError, ToJson, VersionedError};
 use icm_obs::TracerState;
 use icm_rng::Rng;
 use icm_simcluster::TestbedSnapshot;
@@ -160,34 +160,29 @@ impl WorldSnapshot {
         icm_json::to_string(self)
     }
 
-    /// Parses snapshot text, rejecting unknown format versions with a
-    /// typed error before decoding the rest of the payload.
+    /// Parses snapshot text, streaming it straight into the snapshot
+    /// with no JSON tree, and refuses other format versions.
+    ///
+    /// The text is decoded once; its `version` is checked after a
+    /// successful decode, and read alone only when the decode fails
+    /// ([`icm_json::from_str_versioned`]). The verdict equals a
+    /// version-first check on the parsed tree.
     ///
     /// # Errors
     ///
-    /// [`SnapshotFormatError::UnknownVersion`] when the payload's
-    /// `version` differs from [`WORLD_SNAPSHOT_VERSION`];
-    /// [`SnapshotFormatError::Payload`] for malformed JSON or a missing
-    /// or mis-typed field.
+    /// [`SnapshotFormatError::UnknownVersion`] when the payload is
+    /// well-formed JSON whose `version` differs from
+    /// [`WORLD_SNAPSHOT_VERSION`]; [`SnapshotFormatError::Payload`] for
+    /// malformed JSON or a missing or mis-typed field.
     pub fn parse(text: &str) -> Result<Self, SnapshotFormatError> {
-        let value = icm_json::parse(text).map_err(SnapshotFormatError::Payload)?;
-        let version = value
-            .get("version")
-            .ok_or_else(|| {
-                SnapshotFormatError::Payload(JsonError::msg("WorldSnapshot: missing `version`"))
-            })?
-            .as_f64()
-            .ok_or_else(|| {
-                SnapshotFormatError::Payload(JsonError::msg(
-                    "WorldSnapshot: `version` not a number",
-                ))
-            })?;
-        if version != WORLD_SNAPSHOT_VERSION as f64 {
-            // Truncation is safe: the exactness check in the number
-            // parser guarantees an integral value up to 2^53.
-            return Err(SnapshotFormatError::UnknownVersion(version as u64));
-        }
-        Self::from_json(&value).map_err(SnapshotFormatError::Payload)
+        icm_json::from_str_versioned(text, WORLD_SNAPSHOT_VERSION, |s: &Self| s.version).map_err(
+            |e| match e {
+                // A decoded version is an exact integer; a probed one
+                // converts (saturating, truncating) as it always has.
+                VersionedError::Version(v) => SnapshotFormatError::UnknownVersion(v as u64),
+                VersionedError::Payload(e) => SnapshotFormatError::Payload(e),
+            },
+        )
     }
 }
 

@@ -82,8 +82,9 @@ impl SearchGoal {
 }
 
 /// An [`Objective`] over an [`Estimator`] that evaluates swaps by
-/// recomputing only the two affected hosts' pressure terms. See the
-/// [module docs](self) for the equality contract with the full path.
+/// recomputing only the two affected hosts' pressure terms. Every
+/// probe equals the full recompute bit for bit (exact `f64` equality),
+/// which a debug assertion in `probe` and the test suite check.
 pub struct IncrementalObjective<'a> {
     estimator: &'a Estimator<'a>,
     goal: SearchGoal,

@@ -37,7 +37,10 @@ pub struct Eval {
 
 /// A placement objective the annealer can drive move-by-move.
 ///
-/// See the [module docs](self) for the call protocol. Implementations
+/// The call protocol: [`reset`](Self::reset) evaluates a full state,
+/// [`probe`](Self::probe) a state one slot transposition from the
+/// committed one, and [`accept`](Self::accept) or
+/// [`reject`](Self::reject) settles the probed move. Implementations
 /// may keep caches keyed on the committed state; the annealer guarantees
 /// `probe` is only ever called on a state one transposition away from
 /// the last committed one, and that every `probe` is followed by exactly

@@ -39,7 +39,7 @@ struct Options {
     quiet: bool,
 }
 
-fn parse_options() -> Result<Options, String> {
+fn parse_options(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut options = Options {
         state: None,
         input: None,
@@ -51,7 +51,6 @@ fn parse_options() -> Result<Options, String> {
         kill_after_commits: None,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
@@ -59,8 +58,7 @@ fn parse_options() -> Result<Options, String> {
             "--input" => options.input = Some(PathBuf::from(value("--input")?)),
             "--socket" => options.socket = Some(PathBuf::from(value("--socket")?)),
             "--seed" => {
-                options.seed = value("--seed")?
-                    .parse()
+                options.seed = icm_json::parse_exact_u64(&value("--seed")?)
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--fast" => options.fast = true,
@@ -143,7 +141,7 @@ fn serve_stream(
 }
 
 fn run() -> Result<(), String> {
-    let options = parse_options()?;
+    let options = parse_options(std::env::args().skip(1))?;
     let mut config = ServerConfig::new(options.seed, options.fast);
     if let Some(every) = options.checkpoint_every {
         config.checkpoint_every = every;
@@ -228,5 +226,22 @@ fn main() -> ExitCode {
             eprintln!("icm-server: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn seed(value: &str) -> Result<u64, String> {
+        parse_options(["--seed", value].into_iter().map(String::from)).map(|o| o.seed)
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_are_refused() {
+        assert_eq!(seed("9007199254740992"), Ok(1 << 53));
+        let err = seed("9007199254740993").expect_err("refused");
+        assert!(err.contains("9007199254740992 (2^53)"), "{err}");
+        assert!(seed("18446744073709551615").is_err());
     }
 }

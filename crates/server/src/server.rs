@@ -38,7 +38,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use icm_json::fs::SnapshotStore;
-use icm_json::{Json, JsonError};
+use icm_json::{Json, JsonError, VersionedError};
 use icm_manager::objective::FleetObjective;
 use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
 use icm_manager::{Fleet, ManagedRun, ManagerConfig};
@@ -146,25 +146,23 @@ icm_json::impl_json!(struct ServerSnapshot {
 });
 
 impl ServerSnapshot {
-    /// Parses snapshot text, rejecting unknown versions before a full
-    /// decode.
+    /// Parses snapshot text, streaming it straight into the snapshot
+    /// with no JSON tree, and refuses other format versions by the same
+    /// rule as [`WorldSnapshot::parse`]
+    /// ([`icm_json::from_str_versioned`]).
     ///
     /// # Errors
     ///
     /// A [`JsonError`] describing the version or payload problem.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        let value = icm_json::parse(text)?;
-        let version = value
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| JsonError::msg("ServerSnapshot: missing `version`"))?;
-        if version != SERVER_SNAPSHOT_VERSION as f64 {
-            return Err(JsonError::msg(format!(
-                "ServerSnapshot: version {version} (this build reads {SERVER_SNAPSHOT_VERSION})"
-            )));
-        }
-        use icm_json::FromJson;
-        Self::from_json(&value)
+        icm_json::from_str_versioned(text, SERVER_SNAPSHOT_VERSION, |s: &Self| s.version).map_err(
+            |e| match e {
+                VersionedError::Version(version) => JsonError::msg(format!(
+                    "ServerSnapshot: version {version} (this build reads {SERVER_SNAPSHOT_VERSION})"
+                )),
+                VersionedError::Payload(e) => e,
+            },
+        )
     }
 }
 

@@ -13,6 +13,9 @@ cargo test -q --workspace --offline
 # `impl_json!` expansion in them.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
+# Rustdoc must build without warnings: a broken or private intra-doc
+# link in the public API docs fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # perfbench is a workspace of its own (it builds the crates by path), so
 # the workspace commands above never compile it: test it here so a
 # public-API change that breaks the benchmark fails the gate.

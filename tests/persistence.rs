@@ -9,7 +9,8 @@ use icm::placement::{AcceptRule, AnnealConfig, PlacementProblem, PlacementState}
 use icm::workloads::{Catalog, TestbedBuilder};
 
 /// Serialize → parse → compare, for any type that is `PartialEq`. The
-/// streamed compact text must also equal the text of the value's tree.
+/// streamed compact text must also equal the text of the value's tree,
+/// and the streamed decode must re-encode equal to the tree decode.
 fn round_trip<T>(value: &T)
 where
     T: icm::json::ToJson + icm::json::FromJson + PartialEq + std::fmt::Debug,
@@ -23,8 +24,17 @@ where
     let back: T = icm::json::from_str(&json).expect("round-trip parse");
     assert_eq!(&back, value, "value drifted through {json}");
     // Pretty output must parse back to the same value too.
-    let pretty: T = icm::json::from_str(&icm::json::to_string_pretty(value)).expect("pretty parse");
+    let pretty_text = icm::json::to_string_pretty(value);
+    let pretty: T = icm::json::from_str(&pretty_text).expect("pretty parse");
     assert_eq!(&pretty, value);
+    for (text, streamed) in [(&json, &back), (&pretty_text, &pretty)] {
+        let tree = T::from_json(&icm::json::parse(text).expect("parses")).expect("tree decode");
+        assert_eq!(
+            icm::json::to_string(streamed),
+            icm::json::to_string(&tree),
+            "streamed and tree decodes diverge on {text}"
+        );
+    }
 }
 
 #[test]

@@ -286,6 +286,27 @@ fn stream_matches_tree(
     edited
 }
 
+/// Snapshots store seeds as JSON numbers, exact up to 2^53 (the CLIs
+/// refuse larger seeds): a world at the largest accepted seed must
+/// snapshot, parse and restore to byte-identical text.
+#[test]
+fn a_world_at_seed_two_to_the_53_restores_byte_identically() {
+    let cfg = ExpConfig {
+        seed: icm_json::MAX_EXACT_INT,
+        fast: true,
+    };
+    let tracer = Tracer::disabled();
+    let mut world = World::new(&cfg, &tracer).expect("world builds");
+    for _ in 0..3 {
+        world.step(&tracer).expect("steps");
+    }
+    let text = world.snapshot(&tracer, None, 0).to_text();
+    assert!(text.contains("9007199254740992"), "the seed is stored");
+    let parsed = WorldSnapshot::parse(&text).expect("parses");
+    let mut restored = World::restore(parsed, &tracer).expect("restores");
+    assert_eq!(restored.snapshot(&tracer, None, 0).to_text(), text);
+}
+
 #[test]
 fn streamed_savestates_equal_their_trees_on_a_long_endurance_world() {
     let cfg = ExpConfig {
