@@ -338,12 +338,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Profiler tuning (binary-search epsilon, random seed).
-    pub fn profiler_config(&mut self, config: ProfilerConfig) -> &mut Self {
-        self.config = config;
-        self
-    }
-
     /// Forces a mapping policy instead of selecting one from samples.
     pub fn policy(&mut self, policy: MappingPolicy) -> &mut Self {
         self.forced_policy = Some(policy);

@@ -97,6 +97,12 @@ impl From<icm_manager::ManagerError> for ExpError {
     }
 }
 
+impl From<icm_server::ServerError> for ExpError {
+    fn from(err: icm_server::ServerError) -> Self {
+        Self::new(err)
+    }
+}
+
 /// Builds the paper's private 8-host testbed with the full catalog.
 pub fn private_testbed(cfg: &ExpConfig) -> SimTestbedAdapter {
     TestbedBuilder::new(&Catalog::paper())

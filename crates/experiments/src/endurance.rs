@@ -22,22 +22,20 @@
 
 use std::path::Path;
 
-use icm_core::{DriftConfig, OnlineModel};
 use icm_json::fs::SnapshotStore;
-use icm_manager::snapshot::{RngState, WorldSnapshot, WORLD_SNAPSHOT_VERSION};
-use icm_manager::{ActionKind, EnvironmentDrift, Fleet, ManagedApp, ManagedRun, ManagerConfig};
+use icm_manager::snapshot::{RngState, WorldSnapshot};
+use icm_manager::{ActionKind, Fleet, ManagedRun, ManagerConfig};
 use icm_obs::Tracer;
-use icm_placement::QosConfig;
 use icm_rng::Rng;
+use icm_server::world::{base_manager_config, build_fleet, half_cluster_drift, supervised_apps};
 use icm_simcluster::{CrashWindow, SimTestbed};
 
-use crate::context::{build_models, private_testbed, ExpConfig, ExpError};
+use crate::context::{ExpConfig, ExpError};
 use crate::table::{f2, Table};
 
-/// Hosts every application spans.
-const SPAN: usize = 4;
-/// Placement slots per host.
-const SLOTS_PER_HOST: usize = 2;
+/// Ambient bubble pressure the back half of the horizon parks on half
+/// the cluster.
+const DRIFT_PRESSURE: f64 = 6.0;
 /// Per-tick probability the driver schedules a crash window.
 const CRASH_PROB: f64 = 0.25;
 /// Runs a scheduled crash window stays open for.
@@ -59,69 +57,32 @@ pub struct World {
     pub driver: Rng,
 }
 
-fn endurance_apps(cfg: &ExpConfig) -> Vec<(&'static str, u32)> {
-    if cfg.fast {
-        vec![("M.milc", 2), ("H.KM", 1)]
-    } else {
-        vec![("M.milc", 3), ("M.Gems", 2), ("H.KM", 1)]
-    }
-}
-
-fn endurance_config(cfg: &ExpConfig, hosts: usize) -> ManagerConfig {
-    let ticks = if cfg.fast { 8 } else { 16 };
-    // Ambient drift parks bubble pressure on half the cluster for the
-    // back half of the horizon — it lands right after the `fork`
-    // experiment's branch point, so the branches face the onset under
-    // their different policies.
-    let mut pressures = vec![0.0; hosts];
-    for p in pressures.iter_mut().take(hosts / 2) {
-        *p = 6.0;
-    }
-    ManagerConfig {
-        ticks,
-        seed: cfg.seed,
-        migration_cost_s: 30.0,
-        initial_iterations: if cfg.fast { 600 } else { 1500 },
-        reanneal_iterations: if cfg.fast { 250 } else { 400 },
-        drift: DriftConfig {
-            threshold: 0.2,
-            trip_after: 2,
-        },
-        slo_trip_after: 2,
-        qos: QosConfig {
-            qos_fraction: 0.6,
-            ..QosConfig::default()
-        },
-        environment: Some(EnvironmentDrift {
-            from_tick: ticks / 2 + 1,
-            pressures,
-        }),
-    }
-}
-
 impl World {
-    /// Builds a fresh world: profiles the fleet's models, packs the
-    /// placement problem, and runs the cold initial search.
+    /// Builds a fresh world: the supervised fleet
+    /// ([`icm_server::world::build_fleet`]) and its cold initial
+    /// search.
     ///
     /// # Errors
     ///
     /// Propagates model, placement and manager failures.
     pub fn new(cfg: &ExpConfig, tracer: &Tracer) -> Result<Self, ExpError> {
-        let apps = endurance_apps(cfg);
-        let mut base_tb = private_testbed(cfg);
-        let hosts = base_tb.sim().cluster().hosts();
-        let names: Vec<&str> = apps.iter().map(|&(name, _)| name).collect();
-        let models = build_models(&mut base_tb, &names, Some(SPAN), cfg)?;
-        let managed_apps: Vec<ManagedApp> = apps
-            .iter()
-            .map(|&(name, priority)| {
-                ManagedApp::new(name, priority, OnlineModel::new(models[name].clone()))
-            })
-            .collect();
-        let fleet = Fleet::new(hosts, SLOTS_PER_HOST, SPAN, managed_apps)?;
-        let mut testbed = base_tb.into_sim();
+        let (adapter, fleet) = build_fleet(&supervised_apps(cfg.fast), cfg.seed, cfg.fast)?;
+        let mut testbed = adapter.into_sim();
         testbed.set_tracer(tracer.clone());
-        let config = endurance_config(cfg, hosts);
+        let ticks = if cfg.fast { 8 } else { 16 };
+        // Ambient drift parks bubble pressure on half the cluster for
+        // the back half of the horizon — it lands right after the
+        // `fork` experiment's branch point, so the branches face the
+        // onset under their different policies.
+        let config = ManagerConfig {
+            ticks,
+            environment: Some(half_cluster_drift(
+                testbed.cluster().hosts(),
+                DRIFT_PRESSURE,
+                ticks / 2 + 1,
+            )),
+            ..base_manager_config(cfg.seed, cfg.fast)
+        };
         let run = ManagedRun::start(&testbed, &fleet, &config, true)?;
         Ok(Self {
             testbed,
@@ -140,38 +101,36 @@ impl World {
             .first()
             .ok_or_else(|| ExpError::new("snapshot carries no driver RNG state"))?
             .restore();
-        let mut testbed = SimTestbed::restore(snapshot.testbed);
-        testbed.set_tracer(tracer.clone());
+        let (testbed, fleet, config, run) = snapshot.restore(tracer);
         Ok(Self {
             testbed,
-            fleet: snapshot.fleet,
-            config: snapshot.config,
-            run: snapshot.run,
+            fleet,
+            config,
+            run,
             driver,
         })
     }
 
-    /// Captures the world (plus the tracer clock and trace position)
-    /// into a serializable savestate. Seals the run history first (see
-    /// [`ManagedRun::seal`]), so the savestate encodes only the records
-    /// that changed since the last one.
+    /// Captures the world (plus the driver RNG, the tracer clock and
+    /// the trace position) into a serializable savestate, sealing the
+    /// run history first ([`WorldSnapshot::capture`]).
     pub fn snapshot(
         &mut self,
         tracer: &Tracer,
         trace_path: Option<&str>,
         trace_bytes: u64,
     ) -> WorldSnapshot {
-        self.run.seal();
         WorldSnapshot {
-            version: WORLD_SNAPSHOT_VERSION,
-            testbed: self.testbed.snapshot(),
-            config: self.config.clone(),
-            fleet: self.fleet.clone(),
-            run: self.run.clone(),
-            tracer: tracer.state(),
             rngs: vec![RngState::capture(&self.driver)],
             trace_path: trace_path.map(str::to_owned),
             trace_bytes,
+            ..WorldSnapshot::capture(
+                &self.testbed,
+                &self.fleet,
+                &self.config,
+                &mut self.run,
+                tracer,
+            )
         }
     }
 
@@ -354,8 +313,9 @@ pub fn drive(
     Ok(summarize(world))
 }
 
-/// Loads the newest resumable snapshot from a checkpoint directory,
-/// walking generations newest-first: a generation that fails the
+/// Loads the newest resumable snapshot from a checkpoint directory
+/// through the store's newest-first walk
+/// ([`SnapshotStore::load_newest`]): a generation that fails the
 /// store's integrity checks (torn write, flipped bit, truncation) *or*
 /// the payload format check (unknown version, missing field) is skipped
 /// in favor of the previous good one, never a panic.
@@ -366,28 +326,18 @@ pub fn drive(
 /// both checks; the error lists every per-generation failure.
 pub fn load_resumable(dir: &Path) -> Result<(u64, WorldSnapshot), ExpError> {
     let store = SnapshotStore::open(dir).map_err(ExpError::new)?;
-    let mut generations = store.generations().map_err(ExpError::new)?;
-    if generations.is_empty() {
-        return Err(ExpError::new(format!("no snapshots in {}", dir.display())));
+    let newest = store.load_newest(|bytes| {
+        let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
+        WorldSnapshot::parse(&text).map_err(|e| e.to_string())
+    });
+    match newest {
+        Ok(Some(found)) => Ok(found),
+        Ok(None) => Err(ExpError::new(format!("no snapshots in {}", dir.display()))),
+        Err(e) => Err(ExpError::new(format!(
+            "no usable snapshot in {}: {e}",
+            dir.display()
+        ))),
     }
-    generations.reverse();
-    let mut failures: Vec<String> = Vec::new();
-    for generation in generations {
-        let outcome = store
-            .load(generation)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| String::from_utf8(bytes).map_err(|e| e.to_string()))
-            .and_then(|text| WorldSnapshot::parse(&text).map_err(|e| e.to_string()));
-        match outcome {
-            Ok(snapshot) => return Ok((generation, snapshot)),
-            Err(err) => failures.push(format!("generation {generation}: {err}")),
-        }
-    }
-    Err(ExpError::new(format!(
-        "no usable snapshot in {}: {}",
-        dir.display(),
-        failures.join("; ")
-    )))
 }
 
 /// Renders the endurance summary table.
@@ -567,6 +517,34 @@ mod tests {
             "the driver must inject chaos: {a:?}"
         );
         assert!(a.sim_seconds > 0.0);
+    }
+
+    /// The daemon supervises the very fleet the endurance run does, and
+    /// their manager settings differ only in horizon, environment and
+    /// drift detector.
+    #[test]
+    fn the_daemon_supervises_the_endurance_fleet() {
+        use icm_core::DriftConfig;
+        use icm_server::world::build_world;
+        use icm_server::ServerConfig;
+
+        for (seed, fast) in [(2016, true), (7, true), (7, false)] {
+            let world = World::new(&ExpConfig { seed, fast }, &Tracer::disabled()).expect("builds");
+            let (_, fleet, daemon_config, _) =
+                build_world(&ServerConfig::new(seed, fast)).expect("builds");
+            assert_eq!(
+                icm_json::to_string(&world.fleet),
+                icm_json::to_string(&fleet),
+                "seed {seed}, fast {fast}"
+            );
+            let restated = ManagerConfig {
+                ticks: daemon_config.ticks,
+                environment: None,
+                drift: DriftConfig::default(),
+                ..world.config
+            };
+            assert_eq!(restated, daemon_config, "seed {seed}, fast {fast}");
+        }
     }
 
     #[test]

@@ -29,34 +29,39 @@ use icm_obs::{Event, Value};
 /// a malformed trace with cause cycles.
 const MAX_DEPTH: usize = 8;
 
-/// The causal graph of one trace: events indexed by id, plus the
-/// manager's action and recovery events in emission order.
+/// The causal graph of one trace: events indexed by id, the manager's
+/// actions in emission order, and the recovery that closed each action.
 pub struct CausalGraph<'a> {
     by_id: BTreeMap<u64, &'a Event>,
     /// `manager_action` events, in order — `explain --action N` indexes
     /// this list.
     pub actions: Vec<&'a Event>,
-    /// `manager_recovery` events, in order.
-    pub recoveries: Vec<&'a Event>,
+    /// The first `manager_recovery` event that lists an action among its
+    /// causes, by the action's id.
+    outcomes: BTreeMap<u64, &'a Event>,
 }
 
 /// Indexes a trace into a [`CausalGraph`].
 pub fn build_graph(events: &[Event]) -> CausalGraph<'_> {
     let mut by_id = BTreeMap::new();
     let mut actions = Vec::new();
-    let mut recoveries = Vec::new();
+    let mut outcomes = BTreeMap::new();
     for event in events {
         by_id.insert(event.step, event);
         match event.name.as_str() {
             events::MANAGER_ACTION => actions.push(event),
-            events::MANAGER_RECOVERY => recoveries.push(event),
+            events::MANAGER_RECOVERY => {
+                for &cause in &event.causes {
+                    outcomes.entry(cause).or_insert(event);
+                }
+            }
             _ => {}
         }
     }
     CausalGraph {
         by_id,
         actions,
-        recoveries,
+        outcomes,
     }
 }
 
@@ -126,7 +131,10 @@ fn render_chain(graph: &CausalGraph<'_>, event: &Event, depth: usize, out: &mut 
 ///
 /// When the trace holds no manager action with that index.
 pub fn explain_action(trace: &[Event], n: usize) -> Result<String, String> {
-    let graph = build_graph(trace);
+    render_action(&build_graph(trace), n)
+}
+
+fn render_action(graph: &CausalGraph<'_>, n: usize) -> Result<String, String> {
     let Some(action) = graph.actions.get(n).copied() else {
         return Err(format!(
             "trace has {} manager action(s); --action {n} is out of range",
@@ -139,7 +147,7 @@ pub fn explain_action(trace: &[Event], n: usize) -> Result<String, String> {
     let _ = writeln!(out, "{}", header.trim_start_matches("action: "));
     for &cause in &action.causes {
         match graph.by_id.get(&cause) {
-            Some(parent) => render_chain(&graph, parent, 1, &mut out),
+            Some(parent) => render_chain(graph, parent, 1, &mut out),
             None => {
                 let _ = writeln!(out, "  (event {cause} not in trace — truncated?)");
             }
@@ -147,11 +155,7 @@ pub fn explain_action(trace: &[Event], n: usize) -> Result<String, String> {
     }
     // The outcome points back at the action: a recovery event lists the
     // ids of every action it closed over.
-    match graph
-        .recoveries
-        .iter()
-        .find(|r| r.causes.contains(&action.step))
-    {
+    match graph.outcomes.get(&action.step) {
         Some(recovery) => {
             let _ = writeln!(out, "{}", hop_line(recovery));
         }
@@ -168,13 +172,13 @@ pub fn explain_action(trace: &[Event], n: usize) -> Result<String, String> {
 ///
 /// When the trace holds no manager actions at all.
 pub fn explain_all(trace: &[Event]) -> Result<String, String> {
-    let count = build_graph(trace).actions.len();
-    if count == 0 {
+    let graph = build_graph(trace);
+    if graph.actions.is_empty() {
         return Err("trace holds no manager actions to explain".to_owned());
     }
     let mut out = String::new();
-    for n in 0..count {
-        out.push_str(&explain_action(trace, n)?);
+    for n in 0..graph.actions.len() {
+        out.push_str(&render_action(&graph, n)?);
     }
     Ok(out)
 }

@@ -293,12 +293,7 @@ fn svg_color(name: &str) -> &'static str {
     const PALETTE: [&str; 8] = [
         "#e05c4b", "#e0784b", "#e0944b", "#e0b04b", "#d9c24e", "#cc8d52", "#d96a5e", "#c97b4a",
     ];
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    PALETTE[(hash % PALETTE.len() as u64) as usize]
+    PALETTE[(icm_json::fs::fnv1a64(name.as_bytes()) % PALETTE.len() as u64) as usize]
 }
 
 fn xml_escape(text: &str) -> String {

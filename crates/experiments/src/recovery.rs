@@ -13,22 +13,14 @@
 //! violation time never exceeds the unmanaged run's, and scenarios with
 //! injected failures show a strict improvement.
 
-use icm_core::{DriftConfig, OnlineModel};
-use icm_manager::{
-    run_managed, run_unmanaged, ActionKind, EnvironmentDrift, Fleet, ManagedApp, ManagerConfig,
-    ManagerOutcome,
-};
+use icm_manager::{run_managed, run_unmanaged, ActionKind, ManagerConfig, ManagerOutcome};
 use icm_obs::Tracer;
-use icm_placement::QosConfig;
+use icm_server::world::{base_manager_config, build_fleet, half_cluster_drift, supervised_apps};
 use icm_simcluster::{CrashWindow, FaultPlan};
 
-use crate::context::{build_models, private_testbed, ExpConfig, ExpError};
+use crate::context::{ExpConfig, ExpError};
 use crate::table::{f2, Table};
 
-/// Hosts every application spans.
-const SPAN: usize = 4;
-/// Placement slots per host (two tenants may share a host).
-const SLOTS_PER_HOST: usize = 2;
 /// Supervisory ticks that run healthy before a scripted crash begins.
 const CRASH_AFTER_TICKS: u64 = 2;
 /// First tick ambient drift pressure applies to.
@@ -102,16 +94,6 @@ pub struct RecoveryResult {
 
 icm_json::impl_json!(struct RecoveryResult { ticks, apps, points });
 
-/// Supervised applications with shedding priorities (higher survives
-/// longer).
-fn scenario_apps(cfg: &ExpConfig) -> Vec<(&'static str, u32)> {
-    if cfg.fast {
-        vec![("M.milc", 2), ("H.KM", 1)]
-    } else {
-        vec![("M.milc", 3), ("M.Gems", 2), ("H.KM", 1)]
-    }
-}
-
 /// `(label, crash hosts, drift pressure)` sweep grid.
 fn scenarios(cfg: &ExpConfig) -> Vec<(&'static str, u64, f64)> {
     if cfg.fast {
@@ -134,28 +116,11 @@ fn scenarios(cfg: &ExpConfig) -> Vec<(&'static str, u64, f64)> {
 fn manager_config(cfg: &ExpConfig, drift_pressure: f64, hosts: usize) -> ManagerConfig {
     ManagerConfig {
         ticks: if cfg.fast { 6 } else { 10 },
-        seed: cfg.seed,
-        migration_cost_s: 30.0,
-        initial_iterations: if cfg.fast { 600 } else { 1500 },
-        reanneal_iterations: if cfg.fast { 250 } else { 400 },
-        drift: DriftConfig {
-            threshold: 0.2,
-            trip_after: 2,
-        },
-        slo_trip_after: 2,
-        qos: QosConfig {
-            qos_fraction: 0.6,
-            ..QosConfig::default()
-        },
-        // Drift loads half the cluster so re-placement has somewhere
-        // quiet to go — the manager only ever sees its consequences in
-        // the observed slowdowns.
-        environment: (drift_pressure > 0.0).then(|| EnvironmentDrift {
-            from_tick: DRIFT_FROM_TICK,
-            pressures: (0..hosts)
-                .map(|h| if h < hosts / 2 { drift_pressure } else { 0.0 })
-                .collect(),
-        }),
+        // The manager only ever sees drift's consequences in the
+        // observed slowdowns.
+        environment: (drift_pressure > 0.0)
+            .then(|| half_cluster_drift(hosts, drift_pressure, DRIFT_FROM_TICK)),
+        ..base_manager_config(cfg.seed, cfg.fast)
     }
 }
 
@@ -166,18 +131,9 @@ fn manager_config(cfg: &ExpConfig, drift_pressure: f64, hosts: usize) -> Manager
 ///
 /// Propagates model, placement, manager and testbed failures.
 pub fn run_traced(cfg: &ExpConfig, tracer: &Tracer) -> Result<RecoveryResult, ExpError> {
-    let apps = scenario_apps(cfg);
-    let mut base_tb = private_testbed(cfg);
+    let apps = supervised_apps(cfg.fast);
+    let (base_tb, base_fleet) = build_fleet(&apps, cfg.seed, cfg.fast)?;
     let hosts = base_tb.sim().cluster().hosts();
-    let names: Vec<&str> = apps.iter().map(|&(name, _)| name).collect();
-    let models = build_models(&mut base_tb, &names, Some(SPAN), cfg)?;
-    let managed_apps: Vec<ManagedApp> = apps
-        .iter()
-        .map(|&(name, priority)| {
-            ManagedApp::new(name, priority, OnlineModel::new(models[name].clone()))
-        })
-        .collect();
-    let base_fleet = Fleet::new(hosts, SLOTS_PER_HOST, SPAN, managed_apps)?;
     let crash_from_run = base_tb.sim().peek_run() + CRASH_AFTER_TICKS;
 
     // Discover the initial placement on clones (deterministic, so every
@@ -272,7 +228,7 @@ pub fn run_traced(cfg: &ExpConfig, tracer: &Tracer) -> Result<RecoveryResult, Ex
 
     Ok(RecoveryResult {
         ticks: config_probe.ticks,
-        apps: names.into_iter().map(str::to_owned).collect(),
+        apps: apps.into_iter().map(|a| a.name).collect(),
         points,
     })
 }

@@ -214,12 +214,10 @@ fn drive(
                 return Ok(fed);
             }
         }
-        server
-            .handle_frame(&scripted.frame)
-            .map_err(|e| ExpError::new(e.to_string()))?;
+        server.handle_frame(&scripted.frame)?;
         fed += 1;
     }
-    server.finish().map_err(|e| ExpError::new(e.to_string()))?;
+    server.finish()?;
     Ok(fed)
 }
 
@@ -243,15 +241,13 @@ pub fn run(cfg: &ExpConfig) -> Result<ServeResult, ExpError> {
 
     // Life 1: serve half the script, then die without draining.
     let state = scratch_dir("main", cfg.seed);
-    let mut server =
-        Server::start(config.clone(), Some(&state)).map_err(|e| ExpError::new(e.to_string()))?;
+    let mut server = Server::start(config.clone(), Some(&state))?;
     drive(&mut server, &script, 0, Some(kill_at))?;
     let committed_before_kill = read_journal(&state)?;
     drop(server); // mid-stream kill: queue contents and cache vanish
 
     // Life 2: recover and serve the rest.
-    let mut server =
-        Server::start(config.clone(), Some(&state)).map_err(|e| ExpError::new(e.to_string()))?;
+    let mut server = Server::start(config.clone(), Some(&state))?;
     let resume = usize::try_from(server.consumed_frames()).unwrap_or(usize::MAX);
     drive(&mut server, &script, resume, None)?;
     let committed = server.committed();
@@ -269,8 +265,7 @@ pub fn run(cfg: &ExpConfig) -> Result<ServeResult, ExpError> {
     // Determinism ledger: an uninterrupted same-seed run commits the
     // same bytes.
     let reference = scratch_dir("ref", cfg.seed);
-    let mut server = Server::start(config.clone(), Some(&reference))
-        .map_err(|e| ExpError::new(e.to_string()))?;
+    let mut server = Server::start(config.clone(), Some(&reference))?;
     drive(&mut server, &script, 0, None)?;
     drop(server);
     let reference_journal = read_journal(&reference)?;

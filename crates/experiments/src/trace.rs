@@ -287,6 +287,8 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
 
     let mut profiles: Vec<ProfileSummary> = Vec::new();
     let mut probe_residuals: Vec<f64> = Vec::new();
+    // The algorithm each open `profile` span declared, by span id.
+    let mut profile_algorithms: BTreeMap<Option<u64>, String> = BTreeMap::new();
 
     let mut searches: Vec<SearchSummary> = Vec::new();
     let mut open_search: Option<SearchSummary> = None;
@@ -365,7 +367,13 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
             "probe" => {
                 probe_residuals.push(event.num("residual").unwrap_or(0.0));
             }
-            "profile.begin" => probe_residuals.clear(),
+            "profile.begin" => {
+                profile_algorithms.insert(
+                    event.num("span").map(|s| s as u64),
+                    event.str("algorithm").unwrap_or("?").to_owned(),
+                );
+                probe_residuals.clear();
+            }
             "profile.end" => {
                 let abs: Vec<f64> = probe_residuals.iter().map(|r| r.abs()).collect();
                 let mean = if abs.is_empty() {
@@ -374,13 +382,8 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
                     abs.iter().sum::<f64>() / abs.len() as f64
                 };
                 profiles.push(ProfileSummary {
-                    algorithm: events
-                        .iter()
-                        .rev()
-                        .find_map(|e| {
-                            (e.name == "profile.begin" && e.num("span") == event.num("span"))
-                                .then(|| e.str("algorithm").unwrap_or("?").to_owned())
-                        })
+                    algorithm: profile_algorithms
+                        .remove(&event.num("span").map(|s| s as u64))
                         .unwrap_or_else(|| "?".to_owned()),
                     probes: event.num("probes").unwrap_or(abs.len() as f64) as u64,
                     cost: event.num("cost").unwrap_or(0.0),

@@ -13,14 +13,17 @@
 //!   Loading walks generations newest-first and falls back to the
 //!   previous good generation when the newest is torn or corrupt, so a
 //!   crash mid-checkpoint (or a flipped bit on disk) costs at most one
-//!   checkpoint interval — never the whole run.
+//!   checkpoint interval — never the whole run. That one walk
+//!   ([`SnapshotStore::load_newest`]) also takes the caller's payload
+//!   check, so a generation whose payload is refused (say, an unknown
+//!   format version) is skipped the same way.
 //!
 //! The framing is deliberately independent of the payload format: the
 //! store checksums opaque bytes, and callers layer their own versioned
 //! JSON payload (e.g. `icm-manager`'s `WorldSnapshot`) on top.
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -84,8 +87,8 @@ const HEADER_MAGIC: &str = "icmsnap";
 
 /// Why a single snapshot generation failed to load.
 ///
-/// `SnapshotStore::load_latest` treats every variant except plain I/O
-/// trouble as "this generation is damaged, try the previous one".
+/// [`SnapshotStore::load_newest`] treats every variant as "this
+/// generation is unusable, try the previous one".
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadError {
     /// The file could not be read at all.
@@ -109,6 +112,9 @@ pub enum LoadError {
         /// Checksum of the bytes on disk.
         got: u64,
     },
+    /// The framing verified, but the caller's payload check refused the
+    /// payload.
+    Payload(String),
 }
 
 impl fmt::Display for LoadError {
@@ -127,13 +133,14 @@ impl fmt::Display for LoadError {
                 f,
                 "corrupt snapshot: checksum {got:016x} != recorded {expected:016x}"
             ),
+            LoadError::Payload(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for LoadError {}
 
-/// Why `SnapshotStore::load_latest` could not produce any payload.
+/// Why [`SnapshotStore::load_newest`] could not produce any payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
     /// The store directory could not be read.
@@ -150,7 +157,7 @@ impl fmt::Display for StoreError {
             StoreError::NoneValid(tried) => {
                 write!(f, "no valid snapshot generation (tried {}):", tried.len())?;
                 for (generation, err) in tried {
-                    write!(f, " gen {generation}: {err};")?;
+                    write!(f, " generation {generation}: {err};")?;
                 }
                 Ok(())
             }
@@ -285,11 +292,11 @@ impl SnapshotStore {
         if generations.len() <= keep_last {
             return Ok(Vec::new());
         }
-        let newest_loadable = generations
-            .iter()
-            .rev()
-            .copied()
-            .find(|&generation| self.load(generation).is_ok());
+        let newest_loadable = self
+            .load_latest()
+            .ok()
+            .flatten()
+            .map(|(generation, _)| generation);
         let cutoff = generations[generations.len() - keep_last];
         let mut removed = Vec::new();
         for &generation in &generations {
@@ -303,19 +310,34 @@ impl SnapshotStore {
     }
 
     /// Loads the newest generation that verifies, falling back through
-    /// older ones when the newest is torn or corrupt.
+    /// older ones when the newest is torn or corrupt: the integrity-only
+    /// case of [`SnapshotStore::load_newest`].
+    pub fn load_latest(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
+        self.load_newest(Ok)
+    }
+
+    /// Walks generations newest-first and returns the first one whose
+    /// framing verifies *and* whose payload `check` accepts, decoded.
+    /// A generation that fails either test — torn, corrupt, or refused
+    /// by `check` — is skipped in favor of the previous one.
     ///
     /// Returns `Ok(None)` for an empty store, and `Err(NoneValid)` —
-    /// with every per-generation failure — only when generations exist
-    /// but none load.
-    pub fn load_latest(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
+    /// with every per-generation failure, newest first — only when
+    /// generations exist but none is usable.
+    pub fn load_newest<T>(
+        &self,
+        mut check: impl FnMut(Vec<u8>) -> Result<T, String>,
+    ) -> Result<Option<(u64, T)>, StoreError> {
         let generations = self
             .generations()
             .map_err(|e| StoreError::Io(e.to_string()))?;
         let mut failures = Vec::new();
         for &generation in generations.iter().rev() {
-            match self.load(generation) {
-                Ok(payload) => return Ok(Some((generation, payload))),
+            match self
+                .load(generation)
+                .and_then(|payload| check(payload).map_err(LoadError::Payload))
+            {
+                Ok(value) => return Ok(Some((generation, value))),
                 Err(err) => failures.push((generation, err)),
             }
         }
@@ -325,14 +347,6 @@ impl SnapshotStore {
             Err(StoreError::NoneValid(failures))
         }
     }
-}
-
-/// Appends `bytes` to `path`, creating it if absent. The counterpart to
-/// [`atomic_write`] for growing logs (JSONL traces on resume).
-pub fn append(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(bytes)?;
-    file.flush()
 }
 
 #[cfg(test)]
@@ -458,6 +472,42 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_payload_falls_back_like_a_damaged_frame() {
+        let dir = tmpdir("check");
+        let store = SnapshotStore::open(&dir).unwrap();
+        for payload in [b"ok 1", b"ok 2", b"no 3"] {
+            store.save(payload).unwrap();
+        }
+        let check = |bytes: Vec<u8>| match bytes.strip_prefix(b"ok ") {
+            Some(rest) => Ok(rest.to_vec()),
+            None => Err(format!("refused {:?}", String::from_utf8_lossy(&bytes))),
+        };
+        let (generation, value) = store.load_newest(check).unwrap().unwrap();
+        assert_eq!((generation, value.as_slice()), (2, b"2".as_slice()));
+        // Integrity alone accepts the newest.
+        assert_eq!(store.load_latest().unwrap().unwrap().0, 3);
+        fs::write(dir.join("gen-000002.icmsnap"), b"junk").unwrap();
+        assert_eq!(store.load_newest(check).unwrap().unwrap().0, 1);
+        fs::write(dir.join("gen-000001.icmsnap"), b"junk").unwrap();
+        let err = store.load_newest(check).unwrap_err();
+        match &err {
+            StoreError::NoneValid(tried) => {
+                let generations: Vec<u64> = tried.iter().map(|(g, _)| *g).collect();
+                assert_eq!(generations, vec![3, 2, 1], "newest first");
+                assert!(matches!(tried[0].1, LoadError::Payload(_)));
+                assert!(matches!(tried[1].1, LoadError::BadHeader(_)));
+            }
+            other => panic!("expected NoneValid, got {other:?}"),
+        }
+        let message = err.to_string();
+        assert!(
+            message.contains("generation 3: refused \"no 3\""),
+            "{message}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn prune_bounds_the_store_and_keeps_the_newest() {
         let dir = tmpdir("prune");
         let store = SnapshotStore::open(&dir).unwrap();
@@ -498,16 +548,6 @@ mod tests {
         // keep_last = 0 is clamped: the store never prunes itself empty.
         assert!(store.prune(0).unwrap().is_empty());
         assert!(store.load_latest().unwrap().is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_grows_a_log() {
-        let dir = tmpdir("append");
-        let path = dir.join("trace.jsonl");
-        append(&path, b"line 1\n").unwrap();
-        append(&path, b"line 2\n").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"line 1\nline 2\n");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

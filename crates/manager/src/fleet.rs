@@ -152,11 +152,6 @@ impl Fleet {
         self.problem.slots_per_workload()
     }
 
-    /// Whether workload index `w` is an idle filler.
-    pub fn is_idle(&self, w: usize) -> bool {
-        w >= self.apps.len()
-    }
-
     /// Index of the live application the manager would shed next: lowest
     /// priority, ties broken toward the lexicographically larger name.
     /// `live` flags are indexed like [`Self::apps`].

@@ -18,9 +18,9 @@
 use std::fmt;
 
 use icm_json::{FromJson, Json, JsonError, ToJson, VersionedError};
-use icm_obs::TracerState;
+use icm_obs::{Tracer, TracerState};
 use icm_rng::Rng;
-use icm_simcluster::TestbedSnapshot;
+use icm_simcluster::{SimTestbed, TestbedSnapshot};
 
 use crate::fleet::Fleet;
 use crate::runtime::{ManagedRun, ManagerConfig};
@@ -129,9 +129,10 @@ icm_json::impl_json!(struct WorldSnapshot {
     trace_bytes,
 });
 
-/// Why a snapshot payload was rejected.
+/// Why a versioned snapshot payload was rejected, for a format whose
+/// current version is `READS`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotFormatError {
+pub enum FormatError<const READS: u64> {
     /// The payload declares a format version this build does not read.
     UnknownVersion(u64),
     /// The payload is not valid JSON, or a field is missing or
@@ -139,50 +140,99 @@ pub enum SnapshotFormatError {
     Payload(JsonError),
 }
 
-impl fmt::Display for SnapshotFormatError {
+/// Why a [`WorldSnapshot`] payload was rejected.
+pub type SnapshotFormatError = FormatError<WORLD_SNAPSHOT_VERSION>;
+
+impl<const READS: u64> fmt::Display for FormatError<READS> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnknownVersion(v) => write!(
-                f,
-                "snapshot format version {v} (this build reads {WORLD_SNAPSHOT_VERSION})"
-            ),
+            Self::UnknownVersion(v) => {
+                write!(f, "snapshot format version {v} (this build reads {READS})")
+            }
             Self::Payload(e) => write!(f, "snapshot payload: {e}"),
         }
     }
 }
 
-impl std::error::Error for SnapshotFormatError {}
+impl<const READS: u64> std::error::Error for FormatError<READS> {}
+
+/// Parses a snapshot payload whose top-level `version` (read by
+/// `version`) must equal `READS`, streaming it straight into `T` with
+/// no JSON tree.
+///
+/// The text is decoded once; its `version` is checked after a
+/// successful decode, and read alone only when the decode fails
+/// ([`icm_json::from_str_versioned`]). The verdict equals a
+/// version-first check on the parsed tree.
+///
+/// # Errors
+///
+/// [`FormatError::UnknownVersion`] when the payload is well-formed JSON
+/// whose `version` differs from `READS`; [`FormatError::Payload`] for
+/// malformed JSON or a missing or mis-typed field.
+pub fn parse_versioned<T: FromJson, const READS: u64>(
+    text: &str,
+    version: impl FnOnce(&T) -> u64,
+) -> Result<T, FormatError<READS>> {
+    icm_json::from_str_versioned(text, READS, version).map_err(|e| match e {
+        // A decoded version is an exact integer; a probed one converts
+        // (saturating, truncating) as it always has.
+        VersionedError::Version(v) => FormatError::UnknownVersion(v as u64),
+        VersionedError::Payload(e) => FormatError::Payload(e),
+    })
+}
 
 impl WorldSnapshot {
+    /// Captures a supervised world at a tick boundary. Seals the run's
+    /// history first (see [`ManagedRun::seal`]), so the snapshot encodes
+    /// only the records that changed since the last one. No driver
+    /// RNGs and no trace position are recorded; a caller that owns them
+    /// fills in `rngs`, `trace_path` and `trace_bytes`.
+    pub fn capture(
+        testbed: &SimTestbed,
+        fleet: &Fleet,
+        config: &ManagerConfig,
+        run: &mut ManagedRun,
+        tracer: &Tracer,
+    ) -> Self {
+        run.seal();
+        Self {
+            version: WORLD_SNAPSHOT_VERSION,
+            testbed: testbed.snapshot(),
+            config: config.clone(),
+            fleet: fleet.clone(),
+            run: run.clone(),
+            tracer: tracer.state(),
+            rngs: Vec::new(),
+            trace_path: None,
+            trace_bytes: 0,
+        }
+    }
+
+    /// The supervised world this snapshot holds, ready to step. The
+    /// testbed's tracer does not travel in the snapshot; `tracer` is
+    /// attached in its place. The driver RNGs stay in `rngs`.
+    pub fn restore(self, tracer: &Tracer) -> (SimTestbed, Fleet, ManagerConfig, ManagedRun) {
+        let mut testbed = SimTestbed::restore(self.testbed);
+        testbed.set_tracer(tracer.clone());
+        (testbed, self.fleet, self.config, self.run)
+    }
+
     /// Serializes the snapshot to its canonical compact JSON text,
     /// streaming it without building a JSON tree.
     pub fn to_text(&self) -> String {
         icm_json::to_string(self)
     }
 
-    /// Parses snapshot text, streaming it straight into the snapshot
-    /// with no JSON tree, and refuses other format versions.
-    ///
-    /// The text is decoded once; its `version` is checked after a
-    /// successful decode, and read alone only when the decode fails
-    /// ([`icm_json::from_str_versioned`]). The verdict equals a
-    /// version-first check on the parsed tree.
+    /// Parses snapshot text and refuses other format versions (see
+    /// [`parse_versioned`]).
     ///
     /// # Errors
     ///
-    /// [`SnapshotFormatError::UnknownVersion`] when the payload is
-    /// well-formed JSON whose `version` differs from
-    /// [`WORLD_SNAPSHOT_VERSION`]; [`SnapshotFormatError::Payload`] for
-    /// malformed JSON or a missing or mis-typed field.
+    /// [`SnapshotFormatError::UnknownVersion`] for a well-formed payload
+    /// of another version, [`SnapshotFormatError::Payload`] for damage.
     pub fn parse(text: &str) -> Result<Self, SnapshotFormatError> {
-        icm_json::from_str_versioned(text, WORLD_SNAPSHOT_VERSION, |s: &Self| s.version).map_err(
-            |e| match e {
-                // A decoded version is an exact integer; a probed one
-                // converts (saturating, truncating) as it always has.
-                VersionedError::Version(v) => SnapshotFormatError::UnknownVersion(v as u64),
-                VersionedError::Payload(e) => SnapshotFormatError::Payload(e),
-            },
-        )
+        parse_versioned(text, |s: &Self| s.version)
     }
 }
 

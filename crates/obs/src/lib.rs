@@ -498,18 +498,6 @@ impl Tracer {
         Ok(Self::with_sink(JsonlSink::create(path)?))
     }
 
-    /// A tracer appending JSONL to an existing file without truncating
-    /// it — the resume-path counterpart of [`Tracer::jsonl_file`].
-    /// Combine with [`Tracer::restore_state`] so appended events
-    /// continue the prior stamp sequence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open failures.
-    pub fn jsonl_file_append(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(Self::with_sink(JsonlSink::append(path)?))
-    }
-
     /// Captures the tracer's position (clock + span counter) for a
     /// savestate. A disabled tracer reports the zero state.
     pub fn state(&self) -> TracerState {

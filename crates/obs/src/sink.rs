@@ -152,12 +152,6 @@ impl<W: Write> JsonlSink<W> {
     pub fn io_errors(&self) -> u64 {
         self.io_errors
     }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
-    }
 }
 
 impl<W: Write> Sink for JsonlSink<W> {

@@ -24,9 +24,13 @@
 //!   lose no acknowledged reply — recovery re-executes the intake
 //!   suffix and proves the regenerated replies byte-identical.
 //!
-//! All scheduling runs on a deterministic virtual clock; wall time is
-//! observed into a side-channel sketch and never put on the wire, so
-//! same-seed runs commit byte-identical journals.
+//! All scheduling runs on a deterministic virtual clock and no wall
+//! time is put on the wire, so same-seed runs commit byte-identical
+//! journals.
+//!
+//! The supervised world itself — which applications, how they are
+//! profiled, the manager defaults — is decided once in [`world`], which
+//! the endurance and recovery experiments build from too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,5 +50,5 @@ pub use frame::{Frame, FrameReader, MAX_FRAME_BYTES};
 pub use journal::{JournalEntry, JournalError, LineJournal};
 pub use protocol::{ErrorCode, ParseRefusal, Reply, Request, RequestKind};
 pub use queue::{Admission, AdmissionQueue, Pending};
-pub use server::{Counters, Server, ServerSnapshot, SERVER_SNAPSHOT_VERSION};
+pub use server::{Counters, Server, ServerSnapshot, ServerSnapshotError, SERVER_SNAPSHOT_VERSION};
 pub use world::{build_world, AppSpec, ServerConfig};

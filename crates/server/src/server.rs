@@ -9,10 +9,8 @@
 //! microseconds. Arrivals carry explicit virtual stamps (`at_ms`), and
 //! each operation is charged a fixed deterministic cost. Two runs fed
 //! the same frames therefore make byte-identical decisions and emit
-//! byte-identical replies, no matter how the OS schedules them; wall
-//! time is measured separately into a [`QuantileSketch`] side channel
-//! that never touches a reply. This is the manager's determinism
-//! contract extended to traffic.
+//! byte-identical replies, no matter how the OS schedules them. This is
+//! the manager's determinism contract extended to traffic.
 //!
 //! # Crash safety
 //!
@@ -25,7 +23,9 @@
 //! * `checkpoints/` — periodic [`ServerSnapshot`] generations through
 //!   [`SnapshotStore`], pruned to a bounded count.
 //!
-//! Recovery loads the newest usable checkpoint, then re-feeds the
+//! Recovery loads the newest usable checkpoint (the store's one
+//! newest-first walk, [`SnapshotStore::load_newest`], with
+//! [`ServerSnapshot::parse`] as its payload check), then re-feeds the
 //! intake suffix through the same engine: replies that were already
 //! committed are *verified byte-for-byte* against the journal (a
 //! mismatch is corruption, not a shrug), replies past the journal's
@@ -35,14 +35,13 @@
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::time::Instant;
 
 use icm_json::fs::SnapshotStore;
-use icm_json::{Json, JsonError, VersionedError};
+use icm_json::Json;
 use icm_manager::objective::FleetObjective;
-use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
+use icm_manager::snapshot::{parse_versioned, FormatError, WorldSnapshot};
 use icm_manager::{Fleet, ManagedRun, ManagerConfig};
-use icm_obs::{QuantileSketch, Tracer};
+use icm_obs::Tracer;
 use icm_placement::{anneal_with, AnnealConfig};
 use icm_simcluster::SimTestbed;
 
@@ -74,6 +73,9 @@ pub const REJECT_COST_US: u64 = 10;
 
 /// Current server snapshot payload version.
 pub const SERVER_SNAPSHOT_VERSION: u64 = 1;
+
+/// Why a [`ServerSnapshot`] payload was rejected.
+pub type ServerSnapshotError = FormatError<SERVER_SNAPSHOT_VERSION>;
 
 /// Reply counters, by outcome. They travel in snapshots so `status`
 /// replies stay byte-identical across a kill and resume.
@@ -146,23 +148,39 @@ icm_json::impl_json!(struct ServerSnapshot {
 });
 
 impl ServerSnapshot {
-    /// Parses snapshot text, streaming it straight into the snapshot
-    /// with no JSON tree, and refuses other format versions by the same
-    /// rule as [`WorldSnapshot::parse`]
-    /// ([`icm_json::from_str_versioned`]).
+    /// The snapshot a daemon starts from when it has no checkpoint: the
+    /// freshly built world, an empty cache, a zero clock and no history.
     ///
     /// # Errors
     ///
-    /// A [`JsonError`] describing the version or payload problem.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        icm_json::from_str_versioned(text, SERVER_SNAPSHOT_VERSION, |s: &Self| s.version).map_err(
-            |e| match e {
-                VersionedError::Version(version) => JsonError::msg(format!(
-                    "ServerSnapshot: version {version} (this build reads {SERVER_SNAPSHOT_VERSION})"
-                )),
-                VersionedError::Payload(e) => e,
-            },
-        )
+    /// World construction failures.
+    fn fresh(config: ServerConfig, tracer: &Tracer) -> Result<Self, ServerError> {
+        let (testbed, fleet, manager_config, mut run) = build_world(&config)?;
+        Ok(Self {
+            version: SERVER_SNAPSHOT_VERSION,
+            world: WorldSnapshot::capture(&testbed, &fleet, &manager_config, &mut run, tracer),
+            config,
+            clock_us: 0,
+            last_arrival_us: 0,
+            admit_stamp: 0,
+            journal_seq: 0,
+            intake_seq: 0,
+            cache: Vec::new(),
+            counters: Counters::default(),
+            shutting_down: false,
+        })
+    }
+
+    /// Parses snapshot text, streaming it straight into the snapshot
+    /// with no JSON tree, and refuses other format versions by the same
+    /// rule as [`WorldSnapshot::parse`] ([`parse_versioned`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ServerSnapshotError::UnknownVersion`] for a well-formed payload
+    /// of another version, [`ServerSnapshotError::Payload`] for damage.
+    pub fn parse(text: &str) -> Result<Self, ServerSnapshotError> {
+        parse_versioned(text, |s: &Self| s.version)
     }
 }
 
@@ -237,7 +255,6 @@ pub struct Server {
     verify: VecDeque<JournalEntry>,
     replaying: bool,
     commits_since_checkpoint: u64,
-    wall_ns: QuantileSketch,
     committed_total: u64,
     /// Intake entries the current state reflects (consumed frames).
     intake_pos: u64,
@@ -256,19 +273,16 @@ impl Server {
     /// (journal/checkpoint corruption that recovery cannot prove safe).
     pub fn start(config: ServerConfig, state_dir: Option<&Path>) -> Result<Self, ServerError> {
         let tracer = Tracer::disabled();
-        let (store, snapshot, journal, journal_entries, intake, intake_entries) = match state_dir {
-            None => (None, None, None, Vec::new(), None, Vec::new()),
+        let (store, journal, journal_entries, intake, intake_entries) = match state_dir {
+            None => (None, None, Vec::new(), None, Vec::new()),
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let store = SnapshotStore::open(&dir.join("checkpoints"))?;
-                let snapshot = load_snapshot(&store)?;
                 let (journal, journal_entries) =
                     LineJournal::open(&dir.join("journal.log"), config.sync)?;
                 let (intake, intake_entries) =
                     LineJournal::open(&dir.join("intake.log"), config.sync)?;
                 (
-                    Some(store),
-                    snapshot,
+                    Some(SnapshotStore::open(&dir.join("checkpoints"))?),
                     Some(journal),
                     journal_entries,
                     Some(intake),
@@ -276,78 +290,55 @@ impl Server {
                 )
             }
         };
-        let mut server = match snapshot {
-            Some(snapshot) => {
-                if (journal_entries.len() as u64) < snapshot.journal_seq {
-                    return Err(ServerError::new(format!(
-                        "journal holds {} entries but the checkpoint reflects {} — \
-                         committed history is missing",
-                        journal_entries.len(),
-                        snapshot.journal_seq
-                    )));
-                }
-                if (intake_entries.len() as u64) < snapshot.intake_seq {
-                    return Err(ServerError::new(format!(
-                        "intake log holds {} entries but the checkpoint reflects {} — \
-                         accepted frames are missing",
-                        intake_entries.len(),
-                        snapshot.intake_seq
-                    )));
-                }
-                let mut testbed = SimTestbed::restore(snapshot.world.testbed);
-                testbed.set_tracer(tracer.clone());
-                Self {
-                    manager_config: snapshot.world.config,
-                    queue: AdmissionQueue::new(snapshot.config.queue_capacity),
-                    cache: PredictionCache::restore(snapshot.config.cache_capacity, snapshot.cache),
-                    clock_us: snapshot.clock_us,
-                    last_arrival_us: snapshot.last_arrival_us,
-                    admit_stamp: snapshot.admit_stamp,
-                    counters: snapshot.counters,
-                    shutting_down: snapshot.shutting_down,
-                    committed_total: snapshot.journal_seq,
-                    config: snapshot.config,
-                    testbed,
-                    fleet: snapshot.world.fleet,
-                    run: snapshot.world.run,
-                    tracer,
-                    journal,
-                    intake,
-                    store,
-                    verify: VecDeque::new(),
-                    replaying: false,
-                    commits_since_checkpoint: 0,
-                    wall_ns: QuantileSketch::new(),
-                    intake_pos: snapshot.intake_seq,
-                }
-            }
-            None => {
-                let (testbed, fleet, manager_config, run) = build_world(&config)?;
-                Self {
-                    queue: AdmissionQueue::new(config.queue_capacity),
-                    cache: PredictionCache::new(config.cache_capacity),
-                    clock_us: 0,
-                    last_arrival_us: 0,
-                    admit_stamp: 0,
-                    counters: Counters::default(),
-                    shutting_down: false,
-                    committed_total: 0,
-                    config,
-                    manager_config,
-                    testbed,
-                    fleet,
-                    run,
-                    tracer,
-                    journal,
-                    intake,
-                    store,
-                    verify: VecDeque::new(),
-                    replaying: false,
-                    commits_since_checkpoint: 0,
-                    wall_ns: QuantileSketch::new(),
-                    intake_pos: 0,
-                }
-            }
+        let checkpoint = match &store {
+            Some(store) => load_snapshot(store)?,
+            None => None,
+        };
+        // Without a checkpoint the daemon starts from its freshly built
+        // world, through the same restore as a recovering daemon.
+        let snapshot = match checkpoint {
+            Some(snapshot) => snapshot,
+            None => ServerSnapshot::fresh(config, &tracer)?,
+        };
+        if (journal_entries.len() as u64) < snapshot.journal_seq {
+            return Err(ServerError::new(format!(
+                "journal holds {} entries but the checkpoint reflects {} — \
+                 committed history is missing",
+                journal_entries.len(),
+                snapshot.journal_seq
+            )));
+        }
+        if (intake_entries.len() as u64) < snapshot.intake_seq {
+            return Err(ServerError::new(format!(
+                "intake log holds {} entries but the checkpoint reflects {} — \
+                 accepted frames are missing",
+                intake_entries.len(),
+                snapshot.intake_seq
+            )));
+        }
+        let (testbed, fleet, manager_config, run) = snapshot.world.restore(&tracer);
+        let mut server = Self {
+            queue: AdmissionQueue::new(snapshot.config.queue_capacity),
+            cache: PredictionCache::restore(snapshot.config.cache_capacity, snapshot.cache),
+            config: snapshot.config,
+            manager_config,
+            testbed,
+            fleet,
+            run,
+            tracer,
+            clock_us: snapshot.clock_us,
+            last_arrival_us: snapshot.last_arrival_us,
+            admit_stamp: snapshot.admit_stamp,
+            counters: snapshot.counters,
+            shutting_down: snapshot.shutting_down,
+            journal,
+            intake,
+            store,
+            verify: VecDeque::new(),
+            replaying: false,
+            commits_since_checkpoint: 0,
+            committed_total: snapshot.journal_seq,
+            intake_pos: snapshot.intake_seq,
         };
         // Re-execute the intake suffix. Replies up to the journal's
         // recovered tail must re-materialize byte-for-byte; anything
@@ -361,7 +352,7 @@ impl Server {
         server.replaying = true;
         for entry in intake_entries.into_iter().skip(resume_intake as usize) {
             let frame = parse_intake_record(&entry.reply_line)?;
-            server.ingest(&frame)?;
+            server.handle_frame(&frame)?;
         }
         server.replaying = false;
         if let Some(stale) = server.verify.pop_front() {
@@ -377,11 +368,6 @@ impl Server {
     /// The server configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// The supervised fleet.
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
     }
 
     /// Mutable fleet access (attach quality grids before serving).
@@ -421,28 +407,6 @@ impl Server {
         self.shutting_down
     }
 
-    /// Wall-clock per-frame handling latency (nanoseconds), the side
-    /// channel kept out of every reply.
-    pub fn wall_latency_ns(&self) -> &QuantileSketch {
-        &self.wall_ns
-    }
-
-    /// Handles one frame, returning the reply lines released by it —
-    /// its own reply when served immediately, typed refusals, and any
-    /// replies for queued requests whose virtual service completed
-    /// before this frame's arrival stamp.
-    ///
-    /// # Errors
-    ///
-    /// Only daemon-stopping trouble (persistence I/O, integrity);
-    /// malformed frames and invalid requests produce typed replies.
-    pub fn handle_frame(&mut self, frame: &Frame) -> Result<Vec<String>, ServerError> {
-        let begin = Instant::now();
-        let out = self.ingest(frame);
-        self.wall_ns.observe(begin.elapsed().as_nanos() as f64);
-        out
-    }
-
     /// Drains every pending request (end of input or explicit flush)
     /// and returns the released reply lines.
     ///
@@ -458,7 +422,17 @@ impl Server {
         Ok(replies)
     }
 
-    fn ingest(&mut self, frame: &Frame) -> Result<Vec<String>, ServerError> {
+    /// Handles one frame, returning the reply lines released by it —
+    /// its own reply when served immediately, typed refusals, and any
+    /// replies for queued requests whose virtual service completed
+    /// before this frame's arrival stamp. Recovery replays the intake
+    /// log through here too.
+    ///
+    /// # Errors
+    ///
+    /// Only daemon-stopping trouble (persistence I/O, integrity);
+    /// malformed frames and invalid requests produce typed replies.
+    pub fn handle_frame(&mut self, frame: &Frame) -> Result<Vec<String>, ServerError> {
         if matches!(frame, Frame::Eof) {
             return Ok(Vec::new());
         }
@@ -595,32 +569,19 @@ impl Server {
 
     fn process(&mut self, pending: Pending, replies: &mut Vec<String>) -> Result<(), ServerError> {
         let start_us = self.clock_us.max(pending.arrival_us);
-        let wait_us = start_us - pending.arrival_us;
-        let budget_us = pending.request.deadline_ms.saturating_mul(1_000);
-        let id = pending.request.id.clone();
-        let refuse =
-            |server: &mut Self, code: ErrorCode, detail: String, replies: &mut Vec<String>| {
-                server.clock_us = start_us + REJECT_COST_US;
-                server.counters.refused += 1;
-                server.commit(
-                    Reply::Error {
-                        id: Some(id.clone()),
-                        code,
-                        detail,
-                    },
-                    replies,
-                )
-            };
+        let slot = Slot {
+            id: pending.request.id.clone(),
+            arrival_us: pending.arrival_us,
+            start_us,
+            wait_us: start_us - pending.arrival_us,
+            budget_us: pending.request.deadline_ms.saturating_mul(1_000),
+        };
         match pending.request.kind.clone() {
             RequestKind::Predict { app, corunners } => {
                 let Some((index, pressures, key)) = context_for(&self.fleet, &app, &corunners)
                 else {
-                    return refuse(
-                        self,
-                        ErrorCode::UnknownApp,
-                        format!("`{app}` (or a corunner) is not in the supervised fleet"),
-                        replies,
-                    );
+                    let detail = format!("`{app}` (or a corunner) is not in the supervised fleet");
+                    return self.refuse(slot, ErrorCode::UnknownApp, detail, replies);
                 };
                 let saturated = self.queue.backlog_us() > self.config.saturation_us;
                 if saturated {
@@ -629,57 +590,41 @@ impl Server {
                             .get(&app, &key, start_us, self.config.cache_max_age_us)
                     {
                         if entry.quality == "defaulted" {
-                            return refuse(
-                                self,
-                                ErrorCode::CircuitOpen,
-                                format!(
-                                    "a degraded answer for `{app}` under `{key}` would rest \
-                                     on defaulted model cells"
-                                ),
-                                replies,
+                            let detail = format!(
+                                "a degraded answer for `{app}` under `{key}` would rest \
+                                 on defaulted model cells"
                             );
+                            return self.refuse(slot, ErrorCode::CircuitOpen, detail, replies);
                         }
-                        if wait_us + PREDICT_CACHED_COST_US > budget_us {
-                            return self.refuse_deadline(
-                                id,
-                                start_us,
-                                budget_us,
-                                wait_us + PREDICT_CACHED_COST_US,
-                                replies,
-                            );
+                        if slot.late(PREDICT_CACHED_COST_US) {
+                            return self.refuse_deadline(slot, PREDICT_CACHED_COST_US, replies);
                         }
-                        self.clock_us = start_us + PREDICT_CACHED_COST_US;
-                        self.counters.completed += 1;
                         self.counters.degraded += 1;
-                        let latency_us = self.clock_us - pending.arrival_us;
-                        let reply = Reply::Ok {
-                            id,
-                            degraded: true,
-                            latency_us,
-                            payload: Json::object([
-                                ("app", Json::String(app)),
-                                ("key", Json::String(key)),
-                                ("predicted", Json::Number(entry.predicted)),
-                                ("quality", Json::String(entry.quality)),
-                                ("cached", Json::Bool(true)),
-                            ]),
-                        };
-                        return self.commit(reply, replies);
+                        let payload = Json::object([
+                            ("app", Json::String(app)),
+                            ("key", Json::String(key)),
+                            ("predicted", Json::Number(entry.predicted)),
+                            ("quality", Json::String(entry.quality)),
+                            ("cached", Json::Bool(true)),
+                        ]);
+                        return self.complete(
+                            slot,
+                            PREDICT_CACHED_COST_US,
+                            true,
+                            |_| payload,
+                            replies,
+                        );
                     }
                 }
-                if wait_us + PREDICT_FULL_COST_US > budget_us {
-                    return self.refuse_deadline(
-                        id,
-                        start_us,
-                        budget_us,
-                        wait_us + PREDICT_FULL_COST_US,
-                        replies,
-                    );
+                if slot.late(PREDICT_FULL_COST_US) {
+                    return self.refuse_deadline(slot, PREDICT_FULL_COST_US, replies);
                 }
                 let online = &self.fleet.apps()[index].online;
                 let predicted = match online.predict_for(&key, &pressures) {
                     Ok(value) => value,
-                    Err(e) => return refuse(self, ErrorCode::Unavailable, e.to_string(), replies),
+                    Err(e) => {
+                        return self.refuse(slot, ErrorCode::Unavailable, e.to_string(), replies)
+                    }
                 };
                 let quality = match self.fleet.apps()[index].quality.as_ref() {
                     None => icm_core::ModelQuality::Measured.as_str(),
@@ -688,24 +633,21 @@ impl Server {
                         grid.at_hom(hom.pressure, hom.nodes).as_str()
                     }
                 };
-                self.clock_us = start_us + PREDICT_FULL_COST_US;
-                self.cache
-                    .put(&app, &key, predicted, quality, self.clock_us);
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([
-                        ("app", Json::String(app)),
-                        ("key", Json::String(key)),
-                        ("predicted", Json::Number(predicted)),
-                        ("quality", Json::String(quality.to_owned())),
-                        ("cached", Json::Bool(false)),
-                    ]),
-                };
-                self.commit(reply, replies)
+                self.cache.put(
+                    &app,
+                    &key,
+                    predicted,
+                    quality,
+                    start_us + PREDICT_FULL_COST_US,
+                );
+                let payload = Json::object([
+                    ("app", Json::String(app)),
+                    ("key", Json::String(key)),
+                    ("predicted", Json::Number(predicted)),
+                    ("quality", Json::String(quality.to_owned())),
+                    ("cached", Json::Bool(false)),
+                ]);
+                self.complete(slot, PREDICT_FULL_COST_US, false, |_| payload, replies)
             }
             RequestKind::Observe {
                 app,
@@ -714,53 +656,29 @@ impl Server {
             } => {
                 let Some((index, pressures, key)) = context_for(&self.fleet, &app, &corunners)
                 else {
-                    return refuse(
-                        self,
-                        ErrorCode::UnknownApp,
-                        format!("`{app}` (or a corunner) is not in the supervised fleet"),
-                        replies,
-                    );
+                    let detail = format!("`{app}` (or a corunner) is not in the supervised fleet");
+                    return self.refuse(slot, ErrorCode::UnknownApp, detail, replies);
                 };
-                if wait_us + OBSERVE_COST_US > budget_us {
-                    return self.refuse_deadline(
-                        id,
-                        start_us,
-                        budget_us,
-                        wait_us + OBSERVE_COST_US,
-                        replies,
-                    );
+                if slot.late(OBSERVE_COST_US) {
+                    return self.refuse_deadline(slot, OBSERVE_COST_US, replies);
                 }
                 let online = &mut self.fleet.apps_mut()[index].online;
                 if let Err(e) = online.observe_for(&key, &pressures, normalized) {
-                    return refuse(self, ErrorCode::Unavailable, e.to_string(), replies);
+                    return self.refuse(slot, ErrorCode::Unavailable, e.to_string(), replies);
                 }
                 let observations = online.observations();
                 self.cache.invalidate_app(&app);
-                self.clock_us = start_us + OBSERVE_COST_US;
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([
-                        ("app", Json::String(app)),
-                        ("key", Json::String(key)),
-                        ("observations", Json::Number(observations as f64)),
-                    ]),
-                };
-                self.commit(reply, replies)
+                let payload = Json::object([
+                    ("app", Json::String(app)),
+                    ("key", Json::String(key)),
+                    ("observations", Json::Number(observations as f64)),
+                ]);
+                self.complete(slot, OBSERVE_COST_US, false, |_| payload, replies)
             }
             RequestKind::Place { iterations } => {
                 let cost_us = PLACE_BASE_COST_US + PLACE_PER_ITERATION_COST_US * iterations;
-                if wait_us + cost_us > budget_us {
-                    return self.refuse_deadline(
-                        id,
-                        start_us,
-                        budget_us,
-                        wait_us + cost_us,
-                        replies,
-                    );
+                if slot.late(cost_us) {
+                    return self.refuse_deadline(slot, cost_us, replies);
                 }
                 let anneal_config = AnnealConfig {
                     iterations: iterations as usize,
@@ -782,40 +700,24 @@ impl Server {
                     &self.tracer,
                 ) {
                     Ok(result) => result,
-                    Err(e) => return refuse(self, ErrorCode::Unavailable, e.to_string(), replies),
+                    Err(e) => {
+                        return self.refuse(slot, ErrorCode::Unavailable, e.to_string(), replies)
+                    }
                 };
-                self.clock_us = start_us + cost_us;
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([
-                        ("cost", Json::Number(result.cost)),
-                        ("evaluations", Json::Number(result.evaluations as f64)),
-                        ("best_iteration", Json::Number(result.best_iteration as f64)),
-                    ]),
-                };
-                self.commit(reply, replies)
+                let payload = Json::object([
+                    ("cost", Json::Number(result.cost)),
+                    ("evaluations", Json::Number(result.evaluations as f64)),
+                    ("best_iteration", Json::Number(result.best_iteration as f64)),
+                ]);
+                self.complete(slot, cost_us, false, |_| payload, replies)
             }
             RequestKind::Tick => {
                 if self.run.is_done(&self.manager_config) {
-                    return refuse(
-                        self,
-                        ErrorCode::Unavailable,
-                        "the supervised run has reached its horizon".into(),
-                        replies,
-                    );
+                    let detail = "the supervised run has reached its horizon".to_owned();
+                    return self.refuse(slot, ErrorCode::Unavailable, detail, replies);
                 }
-                if wait_us + TICK_COST_US > budget_us {
-                    return self.refuse_deadline(
-                        id,
-                        start_us,
-                        budget_us,
-                        wait_us + TICK_COST_US,
-                        replies,
-                    );
+                if slot.late(TICK_COST_US) {
+                    return self.refuse_deadline(slot, TICK_COST_US, replies);
                 }
                 if let Err(e) = self.run.step(
                     &mut self.testbed,
@@ -823,93 +725,106 @@ impl Server {
                     &self.manager_config,
                     &self.tracer,
                 ) {
-                    return refuse(self, ErrorCode::Unavailable, e.to_string(), replies);
+                    return self.refuse(slot, ErrorCode::Unavailable, e.to_string(), replies);
                 }
-                self.clock_us = start_us + TICK_COST_US;
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([
-                        ("tick", Json::Number((self.run.next_tick() - 1) as f64)),
-                        ("violation_s", Json::Number(self.run.violation_seconds())),
-                    ]),
-                };
-                self.commit(reply, replies)
+                let payload = Json::object([
+                    ("tick", Json::Number((self.run.next_tick() - 1) as f64)),
+                    ("violation_s", Json::Number(self.run.violation_seconds())),
+                ]);
+                self.complete(slot, TICK_COST_US, false, |_| payload, replies)
             }
             RequestKind::Status => {
-                if wait_us + STATUS_COST_US > budget_us {
-                    return self.refuse_deadline(
-                        id,
-                        start_us,
-                        budget_us,
-                        wait_us + STATUS_COST_US,
-                        replies,
-                    );
+                if slot.late(STATUS_COST_US) {
+                    return self.refuse_deadline(slot, STATUS_COST_US, replies);
                 }
-                self.clock_us = start_us + STATUS_COST_US;
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([
-                        ("clock_us", Json::Number(self.clock_us as f64)),
-                        ("queue_len", Json::Number(self.queue.len() as f64)),
-                        ("backlog_us", Json::Number(self.queue.backlog_us() as f64)),
-                        ("cache_entries", Json::Number(self.cache.len() as f64)),
-                        ("committed", Json::Number(self.committed_total as f64)),
-                        ("completed", Json::Number(self.counters.completed as f64)),
-                        ("degraded", Json::Number(self.counters.degraded as f64)),
-                        ("shed", Json::Number(self.counters.shed as f64)),
+                // The status payload reports the clock and counters
+                // after this request's own charge.
+                let status = |server: &Self| {
+                    let counters = &server.counters;
+                    Json::object([
+                        ("clock_us", Json::Number(server.clock_us as f64)),
+                        ("queue_len", Json::Number(server.queue.len() as f64)),
+                        ("backlog_us", Json::Number(server.queue.backlog_us() as f64)),
+                        ("cache_entries", Json::Number(server.cache.len() as f64)),
+                        ("committed", Json::Number(server.committed_total as f64)),
+                        ("completed", Json::Number(counters.completed as f64)),
+                        ("degraded", Json::Number(counters.degraded as f64)),
+                        ("shed", Json::Number(counters.shed as f64)),
                         (
                             "deadline_exceeded",
-                            Json::Number(self.counters.deadline_exceeded as f64),
+                            Json::Number(counters.deadline_exceeded as f64),
                         ),
-                        ("refused", Json::Number(self.counters.refused as f64)),
-                        ("malformed", Json::Number(self.counters.malformed as f64)),
-                        ("next_tick", Json::Number(self.run.next_tick() as f64)),
-                    ]),
+                        ("refused", Json::Number(counters.refused as f64)),
+                        ("malformed", Json::Number(counters.malformed as f64)),
+                        ("next_tick", Json::Number(server.run.next_tick() as f64)),
+                    ])
                 };
-                self.commit(reply, replies)
+                self.complete(slot, STATUS_COST_US, false, status, replies)
             }
             RequestKind::Shutdown => {
                 self.shutting_down = true;
-                self.clock_us = start_us + STATUS_COST_US;
-                self.counters.completed += 1;
-                let latency_us = self.clock_us - pending.arrival_us;
-                let reply = Reply::Ok {
-                    id,
-                    degraded: false,
-                    latency_us,
-                    payload: Json::object([("draining", Json::Number(self.queue.len() as f64))]),
-                };
-                self.commit(reply, replies)
+                let payload = Json::object([("draining", Json::Number(self.queue.len() as f64))]);
+                self.complete(slot, STATUS_COST_US, false, |_| payload, replies)
             }
         }
     }
 
-    fn refuse_deadline(
+    /// Serves `slot` with an `ok` reply at virtual cost `cost_us`. The
+    /// payload is built after the clock and counters take the charge.
+    fn complete(
         &mut self,
-        id: String,
-        start_us: u64,
-        budget_us: u64,
-        needed_us: u64,
+        slot: Slot,
+        cost_us: u64,
+        degraded: bool,
+        payload: impl FnOnce(&Self) -> Json,
         replies: &mut Vec<String>,
     ) -> Result<(), ServerError> {
-        self.clock_us = start_us + REJECT_COST_US;
+        self.clock_us = slot.start_us + cost_us;
+        self.counters.completed += 1;
+        let reply = Reply::Ok {
+            id: slot.id,
+            degraded,
+            latency_us: self.clock_us - slot.arrival_us,
+            payload: payload(self),
+        };
+        self.commit(reply, replies)
+    }
+
+    /// Refuses `slot` with a typed `error` reply (unknown app, open
+    /// circuit, unavailable model or run).
+    fn refuse(
+        &mut self,
+        slot: Slot,
+        code: ErrorCode,
+        detail: String,
+        replies: &mut Vec<String>,
+    ) -> Result<(), ServerError> {
+        self.clock_us = slot.start_us + REJECT_COST_US;
+        self.counters.refused += 1;
+        let reply = Reply::Error {
+            id: Some(slot.id),
+            code,
+            detail,
+        };
+        self.commit(reply, replies)
+    }
+
+    /// Refuses `slot` because work costing `cost_us` would finish past
+    /// its deadline.
+    fn refuse_deadline(
+        &mut self,
+        slot: Slot,
+        cost_us: u64,
+        replies: &mut Vec<String>,
+    ) -> Result<(), ServerError> {
+        self.clock_us = slot.start_us + REJECT_COST_US;
         self.counters.deadline_exceeded += 1;
-        self.commit(
-            Reply::DeadlineExceeded {
-                id,
-                budget_us,
-                needed_us,
-            },
-            replies,
-        )
+        let reply = Reply::DeadlineExceeded {
+            id: slot.id,
+            budget_us: slot.budget_us,
+            needed_us: slot.wait_us + cost_us,
+        };
+        self.commit(reply, replies)
     }
 
     /// Write-ahead commits a reply, then releases it: journal first
@@ -944,39 +859,35 @@ impl Server {
             || self.config.checkpoint_every == 0
             || self.commits_since_checkpoint < self.config.checkpoint_every
             || !self.queue.is_empty()
+            || self.store.is_none()
         {
             return Ok(());
         }
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        self.run.seal();
-        let snapshot = self.snapshot();
-        store.save(icm_json::to_string(&snapshot).as_bytes())?;
-        store.prune(self.config.keep_checkpoints)?;
+        let payload = icm_json::to_string(&self.snapshot());
+        if let Some(store) = &self.store {
+            store.save(payload.as_bytes())?;
+            store.prune(self.config.keep_checkpoints)?;
+        }
         self.commits_since_checkpoint = 0;
         Ok(())
     }
 
-    /// Captures the server's state. Meaningful only when the queue is
+    /// Captures the server's state, sealing the run's history (see
+    /// [`WorldSnapshot::capture`]). Meaningful only when the queue is
     /// empty (checkpoints are taken at quiescent commits); pending
     /// requests are deliberately not serialized — they were never
     /// acknowledged, and recovery re-feeds them from the intake log.
-    pub fn snapshot(&self) -> ServerSnapshot {
+    pub fn snapshot(&mut self) -> ServerSnapshot {
         ServerSnapshot {
             version: SERVER_SNAPSHOT_VERSION,
             config: self.config.clone(),
-            world: WorldSnapshot {
-                version: WORLD_SNAPSHOT_VERSION,
-                testbed: self.testbed.snapshot(),
-                config: self.manager_config.clone(),
-                fleet: self.fleet.clone(),
-                run: self.run.clone(),
-                tracer: self.tracer.state(),
-                rngs: Vec::new(),
-                trace_path: None,
-                trace_bytes: 0,
-            },
+            world: WorldSnapshot::capture(
+                &self.testbed,
+                &self.fleet,
+                &self.manager_config,
+                &mut self.run,
+                &self.tracer,
+            ),
             clock_us: self.clock_us,
             last_arrival_us: self.last_arrival_us,
             admit_stamp: self.admit_stamp,
@@ -986,6 +897,22 @@ impl Server {
             counters: self.counters.clone(),
             shutting_down: self.shutting_down,
         }
+    }
+}
+
+/// One request taken off the queue: its id and its virtual timing.
+struct Slot {
+    id: String,
+    arrival_us: u64,
+    start_us: u64,
+    wait_us: u64,
+    budget_us: u64,
+}
+
+impl Slot {
+    /// Whether work costing `cost_us` would finish past the deadline.
+    fn late(&self, cost_us: u64) -> bool {
+        self.wait_us + cost_us > self.budget_us
     }
 }
 
@@ -1004,26 +931,12 @@ fn estimate_cost(kind: &RequestKind) -> u64 {
 /// Loads the newest checkpoint that passes both the store's integrity
 /// checks and the snapshot format check, skipping damaged generations.
 fn load_snapshot(store: &SnapshotStore) -> Result<Option<ServerSnapshot>, ServerError> {
-    let mut generations = store.generations()?;
-    generations.reverse();
-    let mut failures = Vec::new();
-    for generation in generations {
-        let outcome = store
-            .load(generation)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| String::from_utf8(bytes).map_err(|e| e.to_string()))
-            .and_then(|text| ServerSnapshot::parse(&text).map_err(|e| e.to_string()));
-        match outcome {
-            Ok(snapshot) => return Ok(Some(snapshot)),
-            Err(err) => failures.push(format!("generation {generation}: {err}")),
-        }
-    }
-    if failures.is_empty() {
-        Ok(None)
-    } else {
-        Err(ServerError::new(format!(
-            "no usable checkpoint: {}",
-            failures.join("; ")
-        )))
+    let newest = store.load_newest(|bytes| {
+        let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
+        ServerSnapshot::parse(&text).map_err(|e| e.to_string())
+    });
+    match newest {
+        Ok(found) => Ok(found.map(|(_, snapshot)| snapshot)),
+        Err(e) => Err(ServerError::new(format!("no usable checkpoint: {e}"))),
     }
 }

@@ -1,19 +1,25 @@
-//! The daemon's world: configuration, fleet construction, and the
-//! co-location context its `predict` answers rest on (`place` runs the
-//! manager's [`icm_manager::objective::FleetObjective`]).
+//! The supervised world: the one fleet the daemon, the endurance run
+//! and the recovery sweep supervise, the manager defaults they share,
+//! the daemon's configuration, and the co-location context its
+//! `predict` answers rest on (`place` runs the manager's
+//! [`icm_manager::objective::FleetObjective`]).
 //!
-//! The server owns exactly what the endurance experiment owns — a
-//! simulated testbed, a supervised [`Fleet`] with online models, and a
-//! resumable [`icm_manager::ManagedRun`] — built deterministically from
-//! a seed, so a daemon restarted from scratch with the same
-//! [`ServerConfig`] reconstructs the same world bit for bit.
+//! Which applications are supervised, at what span and slot count, how
+//! they are profiled, and with which manager settings is decided here
+//! once. Each caller states only what really differs: its horizon
+//! (`ticks`), its scripted environment (the recovery and endurance
+//! runs' [`half_cluster_drift`]), and — for the daemon — the default
+//! drift detector. The world is built deterministically from a seed,
+//! so a daemon restarted from scratch with the same [`ServerConfig`]
+//! reconstructs the same world bit for bit, and equals the endurance
+//! run's fleet for the same seed.
 
 use icm_core::model::ModelBuilder;
-use icm_core::{OnlineModel, ProfilingAlgorithm};
-use icm_manager::{Fleet, ManagedApp, ManagedRun, ManagerConfig};
+use icm_core::{DriftConfig, OnlineModel, ProfilingAlgorithm};
+use icm_manager::{EnvironmentDrift, Fleet, ManagedApp, ManagedRun, ManagerConfig};
 use icm_placement::QosConfig;
 use icm_simcluster::SimTestbed;
-use icm_workloads::{Catalog, TestbedBuilder};
+use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
 use crate::error::ServerError;
 
@@ -22,7 +28,7 @@ pub const SPAN: usize = 4;
 /// Placement slots per host.
 pub const SLOTS_PER_HOST: usize = 2;
 
-/// One application the daemon supervises.
+/// One supervised application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppSpec {
     /// Catalog name.
@@ -32,6 +38,99 @@ pub struct AppSpec {
 }
 
 icm_json::impl_json!(struct AppSpec { name, priority });
+
+/// The supervised applications with their shedding priorities (higher
+/// survives longer).
+pub fn supervised_apps(fast: bool) -> Vec<AppSpec> {
+    let apps: &[(&str, u32)] = if fast {
+        &[("M.milc", 2), ("H.KM", 1)]
+    } else {
+        &[("M.milc", 3), ("M.Gems", 2), ("H.KM", 1)]
+    };
+    apps.iter()
+        .map(|&(name, priority)| AppSpec {
+            name: name.to_owned(),
+            priority,
+        })
+        .collect()
+}
+
+/// The manager settings every supervised run shares: migration cost,
+/// warm search budgets, SLO hysteresis, the QoS contract and a
+/// sensitive drift detector. `ticks` is the default's and there is no
+/// environment; callers override what differs.
+pub fn base_manager_config(seed: u64, fast: bool) -> ManagerConfig {
+    ManagerConfig {
+        seed,
+        migration_cost_s: 30.0,
+        initial_iterations: if fast { 600 } else { 1500 },
+        reanneal_iterations: if fast { 250 } else { 400 },
+        drift: DriftConfig {
+            threshold: 0.2,
+            trip_after: 2,
+        },
+        slo_trip_after: 2,
+        qos: QosConfig {
+            qos_fraction: 0.6,
+            ..QosConfig::default()
+        },
+        ..ManagerConfig::default()
+    }
+}
+
+/// Ambient bubble pressure `pressure` on the first half of `hosts`
+/// hosts from tick `from_tick` on, so re-placement has somewhere quiet
+/// to go.
+pub fn half_cluster_drift(hosts: usize, pressure: f64, from_tick: u64) -> EnvironmentDrift {
+    EnvironmentDrift {
+        from_tick,
+        pressures: (0..hosts)
+            .map(|h| if h < hosts / 2 { pressure } else { 0.0 })
+            .collect(),
+    }
+}
+
+/// Profiles `apps` on the paper's 8-host private testbed at `seed`,
+/// each at the deployment span, and packs them into a fleet. Returns
+/// the testbed positioned after profiling, and the fleet.
+///
+/// # Errors
+///
+/// Model and fleet-geometry failures.
+pub fn build_fleet(
+    apps: &[AppSpec],
+    seed: u64,
+    fast: bool,
+) -> Result<(SimTestbedAdapter, Fleet), ServerError> {
+    let mut adapter = TestbedBuilder::new(&Catalog::paper()).seed(seed).build();
+    let mut built: Vec<(&str, icm_core::InterferenceModel)> = Vec::new();
+    let mut managed = Vec::with_capacity(apps.len());
+    for spec in apps {
+        let model = match built.iter().find(|(name, _)| *name == spec.name) {
+            Some((_, model)) => model.clone(),
+            None => {
+                let mut builder = ModelBuilder::new(spec.name.as_str());
+                builder
+                    .algorithm(ProfilingAlgorithm::BinaryOptimized)
+                    .policy_samples(if fast { 12 } else { 60 })
+                    .solo_repeats(if fast { 1 } else { 3 })
+                    .seed(seed.wrapping_add(0x40DE1))
+                    .hosts(SPAN);
+                let model = builder.build(&mut adapter)?;
+                built.push((&spec.name, model.clone()));
+                model
+            }
+        };
+        managed.push(ManagedApp::new(
+            spec.name.clone(),
+            spec.priority,
+            OnlineModel::new(model),
+        ));
+    }
+    let hosts = adapter.sim().cluster().hosts();
+    let fleet = Fleet::new(hosts, SLOTS_PER_HOST, SPAN, managed)?;
+    Ok((adapter, fleet))
+}
 
 /// Daemon configuration. Everything that shapes deterministic behavior
 /// lives here and travels inside every snapshot, so a resumed daemon
@@ -85,21 +184,10 @@ impl ServerConfig {
     /// 60 virtual seconds stale, checkpoints every 32 commits keeping
     /// the last 4 generations.
     pub fn new(seed: u64, fast: bool) -> Self {
-        let apps = if fast {
-            vec![("M.milc", 2), ("H.KM", 1)]
-        } else {
-            vec![("M.milc", 3), ("M.Gems", 2), ("H.KM", 1)]
-        };
         Self {
             seed,
             fast,
-            apps: apps
-                .into_iter()
-                .map(|(name, priority)| AppSpec {
-                    name: name.to_owned(),
-                    priority,
-                })
-                .collect(),
+            apps: supervised_apps(fast),
             queue_capacity: 8,
             cache_capacity: 64,
             cache_max_age_us: 60_000_000,
@@ -110,30 +198,21 @@ impl ServerConfig {
         }
     }
 
-    /// The manager configuration the supervised run uses: an
-    /// effectively unbounded horizon (the daemon ticks on demand), warm
-    /// re-anneal budgets, no scripted environment drift.
+    /// The manager configuration the supervised run uses: the shared
+    /// defaults with an effectively unbounded horizon (the daemon ticks
+    /// on demand), the default drift detector, and no scripted
+    /// environment drift.
     pub fn manager_config(&self) -> ManagerConfig {
         ManagerConfig {
             ticks: 1_000_000,
-            seed: self.seed,
-            migration_cost_s: 30.0,
-            initial_iterations: if self.fast { 600 } else { 1500 },
-            reanneal_iterations: if self.fast { 250 } else { 400 },
-            slo_trip_after: 2,
-            qos: QosConfig {
-                qos_fraction: 0.6,
-                ..QosConfig::default()
-            },
-            environment: None,
-            ..ManagerConfig::default()
+            drift: DriftConfig::default(),
+            ..base_manager_config(self.seed, self.fast)
         }
     }
 }
 
-/// Builds the daemon's world from scratch: profiles every supervised
-/// application on the paper's 8-host private testbed at the deployment
-/// span, packs the fleet, and runs the cold initial placement.
+/// Builds the daemon's world from scratch: the supervised fleet
+/// ([`build_fleet`]) and its cold initial placement.
 ///
 /// # Errors
 ///
@@ -141,35 +220,7 @@ impl ServerConfig {
 pub fn build_world(
     config: &ServerConfig,
 ) -> Result<(SimTestbed, Fleet, ManagerConfig, ManagedRun), ServerError> {
-    let mut adapter = TestbedBuilder::new(&Catalog::paper())
-        .seed(config.seed)
-        .build();
-    let hosts = adapter.sim().cluster().hosts();
-    let mut managed = Vec::with_capacity(config.apps.len());
-    let mut built: Vec<(String, icm_core::InterferenceModel)> = Vec::new();
-    for spec in &config.apps {
-        let model = match built.iter().find(|(name, _)| name == &spec.name) {
-            Some((_, model)) => model.clone(),
-            None => {
-                let mut builder = ModelBuilder::new(spec.name.as_str());
-                builder
-                    .algorithm(ProfilingAlgorithm::BinaryOptimized)
-                    .policy_samples(if config.fast { 12 } else { 60 })
-                    .solo_repeats(if config.fast { 1 } else { 3 })
-                    .seed(config.seed.wrapping_add(0x40DE1))
-                    .hosts(SPAN);
-                let model = builder.build(&mut adapter)?;
-                built.push((spec.name.clone(), model.clone()));
-                model
-            }
-        };
-        managed.push(ManagedApp::new(
-            spec.name.clone(),
-            spec.priority,
-            OnlineModel::new(model),
-        ));
-    }
-    let fleet = Fleet::new(hosts, SLOTS_PER_HOST, SPAN, managed)?;
+    let (adapter, fleet) = build_fleet(&config.apps, config.seed, config.fast)?;
     let testbed = adapter.into_sim();
     let manager_config = config.manager_config();
     let run = ManagedRun::start(&testbed, &fleet, &manager_config, true)?;

@@ -442,6 +442,94 @@ fn kill_dash_nine_loses_no_acknowledged_reply() {
     let _ = std::fs::remove_dir_all(&crashed);
 }
 
+/// A daemon whose newest checkpoint is unusable — torn, or a
+/// well-formed payload of an unknown format version — recovers from the
+/// previous generation: it replays the longer intake suffix, verifies
+/// the longer journal suffix, and completes the same journal as an
+/// uninterrupted run.
+#[test]
+fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
+    use icm_json::fs::SnapshotStore;
+    use icm_server::server::ServerSnapshot;
+
+    let config = || {
+        let mut config = ServerConfig::new(2016, true);
+        config.sync = false;
+        config.checkpoint_every = 5;
+        config
+    };
+    // Unstamped requests are served as they arrive, so the queue is
+    // empty at every frame edge and checkpoints land mid-stream.
+    let frames: Vec<Frame> = (0..8)
+        .flat_map(|r| {
+            [
+                format!(r#"{{"id":"p{r}","kind":"predict","app":"M.milc","corunners":["H.KM"]}}"#),
+                format!(r#"{{"id":"o{r}","kind":"observe","app":"H.KM","corunners":["M.milc"],"normalized":1.1{r}}}"#),
+                format!(r#"{{"id":"t{r}","kind":"tick","deadline_ms":120000}}"#),
+                "{broken json".to_owned(),
+                format!(r#"{{"id":"s{r}","kind":"status"}}"#),
+            ]
+        })
+        .map(Frame::Line)
+        .collect();
+    let serve = |server: &mut Server, frames: &[Frame]| {
+        for frame in frames {
+            server.handle_frame(frame).expect("serves");
+        }
+    };
+    let reference = scratch("fallback-ref");
+    let mut server = Server::start(config(), Some(&reference)).expect("starts");
+    serve(&mut server, &frames);
+    server.finish().expect("drains");
+    let expected = std::fs::read(reference.join("journal.log")).expect("reference journal");
+
+    for damage in ["torn", "unknown-version"] {
+        let dir = scratch(&format!("fallback-{damage}"));
+        let mut server = Server::start(config(), Some(&dir)).expect("starts");
+        serve(&mut server, &frames[..frames.len() / 2]);
+        drop(server); // the kill: nothing drains
+
+        let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store opens");
+        let generations = store.generations().expect("lists");
+        assert!(generations.len() >= 2, "{damage}: {generations:?}");
+        let newest = generations[generations.len() - 1];
+        let path = dir.join(format!("checkpoints/gen-{newest:06}.icmsnap"));
+        if damage == "torn" {
+            let bytes = std::fs::read(&path).expect("reads");
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tears");
+        } else {
+            // Same generation number, intact framing, another version.
+            let text = String::from_utf8(store.load(newest).expect("loads")).expect("utf-8");
+            std::fs::remove_file(&path).expect("removes");
+            let renumbered = store
+                .save(
+                    text.replacen("\"version\":1", "\"version\":99", 1)
+                        .as_bytes(),
+                )
+                .expect("saves");
+            assert_eq!(renumbered, newest);
+        }
+        let (fallback, _) = store
+            .load_newest(|bytes| {
+                ServerSnapshot::parse(&String::from_utf8(bytes).map_err(|e| e.to_string())?)
+                    .map_err(|e| e.to_string())
+            })
+            .expect("walks")
+            .expect("a usable generation");
+        assert_eq!(fallback, generations[generations.len() - 2], "{damage}");
+
+        let mut server = Server::start(config(), Some(&dir)).expect("recovers");
+        let consumed = server.consumed_frames() as usize;
+        assert_eq!(consumed, frames.len() / 2, "{damage}");
+        serve(&mut server, &frames[consumed..]);
+        server.finish().expect("drains");
+        let journal = std::fs::read(dir.join("journal.log")).expect("journal");
+        assert!(journal == expected, "{damage}: recovered journal diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
 #[test]
 fn same_seed_reruns_commit_byte_identical_journals() {
     let a = scratch("det-a");
@@ -532,7 +620,10 @@ fn place_searches_land_within_one_percent_of_the_best_of_fifty() {
 
 #[test]
 fn snapshots_refuse_unknown_versions() {
-    use icm_server::server::ServerSnapshot;
+    use icm_server::server::{ServerSnapshot, ServerSnapshotError};
     let err = ServerSnapshot::parse(r#"{"version":99}"#).expect_err("refused");
-    assert!(err.to_string().contains("version"), "{err}");
+    assert_eq!(err, ServerSnapshotError::UnknownVersion(99));
+    assert!(err.to_string().contains("(this build reads 1)"), "{err}");
+    let err = ServerSnapshot::parse(r#"{"version":1}"#).expect_err("refused");
+    assert!(matches!(err, ServerSnapshotError::Payload(_)), "{err}");
 }

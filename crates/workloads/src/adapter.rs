@@ -69,11 +69,6 @@ pub struct SimTestbedAdapter {
 }
 
 impl SimTestbedAdapter {
-    /// Wraps an existing simulated testbed.
-    pub fn from_sim(sim: SimTestbed) -> Self {
-        Self { sim }
-    }
-
     /// Read access to the underlying simulator.
     pub fn sim(&self) -> &SimTestbed {
         &self.sim

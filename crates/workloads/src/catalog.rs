@@ -452,11 +452,6 @@ impl Catalog {
         }
     }
 
-    /// Builds a catalog from explicit entries (for synthetic studies).
-    pub fn from_workloads(workloads: Vec<WorkloadSpec>) -> Self {
-        Self { workloads }
-    }
-
     /// All workloads.
     pub fn workloads(&self) -> &[WorkloadSpec] {
         &self.workloads

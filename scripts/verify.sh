@@ -117,7 +117,9 @@ echo "verify: provenance smoke OK"
 # Kill-and-resume smoke: a checkpointed endurance run is aborted
 # mid-flight (--kill-after: no flushes, no destructors — a SIGKILL
 # stand-in), then resumed from the newest good snapshot generation.
-# The resumed run's event trace and results document must be
+# One byte of the newest generation is flipped first, so the resume
+# must walk back to generation 1 and truncate the trace to that older
+# offset. The resumed run's event trace and results document must be
 # byte-identical to an uninterrupted same-seed checkpointed run's.
 ./target/release/icm-experiments endurance --fast --quiet \
     --checkpoint-every 2 --checkpoint-dir "$SMOKE/ref-ckpt" \
@@ -127,11 +129,20 @@ if ./target/release/icm-experiments endurance --fast --quiet \
     --kill-after 5 --trace "$SMOKE/endure-kill.jsonl" > /dev/null 2>&1; then
     echo "verify: --kill-after did not kill the run" >&2; exit 1
 fi
-test -s "$SMOKE/kill-ckpt/gen-000002.icmsnap" \
+GEN2="$SMOKE/kill-ckpt/gen-000002.icmsnap"
+test -s "$GEN2" \
     || { echo "verify: the killed run left no second checkpoint generation" >&2; exit 1; }
-./target/release/icm-experiments --resume "$SMOKE/kill-ckpt" --fast --quiet \
+MID=$(($(wc -c < "$GEN2") / 2))
+BYTE=$(od -An -tu1 -j "$MID" -N1 "$GEN2" | tr -d ' ')
+# shellcheck disable=SC2059 # the format is the flipped byte, in octal
+printf "\\$(printf '%03o' $((BYTE ^ 32)))" \
+    | dd of="$GEN2" bs=1 seek="$MID" conv=notrunc 2> /dev/null
+./target/release/icm-experiments --resume "$SMOKE/kill-ckpt" --fast \
     --checkpoint-every 2 --checkpoint-dir "$SMOKE/kill-ckpt" \
-    --trace "$SMOKE/endure-kill.jsonl" --results "$SMOKE/endure-kill.json" > /dev/null
+    --trace "$SMOKE/endure-kill.jsonl" --results "$SMOKE/endure-kill.json" \
+    > /dev/null 2> "$SMOKE/resume.log"
+grep -q "resuming from generation 1 " "$SMOKE/resume.log" \
+    || { echo "verify: the resume did not fall back past the flipped generation" >&2; exit 1; }
 cmp "$SMOKE/endure-ref.jsonl" "$SMOKE/endure-kill.jsonl" \
     || { echo "verify: resumed trace diverged from the uninterrupted run" >&2; exit 1; }
 cmp "$SMOKE/endure-ref.json" "$SMOKE/endure-kill.json" \

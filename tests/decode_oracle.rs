@@ -18,9 +18,9 @@ use icm::experiments::endurance::World;
 use icm::experiments::ExpConfig;
 use icm::json::{FromJson, Json, JsonError, ToJson, MAX_DEPTH};
 use icm::rng::Rng;
-use icm_manager::snapshot::{SnapshotFormatError, WorldSnapshot, WORLD_SNAPSHOT_VERSION};
+use icm_manager::snapshot::{FormatError, WorldSnapshot};
 use icm_obs::Tracer;
-use icm_server::{Server, ServerConfig, ServerSnapshot, SERVER_SNAPSHOT_VERSION};
+use icm_server::{Server, ServerConfig, ServerSnapshot};
 
 /// Wall-clock budget per base document; the mutation count is the cap.
 const BUDGET: Duration = Duration::from_secs(6);
@@ -71,31 +71,21 @@ fn by_tree<T: FromJson>(text: &str, expected: u64) -> Result<T, Option<f64>> {
     T::from_json(&value).map_err(|_| None)
 }
 
-fn world_verdicts(text: &str) -> (Verdict, Verdict) {
-    let stream = match WorldSnapshot::parse(text) {
-        Ok(snapshot) => Verdict::Accepted(snapshot.to_text()),
-        Err(SnapshotFormatError::UnknownVersion(v)) => Verdict::Version(v.to_string()),
-        Err(SnapshotFormatError::Payload(_)) => Verdict::Refused,
+/// A snapshot format's streaming `parse` against the version-first
+/// rule on a tree; both must refuse another version by its typed
+/// variant.
+fn snapshot_verdicts<T: FromJson + ToJson, const READS: u64>(
+    text: &str,
+    parse: fn(&str) -> Result<T, FormatError<READS>>,
+) -> (Verdict, Verdict) {
+    let stream = match parse(text) {
+        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
+        Err(FormatError::UnknownVersion(v)) => Verdict::Version(v.to_string()),
+        Err(FormatError::Payload(_)) => Verdict::Refused,
     };
-    let tree = match by_tree::<WorldSnapshot>(text, WORLD_SNAPSHOT_VERSION) {
-        Ok(snapshot) => Verdict::Accepted(snapshot.to_text()),
+    let tree = match by_tree::<T>(text, READS) {
+        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
         Err(Some(v)) => Verdict::Version((v as u64).to_string()),
-        Err(None) => Verdict::Refused,
-    };
-    (stream, tree)
-}
-
-fn server_verdicts(text: &str) -> (Verdict, Verdict) {
-    let stream = match ServerSnapshot::parse(text) {
-        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
-        Err(e) if e.to_string().contains("(this build reads") => Verdict::Version(e.to_string()),
-        Err(_) => Verdict::Refused,
-    };
-    let tree = match by_tree::<ServerSnapshot>(text, SERVER_SNAPSHOT_VERSION) {
-        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
-        Err(Some(v)) => Verdict::Version(format!(
-            "json error: ServerSnapshot: version {v} (this build reads {SERVER_SNAPSHOT_VERSION})"
-        )),
         Err(None) => Verdict::Refused,
     };
     (stream, tree)
@@ -294,12 +284,16 @@ fn streaming_snapshot_decode_agrees_with_the_tree_on_damaged_savestates() {
         world.step(&tracer).expect("steps");
     }
     let text = world.snapshot(&tracer, None, 0).to_text();
-    let accepted = check_corpus("world", &text, 0xDEC0DE, 60, world_verdicts);
+    let accepted = check_corpus("world", &text, 0xDEC0DE, 60, |text| {
+        snapshot_verdicts(text, WorldSnapshot::parse)
+    });
     assert!(accepted > 0, "no mutated savestate was accepted");
 
-    let server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
+    let mut server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
     let text = icm::json::to_string(&server.snapshot());
-    check_corpus("server", &text, 0x5E4E, 40, server_verdicts);
+    check_corpus("server", &text, 0x5E4E, 40, |text| {
+        snapshot_verdicts(text, ServerSnapshot::parse)
+    });
 }
 
 #[derive(Debug, Clone, PartialEq)]

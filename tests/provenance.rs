@@ -13,57 +13,17 @@
 //! * With faults disabled, a managed run with provenance enabled stays
 //!   byte-identical to the unmanaged path and carries no provenance.
 
-use icm_core::model::ModelBuilder;
-use icm_core::{DriftConfig, OnlineModel};
+use icm_core::DriftConfig;
 use icm_experiments::explain::{explain_action, explain_all, explain_violations};
 use icm_manager::{
-    run_managed, run_unmanaged, EnvironmentDrift, Fleet, ManagedApp, ManagerConfig, ManagerOutcome,
+    run_managed, run_unmanaged, EnvironmentDrift, Fleet, ManagerConfig, ManagerOutcome,
 };
 use icm_obs::manager::MANAGER_OUTCOME;
 use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer, Value};
-use icm_placement::QosConfig;
 use icm_simcluster::{CrashWindow, FaultPlan};
-use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
-const SPAN: usize = 4;
-
-fn testbed(seed: u64) -> SimTestbedAdapter {
-    TestbedBuilder::new(&Catalog::paper()).seed(seed).build()
-}
-
-fn managed_apps(tb: &mut SimTestbedAdapter, names: &[(&str, u32)]) -> Vec<ManagedApp> {
-    names
-        .iter()
-        .map(|&(name, priority)| {
-            let model = ModelBuilder::new(name)
-                .hosts(SPAN)
-                .policy_samples(6)
-                .solo_repeats(1)
-                .score_repeats(1)
-                .seed(0xFEED)
-                .build(tb)
-                .expect("model builds");
-            ManagedApp::new(name, priority, OnlineModel::new(model))
-        })
-        .collect()
-}
-
-fn lenient(ticks: u64) -> ManagerConfig {
-    ManagerConfig {
-        ticks,
-        initial_iterations: 600,
-        reanneal_iterations: 250,
-        qos: QosConfig {
-            qos_fraction: 0.5,
-            ..QosConfig::default()
-        },
-        drift: DriftConfig {
-            threshold: 0.5,
-            ..DriftConfig::default()
-        },
-        ..ManagerConfig::default()
-    }
-}
+mod common;
+use common::{lenient, managed_apps, testbed, SPAN};
 
 /// One traced run. With `stamp`, mirrors the recovery experiment by
 /// emitting a `manager_outcome` event at the end so violation

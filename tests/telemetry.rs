@@ -9,55 +9,14 @@
 //!   byte-identical to a telemetry-off run: aggregation is observation,
 //!   never perturbation.
 
-use icm_core::model::ModelBuilder;
-use icm_core::{DriftConfig, OnlineModel};
-use icm_manager::{run_managed, Fleet, ManagedApp, ManagerConfig, ManagerOutcome};
+use icm_manager::{run_managed, Fleet, ManagerOutcome};
 use icm_obs::{
     JsonlSink, SharedBuf, Telemetry, TelemetryConfig, TelemetrySink, Tracer, TELEMETRY_BYTE_BUDGET,
 };
-use icm_placement::QosConfig;
 use icm_simcluster::{CrashWindow, FaultPlan};
-use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
-const SPAN: usize = 4;
-
-fn testbed(seed: u64) -> SimTestbedAdapter {
-    TestbedBuilder::new(&Catalog::paper()).seed(seed).build()
-}
-
-fn managed_apps(tb: &mut SimTestbedAdapter, names: &[(&str, u32)]) -> Vec<ManagedApp> {
-    names
-        .iter()
-        .map(|&(name, priority)| {
-            let model = ModelBuilder::new(name)
-                .hosts(SPAN)
-                .policy_samples(6)
-                .solo_repeats(1)
-                .score_repeats(1)
-                .seed(0xFEED)
-                .build(tb)
-                .expect("model builds");
-            ManagedApp::new(name, priority, OnlineModel::new(model))
-        })
-        .collect()
-}
-
-fn lenient(ticks: u64) -> ManagerConfig {
-    ManagerConfig {
-        ticks,
-        initial_iterations: 600,
-        reanneal_iterations: 250,
-        qos: QosConfig {
-            qos_fraction: 0.5,
-            ..QosConfig::default()
-        },
-        drift: DriftConfig {
-            threshold: 0.5,
-            ..DriftConfig::default()
-        },
-        ..ManagerConfig::default()
-    }
-}
+mod common;
+use common::{lenient, managed_apps, testbed, SPAN};
 
 /// Rings small enough that even the short run saturates them, so the
 /// size comparison exercises the steady state rather than the ramp.
