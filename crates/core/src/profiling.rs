@@ -91,36 +91,29 @@ pub enum ProfilingAlgorithm {
 }
 
 impl icm_json::ToJson for ProfilingAlgorithm {
-    fn to_json(&self) -> icm_json::Json {
+    fn write_json(&self, out: &mut String) {
         match *self {
-            ProfilingAlgorithm::BinaryBrute => icm_json::Json::String("BinaryBrute".to_owned()),
-            ProfilingAlgorithm::BinaryOptimized => {
-                icm_json::Json::String("BinaryOptimized".to_owned())
-            }
-            ProfilingAlgorithm::Full => icm_json::Json::String("Full".to_owned()),
+            ProfilingAlgorithm::BinaryBrute => out.push_str("\"BinaryBrute\""),
+            ProfilingAlgorithm::BinaryOptimized => out.push_str("\"BinaryOptimized\""),
+            ProfilingAlgorithm::Full => out.push_str("\"Full\""),
             ProfilingAlgorithm::RandomFraction(f) => {
-                icm_json::Json::object([("RandomFraction", f.to_json())])
+                icm_json::write_object(out, [("RandomFraction", &f)]);
             }
         }
     }
 }
 
 impl icm_json::FromJson for ProfilingAlgorithm {
-    fn from_json(value: &icm_json::Json) -> Result<Self, icm_json::JsonError> {
-        match value.as_str() {
-            Some("BinaryBrute") => return Ok(ProfilingAlgorithm::BinaryBrute),
-            Some("BinaryOptimized") => return Ok(ProfilingAlgorithm::BinaryOptimized),
-            Some("Full") => return Ok(ProfilingAlgorithm::Full),
-            _ => {}
-        }
-        if let Some(f) = value.get("RandomFraction") {
-            return Ok(ProfilingAlgorithm::RandomFraction(
-                icm_json::FromJson::from_json(f)?,
-            ));
-        }
-        Err(icm_json::JsonError::msg(
-            "unknown ProfilingAlgorithm variant",
-        ))
+    fn read_json(r: &mut icm_json::Reader<'_>) -> Result<Self, icm_json::JsonError> {
+        icm_json::read_variant(r, "ProfilingAlgorithm", |name, body| match (name, body) {
+            ("BinaryBrute", None) => Ok(ProfilingAlgorithm::BinaryBrute),
+            ("BinaryOptimized", None) => Ok(ProfilingAlgorithm::BinaryOptimized),
+            ("Full", None) => Ok(ProfilingAlgorithm::Full),
+            ("RandomFraction", Some(r)) => Ok(ProfilingAlgorithm::RandomFraction(
+                icm_json::FromJson::read_json(r)?,
+            )),
+            _ => Err(icm_json::unknown_variant("ProfilingAlgorithm", name)),
+        })
     }
 }
 

@@ -368,9 +368,8 @@ fn main() -> ExitCode {
                 trace_path.as_deref(),
             ) {
                 Ok(result) => {
-                    use icm_json::ToJson;
                     println!("{}", endurance::render(&result));
-                    results.push(exp.id(), result.to_json());
+                    results.push(exp.id(), icm_json::to_value(&result));
                 }
                 Err(err) => {
                     eprintln!("{}: {err}", exp.id());

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use icm_json::{Json, ToJson};
+use icm_json::ToJson;
 use icm_obs::Event;
 
 /// One aggregated frame: every instance of a span name at one nesting
@@ -57,21 +57,16 @@ impl FlameNode {
 }
 
 impl ToJson for FlameNode {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("count".to_owned(), self.count.to_json()),
-            ("sim_s".to_owned(), self.sim_s.to_json()),
-            ("steps".to_owned(), self.steps.to_json()),
-            (
-                "children".to_owned(),
-                Json::Object(
-                    self.children
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        icm_json::write_object(
+            out,
+            [
+                ("count", &self.count as &dyn ToJson),
+                ("sim_s", &self.sim_s),
+                ("steps", &self.steps),
+                ("children", &self.children),
+            ],
+        );
     }
 }
 
@@ -117,15 +112,15 @@ impl FlameGraph {
 }
 
 impl ToJson for FlameGraph {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("dangling".to_owned(), self.dangling.to_json()),
-            (
-                "critical_path".to_owned(),
-                Json::Array(self.critical_path().into_iter().map(Json::String).collect()),
-            ),
-            ("root".to_owned(), self.root.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        icm_json::write_object(
+            out,
+            [
+                ("dangling", &self.dangling as &dyn ToJson),
+                ("critical_path", &self.critical_path()),
+                ("root", &self.root),
+            ],
+        );
     }
 }
 
@@ -415,6 +410,7 @@ fn truncate_label(name: &str, width_px: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icm_json::Json;
     use icm_obs::{Tracer, Value};
 
     fn traced_events() -> Vec<Event> {
@@ -551,7 +547,7 @@ mod tests {
         assert!(graph.is_empty());
         assert!(render_ascii(&graph).contains("no completed spans"));
         assert!(render_svg(&graph).contains("no completed spans"));
-        let json = graph.to_json();
+        let json = icm_json::to_value(&graph);
         assert_eq!(
             json.get("critical_path")
                 .and_then(Json::as_array)

@@ -243,9 +243,8 @@ impl Experiment {
         cfg: &ExpConfig,
         tracer: &icm_obs::Tracer,
     ) -> Result<(String, icm_json::Json), ExpError> {
-        use icm_json::ToJson;
-        fn both<T: ToJson>(result: &T, text: String) -> (String, icm_json::Json) {
-            (text, result.to_json())
+        fn both<T: icm_json::ToJson>(result: &T, text: String) -> (String, icm_json::Json) {
+            (text, icm_json::to_value(result))
         }
         Ok(match self {
             Experiment::Fig2 => {

@@ -97,7 +97,7 @@ impl Token {
 /// through a callback per element or field, [`Reader::skip_value`]
 /// validates a value without keeping it, and [`Reader::value`] builds
 /// its [`Json`] tree. A read of the wrong kind fails with
-/// `expected <kind>, found <kind>`, the message the tree decoders give.
+/// `expected <kind>, found <kind>`.
 ///
 /// The reader checks duplicate keys only where it keeps keys: in
 /// [`Reader::value`] and [`Reader::skip_value`]. A caller that walks an
@@ -126,8 +126,9 @@ impl<'a> Reader<'a> {
         JsonError::msg(format!("{msg} at byte {}", self.pos))
     }
 
-    /// The error for a key seen twice in one object.
-    pub(crate) fn duplicate_key(&self, key: &str) -> JsonError {
+    /// The error for a key seen twice in one object, for a caller of
+    /// [`Reader::object`] that checks its own keys.
+    pub fn duplicate_key(&self, key: &str) -> JsonError {
         self.err(&format!("duplicate object key `{key}`"))
     }
 
@@ -236,6 +237,15 @@ impl<'a> Reader<'a> {
     pub fn number(&mut self) -> Result<f64, JsonError> {
         self.start(Token::Number)?;
         self.lex_number()
+    }
+
+    /// Reads a number and the text it was written as.
+    #[inline]
+    pub(crate) fn number_text(&mut self) -> Result<(f64, &'a str), JsonError> {
+        self.start(Token::Number)?;
+        let start = self.pos;
+        let n = self.lex_number()?;
+        Ok((n, &self.text[start..self.pos]))
     }
 
     /// Lexes the number that starts at the current byte.

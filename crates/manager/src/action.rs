@@ -5,7 +5,7 @@
 //! be serialized and compared byte-for-byte across same-seed replays —
 //! the determinism contract the recovery tests assert.
 
-use icm_json::{FromJson, Json, JsonError, ToJson};
+use icm_json::{FromJson, JsonError, Reader, ToJson};
 use icm_obs::ProvenanceRecord;
 
 /// A condition the manager detected and may react to.
@@ -34,19 +34,19 @@ impl DetectionKind {
 }
 
 impl ToJson for DetectionKind {
-    fn to_json(&self) -> Json {
-        Json::String(self.as_str().to_owned())
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
 impl FromJson for DetectionKind {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("host_down") => Ok(DetectionKind::HostDown),
-            Some("straggler") => Ok(DetectionKind::Straggler),
-            Some("slo_violation") => Ok(DetectionKind::SloViolation),
-            Some("drift") => Ok(DetectionKind::Drift),
-            _ => Err(JsonError::msg("unknown DetectionKind")),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        match &*icm_json::read_str(r, "DetectionKind")? {
+            "host_down" => Ok(DetectionKind::HostDown),
+            "straggler" => Ok(DetectionKind::Straggler),
+            "slo_violation" => Ok(DetectionKind::SloViolation),
+            "drift" => Ok(DetectionKind::Drift),
+            other => Err(icm_json::unknown_variant("DetectionKind", other)),
         }
     }
 }
@@ -80,19 +80,19 @@ impl ActionKind {
 }
 
 impl ToJson for ActionKind {
-    fn to_json(&self) -> Json {
-        Json::String(self.as_str().to_owned())
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
 impl FromJson for ActionKind {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("migrate") => Ok(ActionKind::Migrate),
-            Some("re_anneal") => Ok(ActionKind::ReAnneal),
-            Some("shed") => Ok(ActionKind::Shed),
-            Some("circuit_break") => Ok(ActionKind::CircuitBreak),
-            _ => Err(JsonError::msg("unknown ActionKind")),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        match &*icm_json::read_str(r, "ActionKind")? {
+            "migrate" => Ok(ActionKind::Migrate),
+            "re_anneal" => Ok(ActionKind::ReAnneal),
+            "shed" => Ok(ActionKind::Shed),
+            "circuit_break" => Ok(ActionKind::CircuitBreak),
+            other => Err(icm_json::unknown_variant("ActionKind", other)),
         }
     }
 }

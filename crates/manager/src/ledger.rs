@@ -15,7 +15,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use icm_json::{FromJson, Json, JsonError, Reader, ToJson};
+use icm_json::{FromJson, JsonError, Reader, ToJson};
 
 /// An append-mostly list of records with a per-record cache of their
 /// compact JSON text. Cloning shares the cached text.
@@ -85,10 +85,6 @@ impl<T> Deref for Ledger<T> {
 }
 
 impl<T: ToJson> ToJson for Ledger<T> {
-    fn to_json(&self) -> Json {
-        self.records.to_json()
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('[');
         for (i, (record, text)) in self.records.iter().zip(&self.text).enumerate() {
@@ -112,10 +108,6 @@ impl<T> From<Vec<T>> for Ledger<T> {
 }
 
 impl<T: FromJson> FromJson for Ledger<T> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Vec::from_json(value).map(Self::from)
-    }
-
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         Vec::read_json(r).map(Self::from)
     }
@@ -148,7 +140,6 @@ mod tests {
         assert_eq!(icm_json::to_string(&ledger), plain, "unsealed");
         ledger.seal();
         assert_eq!(icm_json::to_string(&ledger), plain, "sealed");
-        assert_eq!(ledger.to_json().to_text(), plain, "tree");
 
         ledger.get_mut(1).note = "edited".into();
         ledger.push(entry(4));

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use icm_json::{FromJson, Json, JsonError, ToJson, VersionedError};
+use icm_json::{FromJson, JsonError, Reader, ToJson, VersionedError};
 use icm_obs::{Tracer, TracerState};
 use icm_rng::Rng;
 use icm_simcluster::{SimTestbed, TestbedSnapshot};
@@ -50,35 +50,21 @@ impl RngState {
 }
 
 impl ToJson for RngState {
-    fn to_json(&self) -> Json {
-        Json::Array(self.0.iter().map(|w| Json::String(w.to_string())).collect())
+    fn write_json(&self, out: &mut String) {
+        self.0.map(|w| w.to_string()).write_json(out);
     }
 }
 
 impl FromJson for RngState {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let items = value.as_array().ok_or_else(|| {
-            JsonError::msg(format!("RngState: expected array, got {}", value.kind()))
-        })?;
-        if items.len() != 4 {
-            return Err(JsonError::msg(format!(
-                "RngState: expected 4 state words, got {}",
-                items.len()
-            )));
-        }
-        let mut words = [0u64; 4];
-        for (i, item) in items.iter().enumerate() {
-            let text = item.as_str().ok_or_else(|| {
-                JsonError::msg(format!(
-                    "RngState[{i}]: expected string, got {}",
-                    item.kind()
-                ))
-            })?;
-            words[i] = text
-                .parse::<u64>()
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let words = <[String; 4]>::read_json(r)?;
+        let mut state = [0; 4];
+        for (i, word) in words.iter().enumerate() {
+            state[i] = word
+                .parse()
                 .map_err(|e| JsonError::msg(format!("RngState[{i}]: {e}")))?;
         }
-        Ok(Self(words))
+        Ok(Self(state))
     }
 }
 

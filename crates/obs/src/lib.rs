@@ -56,7 +56,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use icm_json::{FromJson, Json, JsonError, ToJson};
+use icm_json::{FieldSlot, FromJson, JsonError, Reader, ToJson, Token};
 
 pub mod bucket;
 pub mod manager;
@@ -170,26 +170,28 @@ impl Value {
 }
 
 impl ToJson for Value {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Value::Bool(b) => Json::Bool(*b),
-            Value::U64(v) => Json::Number(*v as f64),
-            Value::I64(v) => Json::Number(*v as f64),
-            Value::F64(v) => v.to_json(),
-            Value::Str(s) => Json::String(s.clone()),
+            Value::Bool(b) => b.write_json(out),
+            // A trace number is an `f64` (see above): a counter above
+            // 2^53 is written rounded, as the reader will see it.
+            Value::U64(v) => (*v as f64).write_json(out),
+            Value::I64(v) => (*v as f64).write_json(out),
+            Value::F64(v) => v.write_json(out),
+            Value::Str(s) => s.write_json(out),
         }
     }
 }
 
 impl FromJson for Value {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Bool(b) => Ok(Value::Bool(*b)),
-            Json::Number(n) => Ok(Value::F64(*n)),
-            Json::String(s) => Ok(Value::Str(s.clone())),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        match r.peek()? {
+            Token::Bool => r.bool().map(Value::Bool),
+            Token::Number => r.number().map(Value::F64),
+            Token::String => r.string().map(|s| Value::Str(s.into_owned())),
             other => Err(JsonError::msg(format!(
                 "field value must be bool, number or string, found {}",
-                other.kind()
+                other.name()
             ))),
         }
     }
@@ -243,70 +245,64 @@ impl Event {
 }
 
 impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let mut outer = Vec::with_capacity(5);
-        outer.push(("step".to_owned(), Json::Number(self.step as f64)));
-        outer.push(("sim_s".to_owned(), self.sim_s.to_json()));
-        outer.push(("name".to_owned(), Json::String(self.name.clone())));
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"step\":");
+        self.step.write_json(out);
+        out.push_str(",\"sim_s\":");
+        self.sim_s.write_json(out);
+        out.push_str(",\"name\":");
+        self.name.write_json(out);
         if !self.causes.is_empty() {
-            outer.push((
-                "causes".to_owned(),
-                Json::Array(
-                    self.causes
-                        .iter()
-                        .map(|&id| Json::Number(id as f64))
-                        .collect(),
-                ),
-            ));
+            out.push_str(",\"causes\":");
+            self.causes.write_json(out);
         }
-        outer.push((
-            "fields".to_owned(),
-            Json::Object(
-                self.fields
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_json()))
-                    .collect(),
-            ),
-        ));
-        Json::Object(outer)
+        out.push_str(",\"fields\":");
+        icm_json::write_object(out, self.fields.iter().map(|(k, v)| (k.as_str(), v)));
+        out.push('}');
     }
 }
 
 impl FromJson for Event {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let outer = icm_json::expect_object(value, "Event")?;
-        let has_causes = icm_json::find_field(outer, "causes").is_some();
-        let expected = if has_causes { 5 } else { 4 };
-        if outer.len() != expected {
+    /// Exactly the keys `step`, `sim_s`, `name`, `fields` and optionally
+    /// `causes`, in any order; any other key is refused.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let found = r.peek()?;
+        if found != Token::Object {
             return Err(JsonError::msg(format!(
-                "Event: expected exactly step/sim_s/name/[causes/]fields, found {} keys",
-                outer.len()
+                "Event: expected object, found {}",
+                found.name()
             )));
         }
-        let step: u64 = icm_json::parse_field(outer, "Event", "step")?;
-        let sim_s: f64 = icm_json::parse_field(outer, "Event", "sim_s")?;
-        let name: String = icm_json::parse_field(outer, "Event", "name")?;
-        let causes: Vec<u64> = if has_causes {
-            icm_json::parse_field(outer, "Event", "causes")?
-        } else {
-            Vec::new()
-        };
-        let fields_json = icm_json::find_field(outer, "fields")
-            .ok_or_else(|| JsonError::msg("Event: missing field `fields`"))?;
-        let pairs = icm_json::expect_object(fields_json, "Event.fields")?;
-        let mut fields = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            fields.push((
-                k.clone(),
-                Value::from_json(v).map_err(|e| e.in_field("Event", k))?,
-            ));
-        }
+        let (mut step, mut sim_s, mut name, mut causes) = (None, None, None, None);
+        let mut fields: Option<Vec<(String, Value)>> = None;
+        r.object(|r, key| match &*key {
+            "step" => step.read(r, "Event", "step"),
+            "sim_s" => sim_s.read(r, "Event", "sim_s"),
+            "name" => name.read(r, "Event", "name"),
+            "causes" => causes.read(r, "Event", "causes"),
+            "fields" if fields.is_none() => {
+                let pairs = fields.insert(Vec::new());
+                r.object(|r, k| {
+                    if pairs.iter().any(|(seen, _)| *seen == k) {
+                        return Err(r.duplicate_key(&k));
+                    }
+                    let value = Value::read_json(r).map_err(|e| e.in_field("Event", &k))?;
+                    pairs.push((k.into_owned(), value));
+                    Ok(())
+                })
+            }
+            "fields" => Err(r.duplicate_key("fields")),
+            other => Err(JsonError::msg(format!(
+                "Event: unexpected key `{other}` (expected exactly step/sim_s/name/[causes/]fields)"
+            ))),
+        })?;
+        let missing = |field| icm_json::missing_field("Event", field);
         Ok(Event {
-            step,
-            sim_s,
-            name,
-            causes,
-            fields,
+            step: step.ok_or_else(|| missing("step"))?,
+            sim_s: sim_s.ok_or_else(|| missing("sim_s"))?,
+            name: name.ok_or_else(|| missing("name"))?,
+            causes: causes.unwrap_or_default(),
+            fields: fields.ok_or_else(|| missing("fields"))?,
         })
     }
 }

@@ -4,8 +4,6 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use icm_json::FromJson;
-
 use crate::Event;
 
 /// A malformed trace: the offending 1-based line and what went wrong.
@@ -43,11 +41,7 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, TraceError> {
         if line.trim().is_empty() {
             continue;
         }
-        let json = icm_json::parse(line).map_err(|e| TraceError {
-            line: idx + 1,
-            msg: e.to_string(),
-        })?;
-        let event = Event::from_json(&json).map_err(|e| TraceError {
+        let event = icm_json::from_str::<Event>(line).map_err(|e| TraceError {
             line: idx + 1,
             msg: e.to_string(),
         })?;

@@ -7,8 +7,6 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-use icm_json::ToJson;
-
 use crate::Event;
 
 /// Destination for trace events.
@@ -156,7 +154,7 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Sink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
-        let mut line = event.to_json().to_text();
+        let mut line = icm_json::to_string(event);
         line.push('\n');
         if self.out.write_all(line.as_bytes()).is_err() {
             self.io_errors += 1;

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use icm_json::{Json, ToJson};
+use icm_json::ToJson;
 
 use crate::bucket;
 
@@ -225,31 +225,22 @@ impl QuantileSketch {
 }
 
 impl ToJson for QuantileSketch {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("count".to_owned(), self.count.to_json()),
-            ("low".to_owned(), self.low.to_json()),
-            ("non_finite".to_owned(), self.non_finite.to_json()),
-            ("collapsed".to_owned(), self.collapsed.to_json()),
-            ("sum".to_owned(), self.sum.to_json()),
-            ("min".to_owned(), self.min().unwrap_or(0.0).to_json()),
-            ("max".to_owned(), self.max().unwrap_or(0.0).to_json()),
-            (
-                "error".to_owned(),
-                Json::Number(crate::bucket::RELATIVE_ERROR),
-            ),
-            (
-                "buckets".to_owned(),
-                Json::Array(
-                    self.buckets
-                        .iter()
-                        .map(|(&i, &c)| {
-                            Json::Array(vec![Json::Number(i as f64), Json::Number(c as f64)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        let buckets: Vec<(i64, u64)> = self.buckets.iter().map(|(&i, &c)| (i, c)).collect();
+        icm_json::write_object(
+            out,
+            [
+                ("count", &self.count as &dyn ToJson),
+                ("low", &self.low),
+                ("non_finite", &self.non_finite),
+                ("collapsed", &self.collapsed),
+                ("sum", &self.sum),
+                ("min", &self.min().unwrap_or(0.0)),
+                ("max", &self.max().unwrap_or(0.0)),
+                ("error", &crate::bucket::RELATIVE_ERROR),
+                ("buckets", &buckets),
+            ],
+        );
     }
 }
 

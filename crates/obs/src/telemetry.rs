@@ -36,7 +36,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use icm_json::{Json, ToJson};
+use icm_json::ToJson;
 
 use crate::sink::Sink;
 use crate::sketch::QuantileSketch;
@@ -113,29 +113,23 @@ impl Window {
         }
         self.sketch.observe(value);
     }
+}
 
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("w".to_owned(), self.index.to_json()),
-            ("count".to_owned(), self.count.to_json()),
-            ("sum".to_owned(), self.sum.to_json()),
-            (
-                "min".to_owned(),
-                if self.min.is_finite() { self.min } else { 0.0 }.to_json(),
-            ),
-            (
-                "max".to_owned(),
-                if self.max.is_finite() { self.max } else { 0.0 }.to_json(),
-            ),
-            (
-                "p50".to_owned(),
-                self.sketch.quantile(0.5).unwrap_or(0.0).to_json(),
-            ),
-            (
-                "p99".to_owned(),
-                self.sketch.quantile(0.99).unwrap_or(0.0).to_json(),
-            ),
-        ])
+impl ToJson for Window {
+    fn write_json(&self, out: &mut String) {
+        let finite_or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+        icm_json::write_object(
+            out,
+            [
+                ("w", &self.index as &dyn ToJson),
+                ("count", &self.count),
+                ("sum", &self.sum),
+                ("min", &finite_or_zero(self.min)),
+                ("max", &finite_or_zero(self.max)),
+                ("p50", &self.sketch.quantile(0.5).unwrap_or(0.0)),
+                ("p99", &self.sketch.quantile(0.99).unwrap_or(0.0)),
+            ],
+        );
     }
 }
 
@@ -182,28 +176,24 @@ impl Series {
             }
         }
     }
+}
 
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("count".to_owned(), self.total.count().to_json()),
-            ("sum".to_owned(), self.total.sum().to_json()),
-            ("min".to_owned(), self.total.min().unwrap_or(0.0).to_json()),
-            ("max".to_owned(), self.total.max().unwrap_or(0.0).to_json()),
-            (
-                "p50".to_owned(),
-                self.total.quantile(0.5).unwrap_or(0.0).to_json(),
-            ),
-            (
-                "p99".to_owned(),
-                self.total.quantile(0.99).unwrap_or(0.0).to_json(),
-            ),
-            ("dropped_windows".to_owned(), self.dropped_windows.to_json()),
-            ("sketch".to_owned(), self.total.to_json()),
-            (
-                "windows".to_owned(),
-                Json::Array(self.windows.iter().map(Window::to_json).collect()),
-            ),
-        ])
+impl ToJson for Series {
+    fn write_json(&self, out: &mut String) {
+        icm_json::write_object(
+            out,
+            [
+                ("count", &self.total.count() as &dyn ToJson),
+                ("sum", &self.total.sum()),
+                ("min", &self.total.min().unwrap_or(0.0)),
+                ("max", &self.total.max().unwrap_or(0.0)),
+                ("p50", &self.total.quantile(0.5).unwrap_or(0.0)),
+                ("p99", &self.total.quantile(0.99).unwrap_or(0.0)),
+                ("dropped_windows", &self.dropped_windows),
+                ("sketch", &self.total),
+                ("windows", &self.windows),
+            ],
+        );
     }
 }
 
@@ -240,18 +230,18 @@ pub struct HealthSnapshot {
 }
 
 impl ToJson for HealthSnapshot {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("step".to_owned(), self.step.to_json()),
-            ("sim_s".to_owned(), self.sim_s.to_json()),
-            ("events".to_owned(), self.events.to_json()),
-            ("counters".to_owned(), self.counters.to_json()),
-            ("sums".to_owned(), self.sums.to_json()),
-            (
-                "recovery_latency".to_owned(),
-                self.recovery_latency.to_json(),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        icm_json::write_object(
+            out,
+            [
+                ("step", &self.step as &dyn ToJson),
+                ("sim_s", &self.sim_s),
+                ("events", &self.events),
+                ("counters", &self.counters),
+                ("sums", &self.sums),
+                ("recovery_latency", &self.recovery_latency),
+            ],
+        );
     }
 }
 
@@ -406,56 +396,49 @@ impl Telemetry {
         inner.health(inner.last_step, inner.last_sim_s)
     }
 
-    /// The full telemetry artifact. Bounded: its serialized size stays
-    /// under [`TELEMETRY_BYTE_BUDGET`] regardless of run length.
-    pub fn to_json(&self) -> Json {
-        let inner = self.shared.borrow();
-        Json::Object(vec![
-            (
-                "budget_bytes".to_owned(),
-                (TELEMETRY_BYTE_BUDGET as u64).to_json(),
-            ),
-            ("window_s".to_owned(), inner.config.window_s.to_json()),
-            (
-                "snapshot_every_s".to_owned(),
-                inner.config.snapshot_every_s.to_json(),
-            ),
-            ("events".to_owned(), inner.events.to_json()),
-            (
-                "dropped".to_owned(),
-                Json::Object(vec![
-                    ("series".to_owned(), inner.dropped_series.to_json()),
-                    ("keys".to_owned(), inner.dropped_keys.to_json()),
-                    ("snapshots".to_owned(), inner.dropped_snapshots.to_json()),
-                ]),
-            ),
-            (
-                "health".to_owned(),
-                inner.health(inner.last_step, inner.last_sim_s).to_json(),
-            ),
-            (
-                "series".to_owned(),
-                Json::Object(
-                    inner
-                        .series
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "snapshots".to_owned(),
-                Json::Array(inner.snapshots.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-
     /// The artifact as compact JSON text plus trailing newline — what
     /// `icm-experiments --telemetry FILE` writes.
     pub fn to_text(&self) -> String {
-        let mut text = self.to_json().to_text();
+        let mut text = icm_json::to_string(self);
         text.push('\n');
         text
+    }
+}
+
+/// What the artifact's bounds dropped.
+struct Dropped {
+    series: u64,
+    keys: u64,
+    snapshots: u64,
+}
+icm_json::impl_json!(struct Dropped { series, keys, snapshots });
+
+/// The full telemetry artifact. Bounded: its serialized size stays
+/// under [`TELEMETRY_BYTE_BUDGET`] regardless of run length.
+impl ToJson for Telemetry {
+    fn write_json(&self, out: &mut String) {
+        let inner = self.shared.borrow();
+        let dropped = Dropped {
+            series: inner.dropped_series,
+            keys: inner.dropped_keys,
+            snapshots: inner.dropped_snapshots,
+        };
+        icm_json::write_object(
+            out,
+            [
+                (
+                    "budget_bytes",
+                    &(TELEMETRY_BYTE_BUDGET as u64) as &dyn ToJson,
+                ),
+                ("window_s", &inner.config.window_s),
+                ("snapshot_every_s", &inner.config.snapshot_every_s),
+                ("events", &inner.events),
+                ("dropped", &dropped),
+                ("health", &inner.health(inner.last_step, inner.last_sim_s)),
+                ("series", &inner.series),
+                ("snapshots", &inner.snapshots),
+            ],
+        );
     }
 }
 
@@ -698,6 +681,7 @@ impl Sink for TelemetrySink {
 mod tests {
     use super::*;
     use crate::{JsonlSink, SharedBuf, Tracer, Value};
+    use icm_json::Json;
 
     fn event(step: u64, sim_s: f64, name: &str, fields: &[(&str, Value)]) -> Event {
         Event {
@@ -730,7 +714,7 @@ mod tests {
         assert_eq!(t.events(), 50);
         let names = t.series_names();
         assert!(names.contains(&"probe.residual".to_owned()), "{names:?}");
-        let doc = t.to_json();
+        let doc = icm_json::to_value(&t);
         let series = doc
             .get("series")
             .and_then(|s| s.get("probe.residual"))
@@ -757,7 +741,7 @@ mod tests {
             t.observe("c", i as f64, 3.0); // over the cap — dropped
         }
         assert_eq!(t.series_names(), ["a", "b"]);
-        let doc = t.to_json();
+        let doc = icm_json::to_value(&t);
         let a = doc.get("series").and_then(|s| s.get("a")).expect("a");
         let windows = a.get("windows").and_then(Json::as_array).expect("windows");
         assert_eq!(windows.len(), 4, "ring bound");
@@ -860,7 +844,7 @@ mod tests {
         }
         // 1350 simulated seconds → 13 cadence points, ring keeps 3.
         assert_eq!(t.snapshot_count(), 3);
-        let doc = t.to_json();
+        let doc = icm_json::to_value(&t);
         let snaps = doc
             .get("snapshots")
             .and_then(Json::as_array)

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use icm_json::{Json, ToJson};
+use icm_json::ToJson;
 
 use crate::QuantileSketch;
 
@@ -94,28 +94,29 @@ fn format_ns(ns: f64) -> String {
 }
 
 impl ToJson for WallProfile {
-    fn to_json(&self) -> Json {
-        let stats = |sketch: &QuantileSketch| {
-            let ns = |value: Option<f64>| value.unwrap_or_default().to_json();
-            Json::Object(vec![
-                ("count".to_owned(), sketch.count().to_json()),
-                ("total_ns".to_owned(), sketch.sum().to_json()),
-                ("min_ns".to_owned(), ns(sketch.min())),
-                ("max_ns".to_owned(), ns(sketch.max())),
-                ("mean_ns".to_owned(), ns(sketch.mean())),
-                ("p50_ns".to_owned(), ns(sketch.quantile(0.5))),
-                ("p99_ns".to_owned(), ns(sketch.quantile(0.99))),
-            ])
-        };
-        Json::object([(
-            "spans",
-            Json::Object(
-                self.spans
-                    .iter()
-                    .map(|(name, sketch)| (name.clone(), stats(sketch)))
-                    .collect(),
-            ),
-        )])
+    fn write_json(&self, out: &mut String) {
+        let ns = |value: Option<f64>| value.unwrap_or_default();
+        out.push_str("{\"spans\":{");
+        for (i, (name, sketch)) in self.spans.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            name.write_json(out);
+            out.push(':');
+            icm_json::write_object(
+                out,
+                [
+                    ("count", &sketch.count() as &dyn ToJson),
+                    ("total_ns", &sketch.sum()),
+                    ("min_ns", &ns(sketch.min())),
+                    ("max_ns", &ns(sketch.max())),
+                    ("mean_ns", &ns(sketch.mean())),
+                    ("p50_ns", &ns(sketch.quantile(0.5))),
+                    ("p99_ns", &ns(sketch.quantile(0.99))),
+                ],
+            );
+        }
+        out.push_str("}}");
     }
 }
 

@@ -40,41 +40,47 @@ pub enum AcceptRule {
     },
 }
 
+/// The JSON body of [`AcceptRule::Metropolis`].
+struct Metropolis {
+    initial_temperature: f64,
+    cooling: f64,
+}
+icm_json::impl_json!(struct Metropolis { initial_temperature, cooling });
+
 impl icm_json::ToJson for AcceptRule {
-    fn to_json(&self) -> icm_json::Json {
+    fn write_json(&self, out: &mut String) {
         match *self {
-            AcceptRule::Greedy => icm_json::Json::String("Greedy".to_owned()),
+            AcceptRule::Greedy => out.push_str("\"Greedy\""),
             AcceptRule::Metropolis {
                 initial_temperature,
                 cooling,
-            } => icm_json::Json::object([(
-                "Metropolis",
-                icm_json::Json::object([
-                    ("initial_temperature", initial_temperature.to_json()),
-                    ("cooling", cooling.to_json()),
-                ]),
-            )]),
+            } => {
+                let body = Metropolis {
+                    initial_temperature,
+                    cooling,
+                };
+                icm_json::write_object(out, [("Metropolis", &body)]);
+            }
         }
     }
 }
 
 impl icm_json::FromJson for AcceptRule {
-    fn from_json(value: &icm_json::Json) -> Result<Self, icm_json::JsonError> {
-        if value.as_str() == Some("Greedy") {
-            return Ok(AcceptRule::Greedy);
-        }
-        if let Some(body) = value.get("Metropolis") {
-            let fields = icm_json::expect_object(body, "AcceptRule::Metropolis")?;
-            return Ok(AcceptRule::Metropolis {
-                initial_temperature: icm_json::parse_field(
-                    fields,
-                    "Metropolis",
-                    "initial_temperature",
-                )?,
-                cooling: icm_json::parse_field(fields, "Metropolis", "cooling")?,
-            });
-        }
-        Err(icm_json::JsonError::msg("unknown AcceptRule variant"))
+    fn read_json(r: &mut icm_json::Reader<'_>) -> Result<Self, icm_json::JsonError> {
+        icm_json::read_variant(r, "AcceptRule", |name, body| match (name, body) {
+            ("Greedy", None) => Ok(AcceptRule::Greedy),
+            ("Metropolis", Some(r)) => {
+                let Metropolis {
+                    initial_temperature,
+                    cooling,
+                } = icm_json::FromJson::read_json(r)?;
+                Ok(AcceptRule::Metropolis {
+                    initial_temperature,
+                    cooling,
+                })
+            }
+            _ => Err(icm_json::unknown_variant("AcceptRule", name)),
+        })
     }
 }
 

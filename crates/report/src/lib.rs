@@ -168,7 +168,7 @@ fn typed_section<T: FromJson>(
 ) -> Section {
     let (verdict, charts, notes) = match doc.get(id) {
         None => (Verdict::missing(id), Vec::new(), Vec::new()),
-        Some(json) => match T::from_json(json) {
+        Some(json) => match icm_json::from_value::<T>(json) {
             Ok(result) => build(&result),
             Err(err) => (
                 Verdict {
@@ -779,7 +779,7 @@ fn audit_body(r: &RecoveryResult) -> SectionBody {
 fn audit_section(doc: &ResultsDoc) -> Section {
     let (verdict, charts, notes) = match doc.get("recovery") {
         None => (Verdict::missing("recovery"), Vec::new(), Vec::new()),
-        Some(json) => match RecoveryResult::from_json(json) {
+        Some(json) => match icm_json::from_value::<RecoveryResult>(json) {
             Ok(result) => audit_body(&result),
             Err(err) => (
                 Verdict {
@@ -1131,7 +1131,6 @@ pub fn render_text(report: &Report) -> String {
 mod tests {
     use super::*;
     use icm_experiments::fig2::Fig2Row;
-    use icm_json::ToJson;
 
     fn doc_with_fig2() -> ResultsDoc {
         let result = Fig2Result {
@@ -1147,7 +1146,7 @@ mod tests {
                 .collect(),
         };
         let mut doc = ResultsDoc::new(7, true);
-        doc.push("fig2", result.to_json());
+        doc.push("fig2", icm_json::to_value(&result));
         doc
     }
 
@@ -1315,7 +1314,7 @@ mod tests {
             }],
         };
         let mut doc = ResultsDoc::new(7, true);
-        doc.push("recovery", result.to_json());
+        doc.push("recovery", icm_json::to_value(&result));
         let report = build_report(&doc, None, None, None);
         let audit = report
             .sections

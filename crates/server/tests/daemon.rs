@@ -323,7 +323,9 @@ const CHILD_KILL_AFTER: &str = "ICM_DAEMON_CHILD_KILL_AFTER";
 
 /// The scripted stream the crash drill serves: bursts that overload the
 /// queue, malformed and damaged frames, observations that move the
-/// model, and enough traffic to cross several checkpoints.
+/// model, and enough traffic to cross several checkpoints. Each round
+/// ends with an unstamped request, which is served as it arrives, so
+/// the queue drains at that frame's edge and a checkpoint can land.
 fn drill_frames() -> Vec<Frame> {
     let mut frames = Vec::new();
     for round in 0u64..6 {
@@ -344,6 +346,9 @@ fn drill_frames() -> Vec<Frame> {
         frames.push(Frame::Line(format!(
             r#"{{"id":"s{round}","kind":"status","at_ms":{}}}"#,
             at + 300
+        )));
+        frames.push(Frame::Line(format!(
+            r#"{{"id":"u{round}","kind":"predict","app":"H.KM","corunners":["M.milc"]}}"#
         )));
     }
     frames
@@ -411,6 +416,11 @@ fn kill_dash_nine_loses_no_acknowledged_reply() {
     assert!(!out.status.success(), "the child must die mid-stream");
     let partial = std::fs::read(crashed.join("journal.log")).expect("partial journal");
     assert!(!partial.is_empty(), "the crashed run committed replies");
+    // Recovery must restore a checkpoint, not only replay from frame 0.
+    let generations = std::fs::read_dir(crashed.join("checkpoints"))
+        .expect("the killed life made a checkpoint dir")
+        .count();
+    assert!(generations >= 1, "the killed life left no checkpoint");
     let out = spawn_child(&crashed, None);
     assert!(out.status.success(), "recovery failed: {out:?}");
 

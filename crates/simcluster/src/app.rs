@@ -20,30 +20,33 @@ pub enum MasterBehavior {
     },
 }
 
+/// The JSON body of [`MasterBehavior::Coordinator`].
+struct Coordinator {
+    demand_frac: f64,
+}
+icm_json::impl_json!(struct Coordinator { demand_frac });
+
 impl icm_json::ToJson for MasterBehavior {
-    fn to_json(&self) -> icm_json::Json {
-        match self {
-            MasterBehavior::Participates => icm_json::Json::String("Participates".to_owned()),
-            MasterBehavior::Coordinator { demand_frac } => icm_json::Json::object([(
-                "Coordinator",
-                icm_json::Json::object([("demand_frac", demand_frac.to_json())]),
-            )]),
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            MasterBehavior::Participates => out.push_str("\"Participates\""),
+            MasterBehavior::Coordinator { demand_frac } => {
+                icm_json::write_object(out, [("Coordinator", &Coordinator { demand_frac })]);
+            }
         }
     }
 }
 
 impl icm_json::FromJson for MasterBehavior {
-    fn from_json(value: &icm_json::Json) -> Result<Self, icm_json::JsonError> {
-        if value.as_str() == Some("Participates") {
-            return Ok(MasterBehavior::Participates);
-        }
-        if let Some(body) = value.get("Coordinator") {
-            let fields = icm_json::expect_object(body, "MasterBehavior::Coordinator")?;
-            return Ok(MasterBehavior::Coordinator {
-                demand_frac: icm_json::parse_field(fields, "Coordinator", "demand_frac")?,
-            });
-        }
-        Err(icm_json::JsonError::msg("unknown MasterBehavior variant"))
+    fn read_json(r: &mut icm_json::Reader<'_>) -> Result<Self, icm_json::JsonError> {
+        icm_json::read_variant(r, "MasterBehavior", |name, body| match (name, body) {
+            ("Participates", None) => Ok(MasterBehavior::Participates),
+            ("Coordinator", Some(r)) => {
+                let Coordinator { demand_frac } = icm_json::FromJson::read_json(r)?;
+                Ok(MasterBehavior::Coordinator { demand_frac })
+            }
+            _ => Err(icm_json::unknown_variant("MasterBehavior", name)),
+        })
     }
 }
 

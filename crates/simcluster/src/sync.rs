@@ -45,41 +45,46 @@ pub enum SyncPattern {
     },
 }
 
+/// The JSON body of [`SyncPattern::Collective`].
+struct Collective {
+    phases: usize,
+    coupling: f64,
+}
+icm_json::impl_json!(struct Collective { phases, coupling });
+
+/// The JSON body of [`SyncPattern::TaskQueue`].
+struct TaskQueue {
+    tasks: usize,
+    stages: usize,
+}
+icm_json::impl_json!(struct TaskQueue { tasks, stages });
+
 impl icm_json::ToJson for SyncPattern {
-    fn to_json(&self) -> icm_json::Json {
+    fn write_json(&self, out: &mut String) {
         match *self {
-            SyncPattern::Collective { phases, coupling } => icm_json::Json::object([(
-                "Collective",
-                icm_json::Json::object([
-                    ("phases", phases.to_json()),
-                    ("coupling", coupling.to_json()),
-                ]),
-            )]),
-            SyncPattern::TaskQueue { tasks, stages } => icm_json::Json::object([(
-                "TaskQueue",
-                icm_json::Json::object([("tasks", tasks.to_json()), ("stages", stages.to_json())]),
-            )]),
+            SyncPattern::Collective { phases, coupling } => {
+                icm_json::write_object(out, [("Collective", &Collective { phases, coupling })]);
+            }
+            SyncPattern::TaskQueue { tasks, stages } => {
+                icm_json::write_object(out, [("TaskQueue", &TaskQueue { tasks, stages })]);
+            }
         }
     }
 }
 
 impl icm_json::FromJson for SyncPattern {
-    fn from_json(value: &icm_json::Json) -> Result<Self, icm_json::JsonError> {
-        if let Some(body) = value.get("Collective") {
-            let fields = icm_json::expect_object(body, "SyncPattern::Collective")?;
-            return Ok(SyncPattern::Collective {
-                phases: icm_json::parse_field(fields, "Collective", "phases")?,
-                coupling: icm_json::parse_field(fields, "Collective", "coupling")?,
-            });
-        }
-        if let Some(body) = value.get("TaskQueue") {
-            let fields = icm_json::expect_object(body, "SyncPattern::TaskQueue")?;
-            return Ok(SyncPattern::TaskQueue {
-                tasks: icm_json::parse_field(fields, "TaskQueue", "tasks")?,
-                stages: icm_json::parse_field(fields, "TaskQueue", "stages")?,
-            });
-        }
-        Err(icm_json::JsonError::msg("unknown SyncPattern variant"))
+    fn read_json(r: &mut icm_json::Reader<'_>) -> Result<Self, icm_json::JsonError> {
+        icm_json::read_variant(r, "SyncPattern", |name, body| match (name, body) {
+            ("Collective", Some(r)) => {
+                let Collective { phases, coupling } = icm_json::FromJson::read_json(r)?;
+                Ok(SyncPattern::Collective { phases, coupling })
+            }
+            ("TaskQueue", Some(r)) => {
+                let TaskQueue { tasks, stages } = icm_json::FromJson::read_json(r)?;
+                Ok(SyncPattern::TaskQueue { tasks, stages })
+            }
+            _ => Err(icm_json::unknown_variant("SyncPattern", name)),
+        })
     }
 }
 

@@ -158,7 +158,10 @@ echo "verify: checkpoint naming smoke OK"
 # Serve smoke: the placement daemon works a scripted mix (timed
 # requests, a malformed line, a deliberate overload burst), is killed
 # with SIGABRT mid-stream (--kill-after-commits: no flushes, no
-# destructors), and is restarted on the same state directory. Every
+# destructors), and is restarted on the same state directory. The
+# unstamped requests are served as they arrive, so the queue drains at
+# their frame edges and the killed life checkpoints: recovery restores
+# that checkpoint instead of replaying from the first frame. Every
 # acknowledged (journaled) reply must survive the kill byte-for-byte,
 # the recovered journal must equal an uninterrupted same-script run's,
 # and a same-seed rerun must be byte-identical end to end.
@@ -167,7 +170,9 @@ echo "verify: checkpoint naming smoke OK"
         '{"id":"w1","kind":"predict","app":"M.milc","corunners":["H.KM"],"at_ms":100,"deadline_ms":500}' \
         '{"id":"o1","kind":"observe","app":"M.milc","corunners":["H.KM"],"normalized":1.4,"at_ms":140,"deadline_ms":500}' \
         'this is not a request' \
-        '{"id":"a1","kind":"place","iterations":200,"at_ms":200,"deadline_ms":500}'
+        '{"id":"a1","kind":"place","iterations":200,"at_ms":200,"deadline_ms":500}' \
+        '{"id":"u1","kind":"predict","app":"M.milc","corunners":["H.KM"]}' \
+        '{"id":"u2","kind":"status"}'
     i=0
     while [ "$i" -lt 12 ]; do
         printf '{"id":"b%d","kind":"predict","app":"H.KM","corunners":["M.milc"],"priority":%d,"at_ms":400,"deadline_ms":60}\n' \
@@ -193,6 +198,8 @@ if ./target/release/icm-server --fast --state "$SMOKE/kill-serve" --checkpoint-e
 fi
 test -s "$SMOKE/kill-serve/journal.log" \
     || { echo "verify: the killed daemon journaled nothing" >&2; exit 1; }
+test -n "$(ls "$SMOKE/kill-serve/checkpoints")" \
+    || { echo "verify: the killed daemon left no checkpoint" >&2; exit 1; }
 cp "$SMOKE/kill-serve/journal.log" "$SMOKE/pre-kill-journal.log"
 ./target/release/icm-server --fast --state "$SMOKE/kill-serve" --checkpoint-every 6 \
     --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null

@@ -1,94 +1,60 @@
-//! Differential decode oracle: streaming typed decode (`from_str`, and
-//! the snapshot `parse` functions built on it) against the tree path it
-//! replaced (`parse` to a `Json` tree, then `from_json`).
+//! Decode oracle: typed decoding (`from_str`, and the snapshot `parse`
+//! functions built on it) against golden verdicts.
 //!
 //! A seeded corpus of damaged documents — a real endurance savestate, a
 //! daemon savestate and small typed documents, each hit with byte flips,
 //! truncations, duplicated known and unknown keys, unknown fields that
 //! hold an overflowing number or nest past `MAX_DEPTH`, integers written
-//! as `1.0`/`1e2`/`2^53+2`, and trailing garbage — must get the same
-//! verdict from both paths: both refuse, or both accept and re-encode to
-//! the same bytes. The snapshot parsers must also pick the same refusal
-//! (unknown version or damaged payload) as a version check on the tree.
+//! as `1.0`/`1e2`/`2^53+2`, and trailing garbage — gets one verdict per
+//! document: refused (`R`), refused as another format version (`V<n>`),
+//! or accepted, written as the FNV-1a-64 of the value's compact
+//! re-encoding. `decode_oracle.golden` pins every verdict. They were
+//! recorded while a second, tree-based decoder still checked each one,
+//! so a decoder that starts accepting damage, or decodes it to another
+//! value, fails here. Every accepted text must also be valid JSON.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 use icm::experiments::endurance::World;
 use icm::experiments::ExpConfig;
-use icm::json::{FromJson, Json, JsonError, ToJson, MAX_DEPTH};
+use icm::json::fs::fnv1a64;
+use icm::json::{Json, ToJson, MAX_DEPTH};
 use icm::rng::Rng;
 use icm_manager::snapshot::{FormatError, WorldSnapshot};
 use icm_obs::Tracer;
 use icm_server::{Server, ServerConfig, ServerSnapshot};
 
-/// Wall-clock budget per base document; the mutation count is the cap.
-const BUDGET: Duration = Duration::from_secs(6);
+/// The pinned verdicts: one line per corpus, `label: verdict…`, the
+/// base document's verdict first.
+const GOLDEN: &str = include_str!("decode_oracle.golden");
 
-/// What a decode path made of one text.
-#[derive(Debug, PartialEq)]
-enum Verdict {
-    /// Accepted; the value's compact re-encoding.
-    Accepted(String),
-    /// Refused as a well-formed document of another format version.
-    Version(String),
-    /// Refused as damaged.
-    Refused,
+/// The verdict for a decode of `text` that accepted `value`.
+fn accepted<T: ToJson>(text: &str, value: &T) -> String {
+    assert!(
+        icm::json::parse(text).is_ok(),
+        "a typed decoder accepted text that is not JSON: {text:?}"
+    );
+    format!("{:016x}", fnv1a64(icm::json::to_string(value).as_bytes()))
 }
 
-impl Verdict {
-    /// A one-line form for failure messages.
-    fn summary(&self) -> String {
-        match self {
-            Verdict::Accepted(text) => format!("accepted ({} bytes)", text.len()),
-            Verdict::Version(v) => format!("version {v}"),
-            Verdict::Refused => "refused".to_owned(),
-        }
+/// The verdict of decoding `text` as a `T`.
+fn typed<T: icm::json::FromJson + ToJson>(text: &str) -> String {
+    match icm::json::from_str::<T>(text) {
+        Ok(value) => accepted(text, &value),
+        Err(_) => "R".to_owned(),
     }
 }
 
-fn typed<T: ToJson>(result: Result<T, JsonError>) -> Verdict {
-    match result {
-        Ok(value) => Verdict::Accepted(icm::json::to_string(&value)),
-        Err(_) => Verdict::Refused,
-    }
-}
-
-/// Streaming and tree decode of `text` as a `T`.
-fn both<T: FromJson + ToJson>(text: &str) -> (Verdict, Verdict) {
-    let stream = typed(icm::json::from_str::<T>(text));
-    let tree = typed(icm::json::parse(text).and_then(|json| T::from_json(&json)));
-    (stream, tree)
-}
-
-/// The version-first rule on a tree: parse, compare `version`, decode.
-fn by_tree<T: FromJson>(text: &str, expected: u64) -> Result<T, Option<f64>> {
-    let value = icm::json::parse(text).map_err(|_| None)?;
-    let version = value.get("version").and_then(Json::as_f64).ok_or(None)?;
-    if version != expected as f64 {
-        return Err(Some(version));
-    }
-    T::from_json(&value).map_err(|_| None)
-}
-
-/// A snapshot format's streaming `parse` against the version-first
-/// rule on a tree; both must refuse another version by its typed
-/// variant.
-fn snapshot_verdicts<T: FromJson + ToJson, const READS: u64>(
+/// The verdict of a snapshot format's `parse` on `text`.
+fn snapshot<T: ToJson, const READS: u64>(
     text: &str,
     parse: fn(&str) -> Result<T, FormatError<READS>>,
-) -> (Verdict, Verdict) {
-    let stream = match parse(text) {
-        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
-        Err(FormatError::UnknownVersion(v)) => Verdict::Version(v.to_string()),
-        Err(FormatError::Payload(_)) => Verdict::Refused,
-    };
-    let tree = match by_tree::<T>(text, READS) {
-        Ok(snapshot) => Verdict::Accepted(icm::json::to_string(&snapshot)),
-        Err(Some(v)) => Verdict::Version((v as u64).to_string()),
-        Err(None) => Verdict::Refused,
-    };
-    (stream, tree)
+) -> String {
+    match parse(text) {
+        Ok(snapshot) => accepted(text, &snapshot),
+        Err(FormatError::UnknownVersion(v)) => format!("V{v}"),
+        Err(FormatError::Payload(_)) => "R".to_owned(),
+    }
 }
 
 /// Byte offsets just after the `{` of each object whose first member
@@ -215,7 +181,7 @@ fn mutate(text: &str, rng: &mut Rng) -> (&'static str, String) {
         ),
         _ => {
             // Another version plus damage elsewhere: the refusal must name
-            // whichever problem the tree check names.
+            // whichever problem a version-first check names.
             let versioned = text.replacen(
                 &format!("\"version\":{}", first_version(text)),
                 "\"version\":9",
@@ -234,45 +200,43 @@ fn first_version(text: &str) -> String {
         .unwrap_or_default()
 }
 
-/// Runs up to `count` seeded mutations of `text` (within [`BUDGET`])
-/// through `verdicts`, asserting agreement. Returns how many mutations
-/// both paths accepted, so a corpus that never reaches the accept path
-/// fails loudly.
+/// Runs `count` seeded mutations of `text` through `verdict` and checks
+/// the base document's verdict and every mutation's against the golden
+/// line `label`. Returns how many mutations were accepted, so a corpus
+/// that never reaches the accept path fails loudly.
 fn check_corpus(
     label: &str,
     text: &str,
     seed: u64,
     count: usize,
-    verdicts: impl Fn(&str) -> (Verdict, Verdict),
+    verdict: impl Fn(&str) -> String,
 ) -> usize {
-    let (stream, tree) = verdicts(text);
-    assert!(
-        matches!(stream, Verdict::Accepted(_)),
-        "{label}: base refused"
-    );
-    assert_eq!(stream, tree, "{label}: base document");
+    let golden: Vec<&str> = GOLDEN
+        .lines()
+        .find_map(|line| line.strip_prefix(label)?.strip_prefix(": "))
+        .unwrap_or_else(|| panic!("{label}: no golden line"))
+        .split(' ')
+        .collect();
+    assert_eq!(golden.len(), count + 1, "{label}: golden verdict count");
+    let base = verdict(text);
+    assert_eq!(base, golden[0], "{label}: base document");
+    assert!(base.len() == 16, "{label}: base refused");
     let mut rng = Rng::from_seed(seed);
-    let begin = Instant::now();
     let mut accepted = 0;
-    for i in 0..count {
-        if begin.elapsed() > BUDGET {
-            break;
-        }
+    for (i, expected) in golden[1..].iter().enumerate() {
         let (kind, mutated) = mutate(text, &mut rng);
-        let (stream, tree) = verdicts(&mutated);
-        assert!(
-            stream == tree,
-            "{label}: mutation {i} ({kind}) split the paths: streaming {}, tree {}",
-            stream.summary(),
-            tree.summary()
+        let found = verdict(&mutated);
+        assert_eq!(
+            found, *expected,
+            "{label}: mutation {i} ({kind}) left its golden verdict"
         );
-        accepted += usize::from(matches!(stream, Verdict::Accepted(_)));
+        accepted += usize::from(found.len() == 16);
     }
     accepted
 }
 
 #[test]
-fn streaming_snapshot_decode_agrees_with_the_tree_on_damaged_savestates() {
+fn snapshot_decode_keeps_its_golden_verdicts_on_damaged_savestates() {
     let tracer = Tracer::disabled();
     let cfg = ExpConfig {
         seed: 7,
@@ -285,14 +249,14 @@ fn streaming_snapshot_decode_agrees_with_the_tree_on_damaged_savestates() {
     }
     let text = world.snapshot(&tracer, None, 0).to_text();
     let accepted = check_corpus("world", &text, 0xDEC0DE, 60, |text| {
-        snapshot_verdicts(text, WorldSnapshot::parse)
+        snapshot(text, WorldSnapshot::parse)
     });
     assert!(accepted > 0, "no mutated savestate was accepted");
 
     let mut server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
     let text = icm::json::to_string(&server.snapshot());
     check_corpus("server", &text, 0x5E4E, 40, |text| {
-        snapshot_verdicts(text, ServerSnapshot::parse)
+        snapshot(text, ServerSnapshot::parse)
     });
 }
 
@@ -322,7 +286,7 @@ icm::json::impl_json!(struct Small {
 });
 
 #[test]
-fn streaming_typed_decode_agrees_with_the_tree_on_damaged_documents() {
+fn typed_decode_keeps_its_golden_verdicts_on_damaged_documents() {
     let small = Small {
         id: 3,
         weight: -0.25,
@@ -340,9 +304,10 @@ fn streaming_typed_decode_agrees_with_the_tree_on_damaged_documents() {
     let compact = icm::json::to_string(&small);
     let pretty = icm::json::to_string_pretty(&small);
     for (label, text, seed) in [("compact", &compact, 11), ("pretty", &pretty, 12)] {
-        let accepted = check_corpus(label, text, seed, 400, both::<Small>);
+        let accepted = check_corpus(label, text, seed, 400, typed::<Small>);
         assert!(accepted > 0, "{label}: no mutated document was accepted");
-        check_corpus(label, text, seed + 100, 200, both::<Json>);
+        let label = format!("{label}-json");
+        check_corpus(&label, text, seed + 100, 200, typed::<Json>);
     }
     let config = icm::json::to_string(&icm_manager::ManagerConfig::default());
     check_corpus(
@@ -350,6 +315,20 @@ fn streaming_typed_decode_agrees_with_the_tree_on_damaged_documents() {
         &config,
         13,
         300,
-        both::<icm_manager::ManagerConfig>,
+        typed::<icm_manager::ManagerConfig>,
     );
+}
+
+/// A verdict string that records nothing would pass any decoder: the
+/// golden file must hold every kind of verdict.
+#[test]
+fn the_goldens_hold_refusals_version_refusals_and_acceptances() {
+    let verdicts: Vec<&str> = GOLDEN
+        .lines()
+        .filter_map(|line| line.split_once(": "))
+        .flat_map(|(_, verdicts)| verdicts.split(' '))
+        .collect();
+    assert!(verdicts.contains(&"R"));
+    assert!(verdicts.iter().any(|v| v.starts_with('V')));
+    assert!(verdicts.iter().filter(|v| v.len() == 16).count() > 10);
 }

@@ -8,33 +8,24 @@ use icm::core::{InterferenceModel, ModelStore, PropagationMatrix, SensitivityCur
 use icm::placement::{AcceptRule, AnnealConfig, PlacementProblem, PlacementState};
 use icm::workloads::{Catalog, TestbedBuilder};
 
-/// Serialize → parse → compare, for any type that is `PartialEq`. The
-/// streamed compact text must also equal the text of the value's tree,
-/// and the streamed decode must re-encode equal to the tree decode.
+/// Serialize → parse → compare, for any type that is `PartialEq`, in
+/// compact and pretty form. The compact text must be canonical: its
+/// tree writes it back byte for byte.
 fn round_trip<T>(value: &T)
 where
     T: icm::json::ToJson + icm::json::FromJson + PartialEq + std::fmt::Debug,
 {
     let json = icm::json::to_string(value);
     assert_eq!(
+        icm::json::to_value(value).to_text(),
         json,
-        value.to_json().to_text(),
-        "streamed text left the tree's bytes"
+        "compact text is not canonical"
     );
     let back: T = icm::json::from_str(&json).expect("round-trip parse");
     assert_eq!(&back, value, "value drifted through {json}");
     // Pretty output must parse back to the same value too.
-    let pretty_text = icm::json::to_string_pretty(value);
-    let pretty: T = icm::json::from_str(&pretty_text).expect("pretty parse");
+    let pretty: T = icm::json::from_str(&icm::json::to_string_pretty(value)).expect("pretty parse");
     assert_eq!(&pretty, value);
-    for (text, streamed) in [(&json, &back), (&pretty_text, &pretty)] {
-        let tree = T::from_json(&icm::json::parse(text).expect("parses")).expect("tree decode");
-        assert_eq!(
-            icm::json::to_string(streamed),
-            icm::json::to_string(&tree),
-            "streamed and tree decodes diverge on {text}"
-        );
-    }
 }
 
 #[test]

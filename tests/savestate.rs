@@ -233,13 +233,13 @@ struct Edited {
     settled: usize,
 }
 
-/// Differential oracle for the run-history cache: every `every` ticks
-/// the streamed savestate, which splices each sealed record's cached
-/// text, must equal the text of the snapshot's JSON tree, which never
-/// sees the cache. Every `restore_every`-th check rebuilds the world
+/// Oracle for the run-history cache: every `every` ticks the streamed
+/// savestate, which splices each sealed record's cached text, must hold
+/// the history exactly as an encode of the live records writes it, with
+/// no cache at all. Every `restore_every`-th check rebuilds the world
 /// from that text, so the cache also restarts empty mid-run. `step`
 /// advances the world one tick.
-fn stream_matches_tree(
+fn history_matches_uncached(
     mut world: World,
     every: u64,
     restore_every: u64,
@@ -255,18 +255,24 @@ fn stream_matches_tree(
         if !tick.is_multiple_of(every) {
             continue;
         }
-        let snapshot = world.snapshot(&tracer, None, 0);
-        let text = snapshot.to_text();
-        assert_eq!(
-            text,
-            icm_json::ToJson::to_json(&snapshot).to_text(),
-            "streamed savestate diverged from its tree at tick {tick}"
-        );
-        let provenance = world
+        let text = world.snapshot(&tracer, None, 0).to_text();
+        // The outcome hands the records over in plain vectors, which
+        // carry no cache.
+        let outcome = world
             .run
             .clone()
-            .into_outcome(&world.testbed, &world.fleet, &world.config)
-            .provenance;
+            .into_outcome(&world.testbed, &world.fleet, &world.config);
+        let history = format!(
+            r#""detections":{},"actions":{},"provenance":{},"start_stats":"#,
+            icm_json::to_string(&outcome.detections),
+            icm_json::to_string(&outcome.actions),
+            icm_json::to_string(&outcome.provenance),
+        );
+        assert!(
+            text.contains(&history),
+            "the savestate's history left its uncached encoding at tick {tick}"
+        );
+        let provenance = outcome.provenance;
         let open = provenance.iter().take_while(|r| r.resolved).count();
         assert!(
             provenance[open..].iter().all(|r| !r.resolved),
@@ -315,7 +321,7 @@ fn streamed_savestates_equal_their_trees_on_a_long_endurance_world() {
     };
     let mut world = World::new(&cfg, &Tracer::disabled()).expect("world builds");
     world.config.ticks = 300;
-    let edited = stream_matches_tree(world, 10, 5, |world, tracer| {
+    let edited = history_matches_uncached(world, 10, 5, |world, tracer| {
         world.step(tracer).expect("steps");
     });
     assert!(
@@ -347,7 +353,7 @@ fn streamed_savestates_equal_their_trees_through_recoveries() {
             .collect(),
         ..FaultPlan::default()
     }));
-    let edited = stream_matches_tree(world, 1, 25, |world, tracer| {
+    let edited = history_matches_uncached(world, 1, 25, |world, tracer| {
         world
             .run
             .step(&mut world.testbed, &mut world.fleet, &world.config, tracer)
