@@ -10,19 +10,12 @@
 //! `main`. Run with `cargo bench -p icm-bench`; pass a substring to run
 //! only matching benchmarks, e.g. `cargo bench -p icm-bench -- anneal`.
 //!
-//! When the `ICM_BENCH_JSON` environment variable names a file, every
-//! bench target additionally merges its results into that file as
-//! deterministically ordered JSON (`{"benches": {name: {best_ns,
-//! median_ns, iters, cores}}}`), so successive targets build one
-//! combined perf-trajectory document (`BENCH_icm.json` at the repo
-//! root). `cores` is the measuring host's available parallelism.
+//! These benches are print-only drill-downs into single layers. Every
+//! persisted number (end to end and per layer) comes from `perfbench`.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-use icm_json::Json;
 
 pub use std::hint::black_box;
 
@@ -33,26 +26,9 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(50);
 /// Calibration stops growing the batch once a single run costs this much.
 const SLOW_RUN: Duration = Duration::from_millis(100);
 
-/// One benchmark's measured timings, as persisted to `ICM_BENCH_JSON`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchResult {
-    /// Best per-iteration wall time across the samples, in nanoseconds.
-    pub best_ns: f64,
-    /// Median per-iteration wall time across the samples, in nanoseconds.
-    pub median_ns: f64,
-    /// Iterations per timed sample (calibration outcome).
-    pub iters: u32,
-    /// Cores available to the measuring process.
-    pub cores: u32,
-}
-
 /// A registry that times closures and prints one summary line each.
-///
-/// Dropping the harness flushes collected results to the file named by
-/// `ICM_BENCH_JSON`, if that variable is set.
 pub struct Bench {
     filter: Option<String>,
-    results: BTreeMap<String, BenchResult>,
 }
 
 impl Bench {
@@ -61,10 +37,7 @@ impl Bench {
     /// filter on benchmark names.
     pub fn from_args() -> Self {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));
-        Self {
-            filter,
-            results: BTreeMap::new(),
-        }
+        Self { filter }
     }
 
     /// Times `f` and prints `name`, per-iteration wall time (best and
@@ -94,72 +67,6 @@ impl Bench {
             format_ns(per_iter[0]),
             format_ns(per_iter[SAMPLES / 2]),
         );
-        self.results.insert(
-            name.to_owned(),
-            BenchResult {
-                best_ns: per_iter[0],
-                median_ns: per_iter[SAMPLES / 2],
-                iters,
-                cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
-            },
-        );
-    }
-
-    /// Results measured so far, keyed by benchmark name.
-    pub fn results(&self) -> &BTreeMap<String, BenchResult> {
-        &self.results
-    }
-
-    /// Merges `results` into the JSON document `existing` (the prior
-    /// contents of the trajectory file, or `None` on first write) and
-    /// renders the combined document, deterministically ordered by
-    /// benchmark name.
-    pub fn merge_json(existing: Option<&Json>, results: &BTreeMap<String, BenchResult>) -> String {
-        let mut benches: BTreeMap<String, Json> = BTreeMap::new();
-        if let Some(prior) = existing
-            .and_then(|doc| doc.get("benches"))
-            .and_then(Json::as_object)
-        {
-            for (name, entry) in prior {
-                benches.insert(name.clone(), entry.clone());
-            }
-        }
-        for (name, r) in results {
-            benches.insert(
-                name.clone(),
-                Json::object([
-                    ("best_ns", Json::Number(r.best_ns)),
-                    ("median_ns", Json::Number(r.median_ns)),
-                    ("iters", Json::Number(f64::from(r.iters))),
-                    ("cores", Json::Number(f64::from(r.cores))),
-                ]),
-            );
-        }
-        let doc = Json::object([("benches", Json::Object(benches.into_iter().collect()))]);
-        let mut text = doc.to_text_pretty();
-        text.push('\n');
-        text
-    }
-
-    fn flush_json(&self) {
-        let Ok(path) = std::env::var("ICM_BENCH_JSON") else {
-            return;
-        };
-        if path.is_empty() || self.results.is_empty() {
-            return;
-        }
-        let existing: Option<Json> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| icm_json::from_str(&text).ok());
-        let text = Self::merge_json(existing.as_ref(), &self.results);
-        if let Err(e) = icm_json::fs::atomic_write(std::path::Path::new(&path), text.as_bytes()) {
-            eprintln!("icm-bench: cannot write {path}: {e}");
-        } else {
-            eprintln!(
-                "icm-bench: merged {} result(s) into {path}",
-                self.results.len()
-            );
-        }
     }
 
     fn time<T, F: FnMut() -> T>(iters: u32, f: &mut F) -> Duration {
@@ -168,12 +75,6 @@ impl Bench {
             black_box(f());
         }
         start.elapsed()
-    }
-}
-
-impl Drop for Bench {
-    fn drop(&mut self) {
-        self.flush_json();
     }
 }
 
@@ -205,82 +106,11 @@ mod tests {
     fn filter_skips_non_matching_names() {
         let mut b = Bench {
             filter: Some("match-me".into()),
-            results: BTreeMap::new(),
         };
         let mut ran = false;
         b.bench("other", || ran = true);
         assert!(!ran, "filtered-out benchmark must not run");
-        assert!(b.results().is_empty(), "skipped benches record nothing");
         b.bench("does-match-me", || ran = true);
         assert!(ran, "matching benchmark must run");
-        assert!(b.results().contains_key("does-match-me"));
-    }
-
-    #[test]
-    fn merge_json_is_deterministically_ordered_and_overwrites() {
-        let prior_text = Bench::merge_json(
-            None,
-            &BTreeMap::from([
-                (
-                    "z/slow".to_owned(),
-                    BenchResult {
-                        best_ns: 200.0,
-                        median_ns: 220.0,
-                        iters: 10,
-                        cores: 2,
-                    },
-                ),
-                (
-                    "a/old".to_owned(),
-                    BenchResult {
-                        best_ns: 5.0,
-                        median_ns: 6.0,
-                        iters: 3,
-                        cores: 2,
-                    },
-                ),
-            ]),
-        );
-        let prior: Json = icm_json::from_str(&prior_text).expect("parses");
-        // Re-running `a/old` replaces its entry; `z/slow` survives.
-        let merged = Bench::merge_json(
-            Some(&prior),
-            &BTreeMap::from([(
-                "a/old".to_owned(),
-                BenchResult {
-                    best_ns: 7.0,
-                    median_ns: 8.0,
-                    iters: 4,
-                    cores: 2,
-                },
-            )]),
-        );
-        let doc: Json = icm_json::from_str(&merged).expect("parses");
-        let benches = doc
-            .get("benches")
-            .and_then(Json::as_object)
-            .expect("object");
-        let names: Vec<&str> = benches.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, ["a/old", "z/slow"], "sorted by name");
-        let a = doc.get("benches").unwrap().get("a/old").unwrap();
-        assert_eq!(a.get("best_ns").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(a.get("iters").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(a.get("cores").and_then(Json::as_f64), Some(2.0));
-        // Same inputs render byte-identically.
-        assert_eq!(
-            merged,
-            Bench::merge_json(
-                Some(&prior),
-                &BTreeMap::from([(
-                    "a/old".to_owned(),
-                    BenchResult {
-                        best_ns: 7.0,
-                        median_ns: 8.0,
-                        iters: 4,
-                        cores: 2,
-                    },
-                )])
-            )
-        );
     }
 }

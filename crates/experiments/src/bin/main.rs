@@ -31,7 +31,8 @@
 //! stand-in for crash drills), and `--resume D` continues from the
 //! newest good generation in `D` — truncating the `--trace` file to
 //! the checkpointed offset so the continued trace is the byte-exact
-//! suffix of an uninterrupted run.
+//! suffix of an uninterrupted run. A resumed run keeps the snapshot's
+//! seed; a `--seed` that names another one is refused.
 
 use std::process::ExitCode;
 
@@ -86,6 +87,7 @@ fn main() -> ExitCode {
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut resume_dir: Option<std::path::PathBuf> = None;
     let mut kill_after: Option<u64> = None;
+    let mut seed: Option<u64> = None;
     let mut quiet = false;
 
     let mut i = 0;
@@ -132,7 +134,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 match icm_json::parse_exact_u64(value) {
-                    Ok(seed) => cfg.seed = seed,
+                    Ok(value) => seed = Some(value),
                     Err(err) => {
                         eprintln!("invalid seed {err}\n{}", usage());
                         return ExitCode::FAILURE;
@@ -276,6 +278,18 @@ fn main() -> ExitCode {
         },
         None => None,
     };
+    // A resumed run continues the snapshot's seed, so its results
+    // document is stamped with the seed its events came from.
+    match &resume_snapshot {
+        Some(snapshot) => match endurance::resume_seed(snapshot, seed) {
+            Ok(saved) => cfg.seed = saved,
+            Err(err) => {
+                eprintln!("cannot resume: {err}\n{}", usage());
+                return ExitCode::FAILURE;
+            }
+        },
+        None => cfg.seed = seed.unwrap_or(cfg.seed),
+    }
 
     let telemetry: Option<Telemetry> = telemetry_path
         .as_ref()

@@ -4,7 +4,8 @@
 //! ```text
 //! icm-trace summarize <trace.jsonl> [--json]
 //! icm-trace diff <a.jsonl> <b.jsonl> [--json]
-//! icm-trace <trace.jsonl> [--json]          # legacy alias for summarize
+//! icm-trace flame <trace.jsonl> [--json|--svg]
+//! icm-trace explain <trace.jsonl> [--action N [--checkpoint-dir DIR]|--violations]
 //! ```
 //!
 //! `summarize` prints probe-budget totals (run counts per kind,
@@ -201,10 +202,8 @@ fn main() -> ExitCode {
             [path] => run_explain(path, action, violations, checkpoint_dir.as_deref()),
             _ => Err("explain takes exactly one trace path".to_owned()),
         },
-        // Legacy form: a bare path means summarize.
-        Some((path, [])) => run_summarize(path, json),
-        Some(_) => Err("too many arguments".to_owned()),
-        None => Err("missing subcommand or trace path".to_owned()),
+        Some((cmd, _)) => Err(format!("unknown subcommand `{cmd}`")),
+        None => Err("missing subcommand".to_owned()),
     };
 
     match outcome {

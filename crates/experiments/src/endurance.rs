@@ -20,6 +20,7 @@
 //! serialized snapshot and finishes it under different manager policies
 //! — identical futures, different supervisors.
 
+use std::fmt;
 use std::path::Path;
 
 use icm_json::fs::SnapshotStore;
@@ -337,6 +338,42 @@ pub fn load_resumable(dir: &Path) -> Result<(u64, WorldSnapshot), ExpError> {
             "no usable snapshot in {}: {e}",
             dir.display()
         ))),
+    }
+}
+
+/// A `--seed` that disagrees with the seed of the snapshot a run
+/// resumes from: a resumed run can only continue the saved one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedConflict {
+    /// The seed the command line asked for.
+    pub requested: u64,
+    /// The seed the snapshot's run was started with.
+    pub saved: u64,
+}
+
+impl fmt::Display for SeedConflict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "--seed {} conflicts with seed {} of the resumed snapshot",
+            self.requested, self.saved
+        )
+    }
+}
+
+impl std::error::Error for SeedConflict {}
+
+/// The seed a run resumed from `snapshot` continues under: the
+/// snapshot's own. A `requested` seed may restate it, not change it.
+///
+/// # Errors
+///
+/// [`SeedConflict`] when `requested` differs from the saved seed.
+pub fn resume_seed(snapshot: &WorldSnapshot, requested: Option<u64>) -> Result<u64, SeedConflict> {
+    let saved = snapshot.config.seed;
+    match requested {
+        Some(requested) if requested != saved => Err(SeedConflict { requested, saved }),
+        _ => Ok(saved),
     }
 }
 

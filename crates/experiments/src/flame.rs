@@ -1,11 +1,11 @@
 //! Span-tree reconstruction and flamegraph rendering for JSONL traces.
 //!
 //! Spans arrive in a trace as flat `<name>.begin` / `<name>.end` event
-//! pairs carrying a `span` id. [`build_flame`] replays the stream with a
-//! stack, nests each completed span under the spans still open around
-//! it, and aggregates same-path instances into one [`FlameNode`] — so a
-//! recovery run's hundreds of `anneal` spans become a single weighted
-//! frame under their common parent.
+//! pairs carrying a `span` id. [`build_flame`] replays the stream through
+//! [`SpanMatcher`], nests each completed span under the spans still open
+//! around it, and aggregates same-path instances into one [`FlameNode`]
+//! — so a recovery run's hundreds of `anneal` spans become a single
+//! weighted frame under their common parent.
 //!
 //! Weights are **simulated seconds** (the deterministic clock), with the
 //! event-step count as a secondary weight for traces whose spans never
@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use icm_json::ToJson;
-use icm_obs::Event;
+use icm_obs::{Event, SpanEdge, SpanMatcher};
 
 /// One aggregated frame: every instance of a span name at one nesting
 /// path, with children keyed (and therefore serialized) by name.
@@ -76,8 +76,8 @@ pub struct FlameGraph {
     /// Synthetic root holding every top-level span; its weight is the
     /// sum of its children.
     pub root: FlameNode,
-    /// `.end` events whose span id had no open `.begin` (or vice versa
-    /// at end-of-trace) — nonzero means the trace was truncated.
+    /// Dangling span events under [`SpanMatcher`]'s policy — nonzero
+    /// means the trace was truncated or damaged.
     pub dangling: u64,
 }
 
@@ -124,72 +124,30 @@ impl ToJson for FlameGraph {
     }
 }
 
-/// An open span on the replay stack.
-struct OpenFrame {
-    id: u64,
-    name: String,
-    sim_s: f64,
-    step: u64,
-}
-
 /// Replays `events` and reconstructs the aggregated span tree.
 pub fn build_flame(events: &[Event]) -> FlameGraph {
     let mut graph = FlameGraph::default();
-    let mut stack: Vec<OpenFrame> = Vec::new();
+    let mut spans = SpanMatcher::new();
     for event in events {
-        if let Some(base) = event.name.strip_suffix(".begin") {
-            if let Some(id) = event.num("span") {
-                stack.push(OpenFrame {
-                    id: id as u64,
-                    name: base.to_owned(),
-                    sim_s: event.sim_s,
-                    step: event.step,
-                });
-            }
+        let SpanEdge::End(Some(span)) = spans.push(event) else {
             continue;
+        };
+        // Attribute the instance to its path: the names of the spans
+        // still open, then its own.
+        let mut node = &mut graph.root;
+        for open in spans.open() {
+            node = node.children.entry(open.name.clone()).or_default();
         }
-        if event.name.ends_with(".end") {
-            let Some(id) = event.num("span").map(|id| id as u64) else {
-                graph.dangling += 1;
-                continue;
-            };
-            let Some(pos) = stack.iter().rposition(|f| f.id == id) else {
-                graph.dangling += 1;
-                continue;
-            };
-            // Inner spans still open past their parent's end never got a
-            // matching `.end`; count them as dangling and unwind.
-            graph.dangling += (stack.len() - pos - 1) as u64;
-            stack.truncate(pos + 1);
-            let frame = stack.pop().expect("pos is in range");
-            // Attribute the instance to its path: the names of the spans
-            // still open, then its own.
-            let mut node = &mut graph.root;
-            for open in &stack {
-                node = node.children.entry(open.name.clone()).or_default();
-            }
-            let node = node.children.entry(frame.name).or_default();
-            node.count += 1;
-            node.sim_s += event.sim_s - frame.sim_s;
-            node.steps += event.step - frame.step;
-        }
+        let node = node.children.entry(span.name).or_default();
+        node.count += 1;
+        node.sim_s += event.sim_s - span.begin.sim_s;
+        node.steps += event.step - span.begin.step;
     }
-    graph.dangling += stack.len() as u64;
+    graph.dangling = spans.dangling();
     // The synthetic root spans everything its children span.
     graph.root.sim_s = graph.root.children.values().map(|c| c.sim_s).sum();
     graph.root.steps = graph.root.children.values().map(|c| c.steps).sum();
     graph
-}
-
-/// Convenience: read a JSONL trace and build its flame graph.
-///
-/// # Errors
-///
-/// Propagates trace read/parse failures as rendered strings.
-pub fn flame_from_file(path: &std::path::Path) -> Result<FlameGraph, String> {
-    let events =
-        icm_obs::read_jsonl_file(path).map_err(|err| format!("{}: {err}", path.display()))?;
-    Ok(build_flame(&events))
 }
 
 const ASCII_BAR_WIDTH: usize = 24;
@@ -448,64 +406,6 @@ mod tests {
     fn critical_path_follows_the_heaviest_chain() {
         let graph = build_flame(&traced_events());
         assert_eq!(graph.critical_path(), ["deploy", "run"]);
-    }
-
-    #[test]
-    fn truncated_traces_count_dangling_spans() {
-        let mut events = traced_events();
-        events.truncate(3); // deploy.begin, run.begin, run.end
-        let graph = build_flame(&events);
-        assert_eq!(graph.dangling, 1, "deploy never ends");
-        assert!(graph.root.children.contains_key("deploy"));
-    }
-
-    #[test]
-    fn span_never_closed_is_dangling_not_a_frame() {
-        let (tracer, recorder) = Tracer::recording(16);
-        let done = tracer.span("setup", &[]);
-        tracer.advance_sim(1.0);
-        done.end();
-        let open = tracer.span("deploy", &[]);
-        tracer.advance_sim(5.0);
-        std::mem::forget(open); // a run that died mid-span emits no `.end`
-        let graph = build_flame(&recorder.events());
-        assert_eq!(graph.dangling, 1, "open at trace end");
-        assert!(graph.root.children.contains_key("setup"));
-        assert!(
-            !graph.root.children.contains_key("deploy"),
-            "an unclosed span has no measurable duration, so no frame"
-        );
-        assert_eq!(graph.root.sim_s, 1.0, "only completed spans weigh in");
-        assert!(render_ascii(&graph).contains("(1 dangling span events)"));
-    }
-
-    #[test]
-    fn nested_dangling_spans_unwind_under_their_parent() {
-        let (tracer, recorder) = Tracer::recording(32);
-        let outer = tracer.span("deploy", &[]);
-        let mid = tracer.span("run", &[]);
-        let inner = tracer.span("probe", &[]);
-        tracer.advance_sim(4.0);
-        std::mem::forget(mid);
-        std::mem::forget(inner);
-        outer.end();
-        let graph = build_flame(&recorder.events());
-        // `run` and `probe` were still open when `deploy` ended: both
-        // count as dangling, and only `deploy` gets a frame.
-        assert_eq!(graph.dangling, 2);
-        let deploy = graph.root.children.get("deploy").expect("deploy frame");
-        assert_eq!(deploy.sim_s, 4.0);
-        assert!(deploy.children.is_empty(), "unclosed children never land");
-    }
-
-    #[test]
-    fn end_events_without_a_matching_begin_are_dangling() {
-        let (tracer, recorder) = Tracer::recording(16);
-        tracer.event("ghost.end", &[("span", Value::U64(99))]);
-        tracer.event("blank.end", &[]);
-        let graph = build_flame(&recorder.events());
-        assert_eq!(graph.dangling, 2, "unknown id and missing id both count");
-        assert!(graph.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use icm_obs::Event;
+use icm_obs::{Event, SpanEdge, SpanMatcher};
 use icm_simcluster::TestbedStats;
 
 /// Testbed-run totals reconstructed from a trace, in the same units as
@@ -282,13 +282,11 @@ icm_json::impl_json!(struct TraceSummary {
 /// Builds the summary of a parsed event stream.
 pub fn summarize(events: &[Event]) -> TraceSummary {
     let mut budget = ProbeBudget::default();
-    let mut open_spans: BTreeMap<(String, u64), f64> = BTreeMap::new();
+    let mut spans = SpanMatcher::new();
     let mut phases: BTreeMap<String, (u64, f64)> = BTreeMap::new();
 
     let mut profiles: Vec<ProfileSummary> = Vec::new();
     let mut probe_residuals: Vec<f64> = Vec::new();
-    // The algorithm each open `profile` span declared, by span id.
-    let mut profile_algorithms: BTreeMap<Option<u64>, String> = BTreeMap::new();
 
     let mut searches: Vec<SearchSummary> = Vec::new();
     let mut open_search: Option<SearchSummary> = None;
@@ -299,16 +297,14 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
     let mut recovery_latency_sum = 0.0;
 
     for event in events {
-        if let (Some(base), Some(span)) = (event.name.strip_suffix(".begin"), event.num("span")) {
-            open_spans.insert((base.to_owned(), span as u64), event.sim_s);
-        } else if let (Some(base), Some(span)) =
-            (event.name.strip_suffix(".end"), event.num("span"))
-        {
-            if let Some(begin_sim) = open_spans.remove(&(base.to_owned(), span as u64)) {
-                let entry = phases.entry(base.to_owned()).or_insert((0, 0.0));
-                entry.0 += 1;
-                entry.1 += event.sim_s - begin_sim;
-            }
+        let closed = match spans.push(event) {
+            SpanEdge::End(closed) => closed,
+            SpanEdge::Point | SpanEdge::Begin => None,
+        };
+        if let Some(span) = &closed {
+            let entry = phases.entry(span.name.clone()).or_insert((0, 0.0));
+            entry.0 += 1;
+            entry.1 += event.sim_s - span.begin.sim_s;
         }
 
         match event.name.as_str() {
@@ -367,13 +363,7 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
             "probe" => {
                 probe_residuals.push(event.num("residual").unwrap_or(0.0));
             }
-            "profile.begin" => {
-                profile_algorithms.insert(
-                    event.num("span").map(|s| s as u64),
-                    event.str("algorithm").unwrap_or("?").to_owned(),
-                );
-                probe_residuals.clear();
-            }
+            "profile.begin" => probe_residuals.clear(),
             "profile.end" => {
                 let abs: Vec<f64> = probe_residuals.iter().map(|r| r.abs()).collect();
                 let mean = if abs.is_empty() {
@@ -382,9 +372,11 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
                     abs.iter().sum::<f64>() / abs.len() as f64
                 };
                 profiles.push(ProfileSummary {
-                    algorithm: profile_algorithms
-                        .remove(&event.num("span").map(|s| s as u64))
-                        .unwrap_or_else(|| "?".to_owned()),
+                    algorithm: closed
+                        .as_ref()
+                        .and_then(|span| span.begin.str("algorithm"))
+                        .unwrap_or("?")
+                        .to_owned(),
                     probes: event.num("probes").unwrap_or(abs.len() as f64) as u64,
                     cost: event.num("cost").unwrap_or(0.0),
                     mean_abs_residual: mean,

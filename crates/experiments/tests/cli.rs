@@ -22,3 +22,52 @@ fn seeds_above_two_to_the_53_are_refused() {
         assert!(stderr.contains("9007199254740992 (2^53)"), "{stderr}");
     }
 }
+
+/// A resumed run takes its seed from the snapshot: resuming a killed
+/// seed-7 run without `--seed` writes the uninterrupted seed-7 run's
+/// results document byte for byte, and a `--seed` that names another
+/// seed is refused.
+#[test]
+fn a_resumed_run_keeps_the_snapshot_seed() {
+    let dir = std::env::temp_dir().join(format!("icm-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = |name: &str| dir.join(name).display().to_string();
+    let endurance = |ckpt: &str, extra: &[&str]| {
+        let ckpt = at(ckpt);
+        let mut args = vec!["endurance", "--fast", "--quiet", "--checkpoint-every", "2"];
+        args.extend(["--checkpoint-dir", &ckpt]);
+        args.extend(extra);
+        experiments(&args)
+    };
+    let (reference, resumed) = (at("ref.json"), at("resumed.json"));
+    let kill = at("kill");
+    assert!(endurance("ref", &["--seed", "7", "--results", &reference])
+        .status
+        .success());
+    assert!(!endurance("kill", &["--seed", "7", "--kill-after", "5"])
+        .status
+        .success());
+
+    let conflict = endurance("kill", &["--resume", &kill, "--seed", "2016"]);
+    assert!(
+        !conflict.status.success(),
+        "a conflicting --seed is refused"
+    );
+    let stderr = String::from_utf8_lossy(&conflict.stderr);
+    assert!(
+        stderr.contains("--seed 2016 conflicts with seed 7 of the resumed snapshot"),
+        "{stderr}"
+    );
+
+    assert!(
+        endurance("kill", &["--resume", &kill, "--results", &resumed])
+            .status
+            .success()
+    );
+    let read = |path: &str| std::fs::read(path).expect("a results document");
+    assert!(
+        read(&reference) == read(&resumed),
+        "the resumed results differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -70,7 +70,9 @@ mod wall;
 pub use provenance::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, QOS_VIOLATION,
 };
-pub use reader::{parse_events, read_jsonl_file, TraceError};
+pub use reader::{
+    parse_events, read_jsonl_file, OpenSpan, SpanEdge, SpanMatcher, TraceError, MAX_OPEN_SPANS,
+};
 pub use sink::{JsonlSink, NullSink, Recorder, SharedBuf, Sink};
 pub use sketch::{QuantileSketch, DEFAULT_MAX_BUCKETS};
 pub use telemetry::{
@@ -624,7 +626,7 @@ impl Tracer {
 
     /// Records one wall duration under `name` (no-op unless
     /// [`enable_wall_profiling`](Self::enable_wall_profiling) was called).
-    pub fn record_wall(&self, name: &str, elapsed: std::time::Duration) {
+    fn record_wall(&self, name: &str, elapsed: std::time::Duration) {
         if let Some(inner) = &self.inner {
             if let Some(wall) = inner.borrow_mut().wall.as_mut() {
                 wall.record(name, elapsed);

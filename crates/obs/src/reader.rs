@@ -1,4 +1,10 @@
-//! Reading JSONL traces back into [`Event`]s.
+//! Reading JSONL traces back into [`Event`]s, and replaying their
+//! spans.
+//!
+//! Spans arrive in a trace as flat `<name>.begin` / `<name>.end` event
+//! pairs carrying a `span` id. [`SpanMatcher`] is the one place that
+//! pairs them: the trace summary, the flamegraph and the telemetry
+//! accumulator all feed it event by event.
 
 use std::fmt;
 use std::fs;
@@ -64,10 +70,148 @@ pub fn read_jsonl_file(path: &Path) -> Result<Vec<Event>, TraceError> {
     parse_events(&text)
 }
 
+/// Spans a [`SpanMatcher`] holds open at once. Past this depth the
+/// oldest open span is dropped and counted as dangling, so a producer
+/// that loses its `.end` events cannot grow the matcher without bound.
+pub const MAX_OPEN_SPANS: usize = 256;
+
+/// A span the matcher opened: its id, its base name (`run` for
+/// `run.begin`) and the `.begin` event itself.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpenSpan {
+    /// The `span` id the `.begin` carried.
+    pub id: u64,
+    /// The event name without its `.begin` suffix.
+    pub name: String,
+    /// The `.begin` event, for its clock stamps and fields.
+    pub begin: Event,
+}
+
+/// What one event is to the span replay.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpanEdge {
+    /// Not a span edge: a point event.
+    Point,
+    /// A `.begin`; it opened a span if it carried a `span` id.
+    Begin,
+    /// A `.end`, with the span it closed, or `None` when it matched no
+    /// open span (counted as dangling).
+    End(Option<OpenSpan>),
+}
+
+/// Streaming `.begin`/`.end` pairing with one dangling policy.
+///
+/// * A `.end` closes the nearest open span with its id; spans opened
+///   after that one never got their `.end`, so they are dropped and
+///   count as dangling.
+/// * A `.end` that matches no open span (or carries no id) is dangling.
+/// * A span still open at the end of the trace is dangling.
+/// * At most [`MAX_OPEN_SPANS`] spans stay open; a deeper `.begin`
+///   drops the oldest open span as dangling.
+///
+/// A well-nested trace has no dangling spans, and then every `.end`
+/// closes the innermost open span.
+#[derive(Debug, Clone, Default)]
+pub struct SpanMatcher {
+    open: Vec<OpenSpan>,
+    dangling: u64,
+}
+
+impl SpanMatcher {
+    /// A matcher with no open spans.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feeds the next event of the trace.
+    pub fn push(&mut self, event: &Event) -> SpanEdge {
+        if let Some(name) = event.name.strip_suffix(".begin") {
+            if let Some(id) = event.num("span") {
+                if self.open.len() == MAX_OPEN_SPANS {
+                    self.open.remove(0);
+                    self.dangling += 1;
+                }
+                self.open.push(OpenSpan {
+                    id: id as u64,
+                    name: name.to_owned(),
+                    begin: event.clone(),
+                });
+            }
+            return SpanEdge::Begin;
+        }
+        if !event.name.ends_with(".end") {
+            return SpanEdge::Point;
+        }
+        let found = event.num("span").and_then(|id| {
+            let id = id as u64;
+            self.open.iter().rposition(|span| span.id == id)
+        });
+        let Some(pos) = found else {
+            self.dangling += 1;
+            return SpanEdge::End(None);
+        };
+        self.dangling += (self.open.len() - pos - 1) as u64;
+        self.open.truncate(pos + 1);
+        SpanEdge::End(self.open.pop())
+    }
+
+    /// The spans open now, outermost first. Right after a `.end`, this
+    /// is the path that encloses the span it closed.
+    pub fn open(&self) -> &[OpenSpan] {
+        &self.open
+    }
+
+    /// Dangling span events so far, counting the spans still open as
+    /// if the trace ended here.
+    pub fn dangling(&self) -> u64 {
+        self.dangling + self.open.len() as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{JsonlSink, SharedBuf, Tracer, Value};
+
+    #[test]
+    fn the_open_stack_is_bounded() {
+        let (tracer, recorder) = Tracer::recording(1024);
+        let deep: Vec<_> = (0..MAX_OPEN_SPANS + 2)
+            .map(|_| tracer.span("deep", &[]))
+            .collect();
+        let mut spans = SpanMatcher::new();
+        for event in recorder.events() {
+            spans.push(&event);
+        }
+        assert_eq!(spans.open().len(), MAX_OPEN_SPANS);
+        assert_eq!(
+            spans.open()[0].id,
+            deep[2].id(),
+            "the oldest two are dropped"
+        );
+        assert_eq!(spans.dangling(), MAX_OPEN_SPANS as u64 + 2);
+        drop(deep);
+    }
+
+    #[test]
+    fn a_well_nested_trace_closes_innermost_first() {
+        let (tracer, recorder) = Tracer::recording(64);
+        let outer = tracer.span("deploy", &[]);
+        let inner = tracer.span("run", &[("kind", Value::from("solo"))]);
+        tracer.advance_sim(2.0);
+        inner.end();
+        outer.end();
+        let mut spans = SpanMatcher::new();
+        let edges: Vec<SpanEdge> = recorder.events().iter().map(|e| spans.push(e)).collect();
+        assert_eq!(edges[0], SpanEdge::Begin);
+        let SpanEdge::End(Some(run)) = &edges[2] else {
+            panic!("run closes: {edges:?}");
+        };
+        assert_eq!(run.name, "run");
+        assert_eq!(run.begin.str("kind"), Some("solo"));
+        assert!(matches!(&edges[3], SpanEdge::End(Some(s)) if s.name == "deploy"));
+        assert_eq!(spans.dangling(), 0);
+    }
 
     #[test]
     fn round_trips_a_written_trace() {

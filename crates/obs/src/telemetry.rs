@@ -38,6 +38,7 @@ use std::rc::Rc;
 
 use icm_json::ToJson;
 
+use crate::reader::{SpanEdge, SpanMatcher};
 use crate::sink::Sink;
 use crate::sketch::QuantileSketch;
 use crate::Event;
@@ -245,14 +246,6 @@ impl ToJson for HealthSnapshot {
     }
 }
 
-/// Span begin bookkeeping for duration series and anneal attribution.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    name: String,
-    sim_s: f64,
-    rule: Option<String>,
-}
-
 #[derive(Debug)]
 struct TelemetryInner {
     config: TelemetryConfig,
@@ -261,7 +254,7 @@ struct TelemetryInner {
     counters: BTreeMap<String, u64>,
     sums: BTreeMap<String, f64>,
     recovery_latency: QuantileSketch,
-    open_spans: BTreeMap<u64, OpenSpan>,
+    spans: SpanMatcher,
     snapshots: VecDeque<HealthSnapshot>,
     next_snapshot_s: f64,
     last_step: u64,
@@ -296,7 +289,7 @@ impl Telemetry {
                 counters: BTreeMap::new(),
                 sums: BTreeMap::new(),
                 recovery_latency: QuantileSketch::new(),
-                open_spans: BTreeMap::new(),
+                spans: SpanMatcher::new(),
                 snapshots: VecDeque::new(),
                 next_snapshot_s,
                 last_step: 0,
@@ -542,36 +535,17 @@ impl TelemetryInner {
             _ => {}
         }
 
-        if let Some(base) = name.strip_suffix(".begin") {
-            if let Some(span) = event.num("span") {
-                self.open_spans.insert(
-                    span as u64,
-                    OpenSpan {
-                        name: base.to_owned(),
-                        sim_s: event.sim_s,
-                        rule: event.str("rule").map(str::to_owned),
-                    },
-                );
-                // Bounded: a producer that loses `.end` events must not
-                // leak memory here.
-                while self.open_spans.len() > 256 {
-                    self.open_spans.pop_first();
-                }
-            }
-            return;
-        }
-        if name.ends_with(".end") {
-            if let Some(open) = event
-                .num("span")
-                .and_then(|id| self.open_spans.remove(&(id as u64)))
-            {
+        match self.spans.push(event) {
+            SpanEdge::Point => {}
+            SpanEdge::Begin | SpanEdge::End(None) => return,
+            SpanEdge::End(Some(open)) => {
                 self.observe_series(
                     &format!("span.{}.sim_s", open.name),
                     event.sim_s,
-                    event.sim_s - open.sim_s,
+                    event.sim_s - open.begin.sim_s,
                 );
                 if open.name == "anneal" {
-                    let rule = open.rule.as_deref().unwrap_or("unknown").to_owned();
+                    let rule = open.begin.str("rule").unwrap_or("unknown").to_owned();
                     self.bump(&format!("anneal.{rule}.searches"), 1);
                     if let Some(a) = event.num("accepted") {
                         self.bump(&format!("anneal.{rule}.accepted"), a as u64);
@@ -583,8 +557,8 @@ impl TelemetryInner {
                         self.observe_series(&format!("anneal.{rule}.cost"), event.sim_s, cost);
                     }
                 }
+                return;
             }
-            return;
         }
 
         // Generic rollup: every numeric measurement on a point event

@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use icm_experiments::flame::{flame_from_file, FlameGraph};
+use icm_experiments::flame::{build_flame, FlameGraph};
 use icm_experiments::results::ResultsDoc;
 use icm_report::{build_report, render_html, render_text};
 
@@ -107,7 +107,11 @@ fn run() -> Result<ExitCode, String> {
     };
     let flame: Option<FlameGraph> = match &flame_path {
         None => None,
-        Some(path) => Some(flame_from_file(std::path::Path::new(path))?),
+        Some(path) => {
+            let events = icm_obs::read_jsonl_file(std::path::Path::new(path))
+                .map_err(|e| format!("{path}: {e}"))?;
+            Some(build_flame(&events))
+        }
     };
 
     let report = build_report(&doc, profile.as_ref(), telemetry.as_ref(), flame.as_ref());

@@ -68,6 +68,11 @@ grep -q '"name":"anneal.begin"' "$SMOKE/recovery-a.jsonl" \
 ./target/release/icm-trace summarize "$SMOKE/recovery-a.jsonl" \
     | grep -q "action migrate" \
     || { echo "verify: no manager actions in the recovery trace" >&2; exit 1; }
+# Real traces are well nested: every span closes, innermost first. That
+# is the precondition under which the one span matcher reproduces each
+# replay (summary, flamegraph, telemetry) byte for byte.
+./target/release/icm-trace flame "$SMOKE/recovery-a.jsonl" --json | grep -q '"dangling":0,' \
+    || { echo "verify: the recovery trace has dangling spans" >&2; exit 1; }
 ./target/release/icm-report "$SMOKE/recovery.json" --strict \
     --out "$SMOKE/recovery.html" > /dev/null
 test -s "$SMOKE/recovery.html"
@@ -147,6 +152,8 @@ cmp "$SMOKE/endure-ref.jsonl" "$SMOKE/endure-kill.jsonl" \
     || { echo "verify: resumed trace diverged from the uninterrupted run" >&2; exit 1; }
 cmp "$SMOKE/endure-ref.json" "$SMOKE/endure-kill.json" \
     || { echo "verify: resumed results diverged from the uninterrupted run" >&2; exit 1; }
+./target/release/icm-trace flame "$SMOKE/endure-ref.jsonl" --json | grep -q '"dangling":0,' \
+    || { echo "verify: the endurance trace has dangling spans" >&2; exit 1; }
 echo "verify: kill-and-resume smoke OK"
 # A replay of action 0 needs a starting point: explain must name the
 # newest checkpoint generation that precedes the action's tick.
