@@ -32,7 +32,8 @@
 //! newest good generation in `D` — truncating the `--trace` file to
 //! the checkpointed offset so the continued trace is the byte-exact
 //! suffix of an uninterrupted run. A resumed run keeps the snapshot's
-//! seed; a `--seed` that names another one is refused.
+//! seed and `fast`; a `--seed` that names another seed, or a `--fast`
+//! for a full run's snapshot, is refused.
 
 use std::process::ExitCode;
 
@@ -278,11 +279,11 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    // A resumed run continues the snapshot's seed, so its results
-    // document is stamped with the seed its events came from.
+    // A resumed run continues the snapshot's seed and `fast`, so its
+    // results document is stamped with the run its events came from.
     match &resume_snapshot {
-        Some(snapshot) => match endurance::resume_seed(snapshot, seed) {
-            Ok(saved) => cfg.seed = saved,
+        Some(snapshot) => match endurance::resume_config(snapshot, seed, cfg.fast) {
+            Ok(saved) => cfg = saved,
             Err(err) => {
                 eprintln!("cannot resume: {err}\n{}", usage());
                 return ExitCode::FAILURE;

@@ -42,6 +42,20 @@ const CRASH_PROB: f64 = 0.25;
 /// Runs a scheduled crash window stays open for.
 const CRASH_SPAN_RUNS: u64 = 2;
 
+/// The manager configuration a fresh world on `hosts` hosts starts its
+/// run with. Ambient drift parks bubble pressure on half the cluster
+/// for the back half of the horizon — it lands right after the `fork`
+/// experiment's branch point, so the branches face the onset under
+/// their different policies.
+fn manager_config(cfg: &ExpConfig, hosts: usize) -> ManagerConfig {
+    let ticks = if cfg.fast { 8 } else { 16 };
+    ManagerConfig {
+        ticks,
+        environment: Some(half_cluster_drift(hosts, DRIFT_PRESSURE, ticks / 2 + 1)),
+        ..base_manager_config(cfg.seed, cfg.fast)
+    }
+}
+
 /// Everything the endurance run owns: the simulated testbed, the fleet
 /// with its online models, the resumable manager runtime, and the
 /// driver RNG that schedules chaos.
@@ -70,20 +84,7 @@ impl World {
         let (adapter, fleet) = build_fleet(&supervised_apps(cfg.fast), cfg.seed, cfg.fast)?;
         let mut testbed = adapter.into_sim();
         testbed.set_tracer(tracer.clone());
-        let ticks = if cfg.fast { 8 } else { 16 };
-        // Ambient drift parks bubble pressure on half the cluster for
-        // the back half of the horizon — it lands right after the
-        // `fork` experiment's branch point, so the branches face the
-        // onset under their different policies.
-        let config = ManagerConfig {
-            ticks,
-            environment: Some(half_cluster_drift(
-                testbed.cluster().hosts(),
-                DRIFT_PRESSURE,
-                ticks / 2 + 1,
-            )),
-            ..base_manager_config(cfg.seed, cfg.fast)
-        };
+        let config = manager_config(cfg, testbed.cluster().hosts());
         let run = ManagedRun::start(&testbed, &fleet, &config, true)?;
         Ok(Self {
             testbed,
@@ -341,40 +342,84 @@ pub fn load_resumable(dir: &Path) -> Result<(u64, WorldSnapshot), ExpError> {
     }
 }
 
-/// A `--seed` that disagrees with the seed of the snapshot a run
-/// resumes from: a resumed run can only continue the saved one.
+/// A command line that contradicts the snapshot a run resumes from: a
+/// resumed run can only continue the saved one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedConflict {
-    /// The seed the command line asked for.
-    pub requested: u64,
-    /// The seed the snapshot's run was started with.
-    pub saved: u64,
+pub enum ResumeConflict {
+    /// `--seed` names another seed than the one the saved run was
+    /// started with.
+    Seed {
+        /// The seed the command line asked for.
+        requested: u64,
+        /// The seed the snapshot's run was started with.
+        saved: u64,
+    },
+    /// `--fast` was given, but the snapshot comes from a full run.
+    Fast,
+    /// The snapshot's manager configuration is not the one a fresh
+    /// world builds at its seed, fast or full, so neither can be
+    /// stamped on the resumed results.
+    UnknownConfig {
+        /// The seed the snapshot's run was started with.
+        saved: u64,
+    },
 }
 
-impl fmt::Display for SeedConflict {
+impl fmt::Display for ResumeConflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "--seed {} conflicts with seed {} of the resumed snapshot",
-            self.requested, self.saved
-        )
+        match self {
+            ResumeConflict::Seed { requested, saved } => write!(
+                f,
+                "--seed {requested} conflicts with seed {saved} of the resumed snapshot"
+            ),
+            ResumeConflict::Fast => {
+                write!(f, "--fast conflicts with the resumed snapshot's full run")
+            }
+            ResumeConflict::UnknownConfig { saved } => write!(
+                f,
+                "the resumed snapshot's manager configuration is neither the fast nor \
+                 the full one at seed {saved}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for SeedConflict {}
+impl std::error::Error for ResumeConflict {}
 
-/// The seed a run resumed from `snapshot` continues under: the
-/// snapshot's own. A `requested` seed may restate it, not change it.
+/// The configuration a run resumed from `snapshot` continues under: the
+/// snapshot's own seed and `fast`. The seed is the one its manager
+/// configuration carries, and `fast` is the one value for which a fresh
+/// world at that seed builds exactly that configuration. A `requested`
+/// seed may restate the saved one, not change it; `fast` may be given
+/// for a fast snapshot and is taken from the snapshot when absent.
 ///
 /// # Errors
 ///
-/// [`SeedConflict`] when `requested` differs from the saved seed.
-pub fn resume_seed(snapshot: &WorldSnapshot, requested: Option<u64>) -> Result<u64, SeedConflict> {
+/// [`ResumeConflict`] when `requested` or `fast` contradicts the
+/// snapshot, or when its configuration matches no fresh world.
+pub fn resume_config(
+    snapshot: &WorldSnapshot,
+    requested: Option<u64>,
+    fast: bool,
+) -> Result<ExpConfig, ResumeConflict> {
     let saved = snapshot.config.seed;
-    match requested {
-        Some(requested) if requested != saved => Err(SeedConflict { requested, saved }),
-        _ => Ok(saved),
+    if let Some(requested) = requested.filter(|&requested| requested != saved) {
+        return Err(ResumeConflict::Seed { requested, saved });
     }
+    let hosts = snapshot.testbed.cluster.hosts();
+    let builds = |fast| snapshot.config == manager_config(&ExpConfig { seed: saved, fast }, hosts);
+    let saved_fast = match (builds(true), builds(false)) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => return Err(ResumeConflict::UnknownConfig { saved }),
+    };
+    if fast && !saved_fast {
+        return Err(ResumeConflict::Fast);
+    }
+    Ok(ExpConfig {
+        seed: saved,
+        fast: saved_fast,
+    })
 }
 
 /// Renders the endurance summary table.
@@ -606,6 +651,39 @@ mod tests {
             resumed.step(&tracer).expect("steps");
         }
         assert_eq!(reference, summarize(resumed));
+    }
+
+    #[test]
+    fn a_resume_takes_seed_and_fast_from_the_snapshot() {
+        let cfg = ExpConfig {
+            seed: 7,
+            fast: true,
+        };
+        let full = ExpConfig { fast: false, ..cfg };
+        let tracer = Tracer::disabled();
+        let mut world = World::new(&cfg, &tracer).expect("builds");
+        world.step(&tracer).expect("steps");
+        let mut snapshot = world.snapshot(&tracer, None, 0);
+        assert_eq!(resume_config(&snapshot, None, false), Ok(cfg));
+        assert_eq!(resume_config(&snapshot, Some(7), true), Ok(cfg));
+        assert_eq!(
+            resume_config(&snapshot, Some(2016), true),
+            Err(ResumeConflict::Seed {
+                requested: 2016,
+                saved: 7
+            })
+        );
+        // The configuration a full run at the same seed starts with.
+        snapshot.config = manager_config(&full, snapshot.testbed.cluster.hosts());
+        assert_eq!(resume_config(&snapshot, None, false), Ok(full));
+        assert_eq!(
+            resume_config(&snapshot, None, true),
+            Err(ResumeConflict::Fast)
+        );
+        snapshot.config.ticks += 1;
+        let err = resume_config(&snapshot, None, false).unwrap_err();
+        assert_eq!(err, ResumeConflict::UnknownConfig { saved: 7 });
+        assert!(err.to_string().contains("at seed 7"), "{err}");
     }
 
     #[test]

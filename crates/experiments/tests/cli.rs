@@ -71,3 +71,43 @@ fn a_resumed_run_keeps_the_snapshot_seed() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A resumed run takes `fast` from the snapshot too: resuming a killed
+/// fast run without `--fast` writes the uninterrupted fast run's results
+/// document byte for byte, `"fast": true` included.
+#[test]
+fn a_resumed_run_keeps_the_snapshot_fast() {
+    let dir = std::env::temp_dir().join(format!("icm-cli-resume-fast-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = |name: &str| dir.join(name).display().to_string();
+    let (reference, resumed, kill) = (at("ref.json"), at("resumed.json"), at("kill"));
+    let fast_run = |ckpt: &str, extra: &[&str]| {
+        let ckpt = at(ckpt);
+        let mut args = vec!["endurance", "--fast", "--quiet", "--seed", "7"];
+        args.extend(["--checkpoint-every", "2", "--checkpoint-dir", &ckpt]);
+        args.extend(extra);
+        experiments(&args)
+    };
+    assert!(fast_run("ref", &["--results", &reference]).status.success());
+    assert!(!fast_run("kill", &["--kill-after", "5"]).status.success());
+
+    let out = experiments(&[
+        "endurance",
+        "--quiet",
+        "--resume",
+        &kill,
+        "--checkpoint-every",
+        "2",
+        "--checkpoint-dir",
+        &kill,
+        "--results",
+        &resumed,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let read = |path: &str| std::fs::read(path).expect("a results document");
+    assert!(
+        read(&reference) == read(&resumed),
+        "the resumed results differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

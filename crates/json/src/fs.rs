@@ -1,12 +1,13 @@
 //! Crash-safe file persistence: atomic writes and a generational,
 //! checksummed snapshot store.
 //!
-//! Two layers:
+//! Two layers share one private write path (tmp file, optional fsync,
+//! rename, optional directory fsync):
 //!
 //! * [`atomic_write`] — the tmp-write + fsync + rename idiom every
 //!   durable writer in the workspace shares (model stores, results
-//!   documents, world snapshots). A reader never observes a torn file:
-//!   it sees either the old bytes or the new bytes.
+//!   documents). A reader never observes a torn file: it sees either
+//!   the old bytes or the new bytes. It always syncs.
 //! * [`SnapshotStore`] — a directory of numbered snapshot generations
 //!   (`gen-000042.icmsnap`), each framed with a header carrying a
 //!   format version, an FNV-1a 64 checksum, and the payload length.
@@ -16,12 +17,17 @@
 //!   checkpoint interval — never the whole run. That one walk
 //!   ([`SnapshotStore::load_newest`]) also takes the caller's payload
 //!   check, so a generation whose payload is refused (say, an unknown
-//!   format version) is skipped the same way.
+//!   format version) is skipped the same way. The store trusts its own
+//!   writes: it lists the directory once at open, numbers new
+//!   generations from what it has seen, and never re-reads a generation
+//!   it wrote itself. Whether it fsyncs is the caller's choice
+//!   ([`SnapshotStore::open_with_sync`]); the default is to sync.
 //!
 //! The framing is deliberately independent of the payload format: the
 //! store checksums opaque bytes, and callers layer their own versioned
 //! JSON payload (e.g. `icm-manager`'s `WorldSnapshot`) on top.
 
+use std::cell::Cell;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -38,6 +44,14 @@ use std::path::{Path, PathBuf};
 /// The temp file lives next to the destination (same directory, suffix
 /// `.tmp`) so the rename cannot cross a filesystem boundary.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomically(path, &[bytes], true)
+}
+
+/// The one durable write path: `parts`, concatenated, go to a sibling
+/// temp file that is renamed over `path`. With `sync`, the file is
+/// fsynced before the rename and the directory (best-effort) after it;
+/// without, the rename is still atomic but may not survive power loss.
+fn write_atomically(path: &Path, parts: &[&[u8]], sync: bool) -> io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let tmp: PathBuf = {
         let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -48,13 +62,17 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     };
     let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    if sync {
+        file.sync_all()?;
+    }
     drop(file);
     fs::rename(&tmp, path)?;
     // Durability of the rename needs a directory fsync; not all
     // platforms allow opening a directory for sync, so best-effort.
-    if let Some(d) = dir {
+    if let (true, Some(d)) = (sync, dir) {
         if let Ok(dirf) = File::open(d) {
             let _ = dirf.sync_all();
         }
@@ -169,21 +187,49 @@ impl std::error::Error for StoreError {}
 
 /// A directory of numbered, checksummed snapshot generations.
 ///
-/// Writes are atomic ([`atomic_write`]); reads verify the checksum and
-/// fall back to older generations on damage. Generation numbers only
-/// grow, so "latest" is simply the highest number present.
+/// Writes are atomic (the same write path as [`atomic_write`]); reads
+/// verify the checksum and fall back to older generations on damage.
+/// Generation numbers only grow, so "latest" is simply the highest
+/// number present.
+///
+/// The store trusts its own writes. It lists the directory at
+/// [`SnapshotStore::open`] and then tracks the newest generation number
+/// it has seen and the generation it last wrote: [`SnapshotStore::save`]
+/// numbers without listing, and [`SnapshotStore::prune`] keeps that
+/// last write as the newest loadable generation without reading it
+/// back. A generation it did not write — one from an earlier life, or
+/// from another writer — is never trusted unread, and never replaced.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
+    sync: bool,
+    /// Highest generation number seen on disk or written.
+    newest: Cell<u64>,
+    /// The generation this store wrote last.
+    written: Cell<Option<u64>>,
 }
 
 impl SnapshotStore {
-    /// Opens (creating if needed) a snapshot store rooted at `dir`.
+    /// Opens (creating if needed) a snapshot store rooted at `dir`
+    /// whose writes fsync the file and the directory.
     pub fn open(dir: &Path) -> io::Result<SnapshotStore> {
+        Self::open_with_sync(dir, true)
+    }
+
+    /// Opens (creating if needed) a snapshot store rooted at `dir`,
+    /// listing it once. `sync` chooses whether each generation is
+    /// fsynced (file, then directory) before [`SnapshotStore::save`]
+    /// returns; either way it appears atomically under its name.
+    pub fn open_with_sync(dir: &Path, sync: bool) -> io::Result<SnapshotStore> {
         fs::create_dir_all(dir)?;
-        Ok(SnapshotStore {
+        let store = SnapshotStore {
             dir: dir.to_path_buf(),
-        })
+            sync,
+            newest: Cell::new(0),
+            written: Cell::new(None),
+        };
+        store.generations()?;
+        Ok(store)
     }
 
     /// The directory this store persists into.
@@ -195,7 +241,8 @@ impl SnapshotStore {
         self.dir.join(format!("gen-{generation:06}.{SNAP_EXT}"))
     }
 
-    /// Generation numbers currently on disk, ascending.
+    /// Generation numbers currently on disk, ascending. Always reads
+    /// the directory, so it sees other writers' generations too.
     pub fn generations(&self) -> io::Result<Vec<u64>> {
         let mut generations = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -212,20 +259,33 @@ impl SnapshotStore {
             }
         }
         generations.sort_unstable();
+        if let Some(&last) = generations.last() {
+            self.newest.set(self.newest.get().max(last));
+        }
         Ok(generations)
     }
 
     /// Persists `payload` as a new generation and returns its number.
+    ///
+    /// The number follows the newest this store has seen. If that file
+    /// exists already (another writer got there first), the directory
+    /// is listed again and the number goes above its newest: a
+    /// generation this store did not write is never replaced.
     pub fn save(&self, payload: &[u8]) -> io::Result<u64> {
-        let generation = self.generations()?.last().copied().unwrap_or(0) + 1;
-        let mut framed = format!(
+        let mut generation = self.newest.get() + 1;
+        if self.path_of(generation).try_exists()? {
+            self.generations()?;
+            generation = self.newest.get() + 1;
+        }
+        let header = format!(
             "{HEADER_MAGIC} v{STORE_VERSION} {checksum:016x} {len}\n",
             checksum = fnv1a64(payload),
             len = payload.len()
-        )
-        .into_bytes();
-        framed.extend_from_slice(payload);
-        atomic_write(&self.path_of(generation), &framed)?;
+        );
+        let path = self.path_of(generation);
+        write_atomically(&path, &[header.as_bytes(), payload], self.sync)?;
+        self.newest.set(generation);
+        self.written.set(Some(generation));
         Ok(generation)
     }
 
@@ -271,7 +331,8 @@ impl SnapshotStore {
                 got: got_checksum,
             });
         }
-        Ok(payload.to_vec())
+        bytes.drain(..=newline);
+        Ok(bytes)
     }
 
     /// Deletes old generations, keeping the newest `keep_last` plus —
@@ -281,7 +342,11 @@ impl SnapshotStore {
     /// bound. The extra guarantee matters when the newest files are torn
     /// or corrupt: a prune that only counted filenames could delete the
     /// one generation [`SnapshotStore::load_latest`] would have fallen
-    /// back to. Unparseable (non-`gen-*`) files are never touched.
+    /// back to. When the newest generation on disk is the one this store
+    /// wrote last, it is taken as the newest loadable one without being
+    /// read; any other newest generation goes through
+    /// [`SnapshotStore::load_latest`]. Unparseable (non-`gen-*`) files
+    /// are never touched.
     ///
     /// Returns the generation numbers removed, ascending. A
     /// `keep_last` of zero behaves like one: the store never prunes
@@ -292,11 +357,15 @@ impl SnapshotStore {
         if generations.len() <= keep_last {
             return Ok(Vec::new());
         }
-        let newest_loadable = self
-            .load_latest()
-            .ok()
-            .flatten()
-            .map(|(generation, _)| generation);
+        let newest = generations.last().copied();
+        let newest_loadable = if newest == self.written.get() {
+            newest
+        } else {
+            self.load_latest()
+                .ok()
+                .flatten()
+                .map(|(generation, _)| generation)
+        };
         let cutoff = generations[generations.len() - keep_last];
         let mut removed = Vec::new();
         for &generation in &generations {
@@ -531,11 +600,13 @@ mod tests {
         for payload in [b"g1", b"g2", b"g3", b"g4"] {
             store.save(payload).unwrap();
         }
-        // Corrupt the two newest generations: the newest *loadable* one
-        // is now gen 2, which a filename-count prune would delete.
+        // Corrupt the two newest generations, then reopen: the damage
+        // comes from an earlier life, so the newest *loadable* one is
+        // now gen 2, which a filename-count prune would delete.
         for generation in [3u64, 4] {
             fs::write(dir.join(format!("gen-{generation:06}.icmsnap")), b"junk").unwrap();
         }
+        let store = SnapshotStore::open(&dir).unwrap();
         let removed = store.prune(1).unwrap();
         assert_eq!(
             removed,
@@ -549,5 +620,84 @@ mod tests {
         assert!(store.prune(0).unwrap().is_empty());
         assert!(store.load_latest().unwrap().is_some());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prune_keeps_its_own_newest_write_without_reading_it() {
+        let dir = tmpdir("prune-own");
+        let store = SnapshotStore::open(&dir).unwrap();
+        for payload in [b"g1", b"g2", b"g3"] {
+            store.save(payload).unwrap();
+        }
+        // Damage the store's own newest write behind its back. Within
+        // one life the store trusts what it wrote, so prune keeps gen 3
+        // as the newest loadable generation and does not read it: a
+        // prune that read it would keep gen 2 as the fallback instead.
+        fs::write(dir.join("gen-000003.icmsnap"), b"junk").unwrap();
+        assert_eq!(store.prune(1).unwrap(), vec![1, 2]);
+        assert_eq!(store.generations().unwrap(), vec![3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_a_store_continues_the_numbering() {
+        let dir = tmpdir("reopen");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(b"one").unwrap();
+        store.save(b"two").unwrap();
+        store.prune(1).unwrap();
+        let reopened = SnapshotStore::open(&dir).unwrap();
+        assert_eq!(reopened.save(b"three").unwrap(), 3);
+        assert_eq!(reopened.generations().unwrap(), vec![2, 3]);
+        assert_eq!(reopened.load(2).unwrap(), b"two");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_generation_another_writer_placed_is_never_overwritten() {
+        let dir = tmpdir("foreign");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let other = SnapshotStore::open(&dir).unwrap();
+        assert_eq!(other.save(b"theirs").unwrap(), 1);
+        assert_eq!(store.save(b"mine").unwrap(), 2);
+        // A foreign file two numbers ahead: the stat on gen 3 finds it
+        // and the store numbers above the newest on disk.
+        fs::write(dir.join("gen-000003.icmsnap"), b"not ours").unwrap();
+        assert_eq!(store.save(b"mine again").unwrap(), 4);
+        assert_eq!(store.load(1).unwrap(), b"theirs");
+        assert_eq!(
+            fs::read(dir.join("gen-000003.icmsnap")).unwrap(),
+            b"not ours"
+        );
+        assert_eq!(store.load(4).unwrap(), b"mine again");
+        // The newest on disk is this store's own write again, so prune
+        // keeps it; the foreign junk is pruned like any old generation.
+        assert_eq!(store.prune(1).unwrap(), vec![1, 2, 3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unsynced_stores_write_the_same_bytes() {
+        let synced = tmpdir("synced");
+        let unsynced = tmpdir("unsynced");
+        let a = SnapshotStore::open(&synced).unwrap();
+        let b = SnapshotStore::open_with_sync(&unsynced, false).unwrap();
+        for payload in [b"first".as_slice(), b"", b"third\npayload"] {
+            assert_eq!(a.save(payload).unwrap(), b.save(payload).unwrap());
+        }
+        for generation in 1..=3u64 {
+            let name = format!("gen-{generation:06}.icmsnap");
+            assert_eq!(
+                fs::read(synced.join(&name)).unwrap(),
+                fs::read(unsynced.join(&name)).unwrap()
+            );
+        }
+        assert_eq!(
+            fs::read(synced.join("gen-000001.icmsnap")).unwrap(),
+            b"icmsnap v1 89d7ed7f996f1d41 5\nfirst"
+        );
+        assert!(!unsynced.join("gen-000003.icmsnap.tmp").exists());
+        fs::remove_dir_all(&synced).unwrap();
+        fs::remove_dir_all(&unsynced).unwrap();
     }
 }

@@ -12,7 +12,9 @@
 //! serves it. With `--state DIR`, crash safety is armed: acknowledged
 //! replies are journaled write-ahead, accepted frames logged, and the
 //! world checkpointed — a killed daemon restarted on the same directory
-//! resumes with nothing acknowledged lost.
+//! resumes with nothing acknowledged lost. `--no-sync` turns off the
+//! fsyncs behind all three (`ServerConfig::sync`): writes stay atomic
+//! and a killed process loses nothing, but power loss may.
 //!
 //! `--kill-after-commits N` aborts the process (SIGABRT, no cleanup —
 //! the moral equivalent of `kill -9`) after the Nth committed reply.

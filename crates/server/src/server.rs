@@ -282,7 +282,10 @@ impl Server {
                 let (intake, intake_entries) =
                     LineJournal::open(&dir.join("intake.log"), config.sync)?;
                 (
-                    Some(SnapshotStore::open(&dir.join("checkpoints"))?),
+                    Some(SnapshotStore::open_with_sync(
+                        &dir.join("checkpoints"),
+                        config.sync,
+                    )?),
                     Some(journal),
                     journal_entries,
                     Some(intake),

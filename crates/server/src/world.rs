@@ -160,8 +160,12 @@ pub struct ServerConfig {
     pub checkpoint_every: u64,
     /// Checkpoint generations to keep when pruning.
     pub keep_checkpoints: usize,
-    /// fsync the journal and intake log on every append. On for real
-    /// daemons; off for in-process load drivers and benches.
+    /// The daemon's one durability setting: fsync the journal and the
+    /// intake log on every append, and each checkpoint generation (file,
+    /// then directory) before it counts as written. On for real daemons;
+    /// off (`icm-server --no-sync`) for in-process load drivers and
+    /// benches, where every write still lands atomically but may not
+    /// survive power loss.
     pub sync: bool,
 }
 

@@ -4,9 +4,10 @@
 
 use std::path::{Path, PathBuf};
 
+use icm_json::fs::SnapshotStore;
 use icm_json::Json;
 use icm_server::frame::Frame;
-use icm_server::server::Server;
+use icm_server::server::{Server, ServerSnapshot};
 use icm_server::world::ServerConfig;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -452,25 +453,10 @@ fn kill_dash_nine_loses_no_acknowledged_reply() {
     let _ = std::fs::remove_dir_all(&crashed);
 }
 
-/// A daemon whose newest checkpoint is unusable — torn, or a
-/// well-formed payload of an unknown format version — recovers from the
-/// previous generation: it replays the longer intake suffix, verifies
-/// the longer journal suffix, and completes the same journal as an
-/// uninterrupted run.
-#[test]
-fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
-    use icm_json::fs::SnapshotStore;
-    use icm_server::server::ServerSnapshot;
-
-    let config = || {
-        let mut config = ServerConfig::new(2016, true);
-        config.sync = false;
-        config.checkpoint_every = 5;
-        config
-    };
-    // Unstamped requests are served as they arrive, so the queue is
-    // empty at every frame edge and checkpoints land mid-stream.
-    let frames: Vec<Frame> = (0..8)
+/// Unstamped requests are served as they arrive, so the queue is empty
+/// at every frame edge and checkpoints land mid-stream.
+fn unstamped_frames() -> Vec<Frame> {
+    (0..8)
         .flat_map(|r| {
             [
                 format!(r#"{{"id":"p{r}","kind":"predict","app":"M.milc","corunners":["H.KM"]}}"#),
@@ -481,12 +467,42 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
             ]
         })
         .map(Frame::Line)
-        .collect();
-    let serve = |server: &mut Server, frames: &[Frame]| {
-        for frame in frames {
-            server.handle_frame(frame).expect("serves");
-        }
+        .collect()
+}
+
+fn serve(server: &mut Server, frames: &[Frame]) {
+    for frame in frames {
+        server.handle_frame(frame).expect("serves");
+    }
+}
+
+/// The newest usable checkpoint in a daemon's state directory, through
+/// the same walk recovery takes.
+fn newest_checkpoint(dir: &Path) -> (u64, ServerSnapshot) {
+    let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store opens");
+    store
+        .load_newest(|bytes| {
+            ServerSnapshot::parse(&String::from_utf8(bytes).map_err(|e| e.to_string())?)
+                .map_err(|e| e.to_string())
+        })
+        .expect("walks")
+        .expect("a usable generation")
+}
+
+/// A daemon whose newest checkpoint is unusable — torn, or a
+/// well-formed payload of an unknown format version — recovers from the
+/// previous generation: it replays the longer intake suffix, verifies
+/// the longer journal suffix, and completes the same journal as an
+/// uninterrupted run.
+#[test]
+fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
+    let config = || {
+        let mut config = ServerConfig::new(2016, true);
+        config.sync = false;
+        config.checkpoint_every = 5;
+        config
     };
+    let frames = unstamped_frames();
     let reference = scratch("fallback-ref");
     let mut server = Server::start(config(), Some(&reference)).expect("starts");
     serve(&mut server, &frames);
@@ -508,9 +524,11 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
             let bytes = std::fs::read(&path).expect("reads");
             std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tears");
         } else {
-            // Same generation number, intact framing, another version.
+            // Same generation number, intact framing, another version,
+            // written by a store that opens after the removal.
             let text = String::from_utf8(store.load(newest).expect("loads")).expect("utf-8");
             std::fs::remove_file(&path).expect("removes");
+            let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store reopens");
             let renumbered = store
                 .save(
                     text.replacen("\"version\":1", "\"version\":99", 1)
@@ -519,13 +537,7 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
                 .expect("saves");
             assert_eq!(renumbered, newest);
         }
-        let (fallback, _) = store
-            .load_newest(|bytes| {
-                ServerSnapshot::parse(&String::from_utf8(bytes).map_err(|e| e.to_string())?)
-                    .map_err(|e| e.to_string())
-            })
-            .expect("walks")
-            .expect("a usable generation");
+        let (fallback, _) = newest_checkpoint(&dir);
         assert_eq!(fallback, generations[generations.len() - 2], "{damage}");
 
         let mut server = Server::start(config(), Some(&dir)).expect("recovers");
@@ -537,6 +549,49 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
         assert!(journal == expected, "{damage}: recovered journal diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// `sync: false` changes durability, never bytes: a daemon that skips
+/// every fsync — journal, intake log and checkpoints — killed after it
+/// has checkpointed, recovers from that checkpoint and completes the
+/// journal an uninterrupted `sync: true` daemon commits.
+#[test]
+fn an_unsynced_daemon_recovers_from_its_checkpoint_to_the_synced_journal() {
+    let config = |sync| {
+        let mut config = ServerConfig::new(2016, true);
+        config.sync = sync;
+        config.checkpoint_every = 5;
+        config
+    };
+    let frames = unstamped_frames();
+    let reference = scratch("unsynced-ref");
+    let mut server = Server::start(config(true), Some(&reference)).expect("starts");
+    serve(&mut server, &frames);
+    server.finish().expect("drains");
+    let expected = std::fs::read(reference.join("journal.log")).expect("reference journal");
+
+    let dir = scratch("unsynced");
+    let half = frames.len() / 2;
+    let mut server = Server::start(config(false), Some(&dir)).expect("starts");
+    serve(&mut server, &frames[..half]);
+    drop(server); // the kill: nothing drains
+    let (generation, checkpoint) = newest_checkpoint(&dir);
+    assert!(
+        checkpoint.intake_seq > 0 && checkpoint.journal_seq > 0,
+        "the killed life checkpointed mid-stream (generation {generation})"
+    );
+
+    let mut server = Server::start(config(false), Some(&dir)).expect("recovers");
+    assert_eq!(server.consumed_frames() as usize, half);
+    serve(&mut server, &frames[half..]);
+    server.finish().expect("drains");
+    let journal = std::fs::read(dir.join("journal.log")).expect("journal");
+    assert!(
+        journal == expected,
+        "the unsynced daemon's journal diverged"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reference);
 }
 
@@ -630,7 +685,7 @@ fn place_searches_land_within_one_percent_of_the_best_of_fifty() {
 
 #[test]
 fn snapshots_refuse_unknown_versions() {
-    use icm_server::server::{ServerSnapshot, ServerSnapshotError};
+    use icm_server::server::ServerSnapshotError;
     let err = ServerSnapshot::parse(r#"{"version":99}"#).expect_err("refused");
     assert_eq!(err, ServerSnapshotError::UnknownVersion(99));
     assert!(err.to_string().contains("(this build reads 1)"), "{err}");

@@ -220,3 +220,21 @@ cmp "$SMOKE/ref-serve/journal.log" "$SMOKE/kill-serve/journal.log" \
 cmp "$SMOKE/ref-serve/journal.log" "$SMOKE/rerun-serve/journal.log" \
     || { echo "verify: same-seed serve reruns diverged" >&2; exit 1; }
 echo "verify: serve smoke OK"
+
+# Unsynced serve smoke: the same kill-and-resume cycle with --no-sync,
+# under which the journal, the intake log and the checkpoints skip every
+# fsync. That changes what survives power loss, never the bytes: the
+# killed life still checkpoints, and the recovered journal must equal
+# the synced reference run's.
+if ./target/release/icm-server --fast --state "$SMOKE/nosync-serve" --checkpoint-every 6 \
+    --no-sync --kill-after-commits 9 --input "$SMOKE/serve-script.jsonl" --quiet \
+    > /dev/null 2>&1; then
+    echo "verify: --kill-after-commits did not kill the unsynced daemon" >&2; exit 1
+fi
+test -n "$(ls "$SMOKE/nosync-serve/checkpoints")" \
+    || { echo "verify: the killed unsynced daemon left no checkpoint" >&2; exit 1; }
+./target/release/icm-server --fast --state "$SMOKE/nosync-serve" --checkpoint-every 6 \
+    --no-sync --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null
+cmp "$SMOKE/ref-serve/journal.log" "$SMOKE/nosync-serve/journal.log" \
+    || { echo "verify: the unsynced daemon's recovered journal diverged" >&2; exit 1; }
+echo "verify: unsynced serve smoke OK"
