@@ -49,8 +49,7 @@ use icm_obs::Event;
 const USAGE: &str = "usage: icm-trace summarize <trace.jsonl> [--json]\n\
                      \x20      icm-trace diff <a.jsonl> <b.jsonl> [--json]\n\
                      \x20      icm-trace flame <trace.jsonl> [--json|--svg]\n\
-                     \x20      icm-trace explain <trace.jsonl> [--action N [--checkpoint-dir DIR]|--violations]\n\
-                     \x20      icm-trace <trace.jsonl> [--json]";
+                     \x20      icm-trace explain <trace.jsonl> [--action N [--checkpoint-dir DIR]|--violations]";
 
 fn read_events(path: &str) -> Result<Vec<Event>, String> {
     icm_obs::read_jsonl_file(std::path::Path::new(path)).map_err(|err| format!("{path}: {err}"))

@@ -1,4 +1,5 @@
-//! `icm-experiments` command-line checks that need the built binary.
+//! `icm-experiments` and `icm-trace` command-line checks that need the
+//! built binaries.
 
 use std::process::Command;
 
@@ -110,4 +111,40 @@ fn a_resumed_run_keeps_the_snapshot_fast() {
         "the resumed results differ"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `icm-trace` takes subcommands only: its usage names exactly the four
+/// of them, and a bare trace path (a form it no longer has) is refused.
+#[test]
+fn icm_trace_usage_lists_its_four_subcommands() {
+    let trace = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_icm-trace"))
+            .args(args)
+            .output()
+            .expect("the binary runs")
+    };
+    let help = trace(&["--help"]);
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let subcommands: Vec<&str> = usage
+        .lines()
+        .map(|line| {
+            let line = line.trim_start_matches("usage:").trim_start();
+            let rest = line.strip_prefix("icm-trace ").expect("a usage line");
+            rest.split_whitespace().next().expect("a subcommand")
+        })
+        .collect();
+    assert_eq!(
+        subcommands,
+        ["summarize", "diff", "flame", "explain"],
+        "{usage}"
+    );
+
+    let path = std::env::temp_dir().join(format!("icm-cli-bare-{}.jsonl", std::process::id()));
+    std::fs::write(&path, "").expect("writes");
+    let bare = trace(&[path.to_str().expect("utf-8 path")]);
+    let _ = std::fs::remove_file(&path);
+    assert!(!bare.status.success(), "a bare trace path is refused");
+    let stderr = String::from_utf8_lossy(&bare.stderr);
+    assert!(stderr.contains("unknown subcommand"), "{stderr}");
 }

@@ -38,7 +38,7 @@ use icm_obs::{
 use icm_placement::{
     anneal_with, re_anneal_with, AnnealConfig, PlacementConstraints, PlacementState, QosConfig,
 };
-use icm_simcluster::{Deployment, Placement, SimTestbed, TestbedError, TestbedStats};
+use icm_simcluster::{AppRun, Deployment, Placement, SimTestbed, TestbedError, TestbedStats};
 
 use crate::action::{
     ActionKind, ActionRecord, AppFinal, DetectionKind, DetectionRecord, ManagerOutcome,
@@ -221,12 +221,6 @@ icm_json::impl_json!(struct AppState {
     recent_obs,
 });
 
-fn sim_elapsed(stats: &TestbedStats, start: &TestbedStats) -> f64 {
-    (stats.simulated_seconds - start.simulated_seconds)
-        + (stats.wasted_seconds - start.wasted_seconds)
-        + (stats.restart_seconds - start.restart_seconds)
-}
-
 /// Deterministic per-reaction seed: distinct per tick and purpose.
 fn reaction_seed(base: u64, tick: u64, salt: u64) -> u64 {
     base ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt
@@ -265,6 +259,17 @@ struct ActCtx {
     predicted: f64,
     placement: Vec<PlacementRef>,
     trigger_violation_s: f64,
+}
+
+/// One detector trip on an application's observation window: its
+/// kind, score and threshold, the streak it cites, and the suspicion
+/// it raises the application's hosts to.
+struct Trip {
+    kind: DetectionKind,
+    score: f64,
+    threshold: f64,
+    streak: u32,
+    suspicion: f64,
 }
 
 struct Supervisor<'a> {
@@ -442,6 +447,19 @@ impl Supervisor<'_> {
             });
         }
     }
+}
+
+/// One tick in flight: the world it acts on, its record, and what its
+/// phases hand each other.
+struct Tick<'a> {
+    testbed: &'a mut SimTestbed,
+    fleet: &'a mut Fleet,
+    config: &'a ManagerConfig,
+    sup: Supervisor<'a>,
+    /// Violation-seconds of the run before this tick.
+    violation_before: f64,
+    /// Apps whose trips ask for a reaction, once per trip.
+    tripped: Vec<usize>,
 }
 
 fn run(
@@ -624,14 +642,14 @@ impl ManagedRun {
         self.provenance.seal();
     }
 
-    /// Executes one supervisory tick.
+    /// Executes one supervisory tick: peek at outages, deploy and
+    /// observe every live application, detect trips, react.
     ///
     /// # Errors
     ///
     /// [`ManagerError::Config`] when the horizon is already complete,
     /// or a propagated placement/model/testbed failure. Injected faults
     /// are *not* errors: the loop absorbs and reacts to them.
-    #[allow(clippy::too_many_lines)]
     pub fn step(
         &mut self,
         testbed: &mut SimTestbed,
@@ -645,34 +663,32 @@ impl ManagedRun {
                 config.ticks
             )));
         }
-        let tick = self.next_tick;
-        let managed = self.managed;
-        let n = fleet.apps().len();
-        let bound = config.qos.max_normalized_time();
-        // Observation window per app: large enough that any detection
-        // can cite every observation in its trip streak.
-        let obs_window = config.drift.trip_after.max(config.slo_trip_after) as usize;
-
         // Telemetry-only bookkeeping: quiet ticks are contractually
         // silent in the event stream, so tick counts and per-tick
         // violation time flow through the non-event telemetry path.
         tracer.telemetry_count(
-            if managed {
+            if self.managed {
                 "manager.ticks.managed"
             } else {
                 "manager.ticks.baseline"
             },
             1,
         );
-        let violation_before_tick = self.violation_seconds;
-        let mut sup = Supervisor {
-            tracer,
-            managed,
-            tick,
-            tick_announced: false,
-            detections: Vec::new(),
-            actions: Vec::new(),
-            tick_inputs: Vec::new(),
+        let mut t = Tick {
+            testbed,
+            fleet,
+            config,
+            sup: Supervisor {
+                tracer,
+                managed: self.managed,
+                tick: self.next_tick,
+                tick_announced: false,
+                detections: Vec::new(),
+                actions: Vec::new(),
+                tick_inputs: Vec::new(),
+            },
+            violation_before: self.violation_seconds,
+            tripped: Vec::new(),
         };
         for s in self.suspicion.iter_mut() {
             *s *= 0.5;
@@ -681,414 +697,496 @@ impl ManagedRun {
             }
         }
 
-        // Phase 1 (managed only): proactive outage handling. The peek is
-        // read-only, so looking costs nothing when nothing is wrong.
-        if managed {
-            let next_run = testbed.peek_run();
-            let downed = testbed.downed_hosts_at(next_run);
-            let threatened: Vec<usize> = downed
-                .iter()
-                .copied()
-                .filter(|&h| {
-                    (0..n).any(|i| self.live[i] && fleet.hosts_of(&self.state, i).contains(&h))
-                })
-                .collect();
-            if !threatened.is_empty() {
-                let sim = sim_elapsed(&testbed.stats(), &self.start_stats);
-                for &h in &threatened {
-                    // A crash-window peek is a causal root: no prior
-                    // event made the fault plan schedule the outage.
-                    sup.detect(
-                        sim,
-                        DetectionKind::HostDown,
-                        None,
-                        Some(h as u64),
-                        DetectCtx::default(),
-                    );
-                }
-                self.pending_recovery.get_or_insert(sim);
-                self.state = replan(
-                    testbed,
-                    fleet,
-                    config,
-                    &mut sup,
-                    &mut self.live,
-                    &mut self.shed_order,
-                    &self.suspicion,
-                    &self.state,
-                    &downed,
-                    &self.start_stats,
-                    &mut self.provenance,
-                    self.violation_seconds - violation_before_tick,
-                )?;
-            }
+        if self.managed {
+            self.peek_outages(&mut t)?;
         }
+        let live_idx: Vec<usize> = (0..t.fleet.apps().len())
+            .filter(|&i| self.live[i])
+            .collect();
+        if !live_idx.is_empty() {
+            match self.deploy(&mut t, &live_idx) {
+                Ok(runs) => {
+                    let mut all_in_bound = true;
+                    for (&i, run) in live_idx.iter().zip(&runs) {
+                        let (signal, in_bound) = self.observe(&mut t, i, run)?;
+                        all_in_bound &= in_bound;
+                        if self.managed {
+                            self.detect(&mut t, i, signal);
+                        }
+                    }
+                    self.resolve_provenance(&t, &live_idx);
+                    self.react(&mut t)?;
+                    if self.managed && all_in_bound {
+                        if let Some(opened) = self.pending_recovery.take() {
+                            let latency = self.sim_s(t.testbed) - opened;
+                            self.recovery_latencies.push(latency);
+                            t.sup.recovered(latency, &mut self.provenance);
+                        }
+                    }
+                }
+                Err(
+                    fault @ (TestbedError::HostDown { .. }
+                    | TestbedError::ProbeFailed { .. }
+                    | TestbedError::ProbeTimeout { .. }),
+                ) => self.absorb_fault(&mut t, &live_idx, &fault)?,
+                Err(err) => return Err(err.into()),
+            }
+            tracer.telemetry_observe("manager.tick.violation_s", self.tick_violation_s(&t));
+        }
+        self.detections.append(&mut t.sup.detections);
+        self.actions.append(&mut t.sup.actions);
+        self.next_tick += 1;
+        Ok(())
+    }
 
-        // Phase 2: run the tick.
-        let live_idx: Vec<usize> = (0..n).filter(|&i| self.live[i]).collect();
-        if live_idx.is_empty() {
-            self.detections.append(&mut sup.detections);
-            self.actions.append(&mut sup.actions);
-            self.next_tick += 1;
+    /// Simulated seconds since the run started: productive, wasted and
+    /// restart time alike.
+    fn sim_s(&self, testbed: &SimTestbed) -> f64 {
+        let (now, start) = (testbed.stats(), &self.start_stats);
+        (now.simulated_seconds - start.simulated_seconds)
+            + (now.wasted_seconds - start.wasted_seconds)
+            + (now.restart_seconds - start.restart_seconds)
+    }
+
+    /// Violation-seconds accrued so far on tick `t`.
+    fn tick_violation_s(&self, t: &Tick<'_>) -> f64 {
+        self.violation_seconds - t.violation_before
+    }
+
+    /// Peek (managed only): a host the fleet occupies that enters a
+    /// crash window at the next run is detected, and the fleet replanned
+    /// around it, before the deployment can fail on it. The peek is
+    /// read-only, so looking costs nothing when nothing is wrong.
+    fn peek_outages(&mut self, t: &mut Tick<'_>) -> Result<(), ManagerError> {
+        let n = t.fleet.apps().len();
+        let threatened: Vec<usize> = t
+            .testbed
+            .downed_hosts_at(t.testbed.peek_run())
+            .into_iter()
+            .filter(|&h| {
+                (0..n).any(|i| self.live[i] && t.fleet.hosts_of(&self.state, i).contains(&h))
+            })
+            .collect();
+        if threatened.is_empty() {
             return Ok(());
         }
+        let sim = self.sim_s(t.testbed);
+        for &h in &threatened {
+            // A crash-window peek is a causal root: no prior event made
+            // the fault plan schedule the outage.
+            t.sup.detect(
+                sim,
+                DetectionKind::HostDown,
+                None,
+                Some(h as u64),
+                DetectCtx::default(),
+            );
+        }
+        self.pending_recovery.get_or_insert(sim);
+        self.replan(t)
+    }
+
+    /// Deploy: runs every live application on its current placement,
+    /// under the environment's ambient pressure once it applies.
+    fn deploy(&self, t: &mut Tick<'_>, live_idx: &[usize]) -> Result<Vec<AppRun>, TestbedError> {
+        let fleet = &*t.fleet;
         let placements: Vec<Placement> = live_idx
             .iter()
             .map(|&i| Placement::new(fleet.apps()[i].name.clone(), fleet.hosts_of(&self.state, i)))
             .collect();
-        let bubbles = match &config.environment {
-            Some(env) if tick >= env.from_tick => env.pressures.clone(),
+        let bubbles = match &t.config.environment {
+            Some(env) if t.sup.tick >= env.from_tick => env.pressures.clone(),
             _ => Vec::new(),
         };
-        let deployment = Deployment {
+        t.testbed.run_deployment(&Deployment {
             placements,
             bubbles,
+        })
+    }
+
+    /// Observe: feeds app `i`'s completed run to its online model and
+    /// drift detector, records it in the app's observation window, and
+    /// charges any time over the QoS bound. Returns the drift signal and
+    /// whether the run met the bound.
+    fn observe(
+        &mut self,
+        t: &mut Tick<'_>,
+        i: usize,
+        run: &AppRun,
+    ) -> Result<(DriftSignal, bool), ManagerError> {
+        let bound = t.config.qos.max_normalized_time();
+        // Observation window per app: large enough that any detection
+        // can cite every observation in its trip streak.
+        let obs_window = t.config.drift.trip_after.max(t.config.slo_trip_after) as usize;
+        let (pressures, key) = context_of(t.fleet, &self.state, &self.live, i);
+        let app = &mut t.fleet.apps_mut()[i];
+        let solo = app.online.base().solo_seconds();
+        let normalized = run.seconds / solo;
+        let predicted = app.online.predict_for(&key, &pressures)?;
+        app.online.observe_for(&key, &pressures, normalized)?;
+        let state = &mut self.states[i];
+        let signal = state.detector.observe(predicted, normalized)?;
+        state.last_normalized = normalized;
+        state.last_ok = true;
+        state.last_predicted = predicted;
+        state.recent_obs.push(ObservationRef {
+            event: run.trace_event,
+            tick: t.sup.tick,
+            app: app.name.clone(),
+            predicted,
+            observed: normalized,
+        });
+        if state.recent_obs.len() > obs_window {
+            state.recent_obs.remove(0);
+        }
+        // An in-bound prediction that ran over is a mispredict.
+        let violation = (run.seconds - solo * bound).max(0.0);
+        self.charge(t, i, violation, run.trace_event, predicted <= bound);
+        let over = normalized > bound;
+        let state = &mut self.states[i];
+        if over {
+            state.slo_streak += 1;
+        } else {
+            state.slo_streak = 0;
+        }
+        Ok((signal, !over))
+    }
+
+    /// Charges `violation_s` to app `i` on tick `t` and attributes it in
+    /// the one `qos_violation` event, caused by `caused_by` (the run's
+    /// `app_run` event, or the fault that lost the run). Managed and
+    /// unmanaged runs share this path, so the event is not
+    /// `manager_`-prefixed. A recovery already in flight makes the time
+    /// manager latency; otherwise a `mispredicted` run is a mispredict,
+    /// and anything else (a prediction that already knew the bound was
+    /// lost, or a lost run) is a fault or environment problem.
+    fn charge(
+        &mut self,
+        t: &Tick<'_>,
+        i: usize,
+        violation_s: f64,
+        caused_by: u64,
+        mispredicted: bool,
+    ) {
+        self.violation_seconds += violation_s;
+        self.states[i].last_violation_s = violation_s;
+        if violation_s > 0.0 && t.sup.tracer.enabled() {
+            let cause = if self.pending_recovery.is_some() {
+                CAUSE_LATENCY
+            } else if mispredicted {
+                CAUSE_MISPREDICT
+            } else {
+                CAUSE_FAULT
+            };
+            t.sup.tracer.event_caused(
+                QOS_VIOLATION,
+                &[caused_by],
+                &[
+                    ("tick", Value::from(t.sup.tick)),
+                    ("app", Value::from(t.fleet.apps()[i].name.as_str())),
+                    ("violation_s", Value::from(violation_s)),
+                    ("cause", Value::from(cause)),
+                ],
+            );
+        }
+    }
+
+    /// Detect: app `i`'s drift and sustained-SLO trips. Each trip is one
+    /// detection citing its streak from the app's observation window; it
+    /// raises the suspicion of the app's hosts and asks for a reaction.
+    fn detect(&mut self, t: &mut Tick<'_>, i: usize, signal: DriftSignal) {
+        let config = t.config;
+        let state = &mut self.states[i];
+        let drift = (signal == DriftSignal::Tripped).then(|| Trip {
+            kind: DetectionKind::Drift,
+            score: state.detector.last_residual(),
+            threshold: config.drift.threshold,
+            streak: config.drift.trip_after,
+            suspicion: 1.0,
+        });
+        let slo = (state.slo_streak >= config.slo_trip_after).then(|| Trip {
+            kind: DetectionKind::SloViolation,
+            score: state.last_normalized,
+            threshold: config.qos.max_normalized_time(),
+            streak: config.slo_trip_after,
+            suspicion: 0.5,
+        });
+        if slo.is_some() {
+            state.slo_streak = 0;
+        }
+        let sim = self.sim_s(t.testbed);
+        for trip in [drift, slo].into_iter().flatten() {
+            let window = &self.states[i].recent_obs;
+            let observations = window[window.len().saturating_sub(trip.streak as usize)..].to_vec();
+            let ctx = DetectCtx {
+                causes: observations.iter().map(|o| o.event).collect(),
+                score: trip.score,
+                threshold: trip.threshold,
+                streak: u64::from(trip.streak),
+                observations,
+            };
+            t.sup
+                .detect(sim, trip.kind, Some(&t.fleet.apps()[i].name), None, ctx);
+            for &h in &t.fleet.hosts_of(&self.state, i) {
+                self.suspicion[h] = self.suspicion[h].max(trip.suspicion);
+            }
+            t.tripped.push(i);
+        }
+    }
+
+    /// Predicted-vs-realized resolution (managed only): the first
+    /// completed tick after an action is its report card. App-scoped
+    /// actions grade against their app's fresh observation; fleet-wide
+    /// ones against the fleet mean. Every record from an earlier tick
+    /// resolves together and records arrive in tick order, so the open
+    /// records are always a suffix and the due ones that suffix's
+    /// prefix.
+    fn resolve_provenance(&mut self, t: &Tick<'_>, live_idx: &[usize]) {
+        let open = self.provenance.partition_point(|r| r.resolved);
+        debug_assert!(
+            self.provenance[open..].iter().all(|r| !r.resolved),
+            "resolved provenance must be a prefix"
+        );
+        let due = open + self.provenance[open..].partition_point(|r| r.tick < t.sup.tick);
+        if !self.managed || due == open {
+            return;
+        }
+        let tick_violation = self.tick_violation_s(t);
+        let mean_normalized = live_idx
+            .iter()
+            .map(|&i| self.states[i].last_normalized)
+            .sum::<f64>()
+            / live_idx.len() as f64;
+        for index in open..due {
+            let record = self.provenance.get_mut(index);
+            let scoped = record
+                .app
+                .as_ref()
+                .and_then(|name| t.fleet.apps().iter().position(|a| &a.name == name))
+                .filter(|&i| self.live[i] && self.states[i].last_ok);
+            let (realized, incurred) = match scoped {
+                Some(i) => (
+                    self.states[i].last_normalized,
+                    self.states[i].last_violation_s,
+                ),
+                None => (mean_normalized, tick_violation),
+            };
+            record.realized_slowdown = realized;
+            record.violation_incurred_s = incurred;
+            record.resolved = true;
+            t.sup.tracer.telemetry_observe(
+                &format!("manager.action.benefit.{}", record.kind),
+                record.avoided_violation_s(),
+            );
+        }
+    }
+
+    /// React to tick `t`'s trips: an app whose prediction rests on
+    /// defaulted model cells opens its circuit breaker (re-placing on
+    /// never-measured cells would be guesswork); the others share one
+    /// re-anneal, graded by the worst quality among them. An app whose
+    /// breaker is open no longer reacts.
+    fn react(&mut self, t: &mut Tick<'_>) -> Result<(), ManagerError> {
+        if t.tripped.is_empty() {
+            return Ok(());
+        }
+        let sim = self.sim_s(t.testbed);
+        self.pending_recovery.get_or_insert(sim);
+        let mut reacting: Vec<usize> = Vec::new();
+        for i in std::mem::take(&mut t.tripped) {
+            if self.states[i].breaker_open {
+                continue;
+            }
+            let quality = prediction_quality(t.fleet, &self.state, &self.live, i);
+            if quality != ModelQuality::Defaulted.as_str() {
+                reacting.push(i);
+                continue;
+            }
+            self.states[i].breaker_open = true;
+            t.sup.act(
+                sim,
+                ActionKind::CircuitBreak,
+                Some(&t.fleet.apps()[i].name),
+                0.0,
+                ActCtx {
+                    quality,
+                    predicted: self.states[i].last_predicted,
+                    placement: Vec::new(),
+                    trigger_violation_s: self.tick_violation_s(t),
+                },
+                &mut self.provenance,
+            );
+        }
+        if reacting.is_empty() {
+            return Ok(());
+        }
+        let quality = reacting
+            .iter()
+            .map(|&i| prediction_quality(t.fleet, &self.state, &self.live, i))
+            .max_by_key(|q| quality_rank(q))
+            .unwrap_or(ModelQuality::Measured.as_str());
+        self.re_anneal(t, &reacting, quality)
+    }
+
+    /// The tick produced nothing: every live application lost a full
+    /// epoch of progress. Charge it as violation time, attributed to
+    /// the fault event the testbed just emitted (the last event on every
+    /// failed-run path). A straggler that blew its kill deadline is
+    /// detected, and the managed fleet reshuffled: the co-location may
+    /// be what is starving it.
+    fn absorb_fault(
+        &mut self,
+        t: &mut Tick<'_>,
+        live_idx: &[usize],
+        fault: &TestbedError,
+    ) -> Result<(), ManagerError> {
+        let fault_event = t.sup.tracer.now().step;
+        for &i in live_idx {
+            self.states[i].last_ok = false;
+            let lost = t.fleet.apps()[i].online.base().solo_seconds();
+            self.charge(t, i, lost, fault_event, false);
+        }
+        if !self.managed || !matches!(fault, TestbedError::ProbeTimeout { .. }) {
+            return Ok(());
+        }
+        let sim = self.sim_s(t.testbed);
+        let ctx = DetectCtx {
+            causes: vec![fault_event],
+            ..DetectCtx::default()
         };
+        t.sup.detect(sim, DetectionKind::Straggler, None, None, ctx);
+        self.pending_recovery.get_or_insert(sim);
+        // Justified by a directly observed fault, not by a model
+        // prediction.
+        self.re_anneal(t, live_idx, "observed")
+    }
 
-        match testbed.run_deployment(&deployment) {
-            Ok(runs) => {
-                let mut wants_replan: Vec<usize> = Vec::new();
-                let mut all_in_bound = true;
-                for (k, &i) in live_idx.iter().enumerate() {
-                    let seconds = runs[k].seconds;
-                    let (pressures, key) = context_of(fleet, &self.state, &self.live, i);
-                    let app = &mut fleet.apps_mut()[i];
-                    let app_name = app.name.clone();
-                    let solo = app.online.base().solo_seconds();
-                    let normalized = seconds / solo;
-                    let predicted = app.online.predict_for(&key, &pressures)?;
-                    app.online.observe_for(&key, &pressures, normalized)?;
-                    let signal = self.states[i].detector.observe(predicted, normalized)?;
-                    self.states[i].last_normalized = normalized;
-                    self.states[i].last_ok = true;
-                    self.states[i].last_predicted = predicted;
-                    self.states[i].recent_obs.push(ObservationRef {
-                        event: runs[k].trace_event,
-                        tick,
-                        app: app_name.clone(),
-                        predicted,
-                        observed: normalized,
-                    });
-                    if self.states[i].recent_obs.len() > obs_window {
-                        self.states[i].recent_obs.remove(0);
-                    }
-                    let violation = (seconds - solo * bound).max(0.0);
-                    self.violation_seconds += violation;
-                    self.states[i].last_violation_s = violation;
-                    if violation > 0.0 && tracer.enabled() {
-                        // Violation attribution, emitted from this shared
-                        // managed/unmanaged path (NOT `manager_`-prefixed):
-                        // a recovery already in flight makes the time
-                        // manager latency; otherwise an in-bound
-                        // prediction that ran over is a mispredict, and a
-                        // prediction that already knew the bound was lost
-                        // is a fault/environment problem.
-                        let cause = if self.pending_recovery.is_some() {
-                            CAUSE_LATENCY
-                        } else if predicted <= bound {
-                            CAUSE_MISPREDICT
-                        } else {
-                            CAUSE_FAULT
-                        };
-                        tracer.event_caused(
-                            QOS_VIOLATION,
-                            &[runs[k].trace_event],
-                            &[
-                                ("tick", Value::from(tick)),
-                                ("app", Value::from(app_name.as_str())),
-                                ("violation_s", Value::from(violation)),
-                                ("cause", Value::from(cause)),
-                            ],
-                        );
-                    }
-                    if normalized > bound {
-                        all_in_bound = false;
-                        self.states[i].slo_streak += 1;
-                    } else {
-                        self.states[i].slo_streak = 0;
-                    }
-                    if !managed {
-                        continue;
-                    }
-                    let sim = sim_elapsed(&testbed.stats(), &self.start_stats);
-                    if signal == DriftSignal::Tripped {
-                        let observations =
-                            obs_tail(&self.states[i].recent_obs, config.drift.trip_after as usize);
-                        sup.detect(
-                            sim,
-                            DetectionKind::Drift,
-                            Some(&app_name),
-                            None,
-                            DetectCtx {
-                                causes: observations.iter().map(|o| o.event).collect(),
-                                score: self.states[i].detector.last_residual(),
-                                threshold: config.drift.threshold,
-                                streak: u64::from(config.drift.trip_after),
-                                observations,
-                            },
-                        );
-                        for &h in &fleet.hosts_of(&self.state, i) {
-                            self.suspicion[h] = 1.0;
-                        }
-                        wants_replan.push(i);
-                    }
-                    if self.states[i].slo_streak >= config.slo_trip_after {
-                        let observations =
-                            obs_tail(&self.states[i].recent_obs, config.slo_trip_after as usize);
-                        sup.detect(
-                            sim,
-                            DetectionKind::SloViolation,
-                            Some(&app_name),
-                            None,
-                            DetectCtx {
-                                causes: observations.iter().map(|o| o.event).collect(),
-                                score: normalized,
-                                threshold: bound,
-                                streak: u64::from(config.slo_trip_after),
-                                observations,
-                            },
-                        );
-                        self.states[i].slo_streak = 0;
-                        for &h in &fleet.hosts_of(&self.state, i) {
-                            self.suspicion[h] = self.suspicion[h].max(0.5);
-                        }
-                        wants_replan.push(i);
-                    }
-                }
+    /// The one re-anneal reaction: records the `ReAnneal` action,
+    /// justified by the mean prediction behind `apps` and its `quality`
+    /// grade (the post-search placements carry their own grades on the
+    /// `Migrate` records), then replans.
+    fn re_anneal(
+        &mut self,
+        t: &mut Tick<'_>,
+        apps: &[usize],
+        quality: &'static str,
+    ) -> Result<(), ManagerError> {
+        let predicted = apps
+            .iter()
+            .map(|&i| self.states[i].last_predicted)
+            .sum::<f64>()
+            / apps.len() as f64;
+        t.sup.act(
+            self.sim_s(t.testbed),
+            ActionKind::ReAnneal,
+            None,
+            0.0,
+            ActCtx {
+                quality,
+                predicted,
+                placement: Vec::new(),
+                trigger_violation_s: self.tick_violation_s(t),
+            },
+            &mut self.provenance,
+        );
+        self.replan(t)
+    }
 
-                // Predicted-vs-realized resolution: the first completed
-                // tick after an action is its report card. App-scoped
-                // actions grade against their app's fresh observation;
-                // fleet-wide ones against the fleet mean. Every record
-                // from an earlier tick resolves together and records
-                // arrive in tick order, so the open records are always
-                // a suffix and the due ones that suffix's prefix.
-                let open = self.provenance.partition_point(|r| r.resolved);
-                debug_assert!(
-                    self.provenance[open..].iter().all(|r| !r.resolved),
-                    "resolved provenance must be a prefix"
-                );
-                let due = open + self.provenance[open..].partition_point(|r| r.tick < tick);
-                if managed && due > open {
-                    let tick_violation = self.violation_seconds - violation_before_tick;
-                    let mean_normalized = live_idx
-                        .iter()
-                        .map(|&i| self.states[i].last_normalized)
-                        .sum::<f64>()
-                        / live_idx.len() as f64;
-                    for index in open..due {
-                        let record = self.provenance.get_mut(index);
-                        let scoped = record
-                            .app
-                            .as_ref()
-                            .and_then(|name| fleet.apps().iter().position(|a| &a.name == name))
-                            .filter(|&i| self.live[i] && self.states[i].last_ok);
-                        let (realized, incurred) = match scoped {
-                            Some(i) => (
-                                self.states[i].last_normalized,
-                                self.states[i].last_violation_s,
-                            ),
-                            None => (mean_normalized, tick_violation),
-                        };
-                        record.realized_slowdown = realized;
-                        record.violation_incurred_s = incurred;
-                        record.resolved = true;
-                        tracer.telemetry_observe(
-                            &format!("manager.action.benefit.{}", record.kind),
-                            record.avoided_violation_s(),
-                        );
-                    }
-                }
-
-                if managed && !wants_replan.is_empty() {
-                    let sim = sim_elapsed(&testbed.stats(), &self.start_stats);
-                    let trigger_violation_s = self.violation_seconds - violation_before_tick;
-                    self.pending_recovery.get_or_insert(sim);
-                    let mut reacting: Vec<usize> = Vec::new();
-                    for &i in &wants_replan {
-                        if self.states[i].breaker_open {
-                            continue;
-                        }
-                        if prediction_is_defaulted(fleet, &self.state, &self.live, i) {
-                            // Admission control on the model itself: the
-                            // cells behind this prediction were never
-                            // measured, so re-placing on them would be
-                            // guesswork. Open the breaker instead.
-                            self.states[i].breaker_open = true;
-                            sup.act(
-                                sim,
-                                ActionKind::CircuitBreak,
-                                Some(&fleet.apps()[i].name),
-                                0.0,
-                                ActCtx {
-                                    quality: ModelQuality::Defaulted.as_str(),
-                                    predicted: self.states[i].last_predicted,
-                                    placement: Vec::new(),
-                                    trigger_violation_s,
-                                },
-                                &mut self.provenance,
-                            );
-                        } else {
-                            reacting.push(i);
-                        }
-                    }
-                    if !reacting.is_empty() {
-                        // The re-anneal is justified by the tripped
-                        // predictions: record their mean and the worst
-                        // quality grade among the reacting apps. The
-                        // post-search placements carry their own grades
-                        // on the Migrate records.
-                        let predicted = reacting
-                            .iter()
-                            .map(|&i| self.states[i].last_predicted)
-                            .sum::<f64>()
-                            / reacting.len() as f64;
-                        let quality = reacting
-                            .iter()
-                            .map(|&i| prediction_quality(fleet, &self.state, &self.live, i))
-                            .max_by_key(|q| quality_rank(q))
-                            .unwrap_or(ModelQuality::Measured.as_str());
-                        sup.act(
-                            sim,
-                            ActionKind::ReAnneal,
-                            None,
-                            0.0,
-                            ActCtx {
-                                quality,
-                                predicted,
-                                placement: Vec::new(),
-                                trigger_violation_s,
-                            },
-                            &mut self.provenance,
-                        );
-                        let next_run = testbed.peek_run();
-                        let downed = testbed.downed_hosts_at(next_run);
-                        self.state = replan(
-                            testbed,
-                            fleet,
-                            config,
-                            &mut sup,
-                            &mut self.live,
-                            &mut self.shed_order,
-                            &self.suspicion,
-                            &self.state,
-                            &downed,
-                            &self.start_stats,
-                            &mut self.provenance,
-                            trigger_violation_s,
-                        )?;
-                    }
-                }
-
-                if managed && all_in_bound {
-                    if let Some(opened) = self.pending_recovery.take() {
-                        let latency = sim_elapsed(&testbed.stats(), &self.start_stats) - opened;
-                        self.recovery_latencies.push(latency);
-                        sup.recovered(latency, &mut self.provenance);
-                    }
-                }
+    /// Bounded incremental re-anneal from the current placement, around
+    /// every host down at the next run, with the shed loop: when the
+    /// constraints admit no feasible packing, the lowest-priority
+    /// application is taken out of service and the search retried —
+    /// never more times than there are applications, so the loop
+    /// provably terminates.
+    ///
+    /// Surviving applications whose host sets changed are checkpointed
+    /// and resumed at the configured migration cost — placement changes
+    /// are never free. The outage set is read at the run the moves
+    /// execute at, so a move never lands on an outage the search did not
+    /// see. A move the search could not keep off a downed host (the shed
+    /// loop gave up with breaches left) is committed anyway: the next
+    /// deployment surfaces the outage through the tick's fault path.
+    fn replan(&mut self, t: &mut Tick<'_>) -> Result<(), ManagerError> {
+        let (fleet, config) = (&*t.fleet, t.config);
+        let downed = t.testbed.downed_hosts_at(t.testbed.peek_run());
+        let trigger_violation_s = self.tick_violation_s(t);
+        let mut current = self.state.clone();
+        let mut attempt: u64 = 0;
+        loop {
+            let constraints = outage_constraints(&self.live, &downed);
+            let anneal_config = AnnealConfig {
+                iterations: config.reanneal_iterations,
+                seed: reaction_seed(config.seed, t.sup.tick, 0xD00D ^ attempt),
+                ..AnnealConfig::default()
+            };
+            current = re_anneal_with(
+                fleet.problem(),
+                FleetObjective::new(fleet, &self.live, &self.suspicion),
+                &current,
+                &constraints,
+                &anneal_config,
+                t.sup.tracer,
+            )?
+            .state;
+            if constraints.breaches(fleet.problem(), &current) == 0 {
+                break;
             }
-            Err(
-                err @ (TestbedError::HostDown { .. }
-                | TestbedError::ProbeFailed { .. }
-                | TestbedError::ProbeTimeout { .. }),
-            ) => {
-                // The tick produced nothing: every live application lost
-                // a full epoch of progress. Charge it as violation time,
-                // attributed to the fault event the testbed just emitted
-                // (the last event on every failed-run path) — or to
-                // manager latency when a recovery was already in flight.
-                let fault_event = tracer.now().step;
-                let in_flight = self.pending_recovery.is_some();
-                for &i in &live_idx {
-                    self.states[i].last_ok = false;
-                    let charge = fleet.apps()[i].online.base().solo_seconds();
-                    self.violation_seconds += charge;
-                    self.states[i].last_violation_s = charge;
-                    if tracer.enabled() {
-                        tracer.event_caused(
-                            QOS_VIOLATION,
-                            &[fault_event],
-                            &[
-                                ("tick", Value::from(tick)),
-                                ("app", Value::from(fleet.apps()[i].name.as_str())),
-                                ("violation_s", Value::from(charge)),
-                                (
-                                    "cause",
-                                    Value::from(if in_flight {
-                                        CAUSE_LATENCY
-                                    } else {
-                                        CAUSE_FAULT
-                                    }),
-                                ),
-                            ],
-                        );
-                    }
-                }
-                if managed && matches!(err, TestbedError::ProbeTimeout { .. }) {
-                    // A straggler blew its kill deadline. Reshuffle: the
-                    // co-location may be what is starving it.
-                    let sim = sim_elapsed(&testbed.stats(), &self.start_stats);
-                    let trigger_violation_s = self.violation_seconds - violation_before_tick;
-                    sup.detect(
-                        sim,
-                        DetectionKind::Straggler,
-                        None,
-                        None,
-                        DetectCtx {
-                            causes: vec![fault_event],
-                            ..DetectCtx::default()
-                        },
-                    );
-                    self.pending_recovery.get_or_insert(sim);
-                    let predicted = live_idx
-                        .iter()
-                        .map(|&i| self.states[i].last_predicted)
-                        .sum::<f64>()
-                        / live_idx.len() as f64;
-                    sup.act(
-                        sim,
-                        ActionKind::ReAnneal,
-                        None,
-                        0.0,
-                        ActCtx {
-                            // Justified by a directly observed fault, not
-                            // by a model prediction.
-                            quality: "observed",
-                            predicted,
-                            placement: Vec::new(),
-                            trigger_violation_s,
-                        },
-                        &mut self.provenance,
-                    );
-                    let next_run = testbed.peek_run();
-                    let downed = testbed.downed_hosts_at(next_run);
-                    self.state = replan(
-                        testbed,
-                        fleet,
-                        config,
-                        &mut sup,
-                        &mut self.live,
-                        &mut self.shed_order,
-                        &self.suspicion,
-                        &self.state,
-                        &downed,
-                        &self.start_stats,
-                        &mut self.provenance,
-                        trigger_violation_s,
-                    )?;
-                }
-            }
-            Err(err) => return Err(err.into()),
+            // No feasible placement: degrade gracefully.
+            let Some(victim) = fleet.shed_candidate(&self.live) else {
+                break; // nothing left to shed; nothing left to place either
+            };
+            self.live[victim] = false;
+            self.shed_order.push(fleet.apps()[victim].name.clone());
+            t.sup.act(
+                self.sim_s(t.testbed),
+                ActionKind::Shed,
+                Some(&fleet.apps()[victim].name),
+                0.0,
+                ActCtx {
+                    // Sheds are justified by constraint infeasibility, not
+                    // by any model prediction.
+                    quality: "infeasible",
+                    predicted: 0.0,
+                    placement: Vec::new(),
+                    trigger_violation_s,
+                },
+                &mut self.provenance,
+            );
+            attempt += 1;
         }
 
-        tracer.telemetry_observe(
-            "manager.tick.violation_s",
-            self.violation_seconds - violation_before_tick,
-        );
-        self.detections.append(&mut sup.detections);
-        self.actions.append(&mut sup.actions);
-        self.next_tick += 1;
+        // Execute the placement diff: surviving applications that moved
+        // are checkpointed and resumed on their new hosts.
+        for (i, app) in fleet.apps().iter().enumerate() {
+            let target = fleet.hosts_of(&current, i);
+            if !self.live[i] || target == fleet.hosts_of(&self.state, i) {
+                continue;
+            }
+            let sim = self.sim_s(t.testbed);
+            t.testbed.checkpoint_app(&app.name)?;
+            t.testbed.resume_app(&app.name, config.migration_cost_s)?;
+            // The candidate placement this migration commits to, with
+            // the model's post-move prediction and its quality grade.
+            let (pressures, key) = context_of(fleet, &current, &self.live, i);
+            let predicted = app.online.predict_for(&key, &pressures)?;
+            t.sup.act(
+                sim,
+                ActionKind::Migrate,
+                Some(&app.name),
+                config.migration_cost_s,
+                ActCtx {
+                    quality: prediction_quality(fleet, &current, &self.live, i),
+                    predicted,
+                    placement: vec![PlacementRef {
+                        app: app.name.clone(),
+                        hosts: target.iter().map(|&h| h as u64).collect(),
+                    }],
+                    trigger_violation_s,
+                },
+                &mut self.provenance,
+            );
+        }
+        self.state = current;
         Ok(())
     }
 
@@ -1127,7 +1225,7 @@ impl ManagedRun {
         ManagerOutcome {
             managed: self.managed,
             ticks: config.ticks,
-            sim_seconds: sim_elapsed(&testbed.stats(), &self.start_stats),
+            sim_seconds: self.sim_s(testbed),
             violation_seconds: self.violation_seconds,
             detections: self.detections.into_vec(),
             actions: self.actions.into_vec(),
@@ -1137,18 +1235,6 @@ impl ManagedRun {
             provenance: self.provenance.into_vec(),
         }
     }
-}
-
-/// Last `n` observations of a bounded per-app window — the streak a
-/// detection cites as its causal ancestry.
-fn obs_tail(obs: &[ObservationRef], n: usize) -> Vec<ObservationRef> {
-    obs[obs.len().saturating_sub(n)..].to_vec()
-}
-
-/// Whether the prediction that would justify re-placing app `i` rests
-/// on defaulted (never measured) model cells.
-fn prediction_is_defaulted(fleet: &Fleet, state: &PlacementState, live: &[bool], i: usize) -> bool {
-    prediction_quality(fleet, state, live, i) == ModelQuality::Defaulted.as_str()
 }
 
 /// Quality grade of the model cells behind app `i`'s prediction in
@@ -1175,156 +1261,6 @@ fn quality_rank(quality: &str) -> u8 {
         "defaulted" => 2,
         "interpolated" => 1,
         _ => 0,
-    }
-}
-
-/// Bounded incremental re-anneal from the current placement, with the
-/// shed loop: when the constraints admit no feasible packing, the
-/// lowest-priority application is taken out of service and the search
-/// retried — never more times than there are applications, so the loop
-/// provably terminates.
-///
-/// Surviving applications whose host sets changed are checkpointed and
-/// resumed at the configured migration cost — placement changes are
-/// never free.
-///
-/// The diff execution validates every migration target against the
-/// fault plan *before* committing it ([`SimTestbed::resume_app_on`]): a
-/// host that went down between the decision and the move surfaces as a
-/// typed [`TestbedError::HostDown`], which records a fresh detection and
-/// re-plans around the newly-known outage instead of aborting the tick.
-/// Each retry adds a host to the exclusion set, so the loop terminates.
-#[allow(clippy::too_many_arguments)]
-fn replan(
-    testbed: &mut SimTestbed,
-    fleet: &Fleet,
-    config: &ManagerConfig,
-    sup: &mut Supervisor<'_>,
-    live: &mut [bool],
-    shed_order: &mut Vec<String>,
-    suspicion: &[f64],
-    state: &PlacementState,
-    downed: &[usize],
-    start_stats: &TestbedStats,
-    provenance: &mut Ledger<ProvenanceRecord>,
-    trigger_violation_s: f64,
-) -> Result<PlacementState, ManagerError> {
-    let mut before: Vec<Vec<usize>> = (0..fleet.apps().len())
-        .map(|i| fleet.hosts_of(state, i))
-        .collect();
-    let mut downed: Vec<usize> = downed.to_vec();
-    let mut current = state.clone();
-    let mut attempt: u64 = 0;
-    'replan: loop {
-        loop {
-            let constraints = outage_constraints(live, &downed);
-            let anneal_config = AnnealConfig {
-                iterations: config.reanneal_iterations,
-                seed: reaction_seed(config.seed, sup.tick, 0xD00D ^ attempt),
-                ..AnnealConfig::default()
-            };
-            let result = re_anneal_with(
-                fleet.problem(),
-                FleetObjective::new(fleet, live, suspicion),
-                &current,
-                &constraints,
-                &anneal_config,
-                sup.tracer,
-            )?;
-            current = result.state;
-            if constraints.breaches(fleet.problem(), &current) == 0 {
-                break;
-            }
-            // No feasible placement: degrade gracefully.
-            let Some(victim) = fleet.shed_candidate(live) else {
-                break; // nothing left to shed; nothing left to place either
-            };
-            live[victim] = false;
-            shed_order.push(fleet.apps()[victim].name.clone());
-            let sim = sim_elapsed(&testbed.stats(), start_stats);
-            sup.act(
-                sim,
-                ActionKind::Shed,
-                Some(&fleet.apps()[victim].name),
-                0.0,
-                ActCtx {
-                    // Sheds are justified by constraint infeasibility, not
-                    // by any model prediction.
-                    quality: "infeasible",
-                    predicted: 0.0,
-                    placement: Vec::new(),
-                    trigger_violation_s,
-                },
-                provenance,
-            );
-            attempt += 1;
-        }
-
-        // Execute the placement diff: surviving applications that moved
-        // are checkpointed and resumed on their new hosts.
-        for (i, app) in fleet.apps().iter().enumerate() {
-            if !live[i] {
-                continue;
-            }
-            let target = fleet.hosts_of(&current, i);
-            if target == before[i] {
-                continue;
-            }
-            let sim = sim_elapsed(&testbed.stats(), start_stats);
-            testbed.checkpoint_app(&app.name)?;
-            match testbed.resume_app_on(&app.name, &target, config.migration_cost_s) {
-                Ok(()) => {}
-                Err(TestbedError::HostDown { host, .. }) if !downed.contains(&host) => {
-                    // The target host crashed between the placement
-                    // decision and its execution. The failed resume had
-                    // no side effects; record what we just learned and
-                    // re-plan with the outage excluded.
-                    sup.detect(
-                        sim,
-                        DetectionKind::HostDown,
-                        Some(&app.name),
-                        Some(host as u64),
-                        DetectCtx::default(),
-                    );
-                    downed.push(host);
-                    downed.sort_unstable();
-                    attempt += 1;
-                    continue 'replan;
-                }
-                Err(TestbedError::HostDown { .. }) => {
-                    // The host was already in the exclusion set, yet the
-                    // search could not avoid it (shed loop gave up with
-                    // breaches left). Commit the move anyway — the next
-                    // deployment surfaces the outage through the tick
-                    // loop's fault path, as it always has.
-                    testbed.resume_app(&app.name, config.migration_cost_s)?;
-                }
-                Err(err) => return Err(err.into()),
-            }
-            before[i] = target.clone();
-            // The candidate placement this migration commits to, with
-            // the model's post-move prediction and its quality grade.
-            let (pressures, key) = context_of(fleet, &current, live, i);
-            let predicted = app.online.predict_for(&key, &pressures)?;
-            let hosts: Vec<u64> = target.iter().map(|&h| h as u64).collect();
-            sup.act(
-                sim,
-                ActionKind::Migrate,
-                Some(&app.name),
-                config.migration_cost_s,
-                ActCtx {
-                    quality: prediction_quality(fleet, &current, live, i),
-                    predicted,
-                    placement: vec![PlacementRef {
-                        app: app.name.clone(),
-                        hosts,
-                    }],
-                    trigger_violation_s,
-                },
-                provenance,
-            );
-        }
-        return Ok(current);
     }
 }
 
@@ -1363,15 +1299,28 @@ mod tests {
         (tb.into_sim(), fleet)
     }
 
-    fn test_supervisor(tracer: &Tracer) -> Supervisor<'_> {
-        Supervisor {
-            tracer,
-            managed: true,
-            tick: 1,
-            tick_announced: false,
-            detections: Vec::new(),
-            actions: Vec::new(),
-            tick_inputs: Vec::new(),
+    /// Tick 1 of a managed run on `testbed` and `fleet`.
+    fn test_tick<'a>(
+        testbed: &'a mut SimTestbed,
+        fleet: &'a mut Fleet,
+        config: &'a ManagerConfig,
+        tracer: &'a Tracer,
+    ) -> Tick<'a> {
+        Tick {
+            testbed,
+            fleet,
+            config,
+            sup: Supervisor {
+                tracer,
+                managed: true,
+                tick: 1,
+                tick_announced: false,
+                detections: Vec::new(),
+                actions: Vec::new(),
+                tick_inputs: Vec::new(),
+            },
+            violation_before: 0.0,
+            tripped: Vec::new(),
         }
     }
 
@@ -1382,42 +1331,26 @@ mod tests {
         let (tb, fleet) = fleet_and_testbed();
         let config = ManagerConfig::default();
         let n = fleet.apps().len();
-        let hosts = fleet.problem().hosts();
-        let suspicion = vec![0.0; hosts];
         // A deliberately scrambled starting placement forces migrations.
         let mut rng = Rng::from_seed(0xBAD_5EED);
-        let state = PlacementState::random(fleet.problem(), &mut rng);
+        let scrambled = ManagedRun {
+            state: PlacementState::random(fleet.problem(), &mut rng),
+            ..ManagedRun::start(&tb, &fleet, &config, true).expect("starts")
+        };
         let tracer = Tracer::disabled();
 
         // Dry run against a fault-free clone to learn, deterministically,
         // which host an application is about to be moved onto.
         let crashed = {
-            let mut dry = tb.clone();
-            let mut live = vec![true; n];
-            let mut shed = Vec::new();
-            let mut prov = Ledger::default();
-            let mut sup = test_supervisor(&tracer);
-            let start = dry.stats();
-            let planned = replan(
-                &mut dry,
-                &fleet,
-                &config,
-                &mut sup,
-                &mut live,
-                &mut shed,
-                &suspicion,
-                &state,
-                &[],
-                &start,
-                &mut prov,
-                0.0,
-            )
-            .expect("fault-free replan");
+            let (mut dry, mut dry_fleet) = (tb.clone(), fleet.clone());
+            let mut run = scrambled.clone();
+            run.replan(&mut test_tick(&mut dry, &mut dry_fleet, &config, &tracer))
+                .expect("fault-free replan");
             (0..n)
                 .find_map(|i| {
-                    let before = fleet.hosts_of(&state, i);
+                    let before = fleet.hosts_of(&scrambled.state, i);
                     fleet
-                        .hosts_of(&planned, i)
+                        .hosts_of(&run.state, i)
                         .into_iter()
                         .find(|h| !before.contains(h))
                 })
@@ -1425,7 +1358,8 @@ mod tests {
         };
 
         // Same replan, but the chosen target crashed between the
-        // decision and the move, and the caller's outage list is stale.
+        // decision and the move: replan reads the outage itself and
+        // routes every survivor around it.
         let mut tb = tb;
         tb.set_fault_plan(Some(FaultPlan {
             crash_windows: vec![CrashWindow {
@@ -1435,42 +1369,20 @@ mod tests {
             }],
             ..FaultPlan::default()
         }));
-        let mut live = vec![true; n];
-        let mut shed = Vec::new();
-        let mut prov = Ledger::default();
-        let mut sup = test_supervisor(&tracer);
-        let start = tb.stats();
-        let planned = replan(
-            &mut tb,
-            &fleet,
-            &config,
-            &mut sup,
-            &mut live,
-            &mut shed,
-            &suspicion,
-            &state,
-            &[],
-            &start,
-            &mut prov,
-            0.0,
-        )
-        .expect("a crashed target must trigger a re-plan, not abort the tick");
+        let mut run = scrambled;
+        let mut replan_fleet = fleet.clone();
+        run.replan(&mut test_tick(&mut tb, &mut replan_fleet, &config, &tracer))
+            .expect("a crashed target must be routed around, not abort the tick");
 
-        assert!(
-            sup.detections
-                .iter()
-                .any(|d| d.kind == DetectionKind::HostDown && d.host == Some(crashed as u64)),
-            "the surprise outage must be recorded as a typed detection"
-        );
-        for (i, _) in live.iter().enumerate().filter(|(_, &alive)| alive) {
+        for (i, _) in run.live.iter().enumerate().filter(|(_, &alive)| alive) {
             assert!(
-                !fleet.hosts_of(&planned, i).contains(&crashed),
+                !fleet.hosts_of(&run.state, i).contains(&crashed),
                 "no surviving application may be routed through the dead host"
             );
         }
         assert!(
-            sup.actions.iter().any(|a| a.kind == ActionKind::Migrate),
-            "the re-plan must still commit migrations"
+            run.live.iter().all(|&alive| alive),
+            "seven live hosts hold both applications: nothing is shed"
         );
     }
 

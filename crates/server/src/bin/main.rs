@@ -14,7 +14,10 @@
 //! world checkpointed — a killed daemon restarted on the same directory
 //! resumes with nothing acknowledged lost. `--no-sync` turns off the
 //! fsyncs behind all three (`ServerConfig::sync`): writes stay atomic
-//! and a killed process loses nothing, but power loss may.
+//! and a killed process loses nothing, but power loss may. A restarted
+//! daemon checkpoints and syncs as its own `--checkpoint-every` and
+//! `--no-sync` say; its `--seed` and `--fast` must match the
+//! checkpoint's, or the restart is refused.
 //!
 //! `--kill-after-commits N` aborts the process (SIGABRT, no cleanup —
 //! the moral equivalent of `kill -9`) after the Nth committed reply.

@@ -6,26 +6,46 @@ use std::error::Error;
 use std::fmt;
 
 /// A failure that prevents the server from continuing: world
-/// construction, persistence I/O, or a snapshot/journal integrity
-/// break. Per-request trouble never takes this shape — it becomes a
-/// typed reply instead.
+/// construction, persistence I/O, a snapshot/journal integrity break,
+/// or a restart that disagrees with its checkpoint. Per-request trouble
+/// never takes this shape — it becomes a typed reply instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerError {
-    message: String,
+pub enum ServerError {
+    /// World construction, persistence I/O or an integrity break.
+    Failed(String),
+    /// A restart that gives a [`ServerConfig`](crate::world::ServerConfig)
+    /// field the checkpoint owns another value.
+    ConfigMismatch {
+        /// The field.
+        field: String,
+        /// The checkpoint's value, as compact JSON.
+        checkpoint: String,
+        /// The restarted daemon's value, as compact JSON.
+        given: String,
+    },
 }
 
 impl ServerError {
-    /// Creates an error from any displayable cause.
+    /// Creates a [`ServerError::Failed`] from any displayable cause.
     pub fn new(message: impl fmt::Display) -> Self {
-        Self {
-            message: message.to_string(),
-        }
+        Self::Failed(message.to_string())
     }
 }
 
 impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "server error: {}", self.message)
+        match self {
+            Self::Failed(message) => write!(f, "server error: {message}"),
+            Self::ConfigMismatch {
+                field,
+                checkpoint,
+                given,
+            } => write!(
+                f,
+                "server error: the checkpoint was written with {field} {checkpoint}, \
+                 this daemon was started with {field} {given}"
+            ),
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! reply, and therefore the committed-reply journal, byte-identical
 //! across same-seed replays (see `crate::clock`).
 
-use icm_json::Json;
+use icm_json::{write_object, Json, ToJson};
 
 /// Upper bound on `place` iteration requests — a client cannot buy an
 /// unbounded amount of annealing with one line.
@@ -173,50 +173,48 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// The wire line for this reply (no trailing newline).
+    /// The wire line for this reply (no trailing newline), written
+    /// straight from its fields. Counts are written as JSON numbers,
+    /// the `f64` text of the value.
     pub fn to_line(&self) -> String {
-        let value = match self {
+        let fields: &[(&str, &dyn ToJson)] = match self {
             Reply::Ok {
                 id,
                 degraded,
                 latency_us,
                 payload,
-            } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("ok".into())),
-                ("degraded", Json::Bool(*degraded)),
-                ("latency_us", Json::Number(*latency_us as f64)),
-                ("payload", payload.clone()),
-            ]),
-            Reply::Error { id, code, detail } => Json::object([
-                (
-                    "id",
-                    match id {
-                        Some(id) => Json::String(id.clone()),
-                        None => Json::Null,
-                    },
-                ),
-                ("status", Json::String("error".into())),
-                ("code", Json::String(code.as_str().into())),
-                ("detail", Json::String(detail.clone())),
-            ]),
+            } => &[
+                ("id", id),
+                ("status", &"ok"),
+                ("degraded", degraded),
+                ("latency_us", &(*latency_us as f64)),
+                ("payload", payload),
+            ],
+            Reply::Error { id, code, detail } => &[
+                ("id", id),
+                ("status", &"error"),
+                ("code", &code.as_str()),
+                ("detail", detail),
+            ],
             Reply::DeadlineExceeded {
                 id,
                 budget_us,
                 needed_us,
-            } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("deadline_exceeded".into())),
-                ("budget_us", Json::Number(*budget_us as f64)),
-                ("needed_us", Json::Number(*needed_us as f64)),
-            ]),
-            Reply::Overloaded { id, retry_after_us } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("overloaded".into())),
-                ("retry_after_us", Json::Number(*retry_after_us as f64)),
-            ]),
+            } => &[
+                ("id", id),
+                ("status", &"deadline_exceeded"),
+                ("budget_us", &(*budget_us as f64)),
+                ("needed_us", &(*needed_us as f64)),
+            ],
+            Reply::Overloaded { id, retry_after_us } => &[
+                ("id", id),
+                ("status", &"overloaded"),
+                ("retry_after_us", &(*retry_after_us as f64)),
+            ],
         };
-        icm_json::to_string(&value)
+        let mut line = String::new();
+        write_object(&mut line, fields.iter().copied());
+        line
     }
 
     /// The request id this reply answers, when one was recoverable.

@@ -37,7 +37,7 @@ use std::collections::VecDeque;
 use std::path::Path;
 
 use icm_json::fs::SnapshotStore;
-use icm_json::Json;
+use icm_json::{write_object, Json, ToJson};
 use icm_manager::objective::FleetObjective;
 use icm_manager::snapshot::{parse_versioned, FormatError, WorldSnapshot};
 use icm_manager::{Fleet, ManagedRun, ManagerConfig};
@@ -187,20 +187,16 @@ impl ServerSnapshot {
 /// How an accepted frame is recorded in the intake log, so recovery can
 /// re-feed malformed frames as faithfully as clean ones.
 fn intake_record(frame: &Frame) -> String {
-    let value = match frame {
-        Frame::Line(line) => Json::object([
-            ("frame", Json::String("line".into())),
-            ("data", Json::String(line.clone())),
-        ]),
-        Frame::Oversized(bytes) => Json::object([
-            ("frame", Json::String("oversized".into())),
-            ("bytes", Json::Number(*bytes as f64)),
-        ]),
-        Frame::InvalidUtf8 => Json::object([("frame", Json::String("bad_utf8".into()))]),
-        Frame::Truncated => Json::object([("frame", Json::String("truncated".into()))]),
-        Frame::Eof => Json::object([("frame", Json::String("eof".into()))]),
+    let fields: &[(&str, &dyn ToJson)] = match frame {
+        Frame::Line(line) => &[("frame", &"line"), ("data", line)],
+        Frame::Oversized(bytes) => &[("frame", &"oversized"), ("bytes", &(*bytes as f64))],
+        Frame::InvalidUtf8 => &[("frame", &"bad_utf8")],
+        Frame::Truncated => &[("frame", &"truncated")],
+        Frame::Eof => &[("frame", &"eof")],
     };
-    icm_json::to_string(&value)
+    let mut record = String::new();
+    write_object(&mut record, fields.iter().copied());
+    record
 }
 
 fn parse_intake_record(line: &str) -> Result<Frame, ServerError> {
@@ -300,7 +296,10 @@ impl Server {
         // Without a checkpoint the daemon starts from its freshly built
         // world, through the same restore as a recovering daemon.
         let snapshot = match checkpoint {
-            Some(snapshot) => snapshot,
+            Some(mut snapshot) => {
+                snapshot.config = config.resume(snapshot.config)?;
+                snapshot
+            }
             None => ServerSnapshot::fresh(config, &tracer)?,
         };
         if (journal_entries.len() as u64) < snapshot.journal_seq {

@@ -135,6 +135,14 @@ pub fn build_fleet(
 /// Daemon configuration. Everything that shapes deterministic behavior
 /// lives here and travels inside every snapshot, so a resumed daemon
 /// can never disagree with the world it is resuming.
+///
+/// The restart rule: the checkpoint owns what shapes replies (`seed`,
+/// `fast`, `apps`, the queue, cache and saturation settings), and a
+/// restart that names another value for one of them is refused with
+/// [`ServerError::ConfigMismatch`]. The process owns checkpoint cadence,
+/// retention and sync (`checkpoint_every`, `keep_checkpoints`, `sync`):
+/// a restarted daemon runs on the values it was started with, and its
+/// later checkpoints record them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Master seed for testbed, profiling and placement randomness.
@@ -200,6 +208,30 @@ impl ServerConfig {
             keep_checkpoints: 4,
             sync: true,
         }
+    }
+
+    /// The configuration a daemon started with `self` resumes a
+    /// checkpoint written under `checkpoint` with, by the restart rule.
+    pub(crate) fn resume(&self, checkpoint: Self) -> Result<Self, ServerError> {
+        let resumed = Self {
+            checkpoint_every: self.checkpoint_every,
+            keep_checkpoints: self.keep_checkpoints,
+            sync: self.sync,
+            ..checkpoint
+        };
+        let (given, kept) = (icm_json::to_value(self), icm_json::to_value(&resumed));
+        let fields = given.as_object().unwrap_or_default().iter();
+        let Some(((field, given), (_, kept))) = fields
+            .zip(kept.as_object().unwrap_or_default())
+            .find(|(g, k)| g != k)
+        else {
+            return Ok(resumed);
+        };
+        Err(ServerError::ConfigMismatch {
+            field: field.clone(),
+            checkpoint: icm_json::to_string(kept),
+            given: icm_json::to_string(given),
+        })
     }
 
     /// The manager configuration the supervised run uses: the shared

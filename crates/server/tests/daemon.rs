@@ -9,6 +9,7 @@ use icm_json::Json;
 use icm_server::frame::Frame;
 use icm_server::server::{Server, ServerSnapshot};
 use icm_server::world::ServerConfig;
+use icm_server::ServerError;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("icm-daemon-{tag}-{}", std::process::id()));
@@ -591,6 +592,77 @@ fn an_unsynced_daemon_recovers_from_its_checkpoint_to_the_synced_journal() {
         journal == expected,
         "the unsynced daemon's journal diverged"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// The restart rule: a restarted daemon checkpoints and syncs as its
+/// own configuration says, while the checkpoint keeps what shapes
+/// replies. A `checkpoint_every 6, sync false` daemon killed after it
+/// has checkpointed, restarted with `checkpoint_every 2, sync true`,
+/// completes the uninterrupted journal, and every generation it writes
+/// records its own cadence and sync. A restart naming another seed is
+/// refused with the field's name.
+#[test]
+fn a_restarted_daemon_takes_its_cadence_and_sync_from_its_own_config() {
+    let config = |checkpoint_every, sync| {
+        let mut config = ServerConfig::new(2016, true);
+        config.checkpoint_every = checkpoint_every;
+        config.sync = sync;
+        config
+    };
+    let frames = unstamped_frames();
+    let reference = scratch("restart-ref");
+    let mut server = Server::start(config(6, false), Some(&reference)).expect("starts");
+    serve(&mut server, &frames);
+    server.finish().expect("drains");
+    let expected = std::fs::read(reference.join("journal.log")).expect("reference journal");
+
+    let dir = scratch("restart");
+    let half = frames.len() / 2;
+    let mut server = Server::start(config(6, false), Some(&dir)).expect("starts");
+    serve(&mut server, &frames[..half]);
+    drop(server); // the kill: nothing drains
+    let (killed_newest, checkpoint) = newest_checkpoint(&dir);
+    assert!(checkpoint.journal_seq > 0, "the killed life checkpointed");
+
+    let mut other_seed = config(2, true);
+    other_seed.seed = 7;
+    let err = Server::start(other_seed, Some(&dir))
+        .err()
+        .expect("another seed is refused");
+    assert!(
+        matches!(&err, ServerError::ConfigMismatch { field, .. } if field == "seed"),
+        "{err}"
+    );
+
+    let mut server = Server::start(config(2, true), Some(&dir)).expect("recovers");
+    assert_eq!(server.config().checkpoint_every, 2);
+    assert!(server.config().sync);
+    assert_eq!(server.consumed_frames() as usize, half);
+    serve(&mut server, &frames[half..]);
+    server.finish().expect("drains");
+    let journal = std::fs::read(dir.join("journal.log")).expect("journal");
+    assert!(
+        journal == expected,
+        "the restarted daemon's journal diverged"
+    );
+
+    let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store opens");
+    let written: Vec<u64> = store
+        .generations()
+        .expect("lists")
+        .into_iter()
+        .filter(|&g| g > killed_newest)
+        .collect();
+    assert!(!written.is_empty(), "the restarted life checkpointed");
+    for generation in written {
+        let text = String::from_utf8(store.load(generation).expect("loads")).expect("utf-8");
+        assert!(
+            text.contains(r#""checkpoint_every":2"#) && text.contains(r#""sync":true"#),
+            "generation {generation} records another config"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reference);
 }

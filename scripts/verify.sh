@@ -238,3 +238,24 @@ test -n "$(ls "$SMOKE/nosync-serve/checkpoints")" \
 cmp "$SMOKE/ref-serve/journal.log" "$SMOKE/nosync-serve/journal.log" \
     || { echo "verify: the unsynced daemon's recovered journal diverged" >&2; exit 1; }
 echo "verify: unsynced serve smoke OK"
+
+# Restart smoke: the checkpoint owns what shapes replies, the process
+# owns checkpoint cadence and sync. A --no-sync --checkpoint-every 6
+# daemon killed after 9 commits, restarted with --checkpoint-every 2 and
+# sync on, must still complete the reference journal, and its newest
+# checkpoint generation must record the restarted life's sync setting.
+if ./target/release/icm-server --fast --state "$SMOKE/restart-serve" --checkpoint-every 6 \
+    --no-sync --kill-after-commits 9 --input "$SMOKE/serve-script.jsonl" --quiet \
+    > /dev/null 2>&1; then
+    echo "verify: --kill-after-commits did not kill the daemon before its restart" >&2; exit 1
+fi
+test -n "$(ls "$SMOKE/restart-serve/checkpoints")" \
+    || { echo "verify: the daemon killed before its restart left no checkpoint" >&2; exit 1; }
+./target/release/icm-server --fast --state "$SMOKE/restart-serve" --checkpoint-every 2 \
+    --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null
+cmp "$SMOKE/ref-serve/journal.log" "$SMOKE/restart-serve/journal.log" \
+    || { echo "verify: the restarted daemon's journal diverged" >&2; exit 1; }
+NEWEST_GEN="$(find "$SMOKE/restart-serve/checkpoints" -name 'gen-*.icmsnap' | sort | tail -n 1)"
+grep -q '"sync":true' "$NEWEST_GEN" \
+    || { echo "verify: the restarted daemon's newest checkpoint records another sync" >&2; exit 1; }
+echo "verify: restart serve smoke OK"
