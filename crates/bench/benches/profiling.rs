@@ -47,7 +47,13 @@ fn main() {
     ] {
         b.bench(&format!("profiling/algorithm/{name}"), || {
             let mut source = FnSource::new(8, 8, synthetic_truth);
-            profile(&mut source, algorithm, &ProfilerConfig::default()).expect("profiles")
+            profile(
+                &mut source,
+                algorithm,
+                &ProfilerConfig::default(),
+                &Tracer::disabled(),
+            )
+            .expect("profiles")
         });
     }
 
@@ -91,6 +97,7 @@ fn main() {
                     &mut source,
                     ProfilingAlgorithm::BinaryOptimized,
                     &ProfilerConfig::default(),
+                    &Tracer::disabled(),
                 )
                 .expect("profiles")
             },

@@ -214,25 +214,24 @@ pub fn evaluate_policies(
         .collect()
 }
 
-/// Picks the policy with the lowest mean error.
+/// Index of the policy with the lowest mean error in `evaluations`
+/// (the first on ties).
 ///
 /// # Panics
 ///
-/// Panics if `samples` is empty (see [`evaluate_policies`]).
-pub fn select_policy(
-    matrix: &PropagationMatrix,
-    samples: &[(Vec<f64>, f64)],
-    tolerance: f64,
-) -> PolicyEvaluation {
-    evaluate_policies(matrix, samples, tolerance)
-        .into_iter()
+/// Panics if `evaluations` is empty or holds a non-finite mean error.
+pub fn select_policy(evaluations: &[PolicyEvaluation]) -> usize {
+    evaluations
+        .iter()
+        .enumerate()
         .min_by(|a, b| {
-            a.errors
+            a.1.errors
                 .mean
-                .partial_cmp(&b.errors.mean)
+                .partial_cmp(&b.1.errors.mean)
                 .expect("errors are finite")
         })
-        .expect("four policies evaluated")
+        .map(|(i, _)| i)
+        .expect("at least one policy evaluated")
 }
 
 #[cfg(test)]
@@ -363,7 +362,8 @@ mod tests {
                 (c.clone(), matrix.predict(hom.pressure, hom.nodes))
             })
             .collect();
-        let best = select_policy(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
+        let evals = evaluate_policies(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
+        let best = &evals[select_policy(&evals)];
         assert_eq!(best.policy, MappingPolicy::NMax);
         assert!(best.errors.mean < 1e-9);
     }

@@ -23,6 +23,9 @@
 //! * [`resilient`] — retry / backoff / outlier-rejection wrapper around
 //!   any profile source, with per-cell [`ModelQuality`] provenance for
 //!   downstream confidence-aware consumers.
+//! * [`probe`] — the measurement protocol every model is built from:
+//!   the solo baseline, bubbles of pressure `i` on `j` hosts, seeded
+//!   heterogeneous samples and the reporter-calibrated bubble score.
 //! * [`model`] — [`ModelBuilder`] drives a
 //!   [`Testbed`] through the whole procedure and assembles an
 //!   [`InterferenceModel`]; the
@@ -61,6 +64,7 @@ mod error;
 pub mod heterogeneity;
 pub mod model;
 pub mod online;
+pub mod probe;
 pub mod profiling;
 mod propagation;
 pub mod resilient;
@@ -76,11 +80,11 @@ pub use heterogeneity::{
     evaluate_policies, select_policy, HomogeneousInterference, MappingPolicy, PolicyEvaluation,
     DEFAULT_TIE_TOLERANCE,
 };
-pub use model::{measure_bubble_score, InterferenceModel, ModelBuilder, NaiveModel};
+pub use model::{InterferenceModel, ModelBuilder, NaiveModel};
 pub use online::{DriftConfig, DriftDetector, DriftSignal, OnlineModel};
+pub use probe::{measure_bubble_score, Calibration, Probe};
 pub use profiling::{
-    profile, profile_full, profile_traced, FnSource, ProfileResult, ProfileSource, ProfilerConfig,
-    ProfilingAlgorithm,
+    profile, FnSource, ProfileResult, ProfileSource, ProfilerConfig, ProfilingAlgorithm,
 };
 pub use propagation::PropagationMatrix;
 pub use resilient::{

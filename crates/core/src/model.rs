@@ -1,19 +1,18 @@
 //! The assembled interference-aware performance model (§3.4) and its
 //! builder.
 
-use icm_rng::Rng;
-
 use crate::curve::SensitivityCurve;
 use crate::error::ModelError;
 use crate::heterogeneity::{
-    select_policy, HomogeneousInterference, MappingPolicy, PolicyEvaluation, DEFAULT_TIE_TOLERANCE,
+    evaluate_policies, select_policy, HomogeneousInterference, MappingPolicy, PolicyEvaluation,
+    DEFAULT_TIE_TOLERANCE,
 };
 use icm_obs::{Tracer, Value};
 
-use crate::profiling::{profile_traced, ProfileSource, ProfilerConfig, ProfilingAlgorithm};
+use crate::probe::{Calibration, Probe};
+use crate::profiling::{profile, ProfilerConfig, ProfilingAlgorithm};
 use crate::propagation::PropagationMatrix;
 use crate::score::ReporterCurve;
-use crate::stats::mean;
 use crate::testbed::Testbed;
 
 /// The complete interference model of one distributed application: the
@@ -391,7 +390,6 @@ impl ModelBuilder {
                 testbed.cluster_hosts()
             )));
         }
-        let n = testbed.max_pressure();
 
         let build_span = self.tracer.span(
             "model_build",
@@ -403,71 +401,31 @@ impl ModelBuilder {
 
         // 1. Solo baseline.
         let stage = self.tracer.span("solo", &[]);
-        let zeros = vec![0.0; m];
-        let solo_runs: Vec<f64> = (0..self.solo_repeats)
-            .map(|_| testbed.run_app(&self.app, &zeros))
-            .collect::<Result<_, _>>()?;
-        let solo = mean(&solo_runs);
-        if !solo.is_finite() || solo <= 0.0 {
-            return Err(ModelError::Profiling(format!(
-                "solo runtime of `{}` measured as {solo}",
-                self.app
-            )));
-        }
+        let mut probe = Probe::new(testbed, &self.app, m, self.solo_repeats)?;
+        let solo = probe.solo();
         stage.end_with(&[("seconds", Value::from(solo))]);
 
         // 2. Reporter calibration curve (bubble vs reporter).
         let stage = self.tracer.span("reporter_curve", &[]);
-        let mut reporter_values = Vec::with_capacity(n + 1);
-        for p in 0..=n {
-            reporter_values.push(testbed.reporter_slowdown_with_bubble(p as f64)?);
-        }
-        // The pressure-0 reporter run defines "no slowdown"; normalize the
-        // curve to it so measurement noise at the baseline cancels.
-        let baseline = reporter_values[0];
-        if !baseline.is_finite() || baseline <= 0.0 {
-            return Err(ModelError::Profiling(format!(
-                "reporter baseline measured as {baseline}"
-            )));
-        }
-        let normalized: Vec<f64> = reporter_values
-            .iter()
-            .map(|v| (v / baseline).max(1.0))
-            .collect();
-        let reporter_curve = ReporterCurve::from_slowdowns(normalized)?;
-        stage.end_with(&[("baseline", Value::from(baseline))]);
+        let calibration = Calibration::measure(probe.testbed())?;
+        stage.end_with(&[("baseline", Value::from(calibration.baseline))]);
 
         // 3. Bubble score.
         let stage = self.tracer.span("bubble_score", &[]);
-        let score_runs: Vec<f64> = (0..self.score_repeats)
-            .map(|_| testbed.reporter_slowdown_with_app(&self.app))
-            .collect::<Result<_, _>>()?;
-        let bubble_score = reporter_curve.score_for_slowdown(mean(&score_runs) / baseline);
+        let bubble_score = calibration.score(probe.testbed(), &self.app, self.score_repeats)?;
         stage.end_with(&[("score", Value::from(bubble_score))]);
 
         // 4. Propagation matrix via the selected profiling algorithm.
-        let mut source = TestbedSource {
-            testbed,
-            app: &self.app,
-            solo,
-            hosts: m,
-            max_pressure: n,
-        };
-        let profiled = profile_traced(&mut source, self.algorithm, &self.config, &self.tracer)?;
+        let profiled = profile(&mut probe, self.algorithm, &self.config, &self.tracer)?;
 
         // 5. Heterogeneity policy.
         let stage = self.tracer.span("policy", &[]);
         let (policy, evaluations) = match self.forced_policy {
             Some(policy) => (policy, Vec::new()),
             None => {
-                let samples = self.sample_heterogeneous(testbed, m, n, solo)?;
-                let evaluations = crate::heterogeneity::evaluate_policies(
-                    &profiled.matrix,
-                    &samples,
-                    self.tie_tolerance,
-                );
-                let best = select_policy(&profiled.matrix, &samples, self.tie_tolerance);
-                (best.policy, evaluations)
+                let samples = probe.heterogeneous_samples(self.seed, self.policy_samples)?;
+                let evaluations = evaluate_policies(&profiled.matrix, &samples, self.tie_tolerance);
+                (evaluations[select_policy(&evaluations)].policy, evaluations)
             }
         };
         stage.end_with(&[("policy", Value::from(policy.to_string()))]);
@@ -494,115 +452,15 @@ impl ModelBuilder {
             policy_evaluations: evaluations,
             tie_tolerance: self.tie_tolerance,
             profiling_cost: profiled.cost,
-            reporter_curve,
+            reporter_curve: calibration.curve,
         })
-    }
-
-    /// Draws random heterogeneous configurations and measures them — the
-    /// §3.3 sampling procedure.
-    fn sample_heterogeneous(
-        &self,
-        testbed: &mut dyn Testbed,
-        m: usize,
-        n: usize,
-        solo: f64,
-    ) -> Result<Vec<(Vec<f64>, f64)>, ModelError> {
-        let mut rng = Rng::from_seed(self.seed);
-        let mut samples = Vec::with_capacity(self.policy_samples);
-        for _ in 0..self.policy_samples {
-            let mut pressures: Vec<f64>;
-            loop {
-                pressures = (0..m)
-                    .map(|_| f64::from(rng.gen_range(0..=n as u32)))
-                    .collect();
-                // A configuration with at least two distinct non-zero
-                // levels actually exercises heterogeneity.
-                let nonzero: Vec<u64> = pressures
-                    .iter()
-                    .filter(|&&p| p > 0.0)
-                    .map(|&p| p as u64)
-                    .collect();
-                if !nonzero.is_empty() {
-                    break;
-                }
-            }
-            let seconds = testbed.run_app(&self.app, &pressures)?;
-            samples.push((pressures, seconds / solo));
-        }
-        Ok(samples)
-    }
-}
-
-/// Measures only the reporter calibration curve and an application's
-/// bubble score, without building a full propagation model — the Table 4
-/// measurement in isolation.
-///
-/// # Errors
-///
-/// Propagates testbed failures; returns [`ModelError::Profiling`] if the
-/// reporter baseline is unusable.
-pub fn measure_bubble_score(
-    testbed: &mut dyn Testbed,
-    app: &str,
-    repeats: usize,
-) -> Result<f64, ModelError> {
-    let n = testbed.max_pressure();
-    let mut reporter_values = Vec::with_capacity(n + 1);
-    for p in 0..=n {
-        reporter_values.push(testbed.reporter_slowdown_with_bubble(p as f64)?);
-    }
-    let baseline = reporter_values[0];
-    if !baseline.is_finite() || baseline <= 0.0 {
-        return Err(ModelError::Profiling(format!(
-            "reporter baseline measured as {baseline}"
-        )));
-    }
-    let normalized: Vec<f64> = reporter_values
-        .iter()
-        .map(|v| (v / baseline).max(1.0))
-        .collect();
-    let curve = ReporterCurve::from_slowdowns(normalized)?;
-    let runs: Vec<f64> = (0..repeats.max(1))
-        .map(|_| testbed.reporter_slowdown_with_app(app))
-        .collect::<Result<_, _>>()?;
-    Ok(curve.score_for_slowdown(mean(&runs) / baseline))
-}
-
-/// Adapter exposing a [`Testbed`] as a [`ProfileSource`]: "j interfering
-/// nodes at pressure i" places the bubbles on the *last* `j` of the app's
-/// hosts (biasing toward worker nodes when the first host is a
-/// coordinator master; the conversion policies are position-agnostic
-/// anyway).
-struct TestbedSource<'a> {
-    testbed: &'a mut dyn Testbed,
-    app: &'a str,
-    solo: f64,
-    hosts: usize,
-    max_pressure: usize,
-}
-
-impl ProfileSource for TestbedSource<'_> {
-    fn hosts(&self) -> usize {
-        self.hosts
-    }
-
-    fn max_pressure(&self) -> usize {
-        self.max_pressure
-    }
-
-    fn measure(&mut self, pressure: usize, nodes: usize) -> Result<f64, ModelError> {
-        let mut pressures = vec![0.0; self.hosts];
-        for slot in pressures.iter_mut().rev().take(nodes) {
-            *slot = pressure as f64;
-        }
-        let seconds = self.testbed.run_app(self.app, &pressures)?;
-        Ok(seconds / self.solo)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::measure_bubble_score;
     use crate::testbed::mock::MockTestbed;
 
     fn build_default() -> (InterferenceModel, MockTestbed) {

@@ -178,29 +178,18 @@ icm_json::impl_json!(struct ProfileResult { matrix, measured, cost });
 /// Runs `algorithm` against `source` and constructs the propagation
 /// matrix.
 ///
+/// The run is wrapped in a `profile` span on `tracer` and, once the
+/// matrix is fitted, one `probe` event is emitted per measured setting
+/// carrying the measured slowdown and the fitted-curve residual (fitted
+/// − measured; non-zero where the matrix floored a noisy sub-unity
+/// measurement). A disabled tracer records nothing.
+///
 /// # Errors
 ///
 /// Propagates measurement failures, and returns
 /// [`ModelError::InvalidData`] if the measured values cannot form a valid
 /// matrix.
 pub fn profile(
-    source: &mut dyn ProfileSource,
-    algorithm: ProfilingAlgorithm,
-    config: &ProfilerConfig,
-) -> Result<ProfileResult, ModelError> {
-    profile_traced(source, algorithm, config, &Tracer::disabled())
-}
-
-/// [`profile`] with structured tracing: the whole run is wrapped in a
-/// `profile` span and, once the matrix is fitted, one `probe` event is
-/// emitted per measured setting carrying the measured slowdown and the
-/// fitted-curve residual (fitted − measured; non-zero where the matrix
-/// floored a noisy sub-unity measurement).
-///
-/// # Errors
-///
-/// Same as [`profile`].
-pub fn profile_traced(
     source: &mut dyn ProfileSource,
     algorithm: ProfilingAlgorithm,
     config: &ProfilerConfig,
@@ -288,16 +277,6 @@ pub fn profile_traced(
         ]);
     }
     Ok(result)
-}
-
-/// Measures every setting — the ground-truth matrix used to score the
-/// cheaper algorithms (Table 3).
-///
-/// # Errors
-///
-/// Propagates measurement failures.
-pub fn profile_full(source: &mut dyn ProfileSource) -> Result<ProfileResult, ModelError> {
-    profile(source, ProfilingAlgorithm::Full, &ProfilerConfig::default())
 }
 
 /// Partially-filled matrix under construction.
@@ -564,13 +543,26 @@ mod tests {
 
     fn truth_matrix(f: fn(usize, usize) -> f64) -> PropagationMatrix {
         let mut src = source_of(f);
-        profile_full(&mut src).expect("full profile").matrix
+        profile(
+            &mut src,
+            ProfilingAlgorithm::Full,
+            &ProfilerConfig::default(),
+            &Tracer::disabled(),
+        )
+        .expect("full profile")
+        .matrix
     }
 
     #[test]
     fn full_profile_has_unit_cost_and_zero_error() {
         let mut src = source_of(saturating_truth);
-        let result = profile_full(&mut src).expect("profiles");
+        let result = profile(
+            &mut src,
+            ProfilingAlgorithm::Full,
+            &ProfilerConfig::default(),
+            &Tracer::disabled(),
+        )
+        .expect("profiles");
         assert_eq!(result.cost, 1.0);
         assert_eq!(result.measured.len(), 64);
         let truth = truth_matrix(saturating_truth);
@@ -587,6 +579,7 @@ mod tests {
             &mut src,
             ProfilingAlgorithm::BinaryBrute,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         let truth = truth_matrix(saturating_truth);
@@ -607,6 +600,7 @@ mod tests {
             &mut brute_src,
             ProfilingAlgorithm::BinaryBrute,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         let mut opt_src = source_of(saturating_truth);
@@ -614,6 +608,7 @@ mod tests {
             &mut opt_src,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         assert!(
@@ -639,6 +634,7 @@ mod tests {
                 epsilon: 0.0001,
                 seed: 0,
             },
+            &Tracer::disabled(),
         )
         .expect("profiles");
         let truth = truth_matrix(linear_truth);
@@ -654,6 +650,7 @@ mod tests {
                 &mut src,
                 ProfilingAlgorithm::RandomFraction(fraction),
                 &ProfilerConfig::default(),
+                &Tracer::disabled(),
             )
             .expect("profiles");
             assert!(
@@ -671,6 +668,7 @@ mod tests {
             &mut src,
             ProfilingAlgorithm::RandomFraction(0.30),
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         for i in 1..=8 {
@@ -692,6 +690,7 @@ mod tests {
                     epsilon: 0.04,
                     seed,
                 },
+                &Tracer::disabled(),
             )
             .expect("profiles")
             .measured
@@ -709,7 +708,13 @@ mod tests {
         let truth = truth_matrix(saturating_truth);
         let err_of = |alg: ProfilingAlgorithm| {
             let mut src = source_of(saturating_truth);
-            let result = profile(&mut src, alg, &ProfilerConfig::default()).expect("profiles");
+            let result = profile(
+                &mut src,
+                alg,
+                &ProfilerConfig::default(),
+                &Tracer::disabled(),
+            )
+            .expect("profiles");
             result.matrix.mean_abs_error_pct(&truth).expect("shape")
         };
         let brute = err_of(ProfilingAlgorithm::BinaryBrute);
@@ -725,9 +730,14 @@ mod tests {
     fn cost_ordering_matches_paper() {
         let cost_of = |alg: ProfilingAlgorithm| {
             let mut src = source_of(saturating_truth);
-            profile(&mut src, alg, &ProfilerConfig::default())
-                .expect("profiles")
-                .cost
+            profile(
+                &mut src,
+                alg,
+                &ProfilerConfig::default(),
+                &Tracer::disabled(),
+            )
+            .expect("profiles")
+            .cost
         };
         let brute = cost_of(ProfilingAlgorithm::BinaryBrute);
         let opt = cost_of(ProfilingAlgorithm::BinaryOptimized);
@@ -750,6 +760,7 @@ mod tests {
             &mut src,
             ProfilingAlgorithm::BinaryBrute,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         assert!(
@@ -771,6 +782,7 @@ mod tests {
             &mut src,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .expect("profiles");
         for i in 1..=8 {
@@ -787,6 +799,7 @@ mod tests {
             &mut src,
             ProfilingAlgorithm::BinaryBrute,
             &ProfilerConfig::default(),
+            &Tracer::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, ModelError::Profiling(_)));
@@ -798,7 +811,8 @@ mod tests {
         assert!(profile(
             &mut src,
             ProfilingAlgorithm::RandomFraction(1.5),
-            &ProfilerConfig::default()
+            &ProfilerConfig::default(),
+            &Tracer::disabled()
         )
         .is_err());
     }
@@ -809,7 +823,8 @@ mod tests {
         assert!(profile(
             &mut src,
             ProfilingAlgorithm::Full,
-            &ProfilerConfig::default()
+            &ProfilerConfig::default(),
+            &Tracer::disabled()
         )
         .is_err());
     }
@@ -829,7 +844,7 @@ mod tests {
     fn traced_profile_emits_one_probe_event_per_measurement() {
         let (tracer, recorder) = icm_obs::Tracer::recording(4096);
         let mut src = source_of(saturating_truth);
-        let result = profile_traced(
+        let result = profile(
             &mut src,
             ProfilingAlgorithm::BinaryBrute,
             &ProfilerConfig::default(),
@@ -863,7 +878,7 @@ mod tests {
         // residual field must expose.
         let (tracer, recorder) = icm_obs::Tracer::recording(4096);
         let mut src = FnSource::new(2, 2, |_i, _j| 0.90);
-        let _ = profile_traced(
+        let _ = profile(
             &mut src,
             ProfilingAlgorithm::Full,
             &ProfilerConfig::default(),
@@ -884,7 +899,7 @@ mod tests {
     fn tracing_does_not_change_profiling_results() {
         let run = |tracer: &icm_obs::Tracer| {
             let mut src = source_of(saturating_truth);
-            profile_traced(
+            profile(
                 &mut src,
                 ProfilingAlgorithm::BinaryOptimized,
                 &ProfilerConfig::default(),
@@ -911,6 +926,7 @@ mod tests {
                 &mut src,
                 ProfilingAlgorithm::BinaryBrute,
                 &ProfilerConfig::default(),
+                &Tracer::disabled(),
             )
             .expect("profiles");
         }

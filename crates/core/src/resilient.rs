@@ -18,9 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use icm_obs::{Tracer, Value};
 
 use crate::error::ModelError;
-use crate::profiling::{
-    profile_traced, ProfileResult, ProfileSource, ProfilerConfig, ProfilingAlgorithm,
-};
+use crate::profiling::{profile, ProfileResult, ProfileSource, ProfilerConfig, ProfilingAlgorithm};
 
 /// Provenance of one propagation-matrix cell, ordered best-first so the
 /// *maximum* over a set of cells is the worst quality involved.
@@ -418,7 +416,7 @@ pub fn profile_resilient(
     tracer: &Tracer,
 ) -> Result<ResilientOutcome, ModelError> {
     let mut resilient = ResilientSource::new(source, policy.clone(), tracer.clone());
-    let result = profile_traced(&mut resilient, algorithm, config, tracer)?;
+    let result = profile(&mut resilient, algorithm, config, tracer)?;
     let quality = resilient.quality_grid();
     let stats = resilient.stats().clone();
     Ok(ResilientOutcome {
@@ -470,7 +468,7 @@ mod tests {
     #[test]
     fn clean_source_behaves_like_plain_profiling() {
         let mut plain = FnSource::new(8, 8, truth);
-        let expected = profile_traced(
+        let expected = profile(
             &mut plain,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
@@ -515,7 +513,7 @@ mod tests {
         assert_eq!(outcome.quality.worst(), ModelQuality::Interpolated);
         // Retried values are the true ones, so the matrix is exact.
         let mut clean = FnSource::new(8, 8, truth);
-        let expected = profile_traced(
+        let expected = profile(
             &mut clean,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
@@ -571,7 +569,7 @@ mod tests {
         .expect("profiles");
         assert!(outcome.stats.rejected_outliers > 0);
         let mut clean = FnSource::new(8, 8, truth);
-        let expected = profile_traced(
+        let expected = profile(
             &mut clean,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),

@@ -63,6 +63,8 @@ pub(crate) mod mock {
         pub coupling: f64,
         pub severity: f64,
         pub calls: usize,
+        /// The pressure vector of the latest `run_app`.
+        pub last_run: Vec<f64>,
     }
 
     impl Default for MockTestbed {
@@ -74,6 +76,7 @@ pub(crate) mod mock {
                 coupling: 0.9,
                 severity: 0.08,
                 calls: 0,
+                last_run: Vec::new(),
             }
         }
     }
@@ -109,6 +112,7 @@ pub(crate) mod mock {
 
         fn run_app(&mut self, _app: &str, pressures: &[f64]) -> Result<f64, ModelError> {
             self.calls += 1;
+            self.last_run = pressures.to_vec();
             if pressures.is_empty() {
                 return Err(ModelError::Testbed("empty pressure vector".into()));
             }

@@ -7,6 +7,7 @@ use icm_core::{
     combine_scores, profile, FnSource, MappingPolicy, ProfilerConfig, ProfilingAlgorithm,
     PropagationMatrix, SensitivityCurve,
 };
+use icm_obs::Tracer;
 use icm_rng::Rng;
 
 /// Cases per property; the old proptest default was 256.
@@ -177,6 +178,7 @@ fn every_algorithm_profiles_any_monotone_source() {
                     epsilon: 0.04,
                     seed,
                 },
+                &Tracer::disabled(),
             )
             .expect("profiles");
             assert!(

@@ -9,13 +9,15 @@
 //!   against the simulator.
 
 use icm_core::model::ModelBuilder;
-use icm_core::profiling::{profile, profile_full, ProfilerConfig, ProfilingAlgorithm};
-use icm_core::{combine_scores, measure_bubble_score, Testbed};
+use icm_core::{
+    combine_scores, measure_bubble_score, profile, Probe, ProfilerConfig, ProfilingAlgorithm,
+    Testbed,
+};
+use icm_obs::Tracer;
 use icm_placement::{anneal_estimator, AcceptRule, AnnealConfig, Estimator, SearchGoal};
 
 use crate::context::{private_testbed, ExpConfig, ExpError};
 use crate::placement_common::MixContext;
-use crate::profiling_source::AppSource;
 use crate::table::{f2, f3, pct, Table};
 
 // ---------------------------------------------------------------- A1 --
@@ -55,8 +57,15 @@ pub fn run_interp(cfg: &ExpConfig) -> Result<AblationInterp, ExpError> {
     let app = "M.milc";
     let mut testbed = private_testbed(cfg);
     let hosts = testbed.sim().cluster().hosts();
-    let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
-    let truth = profile_full(&mut source)?.matrix;
+    let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
+    let tracer = Tracer::disabled();
+    let truth = profile(
+        &mut probe,
+        ProfilingAlgorithm::Full,
+        &ProfilerConfig::default(),
+        &tracer,
+    )?
+    .matrix;
     let epsilons: &[f64] = if cfg.fast {
         &[0.01, 0.08]
     } else {
@@ -68,14 +77,11 @@ pub fn run_interp(cfg: &ExpConfig) -> Result<AblationInterp, ExpError> {
         ProfilingAlgorithm::BinaryOptimized,
     ] {
         for &epsilon in epsilons {
-            let result = profile(
-                &mut source,
-                algorithm,
-                &ProfilerConfig {
-                    epsilon,
-                    seed: cfg.seed,
-                },
-            )?;
+            let config = ProfilerConfig {
+                epsilon,
+                seed: cfg.seed,
+            };
+            let result = profile(&mut probe, algorithm, &config, &tracer)?;
             points.push(EpsilonPoint {
                 algorithm: algorithm.name(),
                 epsilon,

@@ -4,16 +4,11 @@
 
 use std::collections::BTreeMap;
 
-use icm_core::profiling::profile_full;
-use icm_core::{
-    evaluate_policies, measure_bubble_score, PolicyEvaluation, Summary, Testbed,
-    DEFAULT_TIE_TOLERANCE,
-};
-use icm_rng::Rng;
+use icm_core::{measure_bubble_score, PolicyEvaluation, Probe, Summary, Testbed};
 
 use crate::context::{build_models, ec2_testbed, ExpConfig, ExpError};
+use crate::fig4::policy_study;
 use crate::fig8::PairPoint;
-use crate::profiling_source::AppSource;
 use crate::table::{f2, f3, pct, Table};
 
 /// The four workloads §6 evaluates on EC2.
@@ -103,71 +98,26 @@ pub fn run(cfg: &ExpConfig) -> Result<Ec2Result, ExpError> {
 
     // Fig. 12: measured propagation curves at the paper's grid.
     let mut curves = Vec::with_capacity(apps.len());
-    let mut solos = BTreeMap::new();
     for &app in &apps {
-        let mut solo_total = 0.0;
-        for _ in 0..cfg.repeats() {
-            solo_total += testbed.run_app(app, &vec![0.0; hosts])?;
-        }
-        let solo = solo_total / cfg.repeats() as f64;
-        solos.insert(app.to_owned(), solo);
-        let mut family = Vec::with_capacity(pressures.len());
-        for &p in &pressures {
-            let mut curve = Vec::with_capacity(node_counts.len());
-            for &k in &node_counts {
-                if k == 0 {
-                    curve.push(1.0);
-                    continue;
-                }
-                let mut vector = vec![0.0; hosts];
-                for slot in vector.iter_mut().rev().take(k) {
-                    *slot = p as f64;
-                }
-                curve.push(testbed.run_app(app, &vector)? / solo);
-            }
-            family.push(curve);
-        }
         curves.push(Ec2Curves {
             app: app.to_owned(),
             pressures: pressures.clone(),
             node_counts: node_counts.clone(),
-            curves: family,
+            curves: Probe::new(&mut testbed, app, hosts, cfg.repeats())?
+                .curves(&pressures, &node_counts)?,
         });
     }
 
     // Table 6: re-selected policies from sampled heterogeneous settings.
     let mut policies = Vec::with_capacity(apps.len());
     for &app in &apps {
-        let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
-        let matrix = profile_full(&mut source)?.matrix;
-        let solo = source.solo();
-        let mut rng = Rng::from_seed(cfg.seed ^ 0xEC26);
-        let mut samples = Vec::with_capacity(policy_samples);
-        for _ in 0..policy_samples {
-            let mut vector: Vec<f64>;
-            loop {
-                vector = (0..hosts)
-                    .map(|_| f64::from(rng.gen_range(0..=8u32)))
-                    .collect();
-                if vector.iter().any(|&p| p > 0.0) {
-                    break;
-                }
-            }
-            let seconds = testbed.run_app(app, &vector)?;
-            samples.push((vector, seconds / solo));
-        }
-        let evaluations = evaluate_policies(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
-        let best = evaluations
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.errors
-                    .mean
-                    .partial_cmp(&b.1.errors.mean)
-                    .expect("finite")
-            })
-            .map(|(i, _)| i)
-            .expect("four policies");
+        let (evaluations, best) = policy_study(
+            &mut testbed,
+            app,
+            cfg.repeats(),
+            cfg.seed ^ 0xEC26,
+            policy_samples,
+        )?;
         policies.push(Ec2Policy {
             app: app.to_owned(),
             evaluations,

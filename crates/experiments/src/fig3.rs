@@ -2,7 +2,7 @@
 //! each distributed application as the number of interfering nodes grows
 //! from 0 to 8, one curve per bubble pressure 1–8.
 
-use icm_core::Testbed;
+use icm_core::{Probe, Testbed};
 
 use crate::context::{distributed_apps, private_testbed, ExpConfig, ExpError};
 use crate::table::{f3, Table};
@@ -52,27 +52,8 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig3Result, ExpError> {
 
     let mut apps = Vec::with_capacity(app_names.len());
     for app in &app_names {
-        let mut solo_total = 0.0;
-        for _ in 0..cfg.repeats() {
-            solo_total += testbed.run_app(app, &vec![0.0; hosts])?;
-        }
-        let solo = solo_total / cfg.repeats() as f64;
-        let mut curves = Vec::with_capacity(pressures.len());
-        for &p in &pressures {
-            let mut curve = Vec::with_capacity(node_counts.len());
-            for &k in &node_counts {
-                if k == 0 {
-                    curve.push(1.0);
-                    continue;
-                }
-                let mut vector = vec![0.0; hosts];
-                for slot in vector.iter_mut().rev().take(k) {
-                    *slot = p as f64;
-                }
-                curve.push(testbed.run_app(app, &vector)? / solo);
-            }
-            curves.push(curve);
-        }
+        let curves = Probe::new(&mut testbed, app, hosts, cfg.repeats())?
+            .curves(&pressures, &node_counts)?;
         apps.push(Fig3App {
             app: app.clone(),
             pressures: pressures.clone(),

@@ -2,12 +2,13 @@
 //! mapping policies over sampled heterogeneous configurations, and the
 //! best policy per application.
 
-use icm_core::profiling::profile_full;
-use icm_core::{evaluate_policies, PolicyEvaluation, Testbed, DEFAULT_TIE_TOLERANCE};
-use icm_rng::Rng;
+use icm_core::{
+    evaluate_policies, profile, select_policy, PolicyEvaluation, Probe, ProfilerConfig,
+    ProfilingAlgorithm, Testbed, DEFAULT_TIE_TOLERANCE,
+};
+use icm_obs::Tracer;
 
 use crate::context::{distributed_apps, private_testbed, ExpConfig, ExpError};
-use crate::profiling_source::AppSource;
 use crate::table::{f2, pct, Table};
 
 /// Policy evaluations for one application.
@@ -34,6 +35,36 @@ pub struct Fig4Result {
 
 icm_json::impl_json!(struct Fig4Result { apps });
 
+/// The §3.3 policy study of one application across the whole cluster:
+/// full-profiles its propagation matrix, measures `samples` random
+/// heterogeneous settings drawn from `seed`, and scores all four
+/// conversion policies on them. Returns the evaluations and the index of
+/// the best.
+///
+/// # Errors
+///
+/// Propagates testbed failures.
+pub(crate) fn policy_study(
+    testbed: &mut dyn Testbed,
+    app: &str,
+    repeats: usize,
+    seed: u64,
+    samples: usize,
+) -> Result<(Vec<PolicyEvaluation>, usize), ExpError> {
+    let hosts = testbed.cluster_hosts();
+    let mut probe = Probe::new(testbed, app, hosts, repeats)?;
+    let full = profile(
+        &mut probe,
+        ProfilingAlgorithm::Full,
+        &ProfilerConfig::default(),
+        &Tracer::disabled(),
+    )?;
+    let samples = probe.heterogeneous_samples(seed, samples)?;
+    let evaluations = evaluate_policies(&full.matrix, &samples, DEFAULT_TIE_TOLERANCE);
+    let best = select_policy(&evaluations);
+    Ok((evaluations, best))
+}
+
 /// Runs the heterogeneity study: full-profile each app's propagation
 /// matrix, sample random heterogeneous settings, measure them, and score
 /// all four conversion policies.
@@ -43,8 +74,6 @@ icm_json::impl_json!(struct Fig4Result { apps });
 /// Propagates testbed failures.
 pub fn run(cfg: &ExpConfig) -> Result<Fig4Result, ExpError> {
     let mut testbed = private_testbed(cfg);
-    let hosts = testbed.cluster_hosts();
-    let max_pressure = testbed.max_pressure();
     let app_names: Vec<String> = if cfg.fast {
         vec!["M.milc".into(), "M.Gems".into(), "S.WC".into()]
     } else {
@@ -54,37 +83,8 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig4Result, ExpError> {
 
     let mut apps = Vec::with_capacity(app_names.len());
     for app in &app_names {
-        let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
-        let matrix = profile_full(&mut source)?.matrix;
-        let solo = source.solo();
-
-        let mut rng = Rng::from_seed(cfg.seed ^ 0xF164);
-        let mut measured = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut pressures: Vec<f64>;
-            loop {
-                pressures = (0..hosts)
-                    .map(|_| f64::from(rng.gen_range(0..=max_pressure as u32)))
-                    .collect();
-                if pressures.iter().any(|&p| p > 0.0) {
-                    break;
-                }
-            }
-            let seconds = testbed.run_app(app, &pressures)?;
-            measured.push((pressures, seconds / solo));
-        }
-        let evaluations = evaluate_policies(&matrix, &measured, DEFAULT_TIE_TOLERANCE);
-        let best = evaluations
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.errors
-                    .mean
-                    .partial_cmp(&b.1.errors.mean)
-                    .expect("finite errors")
-            })
-            .map(|(i, _)| i)
-            .expect("four policies");
+        let (evaluations, best) =
+            policy_study(&mut testbed, app, cfg.repeats(), cfg.seed ^ 0xF164, samples)?;
         apps.push(Fig4App {
             app: app.clone(),
             evaluations,

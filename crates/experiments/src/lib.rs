@@ -52,7 +52,6 @@ pub mod fig4;
 pub mod fig8;
 pub mod flame;
 pub mod placement_common;
-pub mod profiling_source;
 pub mod recovery;
 pub mod results;
 pub mod robustness;

@@ -16,7 +16,7 @@
 //!   the placement the faultless models would choose.
 
 use icm_core::{
-    profile_full, profile_resilient, MappingPolicy, ModelQuality, ProfilerConfig,
+    profile, profile_resilient, MappingPolicy, ModelQuality, Probe, ProfilerConfig,
     ProfilingAlgorithm, PropagationMatrix, QualityGrid, RetryPolicy,
 };
 use icm_obs::Tracer;
@@ -27,7 +27,6 @@ use icm_placement::{
 use icm_simcluster::FaultPlan;
 
 use crate::context::{distributed_apps, private_testbed, ExpConfig, ExpError};
-use crate::profiling_source::AppSource;
 use crate::table::{pct, Table};
 
 /// One application's profiling outcome at one fault rate.
@@ -216,8 +215,14 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
     let mut truths: Vec<PropagationMatrix> = Vec::with_capacity(apps.len());
     for app in &apps {
         let mut testbed = private_testbed(cfg);
-        let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
-        truths.push(profile_full(&mut source)?.matrix);
+        let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
+        let full = profile(
+            &mut probe,
+            ProfilingAlgorithm::Full,
+            &ProfilerConfig::default(),
+            &Tracer::disabled(),
+        )?;
+        truths.push(full.matrix);
     }
 
     // The placement sub-study prices a 4-instance mix; instances cycle
@@ -243,25 +248,28 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
         let mut qualities: Vec<QualityGrid> = Vec::with_capacity(apps.len());
         for (i, app) in apps.iter().enumerate() {
             let mut testbed = private_testbed(cfg);
-            let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
+            let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
             if rate > 0.0 {
                 // Solo baselines above ran on the healthy cluster; the
                 // profiling runs below see the faults.
-                source.set_fault_plan(Some(FaultPlan::uniform(rate)));
+                probe
+                    .testbed()
+                    .sim_mut()
+                    .set_fault_plan(Some(FaultPlan::uniform(rate)));
             }
-            let before = source.testbed_stats();
+            let before = probe.testbed().sim().stats();
             let config = ProfilerConfig {
                 seed: cfg.seed ^ 0x7AB3,
                 ..ProfilerConfig::default()
             };
             let outcome = profile_resilient(
-                &mut source,
+                &mut probe,
                 ProfilingAlgorithm::BinaryOptimized,
                 &config,
                 &RetryPolicy::default(),
                 &Tracer::disabled(),
             )?;
-            let after = source.testbed_stats();
+            let after = probe.testbed().sim().stats();
             let cost_seconds = (after.simulated_seconds - before.simulated_seconds)
                 + (after.wasted_seconds - before.wasted_seconds)
                 + outcome.stats.backoff_seconds;

@@ -2,10 +2,10 @@
 //! four propagation-profiling algorithms (*binary-brute*,
 //! *binary-optimized*, *random-50%*, *random-30%*).
 
-use icm_core::profiling::{profile, profile_full, ProfilerConfig, ProfilingAlgorithm};
+use icm_core::{profile, Probe, ProfilerConfig, ProfilingAlgorithm};
+use icm_obs::Tracer;
 
 use crate::context::{distributed_apps, private_testbed, ExpConfig, ExpError};
-use crate::profiling_source::AppSource;
 use crate::table::{pct, Table};
 
 /// Cost/error of one algorithm on one application.
@@ -77,17 +77,24 @@ pub fn run(cfg: &ExpConfig) -> Result<Table3Result, ExpError> {
 
     let mut apps = Vec::with_capacity(app_names.len());
     for app in &app_names {
-        let mut source = AppSource::new(&mut testbed, app, hosts, cfg.repeats())?;
-        let truth = profile_full(&mut source)?.matrix;
+        let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
+        let tracer = Tracer::disabled();
+        let truth = profile(
+            &mut probe,
+            ProfilingAlgorithm::Full,
+            &ProfilerConfig::default(),
+            &tracer,
+        )?
+        .matrix;
         let mut outcomes = Vec::with_capacity(4);
         for algorithm in algorithms() {
             let config = ProfilerConfig {
                 seed: cfg.seed ^ 0x7AB3,
                 ..ProfilerConfig::default()
             };
-            let before = source.testbed_stats().simulated_seconds;
-            let result = profile(&mut source, algorithm, &config)?;
-            let cluster_hours = (source.testbed_stats().simulated_seconds - before) / 3600.0;
+            let before = probe.testbed().sim().stats().simulated_seconds;
+            let result = profile(&mut probe, algorithm, &config, &tracer)?;
+            let cluster_hours = (probe.testbed().sim().stats().simulated_seconds - before) / 3600.0;
             outcomes.push(AlgoOutcome {
                 algorithm: algorithm.name(),
                 cost_pct: result.cost * 100.0,

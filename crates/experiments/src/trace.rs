@@ -638,8 +638,7 @@ pub fn render(summary: &TraceSummary) -> String {
 mod tests {
     use super::*;
     use crate::context::{private_testbed, ExpConfig};
-    use crate::profiling_source::AppSource;
-    use icm_core::{profile_traced, ProfilerConfig, ProfilingAlgorithm};
+    use icm_core::{profile, Probe, ProfilerConfig, ProfilingAlgorithm};
     use icm_obs::Tracer;
 
     fn traced_sweep() -> (Vec<Event>, TestbedStats) {
@@ -650,16 +649,15 @@ mod tests {
         let mut testbed = private_testbed(&cfg);
         let (tracer, recorder) = Tracer::recording(65536);
         testbed.sim_mut().set_tracer(tracer.clone());
-        let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-        let _ = profile_traced(
-            &mut source,
+        let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+        profile(
+            &mut probe,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
             &tracer,
         )
         .expect("profiles");
-        let stats = source.testbed_stats();
-        (recorder.events(), stats)
+        (recorder.events(), testbed.sim().stats())
     }
 
     #[test]

@@ -199,24 +199,26 @@ fn intake_record(frame: &Frame) -> String {
     record
 }
 
+/// An intake record as decoded: the frame kind and the payload fields a
+/// kind may carry.
+struct IntakeRecord {
+    frame: String,
+    data: Option<String>,
+    bytes: f64,
+}
+
+icm_json::impl_json!(struct IntakeRecord { frame, data = None, bytes = 0.0 });
+
 fn parse_intake_record(line: &str) -> Result<Frame, ServerError> {
-    let value =
-        icm_json::parse(line).map_err(|e| ServerError::new(format!("intake record: {e}")))?;
-    let kind = value
-        .get("frame")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServerError::new("intake record: missing `frame`"))?;
-    Ok(match kind {
+    let record: IntakeRecord =
+        icm_json::from_str(line).map_err(|e| ServerError::new(format!("intake record: {e}")))?;
+    Ok(match record.frame.as_str() {
         "line" => Frame::Line(
-            value
-                .get("data")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServerError::new("intake record: missing `data`"))?
-                .to_owned(),
+            record
+                .data
+                .ok_or_else(|| ServerError::new("intake record: missing `data`"))?,
         ),
-        "oversized" => {
-            Frame::Oversized(value.get("bytes").and_then(Json::as_f64).unwrap_or(0.0) as usize)
-        }
+        "oversized" => Frame::Oversized(record.bytes as usize),
         "bad_utf8" => Frame::InvalidUtf8,
         "truncated" => Frame::Truncated,
         "eof" => Frame::Eof,
@@ -940,5 +942,40 @@ fn load_snapshot(store: &SnapshotStore) -> Result<Option<ServerSnapshot>, Server
     match newest {
         Ok(found) => Ok(found.map(|(_, snapshot)| snapshot)),
         Err(e) => Err(ServerError::new(format!("no usable checkpoint: {e}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_frame_kind_round_trips_through_its_intake_record() {
+        for frame in [
+            Frame::Line(r#"{"id":"q\"1","kind":"status"}"#.to_owned()),
+            Frame::Oversized(70_000),
+            Frame::InvalidUtf8,
+            Frame::Truncated,
+            Frame::Eof,
+        ] {
+            let record = intake_record(&frame);
+            assert_eq!(parse_intake_record(&record).expect("decodes"), frame);
+        }
+    }
+
+    #[test]
+    fn damaged_intake_records_are_refused_by_name() {
+        for (record, refusal) in [
+            (r#"{"frame":"teleport"}"#, "unknown frame kind `teleport`"),
+            (r#"{"frame":"line"}"#, "missing `data`"),
+            (r#"{"data":"x"}"#, "missing field `frame`"),
+            (r#"{"frame":"line","data":"#, "json error"),
+        ] {
+            let err = parse_intake_record(record).expect_err(record).to_string();
+            assert!(
+                err.contains("intake record: ") && err.contains(refusal),
+                "{record}: {err}"
+            );
+        }
     }
 }

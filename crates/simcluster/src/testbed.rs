@@ -1039,46 +1039,6 @@ impl SimTestbed {
         Ok(())
     }
 
-    /// Like [`SimTestbed::resume_app`], but validates an explicit target
-    /// placement first: every target host must be inside the cluster
-    /// *and alive* at the next run-counter value.
-    ///
-    /// This closes the decide/execute race a supervisor is exposed to —
-    /// a host can enter a crash window between the moment a migration is
-    /// planned and the moment it executes. Plain `resume_app` would
-    /// happily charge the restart cost and let the next deployment
-    /// explode; this form fails up front with
-    /// [`TestbedError::HostDown`] (or [`TestbedError::HostOutOfRange`] /
-    /// [`TestbedError::EmptyPlacement`]) and, like all validation
-    /// failures, leaves zero trace: no stats change, no clock advance,
-    /// no event.
-    pub fn resume_app_on(
-        &mut self,
-        app: &str,
-        hosts: &[usize],
-        restart_cost_s: f64,
-    ) -> Result<(), TestbedError> {
-        if !self.apps.contains_key(app) {
-            return Err(TestbedError::UnknownApp(app.to_owned()));
-        }
-        if hosts.is_empty() {
-            return Err(TestbedError::EmptyPlacement {
-                app: app.to_owned(),
-            });
-        }
-        let total = self.cluster.hosts();
-        let run = self.peek_run();
-        for &host in hosts {
-            if host >= total {
-                return Err(TestbedError::HostOutOfRange { host, hosts: total });
-            }
-            if self.host_down_at(host, run) {
-                return Err(TestbedError::HostDown { host, run });
-            }
-        }
-        self.resume_app(app, restart_cost_s)
-    }
-
     /// Captures the complete persistent state of this testbed for a
     /// whole-world savestate.
     ///
@@ -1907,44 +1867,6 @@ mod tests {
         }
         assert_eq!(tb.stats(), before);
         assert_eq!(tb.peek_run(), 1);
-    }
-
-    #[test]
-    fn resume_app_on_rejects_a_downed_target_without_side_effects() {
-        let mut tb = testbed();
-        tb.set_fault_plan(Some(FaultPlan {
-            crash_windows: vec![CrashWindow {
-                host: 3,
-                from_run: 1,
-                until_run: 10,
-            }],
-            ..FaultPlan::default()
-        }));
-        let before = tb.stats();
-        // The planned target includes host 3, which is inside a crash
-        // window at the next run: typed error, zero side effects.
-        let err = tb.resume_app_on("coupled", &[2, 3], 5.0).unwrap_err();
-        assert_eq!(err, TestbedError::HostDown { host: 3, run: 1 });
-        assert_eq!(tb.stats(), before);
-        // A live target behaves exactly like resume_app.
-        tb.resume_app_on("coupled", &[0, 1], 5.0)
-            .expect("live hosts");
-        assert_eq!(tb.stats().restarts, 1);
-        // And the other validation failures are typed too.
-        assert_eq!(
-            tb.resume_app_on("ghost", &[0], 1.0).unwrap_err(),
-            TestbedError::UnknownApp("ghost".into())
-        );
-        assert_eq!(
-            tb.resume_app_on("coupled", &[], 1.0).unwrap_err(),
-            TestbedError::EmptyPlacement {
-                app: "coupled".into()
-            }
-        );
-        assert_eq!(
-            tb.resume_app_on("coupled", &[99], 1.0).unwrap_err(),
-            TestbedError::HostOutOfRange { host: 99, hosts: 8 }
-        );
     }
 
     #[test]

@@ -23,12 +23,15 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,
 # summarize as JSON, and render into a non-empty self-contained report.
+# The runs cover every experiment that measures through the profiling
+# probe (`icm_core::probe`): Fig. 3 curves, the Fig. 4 policy study,
+# Table 3 profiling costs and the EC2 curves of Fig. 12.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
-./target/release/icm-experiments fig2 fig3 --fast --quiet \
+./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 --fast --quiet \
     --trace "$SMOKE/a.jsonl" --results "$SMOKE/results.json" \
     --profile "$SMOKE/profile.json" > /dev/null
-./target/release/icm-experiments fig2 fig3 --fast --quiet \
+./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 --fast --quiet \
     --trace "$SMOKE/b.jsonl" > /dev/null
 ./target/release/icm-trace diff "$SMOKE/a.jsonl" "$SMOKE/b.jsonl"
 ./target/release/icm-trace summarize "$SMOKE/a.jsonl" --json > /dev/null

@@ -4,9 +4,8 @@
 //! summarizer reconstructs exactly the probe budget the testbed itself
 //! accounted.
 
-use icm_core::{profile_traced, ProfilerConfig, ProfilingAlgorithm};
+use icm_core::{profile, Probe, ProfilerConfig, ProfilingAlgorithm};
 use icm_experiments::context::{private_testbed, ExpConfig};
-use icm_experiments::profiling_source::AppSource;
 use icm_experiments::trace::summarize;
 use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer};
 use icm_placement::{
@@ -27,15 +26,15 @@ fn traced_profiling_sweep_wall(seed: u64, wall: bool) -> (String, TestbedStats, 
         tracer.enable_wall_profiling();
     }
     testbed.sim_mut().set_tracer(tracer.clone());
-    let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-    profile_traced(
-        &mut source,
+    let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+    profile(
+        &mut probe,
         ProfilingAlgorithm::BinaryOptimized,
         &ProfilerConfig::default(),
         &tracer,
     )
     .expect("profiles");
-    let stats = source.testbed_stats();
+    let stats = testbed.sim().stats();
     tracer.flush();
     (buf.text(), stats, tracer)
 }

@@ -10,11 +10,10 @@
 //!   through the resilient driver still delivers a full-coverage model.
 
 use icm_core::{
-    profile_full, profile_resilient, profile_traced, ProfileResult, ProfilerConfig,
-    ProfilingAlgorithm, ResilientOutcome, RetryPolicy,
+    profile, profile_resilient, Probe, ProfileResult, ProfilerConfig, ProfilingAlgorithm,
+    ResilientOutcome, RetryPolicy,
 };
 use icm_experiments::context::{private_testbed, ExpConfig};
-use icm_experiments::profiling_source::AppSource;
 use icm_obs::{JsonlSink, SharedBuf, Tracer};
 use icm_simcluster::{FaultPlan, TestbedStats};
 
@@ -32,17 +31,17 @@ fn resilient_sweep(seed: u64, plan: Option<FaultPlan>) -> (String, TestbedStats,
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
     testbed.sim_mut().set_tracer(tracer.clone());
-    let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-    source.set_fault_plan(plan);
+    let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+    probe.testbed().sim_mut().set_fault_plan(plan);
     let outcome = profile_resilient(
-        &mut source,
+        &mut probe,
         ProfilingAlgorithm::BinaryOptimized,
         &ProfilerConfig::default(),
         &RetryPolicy::default(),
         &tracer,
     )
     .expect("profiles");
-    let stats = source.testbed_stats();
+    let stats = testbed.sim().stats();
     tracer.flush();
     (buf.text(), stats, outcome)
 }
@@ -54,15 +53,15 @@ fn plain_sweep(seed: u64) -> (String, TestbedStats, ProfileResult) {
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
     testbed.sim_mut().set_tracer(tracer.clone());
-    let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-    let result = profile_traced(
-        &mut source,
+    let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+    let result = profile(
+        &mut probe,
         ProfilingAlgorithm::BinaryOptimized,
         &ProfilerConfig::default(),
         &tracer,
     )
     .expect("profiles");
-    let stats = source.testbed_stats();
+    let stats = testbed.sim().stats();
     tracer.flush();
     (buf.text(), stats, result)
 }
@@ -121,8 +120,15 @@ fn ten_percent_probe_failures_still_yield_a_full_coverage_model() {
     // Faultless ground truth: the fully measured matrix.
     let cfg0 = cfg(31);
     let mut testbed = private_testbed(&cfg0);
-    let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-    let truth = profile_full(&mut source).expect("profiles").matrix;
+    let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+    let truth = profile(
+        &mut probe,
+        ProfilingAlgorithm::Full,
+        &ProfilerConfig::default(),
+        &Tracer::disabled(),
+    )
+    .expect("profiles")
+    .matrix;
 
     let (_, _, outcome) = resilient_sweep(31, Some(FaultPlan::probe_failures(0.10)));
     let (_, _, defaulted) = outcome.quality.counts();

@@ -3,9 +3,8 @@
 //! the offending field named, and a truncated replay is reported as a
 //! length divergence at the cut point.
 
-use icm_core::{profile_traced, ProfilerConfig, ProfilingAlgorithm};
+use icm_core::{profile, Probe, ProfilerConfig, ProfilingAlgorithm};
 use icm_experiments::context::{private_testbed, ExpConfig};
-use icm_experiments::profiling_source::AppSource;
 use icm_experiments::tracediff::diff_traces;
 use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer, Value};
 
@@ -19,9 +18,9 @@ fn real_trace() -> Vec<Event> {
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
     testbed.sim_mut().set_tracer(tracer.clone());
-    let mut source = AppSource::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
-    profile_traced(
-        &mut source,
+    let mut probe = Probe::new(&mut testbed, "M.zeus", 8, 1).expect("solo runs");
+    profile(
+        &mut probe,
         ProfilingAlgorithm::BinaryOptimized,
         &ProfilerConfig::default(),
         &tracer,
