@@ -359,6 +359,10 @@ fn main() -> ExitCode {
     };
 
     let mut results = ResultsDoc::new(cfg.seed, cfg.fast);
+    // The text and data of every id whose study ran in this invocation:
+    // an id whose study already ran takes them from here, so `all` and
+    // any id list run each study once.
+    let mut shown: Vec<(Experiment, String, icm_json::Json)> = Vec::new();
     for exp in selected {
         if !quiet {
             eprintln!(
@@ -400,17 +404,24 @@ fn main() -> ExitCode {
                     ("fast", cfg.fast.into()),
                 ],
             );
-            match exp.run_full_traced(&cfg, &tracer) {
-                Ok((text, data)) => {
-                    span.end_with(&[("id", exp.id().into())]);
-                    println!("{text}");
-                    results.push(exp.id(), data);
-                }
-                Err(err) => {
-                    eprintln!("{}: {err}", exp.id());
-                    return ExitCode::FAILURE;
+            if !shown.iter().any(|(id, ..)| *id == exp) {
+                match exp.run_full_traced(&cfg, &tracer) {
+                    Ok((data, texts)) => {
+                        shown.extend(texts.into_iter().map(|(id, text)| (id, text, data.clone())))
+                    }
+                    Err(err) => {
+                        eprintln!("{}: {err}", exp.id());
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
+            let (_, text, data) = shown
+                .iter()
+                .find(|(id, ..)| *id == exp)
+                .expect("a study shows every id that dispatches to it");
+            span.end_with(&[("id", exp.id().into())]);
+            println!("{text}");
+            results.push(exp.id(), data.clone());
         }
         if let Some(dir) = &json_dir {
             if let Err(err) = std::fs::create_dir_all(dir) {

@@ -34,6 +34,10 @@
 //! | `recovery` | self-healing runtime vs unmanaged baseline |
 //! | `endurance` | checkpointable long run under randomized crashes |
 //! | `fork` | one world branched mid-run under different policies |
+//!
+//! Ids joined by `/` in one row above are views of one study. The study
+//! is the unit that runs: `all`, and any id list, runs each study once
+//! and hands its result to every id that shows it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -214,186 +218,159 @@ impl Experiment {
         Experiment::ALL.into_iter().find(|e| e.id() == id)
     }
 
-    /// Runs the experiment once and returns both its rendered text
-    /// table and its structured JSON result, so callers that want both
-    /// (the binary's `--results`/`--json` exports) pay for one run.
+    /// Runs the study behind this id once and returns its structured
+    /// result with the rendered text of every id that shows it.
     ///
-    /// Experiments sharing a computation (e.g. `fig4`/`table2`) rerun
-    /// it; determinism makes the shared view consistent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the experiment's failure.
-    pub fn run_full(&self, cfg: &ExpConfig) -> Result<(String, icm_json::Json), ExpError> {
-        self.run_full_traced(cfg, &icm_obs::Tracer::disabled())
-    }
-
-    /// [`run_full`](Self::run_full) with an event sink: experiments that
-    /// emit structured events mid-run (currently `recovery`, whose
-    /// supervisory loop traces detections and actions) write them into
-    /// `tracer`; the rest ignore it. This is what the binary's `--trace`
-    /// flag threads through.
+    /// Ids that are views of one study (`fig4`/`table2`, for example)
+    /// share one arm, so a caller that keeps what a study returns never
+    /// runs it twice: `icm-experiments` hands a later id of the same
+    /// study the text and data it kept. Studies that emit structured
+    /// events mid-run (`recovery` and `endurance`, whose supervisory
+    /// loops trace detections and actions) write them into `tracer`; the
+    /// rest ignore it. A shared study's events fall inside the
+    /// `experiment` span of the first id that needed it.
     ///
     /// # Errors
     ///
-    /// Propagates the experiment's failure.
+    /// Propagates the study's failure.
     pub fn run_full_traced(
         &self,
         cfg: &ExpConfig,
         tracer: &icm_obs::Tracer,
-    ) -> Result<(String, icm_json::Json), ExpError> {
-        fn both<T: icm_json::ToJson>(result: &T, text: String) -> (String, icm_json::Json) {
-            (text, icm_json::to_value(result))
+    ) -> Result<(icm_json::Json, Vec<(Experiment, String)>), ExpError> {
+        type View<T> = (Experiment, fn(&T) -> String);
+        fn study<T: icm_json::ToJson>(
+            result: &T,
+            views: &[View<T>],
+        ) -> (icm_json::Json, Vec<(Experiment, String)>) {
+            let texts = views.iter().map(|(exp, render)| (*exp, render(result)));
+            (icm_json::to_value(result), texts.collect())
         }
         Ok(match self {
-            Experiment::Fig2 => {
-                let r = fig2::run(cfg)?;
-                both(&r, fig2::render(&r))
-            }
-            Experiment::Fig3 => {
-                let r = fig3::run(cfg)?;
-                both(&r, fig3::render(&r))
-            }
-            Experiment::Fig4 => {
-                let r = fig4::run(cfg)?;
-                both(&r, fig4::render_fig4(&r))
-            }
-            Experiment::Table2 => {
-                let r = fig4::run(cfg)?;
-                both(&r, fig4::render_table2(&r))
-            }
-            Experiment::Table3 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_table3(&r))
-            }
-            Experiment::Fig6 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_fig6(&r))
-            }
-            Experiment::Fig7 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_fig7(&r))
-            }
-            Experiment::Table4 => {
-                let r = table4::run(cfg)?;
-                both(&r, table4::render(&r))
-            }
-            Experiment::Fig8 => {
-                let r = fig8::run(cfg)?;
-                both(&r, fig8::render_fig8(&r))
-            }
-            Experiment::Fig9 => {
-                let r = fig8::run(cfg)?;
-                both(&r, fig8::render_fig9(&r))
-            }
-            Experiment::Fig10 => {
-                let r = fig10::run(cfg)?;
-                both(&r, fig10::render(&r))
-            }
-            Experiment::Fig11 => {
-                let r = fig11::run(cfg)?;
-                both(&r, fig11::render_fig11(&r))
-            }
-            Experiment::Table5 => {
-                let r = fig11::run(cfg)?;
-                both(&r, fig11::render_table5(&r))
-            }
-            Experiment::Fig12 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_fig12(&r))
-            }
-            Experiment::Table6 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_table6(&r))
-            }
-            Experiment::Fig13 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_fig13(&r))
-            }
-            Experiment::AblationInterp => {
-                let r = ablations::run_interp(cfg)?;
-                both(&r, ablations::render_interp(&r))
-            }
+            Experiment::Fig2 => study(&fig2::run(cfg)?, &[(*self, fig2::render)]),
+            Experiment::Fig3 => study(&fig3::run(cfg)?, &[(*self, fig3::render)]),
+            Experiment::Fig4 | Experiment::Table2 => study(
+                &fig4::run(cfg)?,
+                &[
+                    (Experiment::Fig4, fig4::render_fig4),
+                    (Experiment::Table2, fig4::render_table2),
+                ],
+            ),
+            Experiment::Table3 | Experiment::Fig6 | Experiment::Fig7 => study(
+                &table3::run(cfg)?,
+                &[
+                    (Experiment::Table3, table3::render_table3),
+                    (Experiment::Fig6, table3::render_fig6),
+                    (Experiment::Fig7, table3::render_fig7),
+                ],
+            ),
+            Experiment::Table4 => study(&table4::run(cfg)?, &[(*self, table4::render)]),
+            Experiment::Fig8 | Experiment::Fig9 => study(
+                &fig8::run(cfg)?,
+                &[
+                    (Experiment::Fig8, fig8::render_fig8),
+                    (Experiment::Fig9, fig8::render_fig9),
+                ],
+            ),
+            Experiment::Fig10 => study(&fig10::run(cfg)?, &[(*self, fig10::render)]),
+            Experiment::Fig11 | Experiment::Table5 => study(
+                &fig11::run(cfg)?,
+                &[
+                    (Experiment::Fig11, fig11::render_fig11),
+                    (Experiment::Table5, fig11::render_table5),
+                ],
+            ),
+            Experiment::Fig12 | Experiment::Table6 | Experiment::Fig13 => study(
+                &ec2::run(cfg)?,
+                &[
+                    (Experiment::Fig12, ec2::render_fig12),
+                    (Experiment::Table6, ec2::render_table6),
+                    (Experiment::Fig13, ec2::render_fig13),
+                ],
+            ),
+            Experiment::AblationInterp => study(
+                &ablations::run_interp(cfg)?,
+                &[(*self, ablations::render_interp)],
+            ),
             Experiment::AblationSa => {
-                let r = ablations::run_sa(cfg)?;
-                both(&r, ablations::render_sa(&r))
+                study(&ablations::run_sa(cfg)?, &[(*self, ablations::render_sa)])
             }
-            Experiment::AblationSamples => {
-                let r = ablations::run_samples(cfg)?;
-                both(&r, ablations::render_samples(&r))
-            }
-            Experiment::AblationMultiApp => {
-                let r = ablations::run_multiapp(cfg)?;
-                both(&r, ablations::render_multiapp(&r))
-            }
-            Experiment::ExtOnline => {
-                let r = extensions::run_online(cfg)?;
-                both(&r, extensions::render_online(&r))
-            }
-            Experiment::ExtMultiApp => {
-                let r = extensions::run_multiapp(cfg)?;
-                both(&r, extensions::render_multiapp(&r))
-            }
-            Experiment::ExtEnergy => {
-                let r = extensions::run_energy(cfg)?;
-                both(&r, extensions::render_energy(&r))
-            }
-            Experiment::ExtPhases => {
-                let r = extensions::run_phases(cfg)?;
-                both(&r, extensions::render_phases(&r))
-            }
-            Experiment::ExtTransfer => {
-                let r = extensions::run_transfer(cfg)?;
-                both(&r, extensions::render_transfer(&r))
-            }
-            Experiment::ExtScale => {
-                let r = extensions::run_scale(cfg)?;
-                both(&r, extensions::render_scale(&r))
-            }
-            Experiment::ExtIoChannel => {
-                let r = extensions::run_iochannel(cfg)?;
-                both(&r, extensions::render_iochannel(&r))
-            }
-            Experiment::Robustness => {
-                let r = robustness::run(cfg)?;
-                both(&r, robustness::render(&r))
-            }
-            Experiment::Recovery => {
-                let r = recovery::run_traced(cfg, tracer)?;
-                both(&r, recovery::render(&r))
-            }
-            Experiment::Endurance => {
-                let r = endurance::run_traced(cfg, tracer)?;
-                both(&r, endurance::render(&r))
-            }
-            Experiment::Fork => {
-                let r = endurance::run_fork(cfg)?;
-                both(&r, endurance::render_fork(&r))
-            }
-            Experiment::Serve => {
-                let r = serve::run(cfg)?;
-                both(&r, serve::render(&r))
-            }
+            Experiment::AblationSamples => study(
+                &ablations::run_samples(cfg)?,
+                &[(*self, ablations::render_samples)],
+            ),
+            Experiment::AblationMultiApp => study(
+                &ablations::run_multiapp(cfg)?,
+                &[(*self, ablations::render_multiapp)],
+            ),
+            Experiment::ExtOnline => study(
+                &extensions::run_online(cfg)?,
+                &[(*self, extensions::render_online)],
+            ),
+            Experiment::ExtMultiApp => study(
+                &extensions::run_multiapp(cfg)?,
+                &[(*self, extensions::render_multiapp)],
+            ),
+            Experiment::ExtEnergy => study(
+                &extensions::run_energy(cfg)?,
+                &[(*self, extensions::render_energy)],
+            ),
+            Experiment::ExtPhases => study(
+                &extensions::run_phases(cfg)?,
+                &[(*self, extensions::render_phases)],
+            ),
+            Experiment::ExtTransfer => study(
+                &extensions::run_transfer(cfg)?,
+                &[(*self, extensions::render_transfer)],
+            ),
+            Experiment::ExtScale => study(
+                &extensions::run_scale(cfg)?,
+                &[(*self, extensions::render_scale)],
+            ),
+            Experiment::ExtIoChannel => study(
+                &extensions::run_iochannel(cfg)?,
+                &[(*self, extensions::render_iochannel)],
+            ),
+            Experiment::Robustness => study(&robustness::run(cfg)?, &[(*self, robustness::render)]),
+            Experiment::Recovery => study(
+                &recovery::run_traced(cfg, tracer)?,
+                &[(*self, recovery::render)],
+            ),
+            Experiment::Endurance => study(
+                &endurance::run_traced(cfg, tracer)?,
+                &[(*self, endurance::render)],
+            ),
+            Experiment::Fork => study(
+                &endurance::run_fork(cfg)?,
+                &[(*self, endurance::render_fork)],
+            ),
+            Experiment::Serve => study(&serve::run(cfg)?, &[(*self, serve::render)]),
         })
     }
 
-    /// Runs the experiment and returns its structured result as JSON,
+    /// Runs this id's study and returns its structured result as JSON,
     /// for downstream tooling (plotting, regression tracking).
     ///
     /// # Errors
     ///
-    /// Propagates the experiment's failure.
+    /// Propagates the study's failure.
     pub fn run_json(&self, cfg: &ExpConfig) -> Result<icm_json::Json, ExpError> {
-        self.run_full(cfg).map(|(_, json)| json)
+        let (data, _) = self.run_full_traced(cfg, &icm_obs::Tracer::disabled())?;
+        Ok(data)
     }
 
-    /// Runs the experiment and returns its rendered text output.
+    /// Runs this id's study and returns this id's rendered text.
     ///
     /// # Errors
     ///
-    /// Propagates the experiment's failure.
+    /// Propagates the study's failure.
     pub fn run(&self, cfg: &ExpConfig) -> Result<String, ExpError> {
-        self.run_full(cfg).map(|(text, _)| text)
+        let (_, texts) = self.run_full_traced(cfg, &icm_obs::Tracer::disabled())?;
+        let (_, text) = texts
+            .into_iter()
+            .find(|(exp, _)| exp == self)
+            .expect("a study shows every id that dispatches to it");
+        Ok(text)
     }
 }
 

@@ -3,11 +3,67 @@
 
 use std::process::Command;
 
+use icm_experiments::results::ResultsDoc;
+
 fn experiments(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_icm-experiments"))
         .args(args)
         .output()
         .expect("the binary runs")
+}
+
+/// A shared study runs once per invocation, yet a mixed id list, repeats
+/// included, prints each id's own table and records each id's own data:
+/// its stdout is the single-id runs' stdouts in order, and its results
+/// entries are theirs.
+#[test]
+fn a_mixed_id_list_prints_and_records_what_single_id_runs_do() {
+    let dir = std::env::temp_dir().join(format!("icm-cli-mixed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a temp dir");
+    let run = |ids: &[&str], results: &str| {
+        let results = dir.join(results).display().to_string();
+        let mut args = ids.to_vec();
+        args.extend(["--fast", "--quiet", "--results", &results]);
+        let out = experiments(&args);
+        assert!(out.status.success(), "{ids:?}: {out:?}");
+        let text = std::fs::read_to_string(&results).expect("a results document");
+        let doc = ResultsDoc::parse(&text).expect("the results parse");
+        (out.stdout, doc)
+    };
+    let ids = ["table6", "fig2", "fig12", "table6", "fig7"];
+    let (stdout, doc) = run(&ids, "mixed.json");
+    let mut singles = Vec::new();
+    for (i, id) in ids.iter().enumerate() {
+        let (single, single_doc) = run(&[id], &format!("{i}.json"));
+        singles.extend(single);
+        assert_eq!(doc.get(id), single_doc.get(id), "the {id} entry differs");
+    }
+    assert!(stdout == singles, "stdout differs from the single-id runs'");
+    let recorded: Vec<&str> = doc.experiments.iter().map(|e| e.id.as_str()).collect();
+    assert_eq!(recorded, ["table6", "fig2", "fig12", "fig7"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A results path that names a socket is refused, not replaced by a
+/// regular file, and the run fails.
+#[cfg(unix)]
+#[test]
+fn a_results_path_that_is_not_a_regular_file_is_refused() {
+    use std::os::unix::fs::FileTypeExt;
+    let dir = std::env::temp_dir().join(format!("icm-cli-socket-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a temp dir");
+    let socket = dir.join("results.sock");
+    let _listener = std::os::unix::net::UnixListener::bind(&socket).expect("binds");
+    let path = socket.display().to_string();
+    let out = experiments(&["fig2", "--fast", "--quiet", "--results", &path]);
+    assert!(!out.status.success(), "writing over a socket is refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("is not a regular file"), "{stderr}");
+    let kind = std::fs::metadata(&socket).expect("the socket survives");
+    assert!(kind.file_type().is_socket(), "the socket was replaced");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Snapshots store the seed as a JSON number, exact only up to 2^53, so

@@ -43,7 +43,17 @@ use std::path::{Path, PathBuf};
 ///
 /// The temp file lives next to the destination (same directory, suffix
 /// `.tmp`) so the rename cannot cross a filesystem boundary.
+///
+/// # Errors
+///
+/// Refuses, with [`io::ErrorKind::InvalidInput`] naming the path, an
+/// existing `path` that is not a regular file: the rename would replace
+/// a device, socket, pipe or directory with a plain file.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
+        let message = format!("{} is not a regular file", path.display());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+    }
     write_atomically(path, &[bytes], true)
 }
 
@@ -441,6 +451,21 @@ mod tests {
             !dir.join("doc.json.tmp").exists(),
             "temp file must not linger after rename"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn atomic_write_refuses_to_replace_a_socket() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = tmpdir("aw-socket");
+        let path = dir.join("listener.sock");
+        let _listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let err = atomic_write(&path, b"bytes").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("listener.sock"), "{err}");
+        assert!(fs::metadata(&path).unwrap().file_type().is_socket());
+        assert!(!dir.join("listener.sock.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -23,9 +23,12 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,
 # summarize as JSON, and render into a non-empty self-contained report.
-# The runs cover every experiment that measures through the profiling
-# probe (`icm_core::probe`): Fig. 3 curves, the Fig. 4 policy study,
-# Table 3 profiling costs and the EC2 curves of Fig. 12.
+# The runs go through the binary path of every experiment that measures
+# through the profiling probe (`icm_core::probe`): Fig. 3 curves, the
+# Fig. 4 policy study, Table 3 profiling costs and the EC2 curves of
+# Fig. 12. Those experiments do not trace their probes yet, so each
+# trace holds only the ids' `experiment.begin`/`.end` pairs (10 events):
+# the diff proves the span path, not the measurements (ROADMAP item 4).
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 --fast --quiet \
@@ -42,8 +45,10 @@ echo "verify: report smoke OK"
 
 # Fault-injection smoke: the robustness sweep injects probe failures,
 # stragglers and corrupted measurements — two same-seed faulty runs must
-# still write byte-identical traces, and the sweep must render under the
-# strict (fail-on-Fail-verdict) report gate.
+# write byte-identical traces, and the sweep must render under the
+# strict (fail-on-Fail-verdict) report gate. The sweep does not trace
+# its faults, retries or probes yet, so each trace holds only the
+# `experiment.begin`/`.end` pair (2 events) (ROADMAP item 4).
 ./target/release/icm-experiments robustness --fast --quiet \
     --trace "$SMOKE/fault-a.jsonl" --results "$SMOKE/robustness.json" > /dev/null
 ./target/release/icm-experiments robustness --fast --quiet \

@@ -9,9 +9,11 @@
 //! testbed runs anywhere in that protocol moves the results.
 //!
 //! Each id in [`Experiment::ALL`] runs at `--fast` at seeds 2016 and 7;
-//! the FNV-1a-64 of its compact `run_json` text is pinned in
-//! `protocol_replay.golden`. The JSONL event stream and the model JSON
-//! of one traced [`ModelBuilder::build`] are pinned the same way.
+//! the FNV-1a-64 of its compact `run_json` text and of its rendered
+//! table (`<id>-text`) are pinned in `protocol_replay.golden`. Ids that
+//! show one study share its data, so only the text line tells their
+//! tables apart. The JSONL event stream and the model JSON of one
+//! traced [`ModelBuilder::build`] are pinned the same way.
 
 use icm::experiments::{ExpConfig, Experiment};
 use icm::json::fs::fnv1a64;
@@ -53,16 +55,30 @@ fn every_experiment_matches_its_golden_at_fast() {
     let mut lines = Vec::new();
     for seed in SEEDS {
         let cfg = ExpConfig { fast: true, seed };
+        // Each study runs once and shows every id that is a view of it.
+        let mut shown: Vec<Experiment> = Vec::new();
         for exp in Experiment::ALL {
-            let json = exp
-                .run_json(&cfg)
+            if shown.contains(&exp) {
+                continue;
+            }
+            let (json, texts) = exp
+                .run_full_traced(&cfg, &Tracer::disabled())
                 .unwrap_or_else(|e| panic!("{} fails: {e}", exp.id()));
-            lines.push((
-                exp.id().to_owned(),
-                seed,
-                digest(&icm::json::to_string(&json)),
-            ));
+            let json = digest(&icm::json::to_string(&json));
+            for (id, text) in texts {
+                assert!(
+                    text.lines().count() >= 4,
+                    "{} produced a suspiciously short table:\n{text}",
+                    id.id()
+                );
+                assert!(text.contains("=="), "{} lacks a title", id.id());
+                lines.push((id.id().to_owned(), seed, json.clone()));
+                lines.push((format!("{}-text", id.id()), seed, digest(&text)));
+                shown.push(id);
+            }
         }
+        assert_eq!(shown.len(), Experiment::ALL.len(), "an id is shown twice");
+        assert!(Experiment::ALL.iter().all(|e| shown.contains(e)));
     }
     check(&lines);
 }

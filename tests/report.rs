@@ -13,8 +13,7 @@ fn results_doc(seed: u64) -> ResultsDoc {
     let cfg = ExpConfig { seed, fast: true };
     let mut doc = ResultsDoc::new(cfg.seed, cfg.fast);
     for exp in [Experiment::Fig2, Experiment::Fig3, Experiment::Fig11] {
-        let (_, json) = exp.run_full(&cfg).expect("experiment runs");
-        doc.push(exp.id(), json);
+        doc.push(exp.id(), exp.run_json(&cfg).expect("experiment runs"));
     }
     doc
 }
