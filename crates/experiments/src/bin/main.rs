@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 use icm_experiments::results::ResultsDoc;
 use icm_experiments::{endurance, ExpConfig, Experiment};
-use icm_json::fs::atomic_write;
+use icm_json::fs::{atomic_write, write_target};
 use icm_obs::{JsonlSink, Telemetry, TelemetryConfig, TelemetrySink, Tracer, Value};
 
 fn usage() -> String {
@@ -254,6 +254,15 @@ fn main() -> ExitCode {
         }
         if resume_dir.is_some() && telemetry_path.is_some() {
             eprintln!("--resume does not combine with --telemetry\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    }
+
+    // Refuse an output path before the first study, not after the last.
+    for path in [&results_path, &telemetry_path, &profile_path] {
+        let Some(path) = path else { continue };
+        if let Err(err) = write_target(path) {
+            eprintln!("cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
     }

@@ -46,7 +46,8 @@ fn a_mixed_id_list_prints_and_records_what_single_id_runs_do() {
 }
 
 /// A results path that names a socket is refused, not replaced by a
-/// regular file, and the run fails.
+/// regular file, and the run fails before any study runs: even `all`
+/// prints nothing.
 #[cfg(unix)]
 #[test]
 fn a_results_path_that_is_not_a_regular_file_is_refused() {
@@ -57,12 +58,23 @@ fn a_results_path_that_is_not_a_regular_file_is_refused() {
     let socket = dir.join("results.sock");
     let _listener = std::os::unix::net::UnixListener::bind(&socket).expect("binds");
     let path = socket.display().to_string();
-    let out = experiments(&["fig2", "--fast", "--quiet", "--results", &path]);
-    assert!(!out.status.success(), "writing over a socket is refused");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("is not a regular file"), "{stderr}");
-    let kind = std::fs::metadata(&socket).expect("the socket survives");
-    assert!(kind.file_type().is_socket(), "the socket was replaced");
+    for ids in [&["fig2"][..], &["all"]] {
+        let mut args = ids.to_vec();
+        args.extend(["--fast", "--quiet", "--results", &path]);
+        let out = experiments(&args);
+        assert!(
+            !out.status.success(),
+            "{ids:?}: writing over a socket is refused"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("is not a regular file"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{ids:?}: a study ran before the refusal"
+        );
+        let kind = std::fs::metadata(&socket).expect("the socket survives");
+        assert!(kind.file_type().is_socket(), "the socket was replaced");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -42,19 +42,36 @@ use std::path::{Path, PathBuf};
 /// is fsynced best-effort afterwards so the rename itself is durable.
 ///
 /// The temp file lives next to the destination (same directory, suffix
-/// `.tmp`) so the rename cannot cross a filesystem boundary.
+/// `.tmp`) so the rename cannot cross a filesystem boundary. A symlink
+/// `path` is written through to the file it resolves to.
 ///
 /// # Errors
 ///
-/// Refuses, with [`io::ErrorKind::InvalidInput`] naming the path, an
-/// existing `path` that is not a regular file: the rename would replace
-/// a device, socket, pipe or directory with a plain file.
+/// Refuses what [`write_target`] refuses.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
-        let message = format!("{} is not a regular file", path.display());
+    write_atomically(&write_target(path)?, &[bytes], true)
+}
+
+/// The file [`atomic_write`] replaces for `path`: `path`, or the file a
+/// symlink `path` resolves to, so the link survives the rename.
+///
+/// # Errors
+///
+/// Refuses, naming the path, a dangling symlink (`NotFound`) and a
+/// target that exists but is not a regular file (`InvalidInput`).
+pub fn write_target(path: &Path) -> io::Result<PathBuf> {
+    let target = match fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_symlink() => fs::canonicalize(path).map_err(|e| {
+            let message = format!("symlink {} does not resolve: {e}", path.display());
+            io::Error::new(e.kind(), message)
+        })?,
+        _ => path.to_path_buf(),
+    };
+    if fs::metadata(&target).is_ok_and(|meta| !meta.is_file()) {
+        let message = format!("{} is not a regular file", target.display());
         return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
     }
-    write_atomically(path, &[bytes], true)
+    Ok(target)
 }
 
 /// The one durable write path: `parts`, concatenated, go to a sibling
@@ -466,6 +483,40 @@ mod tests {
         assert!(err.to_string().contains("listener.sock"), "{err}");
         assert!(fs::metadata(&path).unwrap().file_type().is_socket());
         assert!(!dir.join("listener.sock.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn atomic_write_writes_through_a_symlink() {
+        let dir = tmpdir("aw-link");
+        let real = dir.join("real.json");
+        let link = dir.join("link.json");
+        fs::write(&real, b"old").unwrap();
+        std::os::unix::fs::symlink("real.json", &link).unwrap();
+        atomic_write(&link, b"new bytes").unwrap();
+        assert!(fs::symlink_metadata(&link)
+            .unwrap()
+            .file_type()
+            .is_symlink());
+        assert_eq!(fs::read(&real).unwrap(), b"new bytes");
+        assert!(!dir.join("real.json.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn atomic_write_refuses_a_dangling_symlink() {
+        let dir = tmpdir("aw-dangling");
+        let link = dir.join("link.json");
+        std::os::unix::fs::symlink("missing/real.json", &link).unwrap();
+        let err = atomic_write(&link, b"bytes").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("link.json"), "{err}");
+        assert!(fs::symlink_metadata(&link)
+            .unwrap()
+            .file_type()
+            .is_symlink());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -92,10 +92,11 @@ fn fleet_cost(
 /// `Vec`/`BTreeSet`/`String` allocations per candidate. One instance
 /// per search.
 ///
-/// `probe` re-evaluates every live application: on the fleets this
-/// workspace runs (three applications spanning four of eight hosts) a
-/// swap's two hosts miss only about a fifth of the applications, too few
-/// to pay for a second, delta-evaluating engine.
+/// A probe prices every live application; the search's probe memo
+/// spares it redrawn neighbours. On the fleets this workspace runs
+/// (three applications spanning four of eight hosts) a swap's two hosts
+/// miss only about a fifth of the applications, too few to pay for a
+/// second, delta-evaluating engine.
 pub struct FleetObjective<'a> {
     fleet: &'a Fleet,
     live: &'a [bool],
@@ -289,47 +290,97 @@ mod tests {
         for names in [&["M.milc", "H.KM"][..], &["M.milc", "M.Gems", "H.KM"]] {
             let fleet = fleet_fixture(names);
             let problem = fleet.problem();
-            let n = fleet.apps().len();
-            let hosts = problem.hosts();
-            let live_patterns = [vec![true; n], {
-                let mut dead_first = vec![true; n];
-                dead_first[0] = false;
-                dead_first
-            }];
-            let suspicion_patterns = [vec![0.0; hosts], {
-                (0..hosts).map(|h| h as f64 * 0.125).collect()
-            }];
-            for live in &live_patterns {
-                for suspicion in &suspicion_patterns {
-                    let mut objective = FleetObjective::new(&fleet, live, suspicion);
-                    let reference = |state: &PlacementState| {
-                        fleet_cost(&fleet, live, suspicion, state).expect("reference cost")
-                    };
+            for (live, suspicion) in &patterns(&fleet) {
+                let mut objective = FleetObjective::new(&fleet, live, suspicion);
+                let reference = |state: &PlacementState| {
+                    fleet_cost(&fleet, live, suspicion, state).expect("reference cost")
+                };
+                for _ in 0..10 {
+                    let mut state = PlacementState::random(problem, &mut rng);
+                    let eval = objective.reset(&state).expect("pooled cost");
+                    assert_eq!(eval.cost.to_bits(), reference(&state).to_bits());
+                    assert_eq!(eval.violation, 0.0);
                     for _ in 0..10 {
-                        let mut state = PlacementState::random(problem, &mut rng);
-                        let eval = objective.reset(&state).expect("pooled cost");
-                        assert_eq!(eval.cost.to_bits(), reference(&state).to_bits());
-                        assert_eq!(eval.violation, 0.0);
-                        for _ in 0..10 {
-                            let slots = problem.slots() as u64;
-                            let (a, b, next) = loop {
-                                let a = (rng.next_u64() % slots) as usize;
-                                let b = (rng.next_u64() % slots) as usize;
-                                if let Some(next) = state.swap(problem, a, b) {
-                                    break (a, b, next);
-                                }
-                            };
-                            let probe = objective.probe(&next, a, b).expect("probe");
-                            let expected = reference(&next);
-                            assert_eq!(
-                                probe.cost.to_bits(),
-                                expected.to_bits(),
-                                "pooled {} != reference {expected}",
-                                probe.cost
-                            );
-                            objective.accept();
-                            state = next;
-                        }
+                        let (a, b, next) = random_swap(&state, problem, &mut rng);
+                        let probe = objective.probe(&next, a, b).expect("probe");
+                        let expected = reference(&next);
+                        assert_eq!(
+                            probe.cost.to_bits(),
+                            expected.to_bits(),
+                            "pooled {} != reference {expected}",
+                            probe.cost
+                        );
+                        objective.accept();
+                        state = next;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every live/suspicion pattern the fleet tests price under: all
+    /// live or the first application shed, times no suspicion or a
+    /// per-host ramp.
+    fn patterns(fleet: &Fleet) -> Vec<(Vec<bool>, Vec<f64>)> {
+        let n = fleet.apps().len();
+        let hosts = fleet.problem().hosts();
+        let mut dead_first = vec![true; n];
+        dead_first[0] = false;
+        let ramp: Vec<f64> = (0..hosts).map(|h| h as f64 * 0.125).collect();
+        let mut out = Vec::new();
+        for live in [vec![true; n], dead_first] {
+            for suspicion in [vec![0.0; hosts], ramp.clone()] {
+                out.push((live.clone(), suspicion));
+            }
+        }
+        out
+    }
+
+    /// A uniformly drawn valid swap of `state` and the state it leads to.
+    fn random_swap(
+        state: &PlacementState,
+        problem: &icm_placement::PlacementProblem,
+        rng: &mut Rng,
+    ) -> (usize, usize, PlacementState) {
+        let slots = problem.slots() as u64;
+        loop {
+            let a = (rng.next_u64() % slots) as usize;
+            let b = (rng.next_u64() % slots) as usize;
+            if let Some(next) = state.swap(problem, a, b) {
+                return (a, b, next);
+            }
+        }
+    }
+
+    /// The search's probe memo keys a neighbour on its unordered slot
+    /// pair, so `probe(a, b)` and `probe(b, a)` of one neighbour must be
+    /// the same bits, under every live/suspicion pattern, along random
+    /// accept/reject chains.
+    #[test]
+    fn probes_are_symmetric_in_the_swapped_slots() {
+        let mut rng = Rng::from_seed(0x5EED);
+        for names in [&["M.milc", "H.KM"][..], &["M.milc", "M.Gems", "H.KM"]] {
+            let fleet = fleet_fixture(names);
+            let problem = fleet.problem();
+            for (live, suspicion) in &patterns(&fleet) {
+                let mut objective = FleetObjective::new(&fleet, live, suspicion);
+                let mut state = PlacementState::random(problem, &mut rng);
+                objective.reset(&state).expect("pooled cost");
+                for _ in 0..60 {
+                    let (a, b, next) = random_swap(&state, problem, &mut rng);
+                    let forward = objective.probe(&next, a, b).expect("probe");
+                    objective.reject();
+                    let backward = objective.probe(&next, b, a).expect("probe");
+                    assert_eq!(
+                        (forward.cost.to_bits(), forward.violation.to_bits()),
+                        (backward.cost.to_bits(), backward.violation.to_bits()),
+                        "probe ({a}, {b}) != probe ({b}, {a})"
+                    );
+                    if rng.gen_bool(0.5) {
+                        objective.accept();
+                        state = next;
+                    } else {
+                        objective.reject();
                     }
                 }
             }

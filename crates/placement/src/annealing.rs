@@ -13,7 +13,7 @@ use icm_obs::{QuantileSketch, Tracer, Value};
 use icm_rng::Rng;
 
 use crate::error::PlacementError;
-use crate::objective::{Constrained, Objective};
+use crate::objective::{Constrained, Eval, Objective};
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
 /// The plateau tolerance shared by move acceptance and best-state
@@ -119,8 +119,8 @@ pub struct AnnealResult {
     pub cost: f64,
     /// Whether the best state satisfies the feasibility predicate.
     pub feasible: bool,
-    /// Number of objective evaluations performed (the start state's
-    /// included).
+    /// Number of candidates priced, the start state included; a probe
+    /// memo hit counts like a probe the objective made.
     pub evaluations: usize,
     /// Number of accepted swaps.
     pub accepted: usize,
@@ -159,6 +159,11 @@ fn cool(accept: &AcceptRule, temperature: &mut f64) {
 /// including iterations that found no valid swap or rejected on
 /// feasibility — so the schedule is a pure function of the iteration
 /// count, never of the acceptance trajectory.
+///
+/// A candidate priced since the last accept is answered from the probe
+/// memo: rejected, it never reaches the objective; accepted, it is
+/// probed for real before `accept`. Decisions, RNG draws, events and
+/// sketch samples are those of the unmemoized walk.
 ///
 /// `warm` resumes from a start state under constraints (a re-anneal);
 /// without it the walk starts from a random placement.
@@ -224,6 +229,11 @@ fn search<O: Objective>(
     let slots = problem.slots();
     let per_host = problem.slots_per_host();
     let host_of: Vec<usize> = (0..slots).map(|s| problem.host_of_slot(s)).collect();
+    // The probe memo: cell `min·slots + max` holds a candidate's `Eval`
+    // while its stamp is the generation, which each accept bumps.
+    let memoized = slots * slots <= 65_536;
+    let mut memo = vec![(0u64, Eval::default()); if memoized { slots * slots } else { 0 }];
+    let mut generation = 1u64;
 
     for iteration in 1..=config.iterations {
         let pick = match constraints {
@@ -242,8 +252,33 @@ fn search<O: Objective>(
             cool(&config.accept, &mut temperature);
             continue;
         };
-        current.swap_in_place(a, b);
-        let eval = objective.probe(&current, a, b)?;
+        let cell = memoized.then(|| a.min(b) * slots + a.max(b));
+        let remembered = cell.and_then(|c| (memo[c].0 == generation).then_some(memo[c].1));
+        let eval = match remembered {
+            Some(eval) => {
+                // Debug builds re-price the hit from scratch, then
+                // restore the committed state.
+                #[cfg(debug_assertions)]
+                {
+                    current.swap_in_place(a, b);
+                    let fresh = objective.reset(&current)?;
+                    current.swap_in_place(a, b);
+                    objective.reset(&current)?;
+                    let same = (fresh.cost.to_bits(), fresh.violation.to_bits())
+                        == (eval.cost.to_bits(), eval.violation.to_bits());
+                    assert!(same, "stale memo hit {eval:?} at ({a}, {b})");
+                }
+                eval
+            }
+            None => {
+                current.swap_in_place(a, b);
+                let eval = objective.probe(&current, a, b)?;
+                if let Some(c) = cell {
+                    memo[c] = (generation, eval);
+                }
+                eval
+            }
+        };
         evaluations += 1;
         if let Some(s) = sketch.as_mut() {
             s.observe(eval.cost);
@@ -272,7 +307,13 @@ fn search<O: Objective>(
         };
 
         if accept {
+            if remembered.is_some() {
+                // The objective never saw this probe: make it for real.
+                current.swap_in_place(a, b);
+                objective.probe(&current, a, b)?;
+            }
             objective.accept();
+            generation += 1;
             current_cost = eval.cost;
             current_violation = eval.violation;
             accepted += 1;
@@ -288,7 +329,7 @@ fn search<O: Objective>(
                 best_violation = current_violation;
                 best_iteration = iteration;
             }
-        } else {
+        } else if remembered.is_none() {
             current.swap_in_place(a, b);
             objective.reject();
         }
@@ -351,7 +392,8 @@ fn search<O: Objective>(
 /// returned when one exists, otherwise the least-violating state.
 ///
 /// The search starts from a random placement drawn from
-/// `Rng::from_seed(config.seed)` and runs on the calling thread.
+/// `Rng::from_seed(config.seed)` and runs on the calling thread. It
+/// prices each neighbour of a committed state once (see [`Objective`]).
 ///
 /// With an enabled `tracer` the search is wrapped in an `anneal` span,
 /// every evaluated candidate emits an `anneal_iter` event (objective,

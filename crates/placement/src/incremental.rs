@@ -20,6 +20,11 @@
 //! [`anneal_estimator`] is checked to return exactly what the engine
 //! returns over a test-only objective that recomputes the goal from
 //! scratch on every probe.
+//!
+//! The objective remembers nothing across probes beyond the committed
+//! state: a neighbour the walk redraws before its next accepted move is
+//! answered by the search engine's probe memo (see
+//! [`crate::anneal_with`]) and never reaches [`Objective::probe`].
 
 use icm_core::ModelQuality;
 
@@ -116,20 +121,6 @@ pub struct IncrementalObjective<'a> {
     // probe — a dense O(1) membership test with no per-probe clearing.
     stamp: DenseMap<AppId, u64>,
     generation: u64,
-    // Probe memoization. Between two accepted moves the committed state
-    // is frozen, so a probe's outcome is a pure function of the ordered
-    // slot pair: `cache_stamp[a*slots+b] == committed_generation` means
-    // `cache_eval` holds the pair's evaluation and nothing needs
-    // re-predicting — the common case late in a search, when acceptance
-    // is rare and the same pairs are redrawn. A hit skips the
-    // speculative fill; if the move is then *accepted*, the probe is
-    // re-run for real from `saved_state` to rebuild the pools (empty
-    // caches when the problem is too large to key by pair).
-    committed_generation: u64,
-    cache_stamp: Vec<u64>,
-    cache_eval: Vec<Eval>,
-    cached_probe: Option<(usize, usize)>,
-    saved_state: Option<PlacementState>,
     scores: Vec<f64>,
     // Per-workload constants snapshotted at reset: the predictors'
     // bubble scores (so pressure recomputation skips the virtual call
@@ -163,11 +154,6 @@ impl<'a> IncrementalObjective<'a> {
         let problem = estimator.problem();
         let workloads = problem.workloads().len();
         let slots = problem.slots();
-        let cache_cells = if slots * slots <= 65_536 {
-            slots * slots
-        } else {
-            0
-        };
         Self {
             estimator,
             goal,
@@ -184,17 +170,6 @@ impl<'a> IncrementalObjective<'a> {
             spec_target_defaulted: false,
             stamp: DenseMap::new(workloads, 0),
             generation: 0,
-            committed_generation: 1,
-            cache_stamp: vec![0; cache_cells],
-            cache_eval: vec![
-                Eval {
-                    cost: 0.0,
-                    violation: 0.0
-                };
-                cache_cells
-            ],
-            cached_probe: None,
-            saved_state: None,
             scores: Vec::new(),
             score_of: Vec::new(),
             pow_of: Vec::new(),
@@ -334,8 +309,6 @@ impl<'a> IncrementalObjective<'a> {
 impl Objective for IncrementalObjective<'_> {
     fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
         self.generation += 1; // invalidate any speculative stamps
-        self.committed_generation += 1; // invalidate the pair cache
-        self.cached_probe = None;
         self.score_of = self.estimator.bubble_scores();
         self.pow_of = self
             .score_of
@@ -382,95 +355,9 @@ impl Objective for IncrementalObjective<'_> {
         Ok(eval)
     }
 
+    /// Marks the workloads resident on the two affected hosts and
+    /// rebuilds their speculative pressure vectors and times.
     fn probe(
-        &mut self,
-        state: &PlacementState,
-        a: usize,
-        b: usize,
-    ) -> Result<Eval, PlacementError> {
-        if !self.cache_stamp.is_empty() {
-            let pair = a * self.host_of.len() + b;
-            if self.cache_stamp[pair] == self.committed_generation {
-                // Cached hit: skip the speculative fill entirely, but
-                // remember the probed state so an accept can rebuild it.
-                match &mut self.saved_state {
-                    Some(saved) => saved.copy_assignment_from(state),
-                    None => self.saved_state = Some(state.clone()),
-                }
-                self.cached_probe = Some((a, b));
-                let eval = self.cache_eval[pair];
-                debug_assert!(
-                    {
-                        let full = self.full_eval(state)?;
-                        eval.cost.to_bits() == full.cost.to_bits()
-                            && eval.violation.to_bits() == full.violation.to_bits()
-                    },
-                    "cached probe diverged from the full recompute at swap ({a}, {b})"
-                );
-                return Ok(eval);
-            }
-            self.cached_probe = None;
-            let eval = self.probe_real(state, a, b)?;
-            self.cache_stamp[pair] = self.committed_generation;
-            self.cache_eval[pair] = eval;
-            return Ok(eval);
-        }
-        self.cached_probe = None;
-        self.probe_real(state, a, b)
-    }
-
-    fn accept(&mut self) {
-        if let Some((a, b)) = self.cached_probe.take() {
-            // The accepted move was answered from the pair cache, so the
-            // speculative pools were never filled — re-run the probe for
-            // real against the saved state. It cannot fail: the same
-            // deterministic evaluation succeeded when it was cached.
-            let saved = self
-                .saved_state
-                .take()
-                .expect("a cached probe saved the probed state");
-            self.probe_real(&saved, a, b)
-                .expect("re-evaluating a cached probe cannot fail");
-            self.saved_state = Some(saved);
-        }
-        let span = self.span;
-        for k in 0..self.touched.len() {
-            let app = self.touched[k];
-            let base = app.0 * span;
-            if self.spec_moved[app] {
-                // Apply the probe's recorded remove/insert to the
-                // committed unit list.
-                let (old_pos, new_pos, dest) = self.spec_shift[app];
-                let units = &mut self.units[base..base + span];
-                if new_pos >= old_pos {
-                    units.copy_within(old_pos + 1..new_pos + 1, old_pos);
-                } else {
-                    units.copy_within(new_pos..old_pos, new_pos + 1);
-                }
-                units[new_pos] = dest;
-            }
-            self.pressures[base..base + span]
-                .copy_from_slice(&self.spec_pressures[base..base + span]);
-            self.times[app] = self.spec_times[app];
-        }
-        self.target_defaulted = self.spec_target_defaulted;
-        self.touched.clear();
-        self.committed_generation += 1;
-    }
-
-    fn reject(&mut self) {
-        // Speculative entries are simply abandoned; the next probe
-        // bumps the generation and overwrites the pools.
-        self.cached_probe = None;
-        self.touched.clear();
-    }
-}
-
-impl IncrementalObjective<'_> {
-    /// The uncached probe: marks the workloads resident on the two
-    /// affected hosts and rebuilds their speculative pressure vectors
-    /// and times. See [`Objective::probe`] for the contract.
-    fn probe_real(
         &mut self,
         state: &PlacementState,
         a: usize,
@@ -600,6 +487,37 @@ impl IncrementalObjective<'_> {
             "incremental probe diverged from the full recompute at swap ({a}, {b})"
         );
         Ok(eval)
+    }
+
+    fn accept(&mut self) {
+        let span = self.span;
+        for k in 0..self.touched.len() {
+            let app = self.touched[k];
+            let base = app.0 * span;
+            if self.spec_moved[app] {
+                // Apply the probe's recorded remove/insert to the
+                // committed unit list.
+                let (old_pos, new_pos, dest) = self.spec_shift[app];
+                let units = &mut self.units[base..base + span];
+                if new_pos >= old_pos {
+                    units.copy_within(old_pos + 1..new_pos + 1, old_pos);
+                } else {
+                    units.copy_within(new_pos..old_pos, new_pos + 1);
+                }
+                units[new_pos] = dest;
+            }
+            self.pressures[base..base + span]
+                .copy_from_slice(&self.spec_pressures[base..base + span]);
+            self.times[app] = self.spec_times[app];
+        }
+        self.target_defaulted = self.spec_target_defaulted;
+        self.touched.clear();
+    }
+
+    fn reject(&mut self) {
+        // Speculative entries are simply abandoned; the next probe
+        // bumps the generation and overwrites the pools.
+        self.touched.clear();
     }
 }
 
@@ -748,6 +666,50 @@ mod tests {
             .with_conservative_margin(0.25);
         for goal in goals_for(problem.workloads().len()) {
             sweep(&estimator, goal, 7, 200);
+        }
+    }
+
+    /// The search's probe memo keys a neighbour on its unordered slot
+    /// pair, so `probe(a, b)` and `probe(b, a)` of one neighbour must be
+    /// the same bits, under every goal, along random accept/reject
+    /// chains.
+    #[test]
+    fn probes_are_symmetric_in_the_swapped_slots() {
+        let problem = fake_problem();
+        let predictors = fake_predictors();
+        let refs: Vec<&dyn RuntimePredictor> = predictors
+            .iter()
+            .map(|p| p as &dyn RuntimePredictor)
+            .collect();
+        let estimator = Estimator::new(&problem, refs).expect("valid");
+        for goal in goals_for(problem.workloads().len()) {
+            for seed in [3u64, 2016] {
+                let mut objective =
+                    IncrementalObjective::new(&estimator, goal).expect("valid goal");
+                let mut rng = Rng::from_seed(seed);
+                let mut state = PlacementState::random(&problem, &mut rng);
+                objective.reset(&state).expect("reset");
+                for _ in 0..200 {
+                    let Some((a, b)) = state.random_swap_indices(&problem, &mut rng, 32) else {
+                        continue;
+                    };
+                    state.swap_in_place(a, b);
+                    let forward = objective.probe(&state, a, b).expect("probe");
+                    objective.reject();
+                    let backward = objective.probe(&state, b, a).expect("probe");
+                    assert_eq!(
+                        (forward.cost.to_bits(), forward.violation.to_bits()),
+                        (backward.cost.to_bits(), backward.violation.to_bits()),
+                        "probe ({a}, {b}) != probe ({b}, {a}) under {goal:?}"
+                    );
+                    if rng.gen_bool(0.5) {
+                        objective.accept();
+                    } else {
+                        state.swap_in_place(a, b);
+                        objective.reject();
+                    }
+                }
+            }
         }
     }
 

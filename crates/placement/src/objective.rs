@@ -27,7 +27,7 @@ use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
 /// One evaluation of a placement: its objective value and how badly it
 /// breaks the feasibility constraint (`0.0` = feasible).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Eval {
     /// Objective value (lower is better).
     pub cost: f64,
@@ -44,7 +44,10 @@ pub struct Eval {
 /// may keep caches keyed on the committed state; the annealer guarantees
 /// `probe` is only ever called on a state one transposition away from
 /// the last committed one, and that every `probe` is followed by exactly
-/// one `accept` or `reject` before the next `probe`.
+/// one `accept` or `reject` before the next `probe`; it may `reset`
+/// between moves. The search memoizes probes, so `probe` must return
+/// the bits `reset` would for the same state: `probe(s, a, b)` and
+/// `probe(s, b, a)` agree (debug builds check each memo hit).
 pub trait Objective {
     /// Evaluates `state` from scratch and makes it the committed state.
     ///
