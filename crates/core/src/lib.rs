@@ -82,7 +82,7 @@ pub use heterogeneity::{
 };
 pub use model::{InterferenceModel, ModelBuilder, NaiveModel};
 pub use online::{DriftConfig, DriftDetector, DriftSignal, OnlineModel};
-pub use probe::{measure_bubble_score, Calibration, Probe};
+pub use probe::{heterogeneous_setting, Calibration, Probe};
 pub use profiling::{
     profile, FnSource, ProfileResult, ProfileSource, ProfilerConfig, ProfilingAlgorithm,
 };

@@ -460,7 +460,6 @@ impl ModelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::measure_bubble_score;
     use crate::testbed::mock::MockTestbed;
 
     fn build_default() -> (InterferenceModel, MockTestbed) {
@@ -674,7 +673,9 @@ mod tests {
     #[test]
     fn standalone_score_measurement_matches_full_build() {
         let mut tb = MockTestbed::default();
-        let score = measure_bubble_score(&mut tb, "mock", 3).expect("measures");
+        let score = Calibration::measure(&mut tb)
+            .and_then(|c| c.score(&mut tb, "mock", 3))
+            .expect("measures");
         let (model, _) = build_default();
         assert!(
             (score - model.bubble_score()).abs() < 0.1,

@@ -121,17 +121,9 @@ impl<'a, T: Testbed + ?Sized> Probe<'a, T> {
         count: usize,
     ) -> Result<Vec<(Vec<f64>, f64)>, ModelError> {
         let mut rng = Rng::from_seed(seed);
-        let n = self.max_pressure as u32;
         (0..count)
             .map(|_| {
-                let pressures = loop {
-                    let draw: Vec<f64> = (0..self.hosts)
-                        .map(|_| f64::from(rng.gen_range(0..=n)))
-                        .collect();
-                    if draw.iter().any(|&p| p > 0.0) {
-                        break draw;
-                    }
-                };
+                let pressures = heterogeneous_setting(&mut rng, self.hosts, self.max_pressure);
                 let normalized = self.run(&pressures)?;
                 Ok((pressures, normalized))
             })
@@ -158,6 +150,20 @@ impl<T: Testbed + ?Sized> ProfileSource for Probe<'_, T> {
             *slot = pressure as f64;
         }
         self.run(&pressures)
+    }
+}
+
+/// One §3.3 heterogeneous setting: each of `hosts` pressures uniform in
+/// `0..=max_pressure`, redrawn until at least one host is interfered.
+pub fn heterogeneous_setting(rng: &mut Rng, hosts: usize, max_pressure: usize) -> Vec<f64> {
+    let n = max_pressure as u32;
+    loop {
+        let draw: Vec<f64> = (0..hosts)
+            .map(|_| f64::from(rng.gen_range(0..=n)))
+            .collect();
+        if draw.iter().any(|&p| p > 0.0) {
+            return draw;
+        }
     }
 }
 
@@ -209,23 +215,14 @@ impl Calibration {
         let runs: Vec<f64> = (0..repeats.max(1))
             .map(|_| testbed.reporter_slowdown_with_app(app))
             .collect::<Result<_, _>>()?;
-        Ok(self.curve.score_for_slowdown(mean(&runs) / self.baseline))
+        Ok(self.score_of_slowdown(mean(&runs)))
     }
-}
 
-/// Measures only the reporter calibration and an application's bubble
-/// score, without building a full propagation model — the Table 4
-/// measurement in isolation.
-///
-/// # Errors
-///
-/// See [`Calibration::measure`] and [`Calibration::score`].
-pub fn measure_bubble_score(
-    testbed: &mut dyn Testbed,
-    app: &str,
-    repeats: usize,
-) -> Result<f64, ModelError> {
-    Calibration::measure(testbed)?.score(testbed, app, repeats)
+    /// The bubble score of a raw reporter slowdown, measured next to any
+    /// co-runners: normalized by the baseline, inverted through the curve.
+    pub fn score_of_slowdown(&self, slowdown: f64) -> f64 {
+        self.curve.score_for_slowdown(slowdown / self.baseline)
+    }
 }
 
 #[cfg(test)]
@@ -258,28 +255,58 @@ mod tests {
 
     #[test]
     fn samples_are_seeded_and_always_interfered() {
-        let draw = |seed| {
-            let mut tb = MockTestbed::default();
-            let mut probe = Probe::new(&mut tb, "mock", 8, 1).expect("solo runs");
-            probe.heterogeneous_samples(seed, 16).expect("samples")
-        };
-        let samples = draw(9);
-        assert_eq!(samples, draw(9), "same seed, same samples");
-        assert_ne!(samples, draw(10));
-        let tb = MockTestbed::default();
-        for (pressures, normalized) in &samples {
-            assert!(pressures.iter().any(|&p| p > 0.0));
-            assert!(pressures.iter().all(|&p| p == p.round() && p <= 8.0));
-            assert!((normalized - tb.truth(pressures)).abs() < 1e-12);
+        // (hosts, max_pressure): the paper's 8 levels, and narrow testbeds
+        // whose draws are often all-zero or exceed a hard-coded `0..=8`.
+        for (hosts, max_pressure) in [(8, 8), (2, 1), (3, 3), (4, 12)] {
+            let draw = |seed| {
+                let mut tb = MockTestbed {
+                    hosts,
+                    max_pressure,
+                    ..MockTestbed::default()
+                };
+                let mut probe = Probe::new(&mut tb, "mock", hosts, 1).expect("solo runs");
+                probe.heterogeneous_samples(seed, 16).expect("samples")
+            };
+            let samples = draw(9);
+            assert_eq!(samples, draw(9), "same seed, same samples");
+            assert_ne!(samples, draw(10));
+            let tb = MockTestbed::default();
+            let top = max_pressure as f64;
+            for (pressures, normalized) in &samples {
+                assert_eq!(pressures.len(), hosts);
+                assert!(pressures.iter().any(|&p| p > 0.0), "{pressures:?}");
+                assert!(pressures.iter().all(|&p| p == p.round() && p <= top));
+                assert!((normalized - tb.truth(pressures)).abs() < 1e-12);
+            }
+            // The samples are the shared draw's settings, in order.
+            let mut rng = Rng::from_seed(9);
+            for (pressures, _) in &samples {
+                assert_eq!(
+                    *pressures,
+                    heterogeneous_setting(&mut rng, hosts, max_pressure)
+                );
+            }
         }
     }
 
     #[test]
     fn calibration_inverts_a_bubbles_own_slowdown() {
-        let mut tb = MockTestbed::default();
-        let calibration = Calibration::measure(&mut tb).expect("calibrates");
-        assert_eq!(tb.calls, 9, "one reporter run per pressure 0..=8");
-        let score = calibration.score(&mut tb, "mock", 3).expect("scores");
-        assert!((score - tb.generated_score).abs() < 1e-9, "got {score}");
+        for (max_pressure, scores, repeats) in [(8, 1, 3), (8, 4, 3), (5, 3, 2), (12, 2, 1)] {
+            let mut tb = MockTestbed {
+                max_pressure,
+                ..MockTestbed::default()
+            };
+            let calibration = Calibration::measure(&mut tb).expect("calibrates");
+            assert_eq!(tb.calls, max_pressure + 1, "one reporter run per pressure");
+            for _ in 0..scores {
+                let score = calibration.score(&mut tb, "mock", repeats).expect("scores");
+                assert!((score - tb.generated_score).abs() < 1e-9, "got {score}");
+            }
+            assert_eq!(
+                tb.calls,
+                max_pressure + 1 + scores * repeats,
+                "scoring reuses the calibration"
+            );
+        }
     }
 }

@@ -9,10 +9,7 @@
 //!   against the simulator.
 
 use icm_core::model::ModelBuilder;
-use icm_core::{
-    combine_scores, measure_bubble_score, profile, Probe, ProfilerConfig, ProfilingAlgorithm,
-    Testbed,
-};
+use icm_core::{combine_scores, profile, Calibration, Probe, ProfilerConfig, ProfilingAlgorithm};
 use icm_obs::Tracer;
 use icm_placement::{anneal_estimator, AcceptRule, AnnealConfig, Estimator, SearchGoal};
 
@@ -338,18 +335,13 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<AblationMultiApp, ExpError> {
     let mut testbed = private_testbed(cfg);
     let repeats = cfg.repeats().max(3);
 
-    // Reporter calibration (normalized), reused for all measurements.
-    let baseline = testbed.reporter_slowdown_with_bubble(0.0)?;
-    let mut curve_values = Vec::new();
-    for p in 0..=testbed.max_pressure() {
-        curve_values.push((testbed.reporter_slowdown_with_bubble(p as f64)? / baseline).max(1.0));
-    }
-    let curve = icm_core::ReporterCurve::from_slowdowns(curve_values).map_err(ExpError::new)?;
+    // One reporter calibration scores every app and the joint pressure.
+    let calibration = Calibration::measure(&mut testbed)?;
 
     let mut points = Vec::new();
     for &(a, b) in pairs {
-        let score_a = measure_bubble_score(&mut testbed, a, repeats)?;
-        let score_b = measure_bubble_score(&mut testbed, b, repeats)?;
+        let score_a = calibration.score(&mut testbed, a, repeats)?;
+        let score_b = calibration.score(&mut testbed, b, repeats)?;
         let predicted = combine_scores(&[score_a, score_b], 0.0);
 
         // Measure the pair's joint pressure: the reporter co-located with
@@ -358,8 +350,7 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<AblationMultiApp, ExpError> {
         for _ in 0..repeats {
             slow_total += testbed.sim_mut().reporter_slowdown_with_apps(&[a, b])?;
         }
-        let measured_slowdown = slow_total / repeats as f64 / baseline;
-        let measured = curve.score_for_slowdown(measured_slowdown);
+        let measured = calibration.score_of_slowdown(slow_total / repeats as f64);
         points.push(CombinePoint {
             apps: [a.to_owned(), b.to_owned()],
             scores: [score_a, score_b],

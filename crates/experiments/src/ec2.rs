@@ -2,9 +2,7 @@
 //! to a larger, noisier EC2-style environment (32 instances, unobserved
 //! background tenants), with re-profiled model parameters.
 
-use std::collections::BTreeMap;
-
-use icm_core::{measure_bubble_score, PolicyEvaluation, Probe, Summary, Testbed};
+use icm_core::{PolicyEvaluation, Probe, Summary, Testbed};
 
 use crate::context::{build_models, ec2_testbed, ExpConfig, ExpError};
 use crate::fig4::policy_study;
@@ -96,28 +94,20 @@ pub fn run(cfg: &ExpConfig) -> Result<Ec2Result, ExpError> {
     };
     let policy_samples = if cfg.fast { 10 } else { 100 };
 
-    // Fig. 12: measured propagation curves at the paper's grid.
+    // Fig. 12: measured propagation curves at the paper's grid; Table 6:
+    // policies re-selected from sampled heterogeneous settings, on the
+    // same probe and solo baseline.
     let mut curves = Vec::with_capacity(apps.len());
+    let mut policies = Vec::with_capacity(apps.len());
     for &app in &apps {
+        let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
         curves.push(Ec2Curves {
             app: app.to_owned(),
             pressures: pressures.clone(),
             node_counts: node_counts.clone(),
-            curves: Probe::new(&mut testbed, app, hosts, cfg.repeats())?
-                .curves(&pressures, &node_counts)?,
+            curves: probe.curves(&pressures, &node_counts)?,
         });
-    }
-
-    // Table 6: re-selected policies from sampled heterogeneous settings.
-    let mut policies = Vec::with_capacity(apps.len());
-    for &app in &apps {
-        let (evaluations, best) = policy_study(
-            &mut testbed,
-            app,
-            cfg.repeats(),
-            cfg.seed ^ 0xEC26,
-            policy_samples,
-        )?;
+        let (evaluations, best) = policy_study(&mut probe, cfg.seed ^ 0xEC26, policy_samples)?;
         policies.push(Ec2Policy {
             app: app.to_owned(),
             evaluations,
@@ -125,15 +115,9 @@ pub fn run(cfg: &ExpConfig) -> Result<Ec2Result, ExpError> {
         });
     }
 
-    // Fig. 13: pairwise validation among the four apps.
+    // Fig. 13: pairwise validation among the four apps, each co-runner
+    // predicted by the bubble score its model build measured.
     let models = build_models(&mut testbed, &apps, None, cfg)?;
-    let mut scores = BTreeMap::new();
-    for &app in &apps {
-        scores.insert(
-            app.to_owned(),
-            measure_bubble_score(&mut testbed, app, cfg.repeats().max(3))?,
-        );
-    }
     let mut validations = Vec::with_capacity(apps.len());
     for &target in &apps {
         let model = &models[target];
@@ -146,7 +130,7 @@ pub fn run(cfg: &ExpConfig) -> Result<Ec2Result, ExpError> {
             }
             let actual = total / cfg.repeats() as f64 / model.solo_seconds();
             let predicted = model
-                .try_predict(&vec![scores[corunner]; model.hosts()])
+                .try_predict(&vec![models[corunner].bubble_score(); model.hosts()])
                 .map_err(ExpError::new)?;
             points.push(PairPoint {
                 corunner: corunner.to_owned(),

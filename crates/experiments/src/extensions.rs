@@ -15,7 +15,7 @@
 
 use icm_core::model::ModelBuilder;
 use icm_core::online::OnlineModel;
-use icm_core::{combine_scores, measure_bubble_score, Testbed};
+use icm_core::{combine_scores, heterogeneous_setting, Calibration, Testbed};
 use icm_placement::{energy, AnnealConfig, Estimator, PlacementState};
 use icm_rng::Rng;
 use icm_simcluster::{Deployment, PhaseModulation, Placement};
@@ -74,10 +74,11 @@ pub fn run_online(cfg: &ExpConfig) -> Result<ExtOnline, ExpError> {
         .seed(cfg.seed)
         .build(&mut testbed)?;
     let mut online = OnlineModel::new(model.clone());
+    let calibration = Calibration::measure(&mut testbed)?;
 
     let mut points = Vec::with_capacity(corunners.len());
     for corunner in corunners {
-        let score = measure_bubble_score(&mut testbed, corunner, cfg.repeats().max(3))?;
+        let score = calibration.score(&mut testbed, corunner, cfg.repeats().max(3))?;
         let pressures = vec![score; model.hosts()];
 
         // Warm-up: observe real co-runs.
@@ -195,14 +196,15 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<ExtMultiApp, ExpError> {
         ]
     };
     let mut testbed = private_testbed(cfg);
+    let calibration = Calibration::measure(&mut testbed)?;
     let mut points = Vec::with_capacity(triples.len());
     for &(target, co_a, co_b) in triples {
         let model = ModelBuilder::new(target)
             .policy_samples(cfg.policy_samples().min(20))
             .seed(cfg.seed)
             .build(&mut testbed)?;
-        let score_a = measure_bubble_score(&mut testbed, co_a, cfg.repeats().max(3))?;
-        let score_b = measure_bubble_score(&mut testbed, co_b, cfg.repeats().max(3))?;
+        let score_a = calibration.score(&mut testbed, co_a, cfg.repeats().max(3))?;
+        let score_b = calibration.score(&mut testbed, co_b, cfg.repeats().max(3))?;
 
         // Actual: all three apps on every host.
         let hosts = testbed.cluster_hosts();
@@ -449,9 +451,7 @@ pub fn run_phases(cfg: &ExpConfig) -> Result<ExtPhases, ExpError> {
         let hosts = model.hosts();
         let mut err_total = 0.0;
         for _ in 0..validations {
-            let pressures: Vec<f64> = (0..hosts)
-                .map(|_| f64::from(rng.gen_range(0..=8u32)))
-                .collect();
+            let pressures = heterogeneous_setting(&mut rng, hosts, testbed.max_pressure());
             let seconds = testbed.run_app(&name, &pressures)?;
             let actual = seconds / model.solo_seconds();
             let predicted = model.predict(&pressures);
@@ -637,9 +637,7 @@ pub fn run_transfer(cfg: &ExpConfig) -> Result<ExtTransfer, ExpError> {
         let mut native_err = 0.0;
         let mut transferred_err = 0.0;
         for _ in 0..validations {
-            let pressures: Vec<f64> = (0..hosts)
-                .map(|_| f64::from(rng.gen_range(0..=8u32)))
-                .collect();
+            let pressures = heterogeneous_setting(&mut rng, hosts, dense_tb.max_pressure());
             let seconds = dense_tb.run_app(app, &pressures)?;
             let actual = seconds / native.solo_seconds();
             let native_pred = native.predict(&pressures);
@@ -980,8 +978,9 @@ pub fn run_iochannel(cfg: &ExpConfig) -> Result<ExtIoChannel, ExpError> {
         .policy_samples(cfg.policy_samples().min(16))
         .seed(cfg.seed)
         .build(&mut testbed)?;
+    let calibration = Calibration::measure(&mut testbed)?;
     let corunner_memory_score =
-        measure_bubble_score(&mut testbed, "shuffle-b", cfg.repeats().max(3))?;
+        calibration.score(&mut testbed, "shuffle-b", cfg.repeats().max(3))?;
     let pressures = vec![corunner_memory_score; model.hosts()];
     let static_prediction = model.predict(&pressures);
 

@@ -3,7 +3,7 @@
 //! compared against a naive proportional interference model.
 
 use icm_core::model::ModelBuilder;
-use icm_core::{measure_bubble_score, NaiveModel, ProfilingAlgorithm, Testbed};
+use icm_core::{Calibration, NaiveModel, ProfilingAlgorithm, Testbed};
 use icm_simcluster::{Deployment, Placement};
 
 use crate::context::{private_testbed, ExpConfig, ExpError};
@@ -57,7 +57,8 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig2Result, ExpError> {
         .seed(cfg.seed)
         .build(&mut testbed)?;
     let naive = NaiveModel::from_model(&model);
-    let corunner_score = measure_bubble_score(&mut testbed, corunner, cfg.repeats())?;
+    let corunner_score =
+        Calibration::measure(&mut testbed)?.score(&mut testbed, corunner, cfg.repeats())?;
 
     let solo = model.solo_seconds();
     let counts: Vec<usize> = if cfg.fast {

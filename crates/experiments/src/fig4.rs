@@ -35,26 +35,21 @@ pub struct Fig4Result {
 
 icm_json::impl_json!(struct Fig4Result { apps });
 
-/// The §3.3 policy study of one application across the whole cluster:
-/// full-profiles its propagation matrix, measures `samples` random
-/// heterogeneous settings drawn from `seed`, and scores all four
-/// conversion policies on them. Returns the evaluations and the index of
-/// the best.
+/// The §3.3 policy study of the probed application: full-profiles its
+/// propagation matrix, measures `samples` random heterogeneous settings
+/// drawn from `seed`, and scores all four conversion policies on them.
+/// Returns the evaluations and the index of the best.
 ///
 /// # Errors
 ///
 /// Propagates testbed failures.
-pub(crate) fn policy_study(
-    testbed: &mut dyn Testbed,
-    app: &str,
-    repeats: usize,
+pub(crate) fn policy_study<T: Testbed + ?Sized>(
+    probe: &mut Probe<'_, T>,
     seed: u64,
     samples: usize,
 ) -> Result<(Vec<PolicyEvaluation>, usize), ExpError> {
-    let hosts = testbed.cluster_hosts();
-    let mut probe = Probe::new(testbed, app, hosts, repeats)?;
     let full = profile(
-        &mut probe,
+        probe,
         ProfilingAlgorithm::Full,
         &ProfilerConfig::default(),
         &Tracer::disabled(),
@@ -74,6 +69,7 @@ pub(crate) fn policy_study(
 /// Propagates testbed failures.
 pub fn run(cfg: &ExpConfig) -> Result<Fig4Result, ExpError> {
     let mut testbed = private_testbed(cfg);
+    let hosts = testbed.cluster_hosts();
     let app_names: Vec<String> = if cfg.fast {
         vec!["M.milc".into(), "M.Gems".into(), "S.WC".into()]
     } else {
@@ -83,8 +79,8 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig4Result, ExpError> {
 
     let mut apps = Vec::with_capacity(app_names.len());
     for app in &app_names {
-        let (evaluations, best) =
-            policy_study(&mut testbed, app, cfg.repeats(), cfg.seed ^ 0xF164, samples)?;
+        let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
+        let (evaluations, best) = policy_study(&mut probe, cfg.seed ^ 0xF164, samples)?;
         apps.push(Fig4App {
             app: app.clone(),
             evaluations,

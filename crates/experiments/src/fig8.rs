@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use icm_core::{measure_bubble_score, InterferenceModel, Summary};
+use icm_core::{Calibration, InterferenceModel, Summary};
 
 use crate::context::{
     all_apps, build_models, distributed_apps, private_testbed, ExpConfig, ExpError,
@@ -79,9 +79,10 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig8Result, ExpError> {
     let target_refs: Vec<&str> = targets.iter().map(String::as_str).collect();
     let models = build_models(&mut testbed, &target_refs, None, cfg)?;
 
+    let calibration = Calibration::measure(&mut testbed)?;
     let mut scores = BTreeMap::new();
     for corunner in &corunners {
-        let score = measure_bubble_score(&mut testbed, corunner, cfg.repeats().max(3))?;
+        let score = calibration.score(&mut testbed, corunner, cfg.repeats().max(3))?;
         scores.insert(corunner.clone(), score);
     }
 

@@ -1,6 +1,6 @@
 //! **Table 4** — measured bubble scores of all 18 benchmark applications.
 
-use icm_core::measure_bubble_score;
+use icm_core::Calibration;
 use icm_workloads::Catalog;
 
 use crate::context::{all_apps, private_testbed, ExpConfig, ExpError};
@@ -48,9 +48,10 @@ pub fn run(cfg: &ExpConfig) -> Result<Table4Result, ExpError> {
     } else {
         all_apps()
     };
+    let calibration = Calibration::measure(&mut testbed)?;
     let mut rows = Vec::with_capacity(apps.len());
     for app in &apps {
-        let measured = measure_bubble_score(&mut testbed, app, cfg.repeats().max(3))?;
+        let measured = calibration.score(&mut testbed, app, cfg.repeats().max(3))?;
         let paper = catalog
             .get(app)
             .map(|w| w.reference().bubble_score)

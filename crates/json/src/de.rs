@@ -240,8 +240,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number and the text it was written as.
+    ///
+    /// # Errors
+    ///
+    /// As [`number`](Self::number).
     #[inline]
-    pub(crate) fn number_text(&mut self) -> Result<(f64, &'a str), JsonError> {
+    pub fn number_text(&mut self) -> Result<(f64, &'a str), JsonError> {
         self.start(Token::Number)?;
         let start = self.pos;
         let n = self.lex_number()?;

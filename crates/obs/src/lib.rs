@@ -56,7 +56,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use icm_json::{FieldSlot, FromJson, JsonError, Reader, ToJson, Token};
+use icm_json::{FieldSlot, FromJson, JsonError, Reader, ToJson, Token, MAX_EXACT_INT};
 
 pub mod bucket;
 pub mod manager;
@@ -82,11 +82,13 @@ pub use wall::WallProfile;
 
 /// A typed field value attached to an [`Event`].
 ///
-/// Numbers serialize through `icm-json` as `f64`, so integers are exact
-/// up to 2⁵³ — far beyond any counter in this workspace. On the read
-/// side every JSON number deserializes as [`Value::F64`] (JSON does not
-/// distinguish integer kinds), which keeps serialize → parse →
-/// serialize byte-identical.
+/// Integers are written as their exact decimal text, which up to 2⁵³ is
+/// also the text of the same value as an `f64`. On the read side a JSON
+/// number deserializes as [`Value::F64`] (JSON does not distinguish
+/// integer kinds), unless it is integer text an `f64` cannot hold —
+/// 2⁵³ or more in magnitude, such as a derived search seed — which
+/// reads back exactly as [`Value::U64`] or [`Value::I64`]. Either way
+/// serialize → parse → serialize is byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Boolean flag.
@@ -175,10 +177,8 @@ impl ToJson for Value {
     fn write_json(&self, out: &mut String) {
         match self {
             Value::Bool(b) => b.write_json(out),
-            // A trace number is an `f64` (see above): a counter above
-            // 2^53 is written rounded, as the reader will see it.
-            Value::U64(v) => (*v as f64).write_json(out),
-            Value::I64(v) => (*v as f64).write_json(out),
+            Value::U64(v) => v.write_json(out),
+            Value::I64(v) => v.write_json(out),
             Value::F64(v) => v.write_json(out),
             Value::Str(s) => s.write_json(out),
         }
@@ -189,7 +189,18 @@ impl FromJson for Value {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         match r.peek()? {
             Token::Bool => r.bool().map(Value::Bool),
-            Token::Number => r.number().map(Value::F64),
+            Token::Number => {
+                let (n, text) = r.number_text()?;
+                if n.abs() >= MAX_EXACT_INT as f64 {
+                    if let Ok(v) = text.parse() {
+                        return Ok(Value::U64(v));
+                    }
+                    if let Ok(v) = text.parse() {
+                        return Ok(Value::I64(v));
+                    }
+                }
+                Ok(Value::F64(n))
+            }
             Token::String => r.string().map(|s| Value::Str(s.into_owned())),
             other => Err(JsonError::msg(format!(
                 "field value must be bool, number or string, found {}",
@@ -937,13 +948,23 @@ mod tests {
                 ("ok".into(), Value::Bool(true)),
                 ("slowdown".into(), Value::F64(1.75)),
                 ("app".into(), Value::Str("M.milc".into())),
+                ("limit".into(), Value::U64(1 << 53)),
+                ("seed".into(), Value::U64(u64::MAX)),
+                ("odd".into(), Value::U64((1 << 53) + 1)),
+                ("low".into(), Value::I64(i64::MIN)),
             ],
         };
         let text = icm_json::to_string(&event);
+        assert!(text.contains(r#""limit":9007199254740992,"seed":18446744073709551615,"#));
+        assert!(text.contains(r#""odd":9007199254740993,"low":-9223372036854775808}"#));
         let back: Event = icm_json::from_str(&text).expect("parses");
-        // Numbers come back as F64 — re-serialization is byte-identical.
+        // Numbers come back as F64 unless an f64 cannot hold them —
+        // re-serialization is byte-identical either way.
         assert_eq!(icm_json::to_string(&back), text);
         assert_eq!(back.num("pressure"), Some(3.0));
+        assert_eq!(back.field("seed"), Some(&Value::U64(u64::MAX)));
+        assert_eq!(back.field("odd"), Some(&Value::U64((1 << 53) + 1)));
+        assert_eq!(back.field("low"), Some(&Value::I64(i64::MIN)));
         assert_eq!(back.str("app"), Some("M.milc"));
         assert_eq!(back.field("ok").and_then(Value::as_bool), Some(true));
     }

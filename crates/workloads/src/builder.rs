@@ -187,7 +187,7 @@ impl SyntheticWorkload {
 mod tests {
     use super::*;
     use crate::{Catalog, TestbedBuilder};
-    use icm_core::measure_bubble_score;
+    use icm_core::Calibration;
 
     #[test]
     fn defaults_build() {
@@ -230,6 +230,7 @@ mod tests {
         // scores ordered by the intensity knob.
         let catalog = Catalog::paper();
         let mut testbed = TestbedBuilder::new(&catalog).seed(5).build();
+        let calibration = Calibration::measure(&mut testbed).expect("calibrates");
         let mut scores = Vec::new();
         for (name, intensity) in [("syn-lo", 0.1), ("syn-mid", 0.5), ("syn-hi", 0.9)] {
             let w = SyntheticWorkload::new(name)
@@ -237,7 +238,7 @@ mod tests {
                 .build()
                 .expect("builds");
             testbed.sim_mut().register_app(w.app().clone());
-            scores.push(measure_bubble_score(&mut testbed, name, 3).expect("scores"));
+            scores.push(calibration.score(&mut testbed, name, 3).expect("scores"));
         }
         assert!(
             scores[0] < scores[1] && scores[1] < scores[2],

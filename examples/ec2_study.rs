@@ -8,7 +8,7 @@
 //! ```
 
 use icm::core::model::ModelBuilder;
-use icm::core::{measure_bubble_score, Testbed};
+use icm::core::{Calibration, Testbed};
 use icm::simcluster::ClusterSpec;
 use icm::workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
@@ -22,7 +22,7 @@ fn validate(
         .policy_samples(30)
         .seed(2)
         .build(testbed)?;
-    let score = measure_bubble_score(testbed, corunner, 3)?;
+    let score = Calibration::measure(testbed)?.score(testbed, corunner, 3)?;
     let mut err_total = 0.0;
     let repeats = 5;
     for _ in 0..repeats {

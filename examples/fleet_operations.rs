@@ -8,7 +8,7 @@
 
 use icm::core::model::ModelBuilder;
 use icm::core::online::OnlineModel;
-use icm::core::{measure_bubble_score, ModelStore};
+use icm::core::{Calibration, ModelStore};
 use icm::workloads::{Catalog, PropagationClass, SyntheticWorkload, TestbedBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Reload (as a scheduler process would) and predict.
     let store = ModelStore::load_from_path(&path)?;
     let model = store.get("acme-solver").expect("profiled above").clone();
-    let libq_score = measure_bubble_score(&mut testbed, "C.libq", 3)?;
+    let libq_score = Calibration::measure(&mut testbed)?.score(&mut testbed, "C.libq", 3)?;
     let pressures = vec![libq_score; model.hosts()];
     println!(
         "\nstatic prediction with C.libq everywhere: {:.3}× solo",

@@ -12,12 +12,14 @@
 //! ```
 
 use icm::core::model::ModelBuilder;
-use icm::core::{measure_bubble_score, ProfilingAlgorithm, ValidationReport};
+use icm::core::{Calibration, ProfilingAlgorithm, ValidationReport};
 use icm::workloads::{Catalog, TestbedBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = Catalog::paper();
     let mut testbed = TestbedBuilder::new(&catalog).seed(99).build();
+    // The reporter curve is a property of the testbed: measure it once.
+    let calibration = Calibration::measure(&mut testbed)?;
 
     for app in ["M.lu", "S.PR"] {
         println!("=== {app} ===");
@@ -50,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut predicted = Vec::new();
         let mut actual = Vec::new();
         for corunner in ["C.libq", "M.zeus", "H.KM"] {
-            let score = measure_bubble_score(&mut testbed, corunner, 3)?;
+            let score = calibration.score(&mut testbed, corunner, 3)?;
             let (seconds, _) = testbed.sim_mut().run_pair(app, corunner)?;
             predicted.push(cheap.predict(&vec![score; cheap.hosts()]));
             actual.push(seconds / cheap.solo_seconds());

@@ -24,17 +24,22 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,
 # summarize as JSON, and render into a non-empty self-contained report.
 # The runs go through the binary path of every experiment that measures
-# through the profiling probe (`icm_core::probe`): Fig. 3 curves, the
-# Fig. 4 policy study, Table 3 profiling costs and the EC2 curves of
-# Fig. 12. Those experiments do not trace their probes yet, so each
-# trace holds only the ids' `experiment.begin`/`.end` pairs (10 events):
-# the diff proves the span path, not the measurements (ROADMAP item 4).
+# through the profiling probe (`icm_core::probe`): the Fig. 2 co-runner
+# score, Fig. 3 curves, the Fig. 4 policy study, Table 3 profiling costs,
+# the EC2 curves of Fig. 12, the Table 4 and Fig. 8 bubble scores of one
+# reporter calibration, the A4 joint-score inversion and the ext-phases
+# settings of the shared §3.3 draw. Those experiments do not trace their
+# probes yet, so each trace holds only the ids' `experiment.begin`/`.end`
+# pairs (18 events): the diff proves the span path, not the measurements
+# (ROADMAP item 4).
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
-./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 --fast --quiet \
+./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 \
+    table4 fig8 ablation-multiapp ext-phases --fast --quiet \
     --trace "$SMOKE/a.jsonl" --results "$SMOKE/results.json" \
     --profile "$SMOKE/profile.json" > /dev/null
-./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 --fast --quiet \
+./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 \
+    table4 fig8 ablation-multiapp ext-phases --fast --quiet \
     --trace "$SMOKE/b.jsonl" > /dev/null
 ./target/release/icm-trace diff "$SMOKE/a.jsonl" "$SMOKE/b.jsonl"
 ./target/release/icm-trace summarize "$SMOKE/a.jsonl" --json > /dev/null

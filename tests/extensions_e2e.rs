@@ -4,7 +4,7 @@
 
 use icm::core::model::ModelBuilder;
 use icm::core::online::OnlineModel;
-use icm::core::{combine_scores, measure_bubble_score, ModelStore};
+use icm::core::{combine_scores, Calibration, ModelStore};
 use icm::placement::{
     anneal_estimator, AcceptRule, AnnealConfig, Estimator, PlacementProblem, SearchGoal,
 };
@@ -105,7 +105,9 @@ fn online_model_tracks_live_drift() {
         .policy_samples(10)
         .build(&mut testbed)
         .expect("builds");
-    let score = measure_bubble_score(&mut testbed, "S.WC", 3).expect("scores");
+    let score = Calibration::measure(&mut testbed)
+        .and_then(|c| c.score(&mut testbed, "S.WC", 3))
+        .expect("scores");
     let pressures = vec![score; model.hosts()];
     let mut online = OnlineModel::new(model.clone());
     let mut static_err = 0.0;
@@ -139,8 +141,11 @@ fn three_tenant_host_prediction_verified_against_simulator() {
         .policy_samples(10)
         .build(&mut testbed)
         .expect("builds");
-    let score_a = measure_bubble_score(&mut testbed, "M.zeus", 3).expect("scores");
-    let score_b = measure_bubble_score(&mut testbed, "H.KM", 3).expect("scores");
+    let calibration = Calibration::measure(&mut testbed).expect("calibrates");
+    let score_a = calibration
+        .score(&mut testbed, "M.zeus", 3)
+        .expect("scores");
+    let score_b = calibration.score(&mut testbed, "H.KM", 3).expect("scores");
     let combined = combine_scores(&[score_a, score_b], 0.0);
     let predicted = model.predict(&vec![combined; model.hosts()]);
 

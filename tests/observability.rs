@@ -7,7 +7,7 @@
 use icm_core::{profile, Probe, ProfilerConfig, ProfilingAlgorithm};
 use icm_experiments::context::{private_testbed, ExpConfig};
 use icm_experiments::trace::summarize;
-use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer};
+use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer, Value};
 use icm_placement::{
     anneal_estimator, AcceptRule, AnnealConfig, Estimator, PlacementError, PlacementProblem,
     RuntimePredictor, SearchGoal,
@@ -134,6 +134,25 @@ fn annealing_trace_is_byte_identical_across_runs() {
     let second = traced_search(7);
     assert!(!first.is_empty());
     assert_eq!(first, second, "same seed must produce identical traces");
+}
+
+#[test]
+fn a_traced_search_seed_parses_back_exactly() {
+    // Small seeds, and seeds above 2^53 that an f64 would round.
+    for seed in [7, 1 << 53, (1 << 53) + 1, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+        let trace = traced_search(seed);
+        let events = parse_events(&trace).expect("trace parses");
+        let begin = events
+            .iter()
+            .find(|e| e.name == "anneal.begin")
+            .expect("the search is traced");
+        let parsed = match begin.field("seed") {
+            Some(&Value::U64(v)) => v,
+            Some(&Value::F64(v)) if v < (1u64 << 53) as f64 => v as u64,
+            other => panic!("seed {seed} parsed as {other:?}"),
+        };
+        assert_eq!(parsed, seed);
+    }
 }
 
 #[test]

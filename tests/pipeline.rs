@@ -2,7 +2,7 @@
 //! profile → model → predict → validate.
 
 use icm::core::model::ModelBuilder;
-use icm::core::{measure_bubble_score, NaiveModel, ProfilingAlgorithm, Testbed};
+use icm::core::{Calibration, NaiveModel, ProfilingAlgorithm, Testbed};
 use icm::workloads::{Catalog, TestbedBuilder};
 
 fn testbed(seed: u64) -> icm::workloads::SimTestbedAdapter {
@@ -98,9 +98,9 @@ fn naive_model_underestimates_coupled_apps_on_the_real_testbed() {
 #[test]
 fn bubble_scores_order_matches_aggressiveness() {
     let mut tb = testbed(31);
-    let libq = measure_bubble_score(&mut tb, "C.libq", 3).expect("scores");
-    let milc = measure_bubble_score(&mut tb, "M.milc", 3).expect("scores");
-    let hkm = measure_bubble_score(&mut tb, "H.KM", 3).expect("scores");
+    let calibration = Calibration::measure(&mut tb).expect("calibrates");
+    let mut score = |app| calibration.score(&mut tb, app, 3).expect("scores");
+    let (libq, milc, hkm) = (score("C.libq"), score("M.milc"), score("H.KM"));
     assert!(
         libq > milc && milc > hkm,
         "libq {libq} > milc {milc} > hkm {hkm}"
