@@ -79,32 +79,27 @@ impl ReporterCurve {
 /// corresponds to a doubling of induced misses. Combining co-runners
 /// therefore adds their miss rates in linear space:
 /// `combined = log2(Σ 2^sᵢ)`, so two co-runners of equal score `S`
-/// combine to `S + 1`, exactly the paper's worked example. `collision`
-/// adds the extra pressure from the combined working sets colliding
-/// (0 = none; the ablation `A4` experiment fits it empirically).
+/// combine to `S + 1`, exactly the paper's worked example. The ablation
+/// `A4` experiment checks the rule against the reporter's measured
+/// slowdown under two co-runners at once.
 ///
 /// Scores of 0 (no interference) contribute nothing.
 ///
 /// # Panics
 ///
-/// Panics if any score is negative or non-finite, or `collision` is
-/// negative.
+/// Panics if any score is negative or non-finite.
 ///
 /// # Example
 ///
 /// ```
 /// use icm_core::combine_scores;
 ///
-/// let combined = combine_scores(&[3.0, 3.0], 0.0);
+/// let combined = combine_scores(&[3.0, 3.0]);
 /// assert!((combined - 4.0).abs() < 1e-12, "S + S → S+1");
-/// assert_eq!(combine_scores(&[5.0], 0.0), 5.0);
-/// assert_eq!(combine_scores(&[], 0.0), 0.0);
+/// assert_eq!(combine_scores(&[5.0]), 5.0);
+/// assert_eq!(combine_scores(&[]), 0.0);
 /// ```
-pub fn combine_scores(scores: &[f64], collision: f64) -> f64 {
-    assert!(
-        collision.is_finite() && collision >= 0.0,
-        "collision pressure must be non-negative, got {collision}"
-    );
+pub fn combine_scores(scores: &[f64]) -> f64 {
     let mut linear = 0.0;
     let mut active = 0usize;
     for &s in scores {
@@ -120,12 +115,7 @@ pub fn combine_scores(scores: &[f64], collision: f64) -> f64 {
     if active == 0 {
         return 0.0;
     }
-    let combined = linear.log2();
-    if active > 1 {
-        combined + collision
-    } else {
-        combined
-    }
+    linear.log2()
 }
 
 #[cfg(test)]
@@ -195,34 +185,28 @@ mod tests {
 
     #[test]
     fn combine_equal_scores_adds_one() {
-        assert!((combine_scores(&[4.0, 4.0], 0.0) - 5.0).abs() < 1e-12);
-        assert!((combine_scores(&[2.0, 2.0, 2.0, 2.0], 0.0) - 4.0).abs() < 1e-12);
+        assert!((combine_scores(&[4.0, 4.0]) - 5.0).abs() < 1e-12);
+        assert!((combine_scores(&[2.0, 2.0, 2.0, 2.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn combine_is_dominated_by_the_larger_score() {
-        let combined = combine_scores(&[6.0, 1.0], 0.0);
+        let combined = combine_scores(&[6.0, 1.0]);
         assert!(combined > 6.0 && combined < 6.1, "got {combined}");
     }
 
     #[test]
     fn combine_ignores_zeros_and_handles_singletons() {
-        assert_eq!(combine_scores(&[0.0, 0.0], 0.0), 0.0);
-        assert_eq!(combine_scores(&[3.5, 0.0], 0.0), 3.5);
-        assert_eq!(combine_scores(&[3.5], 1.0), 3.5, "no collision for one app");
-    }
-
-    #[test]
-    fn collision_pressure_only_applies_to_real_combinations() {
-        assert!((combine_scores(&[3.0, 3.0], 0.5) - 4.5).abs() < 1e-12);
-        assert_eq!(combine_scores(&[3.0], 0.5), 3.0);
+        assert_eq!(combine_scores(&[0.0, 0.0]), 0.0);
+        assert_eq!(combine_scores(&[3.5, 0.0]), 3.5);
+        assert_eq!(combine_scores(&[3.5]), 3.5);
     }
 
     #[test]
     fn combine_is_monotone_in_each_score() {
         let mut last = 0.0;
         for s in [0.5, 1.0, 2.0, 4.0] {
-            let c = combine_scores(&[s, 2.0], 0.0);
+            let c = combine_scores(&[s, 2.0]);
             assert!(c > last);
             last = c;
         }
@@ -231,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn combine_rejects_negative() {
-        let _ = combine_scores(&[-1.0], 0.0);
+        let _ = combine_scores(&[-1.0]);
     }
 }

@@ -204,8 +204,8 @@ fn combine_scores_is_commutative_and_bounded() {
     for case in 0..CASES {
         let a = rng.gen_f64_range(0.0, 8.0);
         let b = rng.gen_f64_range(0.0, 8.0);
-        let ab = combine_scores(&[a, b], 0.0);
-        let ba = combine_scores(&[b, a], 0.0);
+        let ab = combine_scores(&[a, b]);
+        let ba = combine_scores(&[b, a]);
         assert!((ab - ba).abs() < 1e-12, "case {case}: not commutative");
         let hi = a.max(b);
         if a > 0.0 && b > 0.0 {

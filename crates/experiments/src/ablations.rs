@@ -13,7 +13,7 @@ use icm_core::{combine_scores, profile, Calibration, Probe, ProfilerConfig, Prof
 use icm_obs::Tracer;
 use icm_placement::{anneal_estimator, AcceptRule, AnnealConfig, Estimator, SearchGoal};
 
-use crate::context::{private_testbed, ExpConfig, ExpError};
+use crate::context::{private_testbed, score_each, ExpConfig, ExpError};
 use crate::placement_common::MixContext;
 use crate::table::{f2, f3, pct, Table};
 
@@ -335,14 +335,20 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<AblationMultiApp, ExpError> {
     let mut testbed = private_testbed(cfg);
     let repeats = cfg.repeats().max(3);
 
-    // One reporter calibration scores every app and the joint pressure.
+    // One reporter calibration scores every app, each once, and the
+    // joint pressure.
     let calibration = Calibration::measure(&mut testbed)?;
+    let scores = score_each(
+        &calibration,
+        &mut testbed,
+        pairs.iter().flat_map(|&(a, b)| [a, b]),
+        repeats,
+    )?;
 
     let mut points = Vec::new();
     for &(a, b) in pairs {
-        let score_a = calibration.score(&mut testbed, a, repeats)?;
-        let score_b = calibration.score(&mut testbed, b, repeats)?;
-        let predicted = combine_scores(&[score_a, score_b], 0.0);
+        let (score_a, score_b) = (scores[a], scores[b]);
+        let predicted = combine_scores(&[score_a, score_b]);
 
         // Measure the pair's joint pressure: the reporter co-located with
         // both applications at once.

@@ -6,7 +6,7 @@ use std::error::Error;
 use std::fmt;
 
 use icm_core::model::ModelBuilder;
-use icm_core::{InterferenceModel, ModelError, ProfilingAlgorithm};
+use icm_core::{Calibration, InterferenceModel, ModelError, ProfilingAlgorithm};
 use icm_simcluster::ClusterSpec;
 use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
@@ -151,6 +151,27 @@ pub fn build_models(
         models.insert(app.to_owned(), model);
     }
     Ok(models)
+}
+
+/// Each distinct app's bubble score, measured once through `calibration`
+/// in first-appearance order however often the app recurs in `apps`.
+///
+/// # Errors
+///
+/// Propagates testbed failures.
+pub fn score_each<'a>(
+    calibration: &Calibration,
+    testbed: &mut SimTestbedAdapter,
+    apps: impl IntoIterator<Item = &'a str>,
+    repeats: usize,
+) -> Result<BTreeMap<&'a str, f64>, ExpError> {
+    let mut scores = BTreeMap::new();
+    for app in apps {
+        if !scores.contains_key(app) {
+            scores.insert(app, calibration.score(testbed, app, repeats)?);
+        }
+    }
+    Ok(scores)
 }
 
 /// The 12 distributed application names, catalog order.

@@ -20,7 +20,7 @@ use icm_placement::{energy, AnnealConfig, Estimator, PlacementState};
 use icm_rng::Rng;
 use icm_simcluster::{Deployment, PhaseModulation, Placement};
 
-use crate::context::{private_testbed, ExpConfig, ExpError};
+use crate::context::{private_testbed, score_each, ExpConfig, ExpError};
 use crate::placement_common::MixContext;
 use crate::table::{f2, f3, pct, Table};
 
@@ -197,14 +197,19 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<ExtMultiApp, ExpError> {
     };
     let mut testbed = private_testbed(cfg);
     let calibration = Calibration::measure(&mut testbed)?;
+    let scores = score_each(
+        &calibration,
+        &mut testbed,
+        triples.iter().flat_map(|&(_, a, b)| [a, b]),
+        cfg.repeats().max(3),
+    )?;
     let mut points = Vec::with_capacity(triples.len());
     for &(target, co_a, co_b) in triples {
         let model = ModelBuilder::new(target)
             .policy_samples(cfg.policy_samples().min(20))
             .seed(cfg.seed)
             .build(&mut testbed)?;
-        let score_a = calibration.score(&mut testbed, co_a, cfg.repeats().max(3))?;
-        let score_b = calibration.score(&mut testbed, co_b, cfg.repeats().max(3))?;
+        let (score_a, score_b) = (scores[co_a], scores[co_b]);
 
         // Actual: all three apps on every host.
         let hosts = testbed.cluster_hosts();
@@ -222,7 +227,7 @@ pub fn run_multiapp(cfg: &ExpConfig) -> Result<ExtMultiApp, ExpError> {
         }
         let actual = total / cfg.repeats() as f64 / model.solo_seconds();
 
-        let combined = combine_scores(&[score_a, score_b], 0.0);
+        let combined = combine_scores(&[score_a, score_b]);
         let combined_prediction = model.predict(&vec![combined; model.hosts()]);
         let pairwise_prediction = model.predict(&vec![score_a.max(score_b); model.hosts()]);
         points.push(MultiAppPoint {

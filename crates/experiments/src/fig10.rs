@@ -97,7 +97,6 @@ pub fn run(cfg: &ExpConfig) -> Result<Fig10Result, ExpError> {
                 seed: cfg.seed ^ 0x905,
                 ..AnnealConfig::default()
             },
-            ..QosConfig::default()
         };
         let bound = qos_config.max_normalized_time();
 

@@ -16,8 +16,8 @@
 //!   the placement the faultless models would choose.
 
 use icm_core::{
-    profile, profile_resilient, MappingPolicy, ModelQuality, Probe, ProfilerConfig,
-    ProfilingAlgorithm, PropagationMatrix, QualityGrid, RetryPolicy,
+    profile, profile_resilient, MappingPolicy, Probe, ProfilerConfig, ProfilingAlgorithm,
+    PropagationMatrix, RetryPolicy,
 };
 use icm_obs::Tracer;
 use icm_placement::{
@@ -122,12 +122,10 @@ fn app_names(cfg: &ExpConfig) -> Vec<String> {
 
 /// A matrix-backed predictor for the placement sub-study: converts the
 /// heterogeneous pressure vector with the N+1-max policy and looks the
-/// prediction up in a propagation matrix (optionally carrying its
-/// quality grid). Bubble scores are fixed per mix slot so that clean and
+/// prediction up in a propagation matrix. Bubble scores are fixed per mix slot so that clean and
 /// faulty models disagree only through their *sensitivity* predictions.
 struct MatrixPredictor<'a> {
     matrix: &'a PropagationMatrix,
-    quality: Option<&'a QualityGrid>,
     score: f64,
 }
 
@@ -143,16 +141,6 @@ impl RuntimePredictor for MatrixPredictor<'_> {
 
     fn solo_seconds(&self) -> f64 {
         100.0
-    }
-
-    fn prediction_quality(&self, pressures: &[f64]) -> ModelQuality {
-        match self.quality {
-            Some(grid) => {
-                let hom = MappingPolicy::NPlus1Max.convert(pressures);
-                grid.at_hom(hom.pressure, hom.nodes)
-            }
-            None => ModelQuality::Measured,
-        }
     }
 }
 
@@ -235,7 +223,6 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
     let truth_predictors: Vec<MatrixPredictor<'_>> = (0..4)
         .map(|k| MatrixPredictor {
             matrix: &truths[k % apps.len()],
-            quality: None,
             score: MIX_SCORES[k],
         })
         .collect();
@@ -245,7 +232,6 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
     for &rate in &rates {
         let mut app_rows = Vec::with_capacity(apps.len());
         let mut matrices: Vec<PropagationMatrix> = Vec::with_capacity(apps.len());
-        let mut qualities: Vec<QualityGrid> = Vec::with_capacity(apps.len());
         for (i, app) in apps.iter().enumerate() {
             let mut testbed = private_testbed(cfg);
             let mut probe = Probe::new(&mut testbed, app, hosts, cfg.repeats())?;
@@ -286,13 +272,11 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
                 injected_failures: after.injected_failures() - before.injected_failures(),
             });
             matrices.push(outcome.result.matrix);
-            qualities.push(outcome.quality);
         }
 
         let faulty_predictors: Vec<MatrixPredictor<'_>> = (0..4)
             .map(|k| MatrixPredictor {
                 matrix: &matrices[k % apps.len()],
-                quality: Some(&qualities[k % apps.len()]),
                 score: MIX_SCORES[k],
             })
             .collect();

@@ -8,7 +8,7 @@
 //! during re-annealing, and shedding an application simply stops
 //! deploying it; the problem shape never changes mid-run.
 
-use icm_core::{OnlineModel, QualityGrid};
+use icm_core::{ModelQuality, OnlineModel, QualityGrid};
 use icm_placement::{PlacementProblem, PlacementState};
 
 use crate::error::ManagerError;
@@ -44,6 +44,22 @@ impl ManagedApp {
             priority,
             online,
             quality: None,
+        }
+    }
+
+    /// Quality grade of the model cells behind this app's prediction
+    /// under the per-host co-runner `pressures`: the grid read at the
+    /// homogeneous setting the model converts them to, or
+    /// [`ModelQuality::Measured`] when no grid is attached (the model was
+    /// built entirely from direct measurements). Manager provenance and
+    /// the daemon's `predict` replies both grade through here.
+    pub fn quality_at(&self, pressures: &[f64]) -> ModelQuality {
+        match &self.quality {
+            None => ModelQuality::Measured,
+            Some(grid) => {
+                let hom = self.online.base().convert(pressures);
+                grid.at_hom(hom.pressure, hom.nodes)
+            }
         }
     }
 }

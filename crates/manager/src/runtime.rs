@@ -997,8 +997,8 @@ impl ManagedRun {
             if self.states[i].breaker_open {
                 continue;
             }
-            let quality = prediction_quality(t.fleet, &self.state, &self.live, i);
-            if quality != ModelQuality::Defaulted.as_str() {
+            let quality = quality_in(t.fleet, &self.state, &self.live, i);
+            if quality != ModelQuality::Defaulted {
                 reacting.push(i);
                 continue;
             }
@@ -1009,7 +1009,7 @@ impl ManagedRun {
                 Some(&t.fleet.apps()[i].name),
                 0.0,
                 ActCtx {
-                    quality,
+                    quality: quality.as_str(),
                     predicted: self.states[i].last_predicted,
                     placement: Vec::new(),
                     trigger_violation_s: self.tick_violation_s(t),
@@ -1022,10 +1022,10 @@ impl ManagedRun {
         }
         let quality = reacting
             .iter()
-            .map(|&i| prediction_quality(t.fleet, &self.state, &self.live, i))
-            .max_by_key(|q| quality_rank(q))
-            .unwrap_or(ModelQuality::Measured.as_str());
-        self.re_anneal(t, &reacting, quality)
+            .map(|&i| quality_in(t.fleet, &self.state, &self.live, i))
+            .max()
+            .unwrap_or(ModelQuality::Measured);
+        self.re_anneal(t, &reacting, quality.as_str())
     }
 
     /// The tick produced nothing: every live application lost a full
@@ -1175,7 +1175,7 @@ impl ManagedRun {
                 Some(&app.name),
                 config.migration_cost_s,
                 ActCtx {
-                    quality: prediction_quality(fleet, &current, &self.live, i),
+                    quality: app.quality_at(&pressures).as_str(),
                     predicted,
                     placement: vec![PlacementRef {
                         app: app.name.clone(),
@@ -1238,30 +1238,10 @@ impl ManagedRun {
 }
 
 /// Quality grade of the model cells behind app `i`'s prediction in
-/// `state` — `"measured"` when no quality grid is attached (the model
-/// was built entirely from direct measurements).
-fn prediction_quality(
-    fleet: &Fleet,
-    state: &PlacementState,
-    live: &[bool],
-    i: usize,
-) -> &'static str {
-    let Some(grid) = fleet.apps()[i].quality.as_ref() else {
-        return ModelQuality::Measured.as_str();
-    };
+/// `state` (see [`crate::ManagedApp::quality_at`]).
+fn quality_in(fleet: &Fleet, state: &PlacementState, live: &[bool], i: usize) -> ModelQuality {
     let (pressures, _) = context_of(fleet, state, live, i);
-    let hom = fleet.apps()[i].online.base().convert(&pressures);
-    grid.at_hom(hom.pressure, hom.nodes).as_str()
-}
-
-/// Ordering for picking the *worst* quality grade backing a fleet-wide
-/// reaction: defaulted > interpolated > measured/observed.
-fn quality_rank(quality: &str) -> u8 {
-    match quality {
-        "defaulted" => 2,
-        "interpolated" => 1,
-        _ => 0,
-    }
+    fleet.apps()[i].quality_at(&pressures)
 }
 
 #[cfg(test)]

@@ -580,7 +580,6 @@ mod tests {
             SearchGoal::Qos {
                 target: 0,
                 max_normalized: 1.3,
-                refuse_defaulted: false,
             },
             &AnnealConfig {
                 iterations: 3000,

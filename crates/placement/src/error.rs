@@ -13,9 +13,6 @@ pub enum PlacementError {
     /// The search could not produce a result (e.g. no valid swap found,
     /// or no feasible placement for a QoS constraint).
     Search(String),
-    /// A placement was refused because the prediction it depends on rests
-    /// on low-confidence (defaulted) model cells.
-    LowConfidence(String),
 }
 
 impl fmt::Display for PlacementError {
@@ -25,9 +22,6 @@ impl fmt::Display for PlacementError {
             PlacementError::InvalidAssignment(msg) => write!(f, "invalid assignment: {msg}"),
             PlacementError::Predictor(msg) => write!(f, "predictor error: {msg}"),
             PlacementError::Search(msg) => write!(f, "search failure: {msg}"),
-            PlacementError::LowConfidence(msg) => {
-                write!(f, "low-confidence prediction: {msg}")
-            }
         }
     }
 }
@@ -55,14 +49,12 @@ mod tests {
             PlacementError::InvalidAssignment("host repeated".into()),
             PlacementError::Predictor("missing for `M.milc`".into()),
             PlacementError::Search("no feasible placement".into()),
-            PlacementError::LowConfidence("depends on defaulted cells".into()),
         ];
         let expected = [
             "invalid problem shape: 0 workloads",
             "invalid assignment: host repeated",
             "predictor error: missing for `M.milc`",
             "search failure: no feasible placement",
-            "low-confidence prediction: depends on defaulted cells",
         ];
         let rendered: Vec<String> = variants.iter().map(PlacementError::to_string).collect();
         assert_eq!(rendered, expected);

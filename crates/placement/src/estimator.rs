@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use icm_core::{InterferenceModel, ModelQuality, NaiveModel, QualityGrid};
+use icm_core::{InterferenceModel, NaiveModel};
 
 use crate::error::PlacementError;
 use crate::state::{PlacementProblem, PlacementState};
@@ -21,15 +21,6 @@ pub trait RuntimePredictor {
     fn bubble_score(&self) -> f64;
     /// Interference-free runtime in seconds (for absolute estimates).
     fn solo_seconds(&self) -> f64;
-    /// Provenance of the prediction the given pressures would produce.
-    ///
-    /// Predictors without per-cell provenance report
-    /// [`ModelQuality::Measured`]; wrappers like [`QualityAwareModel`]
-    /// override this so placements can spot predictions resting on
-    /// defaulted matrix cells.
-    fn prediction_quality(&self, _pressures: &[f64]) -> ModelQuality {
-        ModelQuality::Measured
-    }
 }
 
 impl RuntimePredictor for InterferenceModel {
@@ -62,49 +53,6 @@ impl RuntimePredictor for NaiveModel {
     }
 }
 
-/// An [`InterferenceModel`] paired with the [`QualityGrid`] its resilient
-/// profiling produced, so placement searches can see which predictions
-/// rest on interpolated or defaulted propagation-matrix cells and price
-/// them accordingly (via
-/// [`with_conservative_margin`](Estimator::with_conservative_margin) or
-/// the QoS policy's `refuse_defaulted`).
-pub struct QualityAwareModel<'a> {
-    model: &'a InterferenceModel,
-    quality: &'a QualityGrid,
-}
-
-impl<'a> QualityAwareModel<'a> {
-    /// Pairs a model with the quality grid of the profiling run that
-    /// built it.
-    pub fn new(model: &'a InterferenceModel, quality: &'a QualityGrid) -> Self {
-        Self { model, quality }
-    }
-}
-
-impl RuntimePredictor for QualityAwareModel<'_> {
-    fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError> {
-        self.model.predict_normalized(pressures)
-    }
-
-    fn bubble_score(&self) -> f64 {
-        InterferenceModel::bubble_score(self.model)
-    }
-
-    fn solo_seconds(&self) -> f64 {
-        InterferenceModel::solo_seconds(self.model)
-    }
-
-    fn prediction_quality(&self, pressures: &[f64]) -> ModelQuality {
-        if pressures.len() != self.model.hosts()
-            || pressures.iter().any(|p| !p.is_finite() || *p < 0.0)
-        {
-            return ModelQuality::Defaulted;
-        }
-        let hom = self.model.convert(pressures);
-        self.quality.at_hom(hom.pressure, hom.nodes)
-    }
-}
-
 /// Predicted outcome of one placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementEstimate {
@@ -131,14 +79,10 @@ impl PlacementEstimate {
 /// With two slots per host (the paper's configuration), each slot has at
 /// most one co-runner and the pressure is simply that co-runner's bubble
 /// score. With more slots per host, the co-runners' scores are combined
-/// with the §4.4 log-domain rule ([`icm_core::combine_scores`]); the
-/// optional collision pressure models the extra contention of stacked
-/// working sets (see [`with_collision`](Estimator::with_collision)).
+/// with the §4.4 log-domain rule ([`icm_core::combine_scores`]).
 pub struct Estimator<'a> {
     problem: &'a PlacementProblem,
     predictors: Vec<&'a dyn RuntimePredictor>,
-    collision: f64,
-    quality_margin: f64,
 }
 
 impl<'a> Estimator<'a> {
@@ -163,8 +107,6 @@ impl<'a> Estimator<'a> {
         Ok(Self {
             problem,
             predictors,
-            collision: 0.0,
-            quality_margin: 0.0,
         })
     }
 
@@ -193,46 +135,7 @@ impl<'a> Estimator<'a> {
         Ok(Self {
             problem,
             predictors,
-            collision: 0.0,
-            quality_margin: 0.0,
         })
-    }
-
-    /// Sets the collision pressure added when ≥ 2 co-runners stack on a
-    /// slot's host (builder-style; only relevant for problems with more
-    /// than two slots per host).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `collision` is negative or non-finite.
-    #[must_use]
-    pub fn with_collision(mut self, collision: f64) -> Self {
-        assert!(
-            collision.is_finite() && collision >= 0.0,
-            "collision pressure must be non-negative, got {collision}"
-        );
-        self.collision = collision;
-        self
-    }
-
-    /// Sets the conservative pricing margin for low-confidence
-    /// predictions (builder-style): a prediction resting on *defaulted*
-    /// propagation-matrix cells is inflated by `1 + margin` before being
-    /// summed into the placement cost, so the search prefers placements
-    /// the model actually understands. Zero (the default) leaves every
-    /// prediction untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `margin` is negative or non-finite.
-    #[must_use]
-    pub fn with_conservative_margin(mut self, margin: f64) -> Self {
-        assert!(
-            margin.is_finite() && margin >= 0.0,
-            "conservative margin must be non-negative, got {margin}"
-        );
-        self.quality_margin = margin;
-        self
     }
 
     /// The problem being estimated.
@@ -282,7 +185,7 @@ impl<'a> Estimator<'a> {
                 scores.push(self.predictors[state.workload_at(s)].bubble_score());
             }
         }
-        icm_core::combine_scores(scores, self.collision)
+        icm_core::combine_scores(scores)
     }
 
     /// Every predictor's bubble score, in problem order — cached by the
@@ -331,26 +234,8 @@ impl<'a> Estimator<'a> {
             // taken at reset — the common case at two slots per host
             // never touches a transcendental.
             1 => log_of[last],
-            _ => linear.log2() + self.collision,
+            _ => linear.log2(),
         }
-    }
-
-    /// One workload's prediction under the given pressures, with the
-    /// conservative low-confidence margin applied — the single code path
-    /// both [`estimate`](Self::estimate) and the incremental objective
-    /// run predictions through, so the two cannot drift apart.
-    pub(crate) fn predict_with_margin(
-        &self,
-        w: usize,
-        pressures: &[f64],
-    ) -> Result<f64, PlacementError> {
-        let mut predicted = self.predictors[w].predict_normalized(pressures)?;
-        if self.quality_margin > 0.0
-            && self.predictors[w].prediction_quality(pressures) == ModelQuality::Defaulted
-        {
-            predicted *= 1.0 + self.quality_margin;
-        }
-        Ok(predicted)
     }
 
     /// Predicts all workloads' normalized runtimes under `state`.
@@ -362,7 +247,7 @@ impl<'a> Estimator<'a> {
         let mut normalized_times = Vec::with_capacity(self.predictors.len());
         for w in 0..self.predictors.len() {
             let pressures = self.pressures_for(state, w);
-            normalized_times.push(self.predict_with_margin(w, &pressures)?);
+            normalized_times.push(self.predictors[w].predict_normalized(&pressures)?);
         }
         let weighted_total = normalized_times.iter().sum();
         Ok(PlacementEstimate {
@@ -437,108 +322,6 @@ pub(crate) mod tests {
                 coupled: false,
             },
         ]
-    }
-
-    /// Wraps a [`FakePredictor`] but reports every prediction as
-    /// resting on defaulted cells.
-    pub struct DefaultedPredictor(pub FakePredictor);
-
-    impl RuntimePredictor for DefaultedPredictor {
-        fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError> {
-            self.0.predict_normalized(pressures)
-        }
-
-        fn bubble_score(&self) -> f64 {
-            self.0.bubble_score()
-        }
-
-        fn solo_seconds(&self) -> f64 {
-            self.0.solo_seconds()
-        }
-
-        fn prediction_quality(&self, _pressures: &[f64]) -> ModelQuality {
-            ModelQuality::Defaulted
-        }
-    }
-
-    #[test]
-    fn default_prediction_quality_is_measured() {
-        let predictor = fake_predictors().remove(0);
-        assert_eq!(
-            predictor.prediction_quality(&[1.0; 4]),
-            ModelQuality::Measured
-        );
-    }
-
-    #[test]
-    fn conservative_margin_prices_defaulted_predictions() {
-        let problem = fake_problem();
-        let predictors = fake_predictors();
-        let wrapped: Vec<DefaultedPredictor> = fake_predictors()
-            .into_iter()
-            .map(DefaultedPredictor)
-            .collect();
-        let state = PlacementState::new(
-            &problem,
-            vec![0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 2, 3],
-        )
-        .expect("valid");
-        let baseline = {
-            let refs: Vec<&dyn RuntimePredictor> = predictors
-                .iter()
-                .map(|p| p as &dyn RuntimePredictor)
-                .collect();
-            Estimator::new(&problem, refs)
-                .expect("valid")
-                .estimate(&state)
-                .expect("estimates")
-        };
-        let refs: Vec<&dyn RuntimePredictor> =
-            wrapped.iter().map(|p| p as &dyn RuntimePredictor).collect();
-        // A zero margin leaves even defaulted predictions untouched.
-        let unpriced = Estimator::new(&problem, refs.clone())
-            .expect("valid")
-            .estimate(&state)
-            .expect("estimates");
-        assert_eq!(unpriced, baseline);
-        // A 50% margin inflates every (defaulted) prediction by 1.5×.
-        let priced = Estimator::new(&problem, refs)
-            .expect("valid")
-            .with_conservative_margin(0.5)
-            .estimate(&state)
-            .expect("estimates");
-        for (p, b) in priced
-            .normalized_times
-            .iter()
-            .zip(&baseline.normalized_times)
-        {
-            assert!((p - b * 1.5).abs() < 1e-12, "got {p}, base {b}");
-        }
-        // Measured-quality predictions are never inflated.
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let measured = Estimator::new(&problem, refs)
-            .expect("valid")
-            .with_conservative_margin(0.5)
-            .estimate(&state)
-            .expect("estimates");
-        assert_eq!(measured, baseline);
-    }
-
-    #[test]
-    #[should_panic(expected = "margin")]
-    fn negative_margin_rejected() {
-        let problem = fake_problem();
-        let predictors = fake_predictors();
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let _ = Estimator::new(&problem, refs)
-            .expect("valid")
-            .with_conservative_margin(-0.1);
     }
 
     #[test]
@@ -644,32 +427,6 @@ pub(crate) mod tests {
         for p in &pressures {
             assert!((p - 4.0).abs() < 1e-12, "got {p}");
         }
-        // With collision pressure the combination is shifted up.
-        let shifted = Estimator::new(
-            &problem,
-            predictors
-                .iter()
-                .map(|p| p as &dyn RuntimePredictor)
-                .collect(),
-        )
-        .expect("valid")
-        .with_collision(0.5);
-        let pressures = shifted.pressures_for(&state, 2);
-        assert!((pressures[0] - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "collision")]
-    fn negative_collision_rejected() {
-        let problem = fake_problem();
-        let predictors = fake_predictors();
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let _ = Estimator::new(&problem, refs)
-            .expect("valid")
-            .with_collision(-1.0);
     }
 
     #[test]

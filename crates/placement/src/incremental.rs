@@ -26,8 +26,6 @@
 //! answered by the search engine's probe memo (see
 //! [`crate::anneal_with`]) and never reaches [`Objective::probe`].
 
-use icm_core::ModelQuality;
-
 use crate::dense::{AppId, DenseMap};
 use crate::error::PlacementError;
 use crate::estimator::Estimator;
@@ -55,10 +53,6 @@ pub enum SearchGoal {
         target: usize,
         /// Maximum allowed normalized runtime of the target.
         max_normalized: f64,
-        /// Price placements whose target prediction rests on defaulted
-        /// model cells as infeasible (see
-        /// [`crate::QosConfig::refuse_defaulted`]).
-        refuse_defaulted: bool,
     },
 }
 
@@ -67,7 +61,6 @@ impl SearchGoal {
         if let SearchGoal::Qos {
             target,
             max_normalized,
-            ..
         } = self
         {
             let workloads = estimator.problem().workloads().len();
@@ -101,7 +94,6 @@ pub struct IncrementalObjective<'a> {
     units: Vec<usize>,
     pressures: Vec<f64>,
     times: DenseMap<AppId, f64>,
-    target_defaulted: bool,
     // Speculative state for the probe awaiting accept/reject, in the
     // same flat layout at the same offsets: a touched workload's
     // candidate values live exactly where its committed values do, so
@@ -116,7 +108,6 @@ pub struct IncrementalObjective<'a> {
     // `(old_pos, new_pos, dest)`, applied to `units` only on accept.
     spec_moved: DenseMap<AppId, bool>,
     spec_shift: DenseMap<AppId, (usize, usize, usize)>,
-    spec_target_defaulted: bool,
     // `stamp[w] == generation` marks `w` as touched by the current
     // probe — a dense O(1) membership test with no per-probe clearing.
     stamp: DenseMap<AppId, u64>,
@@ -161,13 +152,11 @@ impl<'a> IncrementalObjective<'a> {
             units: vec![0; slots],
             pressures: vec![0.0; slots],
             times: DenseMap::new(workloads, 0.0),
-            target_defaulted: false,
             touched: Vec::new(),
             spec_pressures: vec![0.0; slots],
             spec_times: DenseMap::new(workloads, 0.0),
             spec_moved: DenseMap::new(workloads, false),
             spec_shift: DenseMap::new(workloads, (0, 0, 0)),
-            spec_target_defaulted: false,
             stamp: DenseMap::new(workloads, 0),
             generation: 0,
             scores: Vec::new(),
@@ -178,21 +167,6 @@ impl<'a> IncrementalObjective<'a> {
             host_of: (0..problem.slots())
                 .map(|s| problem.host_of_slot(s))
                 .collect(),
-        }
-    }
-
-    /// Whether the committed/probed target prediction rests on defaulted
-    /// cells, for goals that care.
-    fn qos_defaulted(&self, w: usize, pressures: &[f64]) -> bool {
-        match self.goal {
-            SearchGoal::Qos {
-                target,
-                refuse_defaulted: true,
-                ..
-            } if target == w => {
-                self.estimator.predictor(w).prediction_quality(pressures) == ModelQuality::Defaulted
-            }
-            _ => false,
         }
     }
 
@@ -242,23 +216,10 @@ impl<'a> IncrementalObjective<'a> {
             SearchGoal::Qos {
                 target,
                 max_normalized,
-                ..
-            } => {
-                let mut violation =
-                    (self.time_of(AppId(target), speculative) - max_normalized).max(0.0);
-                let defaulted = if speculative {
-                    self.spec_target_defaulted
-                } else {
-                    self.target_defaulted
-                };
-                if defaulted {
-                    violation += max_normalized;
-                }
-                Eval {
-                    cost: total,
-                    violation,
-                }
-            }
+            } => Eval {
+                cost: total,
+                violation: (self.time_of(AppId(target), speculative) - max_normalized).max(0.0),
+            },
         }
     }
 
@@ -283,25 +244,10 @@ impl<'a> IncrementalObjective<'a> {
             SearchGoal::Qos {
                 target,
                 max_normalized,
-                refuse_defaulted,
-            } => {
-                let mut violation = (estimate.normalized_times[target] - max_normalized).max(0.0);
-                if refuse_defaulted {
-                    let pressures = self.estimator.pressures_for(state, target);
-                    if self
-                        .estimator
-                        .predictor(target)
-                        .prediction_quality(&pressures)
-                        == ModelQuality::Defaulted
-                    {
-                        violation += max_normalized;
-                    }
-                }
-                Eval {
-                    cost: estimate.weighted_total,
-                    violation,
-                }
-            }
+            } => Eval {
+                cost: estimate.weighted_total,
+                violation: (estimate.normalized_times[target] - max_normalized).max(0.0),
+            },
         })
     }
 }
@@ -336,12 +282,9 @@ impl Objective for IncrementalObjective<'_> {
             }
             let time = self
                 .estimator
-                .predict_with_margin(w, &self.pressures[base..base + span])?;
+                .predictor(w)
+                .predict_normalized(&self.pressures[base..base + span])?;
             self.times[AppId(w)] = time;
-        }
-        if let SearchGoal::Qos { target, .. } = self.goal {
-            let base = target * span;
-            self.target_defaulted = self.qos_defaulted(target, &self.pressures[base..base + span]);
         }
         let eval = self.fold(false);
         debug_assert!(
@@ -463,18 +406,9 @@ impl Objective for IncrementalObjective<'_> {
             }
             let time = self
                 .estimator
-                .predict_with_margin(w, &self.spec_pressures[base..base + span])?;
+                .predictor(w)
+                .predict_normalized(&self.spec_pressures[base..base + span])?;
             self.spec_times[app] = time;
-        }
-
-        if let SearchGoal::Qos { target, .. } = self.goal {
-            let app = AppId(target);
-            self.spec_target_defaulted = if self.stamp[app] == self.generation {
-                let base = target * span;
-                self.qos_defaulted(target, &self.spec_pressures[base..base + span])
-            } else {
-                self.target_defaulted
-            };
         }
 
         let eval = self.fold(true);
@@ -510,7 +444,6 @@ impl Objective for IncrementalObjective<'_> {
                 .copy_from_slice(&self.spec_pressures[base..base + span]);
             self.times[app] = self.spec_times[app];
         }
-        self.target_defaulted = self.spec_target_defaulted;
         self.touched.clear();
     }
 
@@ -553,9 +486,7 @@ mod tests {
     use super::*;
     use crate::annealing::{AcceptRule, AnnealConfig};
     use crate::energy::estimate_waste;
-    use crate::estimator::tests::{
-        fake_predictors, fake_problem, DefaultedPredictor, FakePredictor,
-    };
+    use crate::estimator::tests::{fake_predictors, fake_problem, FakePredictor};
     use crate::estimator::RuntimePredictor;
     use crate::objective::reference::anneal_full_recompute;
     use crate::state::PlacementProblem;
@@ -570,12 +501,10 @@ mod tests {
             SearchGoal::Qos {
                 target: 0,
                 max_normalized: 1.25,
-                refuse_defaulted: false,
             },
             SearchGoal::Qos {
                 target: workloads - 1,
                 max_normalized: 1.05,
-                refuse_defaulted: true,
             },
         ]
     }
@@ -640,30 +569,28 @@ mod tests {
     }
 
     #[test]
-    fn delta_evaluation_matches_full_recompute_with_wide_hosts_and_collision() {
+    fn delta_evaluation_matches_full_recompute_with_wide_hosts() {
         // 4 hosts × 3 slots: multi-co-runner hosts exercise the score
-        // combination order and the collision term; the margin path runs
-        // through defaulted predictors.
+        // combination order.
         let problem =
             PlacementProblem::new(4, 3, vec!["a".into(), "b".into(), "c".into(), "d".into()])
                 .expect("valid");
         let base = fake_predictors();
-        let wrapped: Vec<DefaultedPredictor> = vec![
-            DefaultedPredictor(base[0].clone()),
-            DefaultedPredictor(base[1].clone()),
-            DefaultedPredictor(FakePredictor {
+        let predictors = [
+            base[0].clone(),
+            base[1].clone(),
+            FakePredictor {
                 score: 0.7,
                 sensitivity: 0.10,
                 coupled: true,
-            }),
-            DefaultedPredictor(base[3].clone()),
+            },
+            base[3].clone(),
         ];
-        let refs: Vec<&dyn RuntimePredictor> =
-            wrapped.iter().map(|p| p as &dyn RuntimePredictor).collect();
-        let estimator = Estimator::new(&problem, refs)
-            .expect("valid")
-            .with_collision(0.5)
-            .with_conservative_margin(0.25);
+        let refs: Vec<&dyn RuntimePredictor> = predictors
+            .iter()
+            .map(|p| p as &dyn RuntimePredictor)
+            .collect();
+        let estimator = Estimator::new(&problem, refs).expect("valid");
         for goal in goals_for(problem.workloads().len()) {
             sweep(&estimator, goal, 7, 200);
         }
@@ -779,7 +706,6 @@ mod tests {
             SearchGoal::Qos {
                 target: 0,
                 max_normalized: bound,
-                refuse_defaulted: false,
             },
             &config,
             &Tracer::disabled(),
@@ -810,7 +736,6 @@ mod tests {
             SearchGoal::Qos {
                 target: 99,
                 max_normalized: 1.2,
-                refuse_defaulted: false,
             },
         );
         assert!(matches!(out_of_range, Err(PlacementError::Predictor(_))));
@@ -819,7 +744,6 @@ mod tests {
             SearchGoal::Qos {
                 target: 0,
                 max_normalized: f64::NAN,
-                refuse_defaulted: false,
             },
             &AnnealConfig::default(),
             &Tracer::disabled(),
@@ -935,11 +859,12 @@ mod timing {
         let mut acc3 = 0.0;
         for _ in 0..n {
             acc3 += estimator
-                .predict_with_margin(1, black_box(&pressures))
+                .predictor(1)
+                .predict_normalized(black_box(&pressures))
                 .expect("predicts");
         }
         println!(
-            "predict_with_margin: {:.1} ns/call (acc {acc3})",
+            "predict_normalized: {:.1} ns/call (acc {acc3})",
             t.elapsed().as_nanos() as f64 / n as f64
         );
 

@@ -29,6 +29,10 @@
 //! trait, so the paper's full interference model and its naive
 //! proportional baseline are interchangeable — which is exactly the
 //! comparison Figs. 10 and 11 make.
+//! The trait carries no confidence grade: like the paper's §5.2 rule,
+//! the search prices every prediction as the model gives it. Model-cell
+//! quality is graded where it is reported, by the manager and the
+//! daemon.
 //!
 //! # Example
 //!
@@ -81,7 +85,7 @@ pub use annealing::{anneal_with, re_anneal_with, AcceptRule, AnnealConfig, Annea
 pub use dense::{AppId, DenseKey, DenseMap, HostId, SlotId};
 pub use energy::{estimate_waste, place_min_waste, EnergyEstimate};
 pub use error::PlacementError;
-pub use estimator::{Estimator, PlacementEstimate, QualityAwareModel, RuntimePredictor};
+pub use estimator::{Estimator, PlacementEstimate, RuntimePredictor};
 pub use incremental::{anneal_estimator, IncrementalObjective, SearchGoal};
 pub use objective::{Eval, Objective};
 pub use qos::{place_qos, QosConfig, QosOutcome};

@@ -2,8 +2,6 @@
 //! fraction of its solo performance while minimizing everyone's total
 //! runtime.
 
-use icm_core::ModelQuality;
-
 use crate::annealing::AnnealConfig;
 use crate::error::PlacementError;
 use crate::estimator::Estimator;
@@ -16,28 +14,16 @@ pub struct QosConfig {
     /// Guaranteed fraction of solo performance (the paper uses 0.8: the
     /// target may run at most 1/0.8 = 1.25× its solo time).
     pub qos_fraction: f64,
-    /// Refuse placements whose QoS-target prediction rests on defaulted
-    /// (unmeasured, conservatively filled) propagation-matrix cells: the
-    /// search is steered away from them and, if the best placement still
-    /// depends on one, [`place_qos`] errors with
-    /// [`PlacementError::LowConfidence`] rather than promise a guarantee
-    /// the model cannot back.
-    pub refuse_defaulted: bool,
     /// Search configuration.
     pub anneal: AnnealConfig,
 }
 
-icm_json::impl_json!(struct QosConfig {
-    qos_fraction,
-    refuse_defaulted = false,
-    anneal
-});
+icm_json::impl_json!(struct QosConfig { qos_fraction, anneal });
 
 impl Default for QosConfig {
     fn default() -> Self {
         Self {
             qos_fraction: 0.8,
-            refuse_defaulted: false,
             anneal: AnnealConfig::default(),
         }
     }
@@ -63,8 +49,6 @@ pub struct QosOutcome {
     pub predicted_times: Vec<f64>,
     /// Predicted weighted total (the Fig. 10 right-axis metric).
     pub predicted_total: f64,
-    /// Provenance of the target's prediction under the chosen placement.
-    pub target_quality: ModelQuality,
 }
 
 icm_json::impl_json!(struct QosOutcome {
@@ -73,7 +57,6 @@ icm_json::impl_json!(struct QosOutcome {
     predicted_target_time,
     predicted_times,
     predicted_total,
-    target_quality = ModelQuality::Measured,
 });
 
 /// Finds a placement that (per the given predictors) keeps workload
@@ -86,11 +69,7 @@ icm_json::impl_json!(struct QosOutcome {
 /// Returns [`PlacementError::Predictor`] for model mismatches, or
 /// propagates search failures. An infeasible constraint is *not* an
 /// error: the outcome reports `predicted_satisfied = false` with the best
-/// placement found. With
-/// [`refuse_defaulted`](QosConfig::refuse_defaulted) set, a best
-/// placement whose target prediction rests on defaulted model cells *is*
-/// an error ([`PlacementError::LowConfidence`]) — the guarantee cannot be
-/// backed by measurements.
+/// placement found.
 pub fn place_qos(
     estimator: &Estimator<'_>,
     target: usize,
@@ -105,28 +84,15 @@ pub fn place_qos(
         )));
     }
     let bound = config.max_normalized_time();
-    let target_quality = |state: &PlacementState| {
-        let pressures = estimator.pressures_for(state, target);
-        estimator.predictor(target).prediction_quality(&pressures)
-    };
     let result = anneal_estimator(
         estimator,
         SearchGoal::Qos {
             target,
             max_normalized: bound,
-            refuse_defaulted: config.refuse_defaulted,
         },
         &config.anneal,
         &icm_obs::Tracer::disabled(),
     )?;
-    let quality = target_quality(&result.state);
-    if config.refuse_defaulted && quality == ModelQuality::Defaulted {
-        return Err(PlacementError::LowConfidence(format!(
-            "QoS target `{}` prediction depends on defaulted model cells in every \
-             acceptable placement",
-            estimator.problem().workloads()[target]
-        )));
-    }
     let estimate = estimator.estimate(&result.state)?;
     Ok(QosOutcome {
         predicted_satisfied: estimate.normalized_times[target] <= bound,
@@ -134,7 +100,6 @@ pub fn place_qos(
         predicted_total: estimate.weighted_total,
         predicted_times: estimate.normalized_times,
         state: result.state,
-        target_quality: quality,
     })
 }
 
@@ -227,57 +192,6 @@ mod tests {
             ..QosConfig::default()
         };
         assert!(place_qos(&estimator, 0, &bad2).is_err());
-    }
-
-    #[test]
-    fn refuse_defaulted_rejects_low_confidence_targets() {
-        use crate::estimator::tests::DefaultedPredictor;
-        let (problem, predictors) = setup();
-        let wrapped: Vec<DefaultedPredictor> =
-            predictors.into_iter().map(DefaultedPredictor).collect();
-        let refs: Vec<&dyn RuntimePredictor> =
-            wrapped.iter().map(|p| p as &dyn RuntimePredictor).collect();
-        let estimator = Estimator::new(&problem, refs).expect("valid");
-        // Tolerant mode places anyway, but reports the provenance.
-        let outcome = place_qos(&estimator, 0, &QosConfig::default()).expect("places");
-        assert_eq!(outcome.target_quality, ModelQuality::Defaulted);
-        // Strict mode refuses: the guarantee cannot be backed.
-        let strict = QosConfig {
-            refuse_defaulted: true,
-            ..QosConfig::default()
-        };
-        let err = place_qos(&estimator, 0, &strict).expect_err("refuses");
-        assert!(matches!(err, PlacementError::LowConfidence(_)));
-        assert!(err.to_string().contains("sensitive"));
-    }
-
-    #[test]
-    fn measured_targets_pass_strict_mode() {
-        let (problem, predictors) = setup();
-        let refs: Vec<&dyn RuntimePredictor> = predictors
-            .iter()
-            .map(|p| p as &dyn RuntimePredictor)
-            .collect();
-        let estimator = Estimator::new(&problem, refs).expect("valid");
-        let strict = QosConfig {
-            refuse_defaulted: true,
-            ..QosConfig::default()
-        };
-        let outcome = place_qos(&estimator, 0, &strict).expect("places");
-        assert_eq!(outcome.target_quality, ModelQuality::Measured);
-        assert!(outcome.predicted_satisfied);
-    }
-
-    #[test]
-    fn qos_config_json_defaults_stay_tolerant() {
-        // Configs serialized before `refuse_defaulted` existed must parse
-        // to the tolerant behaviour.
-        let full = icm_json::to_string(&QosConfig::default());
-        let sparse = full.replace("\"refuse_defaulted\":false,", "");
-        assert_ne!(full, sparse, "field present in serialized form");
-        let parsed: QosConfig = icm_json::from_str(&sparse).expect("parses");
-        assert!(!parsed.refuse_defaulted);
-        assert_eq!(parsed, QosConfig::default());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use icm_obs::Tracer;
 use icm_placement::{
-    anneal_estimator, AnnealConfig, Estimator, PlacementError, PlacementProblem, PlacementState,
-    RuntimePredictor, SearchGoal,
+    anneal_estimator, AnnealConfig, Estimator, IncrementalObjective, Objective, PlacementError,
+    PlacementProblem, PlacementState, RuntimePredictor, SearchGoal,
 };
 use icm_rng::Rng;
 
@@ -189,4 +189,121 @@ fn pressures_reference_actual_corunners() {
             }
         }
     }
+}
+
+/// A predictor that reads both the worst and the mean pressure, so its
+/// answer depends on every entry of the pressure vector and on the
+/// order the mean sums them in.
+struct PeakMeanPredictor {
+    score: f64,
+    sensitivity: f64,
+}
+
+impl RuntimePredictor for PeakMeanPredictor {
+    fn predict_normalized(&self, pressures: &[f64]) -> Result<f64, PlacementError> {
+        let peak = pressures.iter().cloned().fold(0.0f64, f64::max);
+        let mean = pressures.iter().sum::<f64>() / pressures.len() as f64;
+        Ok(1.0 + self.sensitivity * (0.6 * peak + 0.4 * mean))
+    }
+
+    fn bubble_score(&self) -> f64 {
+        self.score
+    }
+
+    fn solo_seconds(&self) -> f64 {
+        50.0 + 10.0 * self.score
+    }
+}
+
+/// `state` with its hosts relabelled: host `h`'s whole slot block moves
+/// to host `perm[h]`, keeping its slot order.
+fn relabel_hosts(
+    problem: &PlacementProblem,
+    state: &PlacementState,
+    perm: &[usize],
+) -> PlacementState {
+    let per_host = problem.slots_per_host();
+    let mut assignment = vec![0; state.assignment().len()];
+    for (h, &to) in perm.iter().enumerate() {
+        assignment[to * per_host..(to + 1) * per_host]
+            .copy_from_slice(&state.assignment()[h * per_host..(h + 1) * per_host]);
+    }
+    PlacementState::new(problem, assignment).expect("a relabelled state stays valid")
+}
+
+/// Relabelling hosts changes no goal's evaluation: the estimator's cost
+/// is invariant under host permutation, on the paper's 8×2 shape and on
+/// a 4×3 shape whose slots see two co-runners each. A workload's
+/// pressures come out in a different order, so its mean may differ in
+/// the last bits: costs and violations are compared to 1e-12 relative,
+/// and the share of bit-exact cases is printed.
+#[test]
+fn host_relabelling_leaves_every_goal_unchanged() {
+    let mut outer = Rng::from_seed(0x91_0005);
+    let names = || vec!["a".into(), "b".into(), "c".into(), "d".into()];
+    let shapes = [
+        paper_problem(),
+        PlacementProblem::new(4, 3, names()).expect("valid"),
+    ];
+    let goals = [
+        SearchGoal::MinWeightedTotal,
+        SearchGoal::MaxWeightedTotal,
+        SearchGoal::MinWaste,
+        SearchGoal::Qos {
+            target: 0,
+            max_normalized: 1.25,
+        },
+        SearchGoal::Qos {
+            target: 3,
+            max_normalized: 1.05,
+        },
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    let (mut compared, mut exact) = (0usize, 0usize);
+    for problem in &shapes {
+        for case in 0..CASES / 4 {
+            let predictors: Vec<PeakMeanPredictor> = (0..4)
+                .map(|_| PeakMeanPredictor {
+                    score: outer.gen_f64_range(0.1, 7.0),
+                    sensitivity: outer.gen_f64_range(0.0, 0.3),
+                })
+                .collect();
+            let refs: Vec<&dyn RuntimePredictor> = predictors
+                .iter()
+                .map(|p| p as &dyn RuntimePredictor)
+                .collect();
+            let estimator = Estimator::new(problem, refs).expect("valid");
+            let mut rng = Rng::from_seed(outer.next_u64());
+            let state = PlacementState::random(problem, &mut rng);
+            let mut perm: Vec<usize> = (0..problem.hosts()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_range(0..i + 1));
+            }
+            let relabelled = relabel_hosts(problem, &state, &perm);
+            for goal in goals {
+                let mut objective = IncrementalObjective::new(&estimator, goal).expect("valid");
+                let original = objective.reset(&state).expect("evaluates");
+                let moved = objective.reset(&relabelled).expect("evaluates");
+                assert!(
+                    close(original.cost, moved.cost),
+                    "case {case} {goal:?} under {perm:?}: cost {} vs {}",
+                    original.cost,
+                    moved.cost
+                );
+                assert!(
+                    close(original.violation, moved.violation),
+                    "case {case} {goal:?} under {perm:?}: violation {} vs {}",
+                    original.violation,
+                    moved.violation
+                );
+                compared += 1;
+                if original.cost.to_bits() == moved.cost.to_bits()
+                    && original.violation.to_bits() == moved.violation.to_bits()
+                {
+                    exact += 1;
+                }
+            }
+        }
+    }
+    println!("host relabelling: {exact} of {compared} evaluations bit-exact");
 }

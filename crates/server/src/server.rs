@@ -630,13 +630,7 @@ impl Server {
                         return self.refuse(slot, ErrorCode::Unavailable, e.to_string(), replies)
                     }
                 };
-                let quality = match self.fleet.apps()[index].quality.as_ref() {
-                    None => icm_core::ModelQuality::Measured.as_str(),
-                    Some(grid) => {
-                        let hom = online.base().convert(&pressures);
-                        grid.at_hom(hom.pressure, hom.nodes).as_str()
-                    }
-                };
+                let quality = self.fleet.apps()[index].quality_at(&pressures).as_str();
                 self.cache.put(
                     &app,
                     &key,

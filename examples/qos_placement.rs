@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 iterations: 4000,
                 ..AnnealConfig::default()
             },
-            ..QosConfig::default()
         },
     )?;
     println!();

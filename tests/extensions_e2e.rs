@@ -146,7 +146,7 @@ fn three_tenant_host_prediction_verified_against_simulator() {
         .score(&mut testbed, "M.zeus", 3)
         .expect("scores");
     let score_b = calibration.score(&mut testbed, "H.KM", 3).expect("scores");
-    let combined = combine_scores(&[score_a, score_b], 0.0);
+    let combined = combine_scores(&[score_a, score_b]);
     let predicted = model.predict(&vec![combined; model.hosts()]);
 
     let hosts: Vec<usize> = (0..8).collect();

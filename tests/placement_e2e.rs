@@ -71,7 +71,6 @@ fn qos_placement_guarantee_verified_on_simulator() {
                 iterations: 1500,
                 ..AnnealConfig::default()
             },
-            ..QosConfig::default()
         },
     )
     .expect("places");

@@ -294,7 +294,11 @@ fn history_matches_uncached(
 
 /// Snapshots store seeds as JSON numbers, exact up to 2^53 (the CLIs
 /// refuse larger seeds): a world at the largest accepted seed must
-/// snapshot, parse and restore to byte-identical text.
+/// snapshot, parse and restore to byte-identical text, and resume.
+///
+/// The same holds for the text an older version wrote of that world:
+/// its QoS policy still carried a `"refuse_defaulted":false` key, which
+/// decoding ignores, so it restores to this version's bytes.
 #[test]
 fn a_world_at_seed_two_to_the_53_restores_byte_identically() {
     let cfg = ExpConfig {
@@ -308,9 +312,28 @@ fn a_world_at_seed_two_to_the_53_restores_byte_identically() {
     }
     let text = world.snapshot(&tracer, None, 0).to_text();
     assert!(text.contains("9007199254740992"), "the seed is stored");
-    let parsed = WorldSnapshot::parse(&text).expect("parses");
-    let mut restored = World::restore(parsed, &tracer).expect("restores");
-    assert_eq!(restored.snapshot(&tracer, None, 0).to_text(), text);
+    world.step(&tracer).expect("steps");
+    let next = world.snapshot(&tracer, None, 0).to_text();
+
+    let qos = text
+        .find("\"qos\":{")
+        .expect("the manager config is stored");
+    let anneal = qos
+        + text[qos..]
+            .find("\"anneal\":")
+            .expect("qos holds its search");
+    let older = format!(
+        "{}\"refuse_defaulted\":false,{}",
+        &text[..anneal],
+        &text[anneal..]
+    );
+    for input in [&text, &older] {
+        let parsed = WorldSnapshot::parse(input).expect("parses");
+        let mut restored = World::restore(parsed, &tracer).expect("restores");
+        assert_eq!(restored.snapshot(&tracer, None, 0).to_text(), text);
+        restored.step(&tracer).expect("resumes");
+        assert_eq!(restored.snapshot(&tracer, None, 0).to_text(), next);
+    }
 }
 
 #[test]

@@ -119,7 +119,6 @@ fn mix_searches() -> Vec<String> {
     let qos = SearchGoal::Qos {
         target: 0,
         max_normalized: 1.05,
-        refuse_defaulted: false,
     };
     let (qos_result, line) = traced("qos-infeasible-start", |tracer| {
         anneal_estimator(&estimator, qos, &greedy, tracer)
