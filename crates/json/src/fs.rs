@@ -10,15 +10,15 @@
 //!   the old bytes or the new bytes. It always syncs.
 //! * [`SnapshotStore`] — a directory of numbered snapshot generations
 //!   (`gen-000042.icmsnap`), each framed with a header carrying a
-//!   format version, an FNV-1a 64 checksum, and the payload length.
-//!   Loading walks generations newest-first and falls back to the
-//!   previous good generation when the newest is torn or corrupt, so a
-//!   crash mid-checkpoint (or a flipped bit on disk) costs at most one
-//!   checkpoint interval — never the whole run. That one walk
-//!   ([`SnapshotStore::load_newest`]) also takes the caller's payload
-//!   check, so a generation whose payload is refused (say, an unknown
-//!   format version) is skipped the same way. The store trusts its own
-//!   writes: it lists the directory once at open, numbers new
+//!   format version, a [`checksum64`] (XXH64) of the payload, and the
+//!   payload length. Loading walks generations newest-first and falls
+//!   back to the previous good generation when the newest is torn or
+//!   corrupt, so a crash mid-checkpoint (or a flipped bit on disk)
+//!   costs at most one checkpoint interval — never the whole run. That
+//!   one walk ([`SnapshotStore::load_newest`]) also takes the caller's
+//!   payload check, so a generation whose payload is refused (say, an
+//!   unknown format version) is skipped the same way. The store trusts
+//!   its own writes: it lists the directory once at open, numbers new
 //!   generations from what it has seen, and never re-reads a generation
 //!   it wrote itself. Whether it fsyncs is the caller's choice
 //!   ([`SnapshotStore::open_with_sync`]); the default is to sync.
@@ -26,6 +26,12 @@
 //! The framing is deliberately independent of the payload format: the
 //! store checksums opaque bytes, and callers layer their own versioned
 //! JSON payload (e.g. `icm-manager`'s `WorldSnapshot`) on top.
+//!
+//! [`checksum64`] is the one integrity checksum of the durable formats
+//! (the server's line logs use it too). It hashes a word at a time, so
+//! verifying a megabyte-sized snapshot costs a fraction of writing it.
+//! [`fnv1a64`] stays only as the digest the golden tests and the
+//! flamegraph palette print.
 
 use std::cell::Cell;
 use std::fmt;
@@ -107,11 +113,12 @@ fn write_atomically(path: &Path, parts: &[&[u8]], sync: bool) -> io::Result<()> 
     Ok(())
 }
 
-/// FNV-1a 64-bit checksum of `bytes`.
+/// FNV-1a 64-bit digest of `bytes`.
 ///
-/// Not cryptographic — it guards against torn writes and bit rot, not
-/// adversaries. Chosen because it is tiny, dependency-free, and has no
-/// degenerate all-zero fixed point for non-empty input.
+/// A fingerprint, not a durability check: the golden tests print it
+/// over whole documents and the flamegraph picks a span's colour from
+/// it, so its values must never move. It is byte-serial, so nothing
+/// durable is framed with it; [`checksum64`] guards the bytes on disk.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -123,9 +130,89 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Store framing version (the header's `v1`). Independent of any
-/// payload version the caller embeds.
-pub const STORE_VERSION: u64 = 1;
+// The five 64-bit primes of the XXH64 specification.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh_merge(hash: u64, lane: u64) -> u64 {
+    (hash ^ xxh_round(0, lane))
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
+}
+
+/// XXH64 (seed 0) of `bytes`: the integrity checksum of every durable
+/// framing in the workspace — snapshot generations and the server's
+/// line logs.
+///
+/// Not cryptographic — it guards against torn writes and bit rot, not
+/// adversaries. It consumes 32 bytes per step in four independent
+/// lanes, so it runs at memory speed where a byte-serial hash such as
+/// [`fnv1a64`] is bound by one multiply per byte.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.into_iter().fold(hash, xxh_merge)
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    let mut halves = words.remainder().chunks_exact(4);
+    for half in &mut halves {
+        let word = u32::from_le_bytes(half.try_into().expect("a 4-byte chunk"));
+        hash = (hash ^ u64::from(word).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+    }
+    for &byte in halves.remainder() {
+        hash = (hash ^ u64::from(byte).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
+/// Store framing version (the header's `v2`). Independent of any
+/// payload version the caller embeds. Version 1 framed generations
+/// with [`fnv1a64`]; version 2 frames them with [`checksum64`], and a
+/// version 1 generation is refused as [`LoadError::UnknownVersion`].
+pub const STORE_VERSION: u64 = 2;
 
 const SNAP_EXT: &str = "icmsnap";
 const HEADER_MAGIC: &str = "icmsnap";
@@ -140,7 +227,9 @@ pub enum LoadError {
     Io(String),
     /// The first line is not a valid `icmsnap` header.
     BadHeader(String),
-    /// The store framing version is newer than this build understands.
+    /// The store framing version is not the one this build writes:
+    /// newer than it understands, or an older framing it no longer
+    /// reads.
     UnknownVersion(u64),
     /// The payload is shorter or longer than the header promised
     /// (classic torn write).
@@ -306,7 +395,7 @@ impl SnapshotStore {
         }
         let header = format!(
             "{HEADER_MAGIC} v{STORE_VERSION} {checksum:016x} {len}\n",
-            checksum = fnv1a64(payload),
+            checksum = checksum64(payload),
             len = payload.len()
         );
         let path = self.path_of(generation);
@@ -351,7 +440,7 @@ impl SnapshotStore {
                 got: payload.len(),
             });
         }
-        let got_checksum = fnv1a64(payload);
+        let got_checksum = checksum64(payload);
         if got_checksum != expected_checksum {
             return Err(LoadError::ChecksumMismatch {
                 expected: expected_checksum,
@@ -529,6 +618,18 @@ mod tests {
     }
 
     #[test]
+    fn checksum64_matches_published_xxh64_vectors() {
+        // Published XXH64 values, seed 0.
+        assert_eq!(checksum64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(checksum64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(checksum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            checksum64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
     fn save_load_round_trips_and_generations_grow() {
         let dir = tmpdir("gen");
         let store = SnapshotStore::open(&dir).unwrap();
@@ -591,9 +692,74 @@ mod tests {
         store.save(b"payload").unwrap();
         let path = dir.join("gen-000001.icmsnap");
         let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
-        fs::write(&path, text.replacen("icmsnap v1 ", "icmsnap v9 ", 1)).unwrap();
+        fs::write(&path, text.replacen("icmsnap v2 ", "icmsnap v9 ", 1)).unwrap();
         assert_eq!(store.load(1), Err(LoadError::UnknownVersion(9)));
         assert!(matches!(store.load_latest(), Err(StoreError::NoneValid(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_fnv_framed_generation_is_refused() {
+        let dir = tmpdir("v1");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(b"current framing").unwrap();
+        // A generation as the version 1 store wrote it.
+        let payload = b"fnv framing";
+        let header = format!("icmsnap v1 {:016x} {}\n", fnv1a64(payload), payload.len());
+        let old = [header.as_bytes(), payload].concat();
+        let path = dir.join("gen-000002.icmsnap");
+        fs::write(&path, &old).unwrap();
+        assert_eq!(store.load(2), Err(LoadError::UnknownVersion(1)));
+        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        assert_eq!(
+            (generation, payload.as_slice()),
+            (1, b"current framing".as_slice())
+        );
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            old,
+            "a refused generation is left as it is"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_single_byte_flip_falls_back_or_loads_what_was_written() {
+        let dir = tmpdir("flips");
+        let store = SnapshotStore::open(&dir).unwrap();
+        let payloads: [&[u8]; 2] = [b"first generation", b"second, a little longer"];
+        for payload in payloads {
+            store.save(payload).unwrap();
+        }
+        let mut fallbacks = 0;
+        for generation in [1u64, 2] {
+            let path = dir.join(format!("gen-{generation:06}.icmsnap"));
+            let original = fs::read(&path).unwrap();
+            for at in 0..original.len() {
+                for mask in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                    let mut damaged = original.clone();
+                    damaged[at] ^= mask;
+                    fs::write(&path, &damaged).unwrap();
+                    let context = format!("generation {generation} byte {at} ^ {mask:#04x}");
+                    // Any generation that loads holds exactly what was
+                    // saved into it, and damage to the newest falls
+                    // back to the one before.
+                    for g in [1u64, 2] {
+                        if let Ok(payload) = store.load(g) {
+                            assert_eq!(payload, payloads[g as usize - 1], "{context}");
+                        }
+                    }
+                    let (newest, payload) = store.load_latest().unwrap().unwrap();
+                    assert_eq!(payload, payloads[newest as usize - 1], "{context}");
+                    assert!(newest == 2 || generation == 2, "{context}");
+                    if newest == 1 {
+                        fallbacks += 1;
+                    }
+                }
+            }
+            fs::write(&path, &original).unwrap();
+        }
+        assert!(fallbacks > 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -770,7 +936,7 @@ mod tests {
         }
         assert_eq!(
             fs::read(synced.join("gen-000001.icmsnap")).unwrap(),
-            b"icmsnap v1 89d7ed7f996f1d41 5\nfirst"
+            b"icmsnap v2 cc98257fe4be8f5a 5\nfirst"
         );
         assert!(!unsynced.join("gen-000003.icmsnap.tmp").exists());
         fs::remove_dir_all(&synced).unwrap();

@@ -935,7 +935,10 @@ fn load_snapshot(store: &SnapshotStore) -> Result<Option<ServerSnapshot>, Server
     });
     match newest {
         Ok(found) => Ok(found.map(|(_, snapshot)| snapshot)),
-        Err(e) => Err(ServerError::new(format!("no usable checkpoint: {e}"))),
+        Err(e) => Err(ServerError::new(format!(
+            "no usable checkpoint in {}: {e}",
+            store.dir().display()
+        ))),
     }
 }
 

@@ -553,6 +553,70 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
+/// Damage in the middle of either log is not a torn tail: the restart
+/// is refused with an error naming that log, and the log is left as it
+/// is.
+#[test]
+fn mid_file_damage_in_either_log_is_refused_naming_the_log() {
+    let frames = unstamped_frames();
+    for name in ["journal.log", "intake.log"] {
+        let dir = scratch(&format!("refuse-{name}"));
+        let mut server = Server::start(fast_config(), Some(&dir)).expect("starts");
+        serve(&mut server, &frames[..frames.len() / 2]);
+        drop(server); // the kill: nothing drains
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).expect("reads");
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x20;
+        std::fs::write(&path, &bytes).expect("damages");
+        let err = Server::start(fast_config(), Some(&dir))
+            .err()
+            .expect("a damaged log is refused");
+        let message = err.to_string();
+        assert!(message.contains(name), "{message}");
+        assert!(message.contains("mid-file damage"), "{message}");
+        assert_eq!(
+            std::fs::read(&path).expect("reads"),
+            bytes,
+            "{name} was changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Checkpoints of the older store framing (`icmsnap v1`) are refused,
+/// not read: with no other generation the restart fails naming the
+/// checkpoint directory and the version.
+#[test]
+fn a_daemon_with_only_v1_checkpoints_is_refused_naming_them() {
+    let dir = scratch("v1-checkpoints");
+    let mut config = fast_config();
+    config.checkpoint_every = 5;
+    let mut server = Server::start(config.clone(), Some(&dir)).expect("starts");
+    serve(&mut server, &unstamped_frames()[..12]);
+    drop(server);
+    let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store opens");
+    let generations = store.generations().expect("lists");
+    assert!(!generations.is_empty());
+    for generation in generations {
+        let path = dir.join(format!("checkpoints/gen-{generation:06}.icmsnap"));
+        let mut bytes = std::fs::read(&path).expect("reads");
+        assert_eq!(&bytes[..11], b"icmsnap v2 ");
+        bytes[9] = b'1';
+        std::fs::write(&path, &bytes).expect("rewrites");
+    }
+    let message = Server::start(config, Some(&dir))
+        .err()
+        .expect("v1 checkpoints are refused")
+        .to_string();
+    assert!(message.contains("checkpoints"), "{message}");
+    assert!(
+        message.contains("unknown snapshot store version 1"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `sync: false` changes durability, never bytes: a daemon that skips
 /// every fsync — journal, intake log and checkpoints — killed after it
 /// has checkpointed, recovers from that checkpoint and completes the

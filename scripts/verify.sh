@@ -34,6 +34,15 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # (ROADMAP item 4).
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
+
+# Flips one bit (0x20) of the byte in the middle of file $1, in place.
+flip_middle_byte() {
+    MID=$(($(wc -c < "$1") / 2))
+    BYTE=$(od -An -tu1 -j "$MID" -N1 "$1" | tr -d ' ')
+    # shellcheck disable=SC2059 # the format is the flipped byte, in octal
+    printf "\\$(printf '%03o' $((BYTE ^ 32)))" \
+        | dd of="$1" bs=1 seek="$MID" conv=notrunc 2> /dev/null
+}
 ./target/release/icm-experiments fig2 fig3 fig4 table3 fig12 \
     table4 fig8 ablation-multiapp ext-phases --fast --quiet \
     --trace "$SMOKE/a.jsonl" --results "$SMOKE/results.json" \
@@ -150,11 +159,7 @@ fi
 GEN2="$SMOKE/kill-ckpt/gen-000002.icmsnap"
 test -s "$GEN2" \
     || { echo "verify: the killed run left no second checkpoint generation" >&2; exit 1; }
-MID=$(($(wc -c < "$GEN2") / 2))
-BYTE=$(od -An -tu1 -j "$MID" -N1 "$GEN2" | tr -d ' ')
-# shellcheck disable=SC2059 # the format is the flipped byte, in octal
-printf "\\$(printf '%03o' $((BYTE ^ 32)))" \
-    | dd of="$GEN2" bs=1 seek="$MID" conv=notrunc 2> /dev/null
+flip_middle_byte "$GEN2"
 ./target/release/icm-experiments --resume "$SMOKE/kill-ckpt" --fast \
     --checkpoint-every 2 --checkpoint-dir "$SMOKE/kill-ckpt" \
     --trace "$SMOKE/endure-kill.jsonl" --results "$SMOKE/endure-kill.json" \
@@ -221,6 +226,22 @@ test -s "$SMOKE/kill-serve/journal.log" \
 test -n "$(ls "$SMOKE/kill-serve/checkpoints")" \
     || { echo "verify: the killed daemon left no checkpoint" >&2; exit 1; }
 cp "$SMOKE/kill-serve/journal.log" "$SMOKE/pre-kill-journal.log"
+# Refusal smoke: a copy of the killed state with one byte flipped in the
+# middle of its intake log. That is damage with entries after it, not a
+# torn tail, so the restart must refuse, name the log, and leave it as
+# it is.
+cp -R "$SMOKE/kill-serve" "$SMOKE/damaged-serve"
+INTAKE="$SMOKE/damaged-serve/intake.log"
+flip_middle_byte "$INTAKE"
+cp "$INTAKE" "$SMOKE/damaged-intake.log"
+if ./target/release/icm-server --fast --state "$SMOKE/damaged-serve" --checkpoint-every 6 \
+    --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null 2> "$SMOKE/damaged.log"; then
+    echo "verify: the daemon started on a damaged intake log" >&2; exit 1
+fi
+grep -qF "intake.log" "$SMOKE/damaged.log" \
+    || { echo "verify: the refusal does not name intake.log" >&2; exit 1; }
+cmp "$INTAKE" "$SMOKE/damaged-intake.log" \
+    || { echo "verify: the refused intake log was changed" >&2; exit 1; }
 ./target/release/icm-server --fast --state "$SMOKE/kill-serve" --checkpoint-every 6 \
     --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null
 head -c "$(wc -c < "$SMOKE/pre-kill-journal.log")" "$SMOKE/kill-serve/journal.log" \
