@@ -66,8 +66,8 @@ fn main() {
         estimator.estimate(black_box(&state)).expect("estimates")
     });
 
-    // Incremental (delta-evaluated) search — the hot path every caller
-    // runs.
+    // The estimator-goal search every `place_*` entry point runs: each
+    // candidate the memo cannot answer is priced by one full `estimate`.
     for iterations in [500usize, 4000] {
         b.bench(&format!("placement/anneal/iterations/{iterations}"), || {
             anneal_estimator(

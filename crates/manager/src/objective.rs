@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use icm_placement::{Eval, Objective, PlacementError, PlacementState};
+use icm_placement::{Eval, PlacementError, PlacementState};
 
 use crate::fleet::Fleet;
 
@@ -90,13 +90,12 @@ fn fleet_cost(
 /// asserted bit-for-bit in tests), but with pooled per-host/per-app
 /// scratch and a co-runner-signature cache instead of fresh
 /// `Vec`/`BTreeSet`/`String` allocations per candidate. One instance
-/// per search.
+/// per search, passed to the search as `|state| objective.eval(state)`.
 ///
-/// A probe prices every live application; the search's probe memo
-/// spares it redrawn neighbours. On the fleets this workspace runs
-/// (three applications spanning four of eight hosts) a swap's two hosts
-/// miss only about a fifth of the applications, too few to pay for a
-/// second, delta-evaluating engine.
+/// Every evaluation prices every live application; the search's memo
+/// spares it redrawn neighbours. The scratch and the signature cache
+/// never change an answer, so [`eval`](Self::eval) is a pure function
+/// of the assignment, as the memo requires.
 pub struct FleetObjective<'a> {
     fleet: &'a Fleet,
     live: &'a [bool],
@@ -153,7 +152,13 @@ impl<'a> FleetObjective<'a> {
         })
     }
 
-    fn eval(&mut self, state: &PlacementState) -> Result<f64, PlacementError> {
+    /// Prices `state`: the fleet cost, never a violation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlacementError::Predictor`] when an application's
+    /// online model fails to predict.
+    pub fn eval(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
         let problem = self.fleet.problem();
         let per_host = problem.slots_per_host();
         for list in &mut self.residents {
@@ -222,25 +227,10 @@ impl<'a> FleetObjective<'a> {
                 total += self.suspicion[host] * SUSPICION_COST_S;
             }
         }
-        Ok(total)
-    }
-}
-
-impl Objective for FleetObjective<'_> {
-    fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
         Ok(Eval {
-            cost: self.eval(state)?,
+            cost: total,
             violation: 0.0,
         })
-    }
-
-    fn probe(
-        &mut self,
-        state: &PlacementState,
-        _a: usize,
-        _b: usize,
-    ) -> Result<Eval, PlacementError> {
-        self.reset(state)
     }
 }
 
@@ -280,10 +270,10 @@ mod tests {
         Fleet::new(8, 2, SPAN, apps).expect("fleet packs")
     }
 
-    /// Every reset and every probe along seeded swap chains prices the
-    /// state exactly as the reference, for each live/suspicion pattern —
-    /// including the daemon's query (all live, zero suspicion) on the
-    /// daemon's three-application fleet.
+    /// Every evaluation along seeded swap chains prices the state exactly
+    /// as the reference, for each live/suspicion pattern — including the
+    /// daemon's query (all live, zero suspicion) on the daemon's
+    /// three-application fleet.
     #[test]
     fn pooled_objective_matches_the_reference_cost_bit_for_bit() {
         let mut rng = Rng::from_seed(0xF1EE7);
@@ -296,22 +286,16 @@ mod tests {
                     fleet_cost(&fleet, live, suspicion, state).expect("reference cost")
                 };
                 for _ in 0..10 {
-                    let mut state = PlacementState::random(problem, &mut rng);
-                    let eval = objective.reset(&state).expect("pooled cost");
-                    assert_eq!(eval.cost.to_bits(), reference(&state).to_bits());
-                    assert_eq!(eval.violation, 0.0);
-                    for _ in 0..10 {
-                        let (a, b, next) = random_swap(&state, problem, &mut rng);
-                        let probe = objective.probe(&next, a, b).expect("probe");
-                        let expected = reference(&next);
+                    for state in swap_chain(problem, &mut rng, 10) {
+                        let eval = objective.eval(&state).expect("pooled cost");
+                        let expected = reference(&state);
                         assert_eq!(
-                            probe.cost.to_bits(),
+                            eval.cost.to_bits(),
                             expected.to_bits(),
                             "pooled {} != reference {expected}",
-                            probe.cost
+                            eval.cost
                         );
-                        objective.accept();
-                        state = next;
+                        assert_eq!(eval.violation, 0.0);
                     }
                 }
             }
@@ -336,52 +320,48 @@ mod tests {
         out
     }
 
-    /// A uniformly drawn valid swap of `state` and the state it leads to.
-    fn random_swap(
-        state: &PlacementState,
+    /// A random start and `moves` uniformly drawn valid swaps from it:
+    /// the chain of states the walk visits.
+    fn swap_chain(
         problem: &icm_placement::PlacementProblem,
         rng: &mut Rng,
-    ) -> (usize, usize, PlacementState) {
+        moves: usize,
+    ) -> Vec<PlacementState> {
         let slots = problem.slots() as u64;
-        loop {
+        let mut chain = vec![PlacementState::random(problem, rng)];
+        while chain.len() <= moves {
             let a = (rng.next_u64() % slots) as usize;
             let b = (rng.next_u64() % slots) as usize;
-            if let Some(next) = state.swap(problem, a, b) {
-                return (a, b, next);
+            if let Some(next) = chain[chain.len() - 1].swap(problem, a, b) {
+                chain.push(next);
             }
         }
+        chain
     }
 
-    /// The search's probe memo keys a neighbour on its unordered slot
-    /// pair, so `probe(a, b)` and `probe(b, a)` of one neighbour must be
-    /// the same bits, under every live/suspicion pattern, along random
-    /// accept/reject chains.
+    /// The search memo answers a redrawn neighbour with the bits it was
+    /// first priced at, so an evaluation must not depend on what the
+    /// objective evaluated before: along seeded swap chains, one
+    /// long-lived objective prices each state in chain order, in reverse
+    /// and as its first evaluation exactly alike, under every
+    /// live/suspicion pattern.
     #[test]
-    fn probes_are_symmetric_in_the_swapped_slots() {
+    fn eval_is_a_pure_function_of_the_state() {
         let mut rng = Rng::from_seed(0x5EED);
         for names in [&["M.milc", "H.KM"][..], &["M.milc", "M.Gems", "H.KM"]] {
             let fleet = fleet_fixture(names);
-            let problem = fleet.problem();
             for (live, suspicion) in &patterns(&fleet) {
+                let chain = swap_chain(fleet.problem(), &mut rng, 60);
+                let bits = |eval: Eval| (eval.cost.to_bits(), eval.violation.to_bits());
                 let mut objective = FleetObjective::new(&fleet, live, suspicion);
-                let mut state = PlacementState::random(problem, &mut rng);
-                objective.reset(&state).expect("pooled cost");
-                for _ in 0..60 {
-                    let (a, b, next) = random_swap(&state, problem, &mut rng);
-                    let forward = objective.probe(&next, a, b).expect("probe");
-                    objective.reject();
-                    let backward = objective.probe(&next, b, a).expect("probe");
-                    assert_eq!(
-                        (forward.cost.to_bits(), forward.violation.to_bits()),
-                        (backward.cost.to_bits(), backward.violation.to_bits()),
-                        "probe ({a}, {b}) != probe ({b}, {a})"
-                    );
-                    if rng.gen_bool(0.5) {
-                        objective.accept();
-                        state = next;
-                    } else {
-                        objective.reject();
-                    }
+                let mut price = |state: &PlacementState| bits(objective.eval(state).expect("cost"));
+                let forward: Vec<_> = chain.iter().map(&mut price).collect();
+                let mut backward: Vec<_> = chain.iter().rev().map(&mut price).collect();
+                backward.reverse();
+                assert_eq!(forward, backward, "order changed an evaluation");
+                for (state, expected) in chain.iter().zip(&forward) {
+                    let mut fresh = FleetObjective::new(&fleet, live, suspicion);
+                    assert_eq!(bits(fresh.eval(state).expect("cost")), *expected);
                 }
             }
         }
@@ -406,9 +386,10 @@ mod tests {
                     seed,
                     ..AnnealConfig::default()
                 };
+                let mut objective = FleetObjective::new(&fleet, &live, suspicion);
                 let pooled = anneal_with(
                     fleet.problem(),
-                    FleetObjective::new(&fleet, &live, suspicion),
+                    |state| objective.eval(state),
                     &config,
                     &Tracer::disabled(),
                 )

@@ -580,9 +580,10 @@ impl ManagedRun {
             seed: reaction_seed(config.seed, 0, 0x1CF7),
             ..AnnealConfig::default()
         };
+        let mut objective = FleetObjective::new(fleet, &live_all, &no_suspicion);
         let state = anneal_with(
             fleet.problem(),
-            FleetObjective::new(fleet, &live_all, &no_suspicion),
+            |s| objective.eval(s),
             &initial_config,
             &icm_obs::Tracer::disabled(),
         )?
@@ -1119,9 +1120,10 @@ impl ManagedRun {
                 seed: reaction_seed(config.seed, t.sup.tick, 0xD00D ^ attempt),
                 ..AnnealConfig::default()
             };
+            let mut objective = FleetObjective::new(fleet, &self.live, &self.suspicion);
             current = re_anneal_with(
                 fleet.problem(),
-                FleetObjective::new(fleet, &self.live, &self.suspicion),
+                |s| objective.eval(s),
                 &current,
                 &constraints,
                 &anneal_config,

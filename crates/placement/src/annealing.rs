@@ -4,16 +4,16 @@
 //! full simulated annealing (ablation A2 in `DESIGN.md`; the paper's
 //! description accepts only improvements).
 //!
-//! The search engine drives a pluggable [`Objective`] move-by-move
-//! (probe / accept / reject) and applies swaps in place with undo instead
-//! of cloning the assignment per candidate. Every call runs exactly one
-//! walk, on the calling thread, from the RNG stream of `config.seed`.
+//! The search engine prices each candidate by calling one evaluation
+//! closure on it, with the candidate's swap applied in place and undone
+//! instead of cloning the assignment. Every call runs exactly one walk,
+//! on the calling thread, from the RNG stream of `config.seed`.
 
 use icm_obs::{QuantileSketch, Tracer, Value};
 use icm_rng::Rng;
 
 use crate::error::PlacementError;
-use crate::objective::{Constrained, Eval, Objective};
+use crate::objective::Eval;
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
 /// The plateau tolerance shared by move acceptance and best-state
@@ -119,8 +119,8 @@ pub struct AnnealResult {
     pub cost: f64,
     /// Whether the best state satisfies the feasibility predicate.
     pub feasible: bool,
-    /// Number of candidates priced, the start state included; a probe
-    /// memo hit counts like a probe the objective made.
+    /// Number of candidates priced, the start state included; a memo
+    /// hit counts like an evaluation the closure made.
     pub evaluations: usize,
     /// Number of accepted swaps.
     pub accepted: usize,
@@ -152,24 +152,24 @@ fn cool(accept: &AcceptRule, temperature: &mut f64) {
     }
 }
 
-/// The search loop: walks `config.iterations` candidate swaps applied
-/// in place (undo on rejection), evaluating through the [`Objective`]
-/// protocol, with the byte-exact RNG draw order the clone-per-candidate
-/// loop always had. The temperature cools exactly once per iteration —
+/// The search loop: walks `config.iterations` candidate swaps, each
+/// priced by `evaluate` on the swapped state and kept only if accepted,
+/// with the byte-exact RNG draw order the clone-per-candidate loop
+/// always had. The temperature cools exactly once per iteration —
 /// including iterations that found no valid swap or rejected on
 /// feasibility — so the schedule is a pure function of the iteration
 /// count, never of the acceptance trajectory.
 ///
-/// A candidate priced since the last accept is answered from the probe
-/// memo: rejected, it never reaches the objective; accepted, it is
-/// probed for real before `accept`. Decisions, RNG draws, events and
-/// sketch samples are those of the unmemoized walk.
+/// A candidate priced since the last accept is answered from the memo
+/// and never reaches `evaluate` again, which is sound because `evaluate`
+/// is a pure function of the assignment. Decisions, RNG draws, events
+/// and sketch samples are those of the unmemoized walk.
 ///
 /// `warm` resumes from a start state under constraints (a re-anneal);
 /// without it the walk starts from a random placement.
-fn search<O: Objective>(
+fn search(
     problem: &PlacementProblem,
-    mut objective: O,
+    mut evaluate: impl FnMut(&PlacementState) -> Result<Eval, PlacementError>,
     config: &AnnealConfig,
     tracer: &Tracer,
     warm: Option<(&PlacementState, &PlacementConstraints)>,
@@ -187,7 +187,7 @@ fn search<O: Objective>(
         ),
     };
     let record = tracer.enabled();
-    let start = objective.reset(&current)?;
+    let start = evaluate(&current)?;
     let span = record.then(|| {
         tracer.span(
             "anneal",
@@ -201,7 +201,7 @@ fn search<O: Objective>(
         )
     });
     // Candidate costs are sketched locally and merged into telemetry
-    // once per search, so no probe touches the shared handle.
+    // once per search, so no candidate touches the shared handle.
     let mut sketch = tracer.telemetry().is_some().then(QuantileSketch::new);
     if let Some(s) = sketch.as_mut() {
         s.observe(start.cost);
@@ -227,52 +227,31 @@ fn search<O: Objective>(
     // Slot→host table for the pick's validity checks, hoisted out of
     // the loop so no iteration divides.
     let slots = problem.slots();
-    let per_host = problem.slots_per_host();
     let host_of: Vec<usize> = (0..slots).map(|s| problem.host_of_slot(s)).collect();
-    // The probe memo: cell `min·slots + max` holds a candidate's `Eval`
-    // while its stamp is the generation, which each accept bumps.
+    // The memo: cell `min·slots + max` holds a candidate's `Eval` while
+    // its stamp is the generation, which each accept bumps.
     let memoized = slots * slots <= 65_536;
     let mut memo = vec![(0u64, Eval::default()); if memoized { slots * slots } else { 0 }];
     let mut generation = 1u64;
 
     for iteration in 1..=config.iterations {
-        let pick = match constraints {
-            None => current.random_swap_indices_hosted(
-                slots,
-                per_host,
-                &host_of,
-                &mut rng,
-                config.swap_attempts,
-            ),
-            Some(c) => {
-                current.random_swap_indices_constrained(problem, &mut rng, config.swap_attempts, c)
-            }
-        };
-        let Some((a, b)) = pick else {
+        let Some((a, b)) = current.random_swap_indices(
+            problem,
+            &host_of,
+            &mut rng,
+            config.swap_attempts,
+            constraints,
+        ) else {
             cool(&config.accept, &mut temperature);
             continue;
         };
         let cell = memoized.then(|| a.min(b) * slots + a.max(b));
-        let remembered = cell.and_then(|c| (memo[c].0 == generation).then_some(memo[c].1));
-        let eval = match remembered {
-            Some(eval) => {
-                // Debug builds re-price the hit from scratch, then
-                // restore the committed state.
-                #[cfg(debug_assertions)]
-                {
-                    current.swap_in_place(a, b);
-                    let fresh = objective.reset(&current)?;
-                    current.swap_in_place(a, b);
-                    objective.reset(&current)?;
-                    let same = (fresh.cost.to_bits(), fresh.violation.to_bits())
-                        == (eval.cost.to_bits(), eval.violation.to_bits());
-                    assert!(same, "stale memo hit {eval:?} at ({a}, {b})");
-                }
-                eval
-            }
+        let eval = match cell.filter(|&c| memo[c].0 == generation) {
+            Some(c) => memo[c].1,
             None => {
                 current.swap_in_place(a, b);
-                let eval = objective.probe(&current, a, b)?;
+                let eval = evaluate(&current)?;
+                current.swap_in_place(a, b);
                 if let Some(c) = cell {
                     memo[c] = (generation, eval);
                 }
@@ -307,12 +286,7 @@ fn search<O: Objective>(
         };
 
         if accept {
-            if remembered.is_some() {
-                // The objective never saw this probe: make it for real.
-                current.swap_in_place(a, b);
-                objective.probe(&current, a, b)?;
-            }
-            objective.accept();
+            current.swap_in_place(a, b);
             generation += 1;
             current_cost = eval.cost;
             current_violation = eval.violation;
@@ -329,9 +303,6 @@ fn search<O: Objective>(
                 best_violation = current_violation;
                 best_iteration = iteration;
             }
-        } else if remembered.is_none() {
-            current.swap_in_place(a, b);
-            objective.reject();
         }
 
         cool(&config.accept, &mut temperature);
@@ -376,11 +347,13 @@ fn search<O: Objective>(
     })
 }
 
-/// Minimizes an [`Objective`] over valid placements — the one search
-/// engine behind every entry point ([`crate::anneal_estimator`], the
-/// `place_*` entry points, the manager's and the daemon's fleet searches).
+/// Minimizes an evaluation closure over valid placements — the one
+/// search engine behind every entry point ([`crate::anneal_estimator`],
+/// the `place_*` entry points, the manager's and the daemon's fleet
+/// searches).
 ///
-/// The objective's [`Eval::violation`](crate::Eval::violation)
+/// `evaluate` prices a candidate state; its
+/// [`Eval::violation`](crate::Eval::violation)
 /// quantifies how badly a state breaks the caller's constraint (`0` =
 /// feasible, larger = worse) — e.g. for QoS it is the excess of the
 /// target's predicted time over the allowed bound. This gives the search
@@ -393,7 +366,9 @@ fn search<O: Objective>(
 ///
 /// The search starts from a random placement drawn from
 /// `Rng::from_seed(config.seed)` and runs on the calling thread. It
-/// prices each neighbour of a committed state once (see [`Objective`]).
+/// prices each neighbour of a committed state once: a redrawn neighbour
+/// is answered from a memo, so `evaluate` must be a pure function of the
+/// assignment (scratch buffers and caches are fine).
 ///
 /// With an enabled `tracer` the search is wrapped in an `anneal` span,
 /// every evaluated candidate emits an `anneal_iter` event (objective,
@@ -404,20 +379,20 @@ fn search<O: Objective>(
 ///
 /// # Errors
 ///
-/// Propagates objective failures.
-pub fn anneal_with<O: Objective>(
+/// Propagates evaluation failures.
+pub fn anneal_with(
     problem: &PlacementProblem,
-    objective: O,
+    evaluate: impl FnMut(&PlacementState) -> Result<Eval, PlacementError>,
     config: &AnnealConfig,
     tracer: &Tracer,
 ) -> Result<AnnealResult, PlacementError> {
-    search(problem, objective, config, tracer, None)
+    search(problem, evaluate, config, tracer, None)
 }
 
 /// Incremental re-optimization from a warm start: [`anneal_with`]
 /// resumed at `start` (never a random restart) under per-app
 /// pin/exclude [`PlacementConstraints`], drawing fresh swap randomness
-/// from `config.seed`. Exclusion breaches are added to the objective's
+/// from `config.seed`. Exclusion breaches are added to `evaluate`'s
 /// violation, giving the annealer a gradient that vacates excluded
 /// `(workload, host)` pairs; pinned workloads' slots are frozen. With no
 /// improvement found the warm start itself is returned, so a bounded
@@ -425,25 +400,30 @@ pub fn anneal_with<O: Objective>(
 /// only help.
 ///
 /// The returned [`AnnealResult::feasible`] covers caller feasibility
-/// *and* the constraints: it is `true` only when the objective's
-/// violation is zero and no exclusion is breached.
+/// *and* the constraints: it is `true` only when `evaluate`'s violation
+/// is zero and no exclusion is breached.
 ///
 /// # Errors
 ///
 /// Returns [`PlacementError::Shape`] for out-of-range constraints;
-/// propagates objective failures.
-pub fn re_anneal_with<O: Objective>(
+/// propagates evaluation failures.
+pub fn re_anneal_with(
     problem: &PlacementProblem,
-    objective: O,
+    mut evaluate: impl FnMut(&PlacementState) -> Result<Eval, PlacementError>,
     start: &PlacementState,
     constraints: &PlacementConstraints,
     config: &AnnealConfig,
     tracer: &Tracer,
 ) -> Result<AnnealResult, PlacementError> {
     constraints.check(problem)?;
+    let constrained = |state: &PlacementState| {
+        let mut eval = evaluate(state)?;
+        eval.violation += constraints.violation(problem, state);
+        Ok(eval)
+    };
     search(
         problem,
-        Constrained::new(objective, problem, constraints),
+        constrained,
         config,
         tracer,
         Some((start, constraints)),
@@ -455,13 +435,20 @@ mod tests {
     use super::*;
     use crate::estimator::tests::{fake_predictors, fake_problem};
     use crate::estimator::{Estimator, RuntimePredictor};
-    use crate::incremental::{anneal_estimator, IncrementalObjective, SearchGoal};
-    use crate::objective::reference::{anneal_full_recompute, FullRecompute};
+    use crate::goal::{anneal_estimator, SearchGoal};
 
-    fn estimator_cost<'a>(
+    /// The weighted total of `estimator` as the cost, under a hand-built
+    /// violation landscape.
+    fn with_violation<'a>(
         estimator: &'a Estimator<'a>,
-    ) -> impl Fn(&PlacementState) -> Result<f64, PlacementError> + 'a {
-        move |state| Ok(estimator.estimate(state)?.weighted_total)
+        violation: impl Fn(&PlacementState) -> f64 + 'a,
+    ) -> impl FnMut(&PlacementState) -> Result<Eval, PlacementError> + 'a {
+        move |state| {
+            Ok(Eval {
+                cost: estimator.estimate(state)?.weighted_total,
+                violation: violation(state),
+            })
+        }
     }
 
     /// The production search for the weighted-total goal.
@@ -483,7 +470,7 @@ mod tests {
     ) -> Result<AnnealResult, PlacementError> {
         re_anneal_with(
             estimator.problem(),
-            IncrementalObjective::new(estimator, SearchGoal::MinWeightedTotal).expect("valid goal"),
+            |state| SearchGoal::MinWeightedTotal.eval(estimator, state),
             start,
             constraints,
             config,
@@ -605,10 +592,9 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_full_recompute(
+        let result = anneal_with(
             &problem,
-            estimator_cost(&estimator),
-            |_| Ok(1.0),
+            with_violation(&estimator, |_| 1.0),
             &AnnealConfig {
                 iterations: 200,
                 ..AnnealConfig::default()
@@ -722,31 +708,28 @@ mod tests {
         // doubly-feasible candidates), a permanently infeasible one
         // (feasibility climbing skipped it entirely), and one where no
         // valid swap is ever found (swap_attempts = 0).
-        let final_temperature =
-            |config: &AnnealConfig,
-             violation: fn(&PlacementState) -> Result<f64, PlacementError>| {
-                let (tracer, recorder) = icm_obs::Tracer::recording(8192);
-                anneal_full_recompute(
-                    &problem,
-                    estimator_cost(&estimator),
-                    violation,
-                    config,
-                    &tracer,
-                )
-                .expect("runs");
-                let events = recorder.events();
-                let end = events.last().expect("events");
-                assert_eq!(end.name, "anneal.end");
-                end.num("final_temperature").expect("field")
-            };
-        let feasible = final_temperature(&config, |_| Ok(0.0));
-        let infeasible = final_temperature(&config, |_| Ok(1.0));
+        let final_temperature = |config: &AnnealConfig, violation: fn(&PlacementState) -> f64| {
+            let (tracer, recorder) = icm_obs::Tracer::recording(8192);
+            anneal_with(
+                &problem,
+                with_violation(&estimator, violation),
+                config,
+                &tracer,
+            )
+            .expect("runs");
+            let events = recorder.events();
+            let end = events.last().expect("events");
+            assert_eq!(end.name, "anneal.end");
+            end.num("final_temperature").expect("field")
+        };
+        let feasible = final_temperature(&config, |_| 0.0);
+        let infeasible = final_temperature(&config, |_| 1.0);
         let swapless = final_temperature(
             &AnnealConfig {
                 swap_attempts: 0,
                 ..config
             },
-            |_| Ok(0.0),
+            |_| 0.0,
         );
         assert_eq!(
             feasible.to_bits(),
@@ -780,10 +763,11 @@ mod tests {
         // costs would ignore most cheaper states. The best must be the
         // cheapest state the walk ever accepted (or the start).
         let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-        let result = anneal_full_recompute(
+        let result = anneal_with(
             &problem,
-            estimator_cost(&estimator),
-            |s| Ok(1.0 + 5e-13 * ((s.workload_at(0) % 2) as f64)),
+            with_violation(&estimator, |s| {
+                1.0 + 5e-13 * ((s.workload_at(0) % 2) as f64)
+            }),
             &AnnealConfig {
                 iterations: 300,
                 ..AnnealConfig::default()
@@ -1041,7 +1025,7 @@ mod tests {
         constraints.exclude(0, 999);
         let result = re_anneal_with(
             &problem,
-            FullRecompute::new(|_: &PlacementState| Ok(0.0), |_: &PlacementState| Ok(0.0)),
+            |_: &PlacementState| Ok(Eval::default()),
             &start,
             &constraints,
             &AnnealConfig::default(),
@@ -1053,10 +1037,9 @@ mod tests {
     #[test]
     fn objective_errors_propagate() {
         let problem = fake_problem();
-        let result = anneal_full_recompute(
+        let result = anneal_with(
             &problem,
-            |_| Err(PlacementError::Predictor("boom".into())),
-            |_| Ok(0.0),
+            |_: &PlacementState| Err(PlacementError::Predictor("boom".into())),
             &AnnealConfig::default(),
             &Tracer::disabled(),
         );

@@ -13,7 +13,7 @@
 use crate::annealing::{AnnealConfig, AnnealResult};
 use crate::error::PlacementError;
 use crate::estimator::Estimator;
-use crate::incremental::{anneal_estimator, SearchGoal};
+use crate::goal::{anneal_estimator, SearchGoal};
 use crate::state::PlacementState;
 
 /// Energy accounting for one placement.

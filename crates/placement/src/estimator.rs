@@ -164,14 +164,11 @@ impl<'a> Estimator<'a> {
             .collect()
     }
 
-    /// The combined co-runner pressure on one slot — the same §4.4
-    /// combination [`pressures_for`](Self::pressures_for) applies, but
-    /// allocation-free: co-runner scores go through the caller-provided
-    /// scratch buffer. The score order (host-slot order, exactly as
-    /// [`PlacementState::corunners_at`] yields co-runners) is part of the
-    /// bit-exactness contract between the full and incremental
-    /// evaluation paths.
-    pub(crate) fn combined_pressure_at(
+    /// The combined co-runner pressure on one slot under the §4.4
+    /// combination, with co-runner scores in host-slot order (exactly as
+    /// [`PlacementState::corunners_at`] yields co-runners) gathered in
+    /// the caller-provided scratch buffer.
+    fn combined_pressure_at(
         &self,
         state: &PlacementState,
         slot: usize,
@@ -188,67 +185,27 @@ impl<'a> Estimator<'a> {
         icm_core::combine_scores(scores)
     }
 
-    /// Every predictor's bubble score, in problem order — cached by the
-    /// incremental objective so pressure recomputation does not pay a
-    /// virtual call per co-runner.
-    pub(crate) fn bubble_scores(&self) -> Vec<f64> {
-        self.predictors.iter().map(|p| p.bubble_score()).collect()
-    }
-
-    /// [`combined_pressure_at`](Self::combined_pressure_at) with the
-    /// per-co-runner `2^score` terms read from a cache (`pow_of[w]` is
-    /// `2^bubble_score(w)` for positive scores, `0.0` otherwise) and the
-    /// slot's host supplied by the caller. Bit-identical to the full
-    /// path: [`icm_core::combine_scores`] sums exactly these `powf`
-    /// values in exactly this slot order before taking `log2`, so
-    /// hoisting the `powf` out of the loop cannot change a single bit.
-    pub(crate) fn combined_pressure_pow(
-        &self,
-        state: &PlacementState,
-        slot: usize,
-        host: usize,
-        pow_of: &[f64],
-        log_of: &[f64],
-    ) -> f64 {
-        debug_assert_eq!(host, self.problem.host_of_slot(slot));
-        let per_host = self.problem.slots_per_host();
-        let base = host * per_host;
-        let mut linear = 0.0;
-        let mut active = 0usize;
-        let mut last = 0usize;
-        for s in base..base + per_host {
-            if s != slot {
-                let w = state.workload_at(s);
-                let pow = pow_of[w];
-                if pow > 0.0 {
-                    linear += pow;
-                    active += 1;
-                    last = w;
-                }
-            }
-        }
-        match active {
-            0 => 0.0,
-            // One active co-runner: `linear` is exactly `pow_of[last]`
-            // (a single addend onto `+0.0`), so its `log2` was already
-            // taken at reset — the common case at two slots per host
-            // never touches a transcendental.
-            1 => log_of[last],
-            _ => linear.log2(),
-        }
-    }
-
     /// Predicts all workloads' normalized runtimes under `state`.
     ///
     /// # Errors
     ///
     /// Propagates predictor failures.
     pub fn estimate(&self, state: &PlacementState) -> Result<PlacementEstimate, PlacementError> {
-        let mut normalized_times = Vec::with_capacity(self.predictors.len());
-        for w in 0..self.predictors.len() {
-            let pressures = self.pressures_for(state, w);
-            normalized_times.push(self.predictors[w].predict_normalized(&pressures)?);
+        // One pass over the slots fills every workload's pressure vector
+        // in ascending slot order, the order `pressures_for` yields.
+        let span = self.problem.slots_per_workload();
+        let mut pressures = vec![0.0; self.problem.slots()];
+        let mut filled = vec![0usize; self.predictors.len()];
+        let mut scores = Vec::with_capacity(self.problem.slots_per_host() - 1);
+        for (slot, &w) in state.assignment().iter().enumerate() {
+            pressures[w * span + filled[w]] = self.combined_pressure_at(state, slot, &mut scores);
+            filled[w] += 1;
         }
+        let normalized_times = pressures
+            .chunks_exact(span)
+            .zip(&self.predictors)
+            .map(|(p, predictor)| predictor.predict_normalized(p))
+            .collect::<Result<Vec<_>, _>>()?;
         let weighted_total = normalized_times.iter().sum();
         Ok(PlacementEstimate {
             normalized_times,

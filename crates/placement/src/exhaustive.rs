@@ -2,6 +2,7 @@
 //! stochastic search is tested against.
 
 use crate::error::PlacementError;
+use crate::objective::Eval;
 use crate::state::{PlacementProblem, PlacementState};
 
 /// Upper bound on enumerated states before giving up: beyond this the
@@ -82,26 +83,44 @@ where
     Ok(())
 }
 
-/// Finds the placement minimizing `cost` by brute force.
+/// Finds by brute force the placement the annealer looks for, priced by
+/// the same evaluation closure: the least `(violation, cost)` in
+/// lexicographic order — the cheapest feasible placement when one
+/// exists, else the least violating one. Ties keep the first placement
+/// enumerated.
 ///
 /// # Errors
 ///
 /// Returns [`PlacementError::Search`] if the space is too large or
-/// empty.
-pub fn exhaustive_best<C>(
+/// empty; propagates the first evaluation failure.
+pub fn exhaustive_best<E>(
     problem: &PlacementProblem,
-    mut cost: C,
-) -> Result<(PlacementState, f64), PlacementError>
+    mut evaluate: E,
+) -> Result<(PlacementState, Eval), PlacementError>
 where
-    C: FnMut(&PlacementState) -> f64,
+    E: FnMut(&PlacementState) -> Result<Eval, PlacementError>,
 {
-    let mut best: Option<(PlacementState, f64)> = None;
+    let mut best: Option<(PlacementState, Eval)> = None;
+    let mut failure = None;
     for_each_placement(problem, |state| {
-        let c = cost(state);
-        if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
-            best = Some((state.clone(), c));
+        if failure.is_some() {
+            return;
+        }
+        match evaluate(state) {
+            Ok(e) => {
+                let better = best.as_ref().is_none_or(|(_, b)| {
+                    e.violation < b.violation || (e.violation == b.violation && e.cost < b.cost)
+                });
+                if better {
+                    best = Some((state.clone(), e));
+                }
+            }
+            Err(err) => failure = Some(err),
         }
     })?;
+    if let Some(err) = failure {
+        return Err(err);
+    }
     best.ok_or_else(|| PlacementError::Search("no valid placement exists".into()))
 }
 
@@ -134,19 +153,52 @@ mod tests {
         assert_eq!(seen.len(), 16);
     }
 
+    /// Number of hosts whose first slot holds workload `w`.
+    fn leading(s: &PlacementState, w: usize) -> f64 {
+        (0..4).filter(|&h| s.workload_at(h * 2) == w).count() as f64
+    }
+
     #[test]
     fn exhaustive_best_finds_the_optimum() {
         let problem = small_problem();
-        // Cost: number of slots where workload 0 sits in the first slot
-        // of a host — minimized when A is always second.
-        let (state, cost) = exhaustive_best(&problem, |s| {
-            (0..4).filter(|&h| s.workload_at(h * 2) == 0).count() as f64
+        // Cost: number of hosts where workload 0 sits in the first slot
+        // — minimized when A is always second.
+        let (state, eval) = exhaustive_best(&problem, |s| {
+            Ok(Eval {
+                cost: leading(s, 0),
+                violation: 0.0,
+            })
         })
         .expect("finds");
-        assert_eq!(cost, 0.0);
+        assert_eq!(eval.cost, 0.0);
         for h in 0..4 {
             assert_eq!(state.workload_at(h * 2), 1);
         }
+    }
+
+    #[test]
+    fn exhaustive_best_prefers_feasibility_over_cost() {
+        let problem = small_problem();
+        // The same cost, but A leading on fewer than three hosts is a
+        // violation: the cheapest state is infeasible, so the oracle
+        // must return the cheapest feasible one (A leading on three).
+        let (state, eval) = exhaustive_best(&problem, |s| {
+            Ok(Eval {
+                cost: leading(s, 0),
+                violation: (3.0 - leading(s, 0)).max(0.0),
+            })
+        })
+        .expect("finds");
+        assert_eq!((eval.cost, eval.violation), (3.0, 0.0));
+        assert_eq!(leading(&state, 0), 3.0);
+    }
+
+    #[test]
+    fn exhaustive_best_propagates_evaluation_errors() {
+        let result = exhaustive_best(&small_problem(), |_| {
+            Err(PlacementError::Predictor("boom".into()))
+        });
+        assert!(matches!(result, Err(PlacementError::Predictor(_))));
     }
 
     #[test]

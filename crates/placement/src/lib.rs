@@ -14,16 +14,16 @@
 //! * [`exhaustive`] — a brute-force oracle for small problems, used to
 //!   validate the stochastic search.
 //!
-//! Every one of them runs the same search engine, which has exactly
-//! two doors:
+//! Every one of them runs the same search engine, which prices each
+//! candidate by calling one evaluation closure,
+//! `FnMut(&PlacementState) -> Result<Eval, PlacementError>`:
 //!
-//! * [`anneal_estimator`] — the search over an estimator-backed
-//!   [`SearchGoal`], with delta evaluation ([`IncrementalObjective`]);
-//!   the entry points above are thin wrappers around it.
-//! * [`anneal_with`] / [`re_anneal_with`] — the search over any
-//!   [`Objective`], cold or warm-started under
-//!   [`PlacementConstraints`] (the manager's fleet objective comes in
-//!   this way).
+//! * [`anneal_with`] / [`re_anneal_with`] — the search over any such
+//!   closure, cold or warm-started under [`PlacementConstraints`] (the
+//!   manager's and the daemon's fleet objective comes in this way).
+//! * [`anneal_estimator`] — [`anneal_with`] over an estimator-backed
+//!   [`SearchGoal`], priced by [`SearchGoal::eval`]; the entry points
+//!   above are thin wrappers around it.
 //!
 //! The search consumes models only through the [`RuntimePredictor`]
 //! trait, so the paper's full interference model and its naive
@@ -70,24 +70,22 @@
 #![warn(missing_docs)]
 
 mod annealing;
-mod dense;
 pub mod energy;
 mod error;
 mod estimator;
 pub mod exhaustive;
-mod incremental;
+mod goal;
 mod objective;
 mod qos;
 mod state;
 mod throughput;
 
 pub use annealing::{anneal_with, re_anneal_with, AcceptRule, AnnealConfig, AnnealResult};
-pub use dense::{AppId, DenseKey, DenseMap, HostId, SlotId};
 pub use energy::{estimate_waste, place_min_waste, EnergyEstimate};
 pub use error::PlacementError;
 pub use estimator::{Estimator, PlacementEstimate, RuntimePredictor};
-pub use incremental::{anneal_estimator, IncrementalObjective, SearchGoal};
-pub use objective::{Eval, Objective};
+pub use goal::{anneal_estimator, SearchGoal};
+pub use objective::Eval;
 pub use qos::{place_qos, QosConfig, QosOutcome};
 pub use state::{PlacementConstraints, PlacementProblem, PlacementState};
 pub use throughput::{average_speedup, find_placements, ThroughputConfig, ThroughputPlacements};

@@ -5,7 +5,7 @@
 use crate::annealing::AnnealConfig;
 use crate::error::PlacementError;
 use crate::estimator::Estimator;
-use crate::incremental::{anneal_estimator, SearchGoal};
+use crate::goal::{anneal_estimator, SearchGoal};
 use crate::state::PlacementState;
 
 /// QoS placement configuration.
@@ -75,8 +75,8 @@ pub fn place_qos(
     target: usize,
     config: &QosConfig,
 ) -> Result<QosOutcome, PlacementError> {
-    // The target index is validated by `anneal_estimator` (through
-    // `SearchGoal::validate`); the fraction is this function's own input.
+    // The target index is validated by `SearchGoal::eval`, which prices
+    // the search's start state; the fraction is this function's own input.
     if !(0.0 < config.qos_fraction && config.qos_fraction <= 1.0) {
         return Err(PlacementError::Predictor(format!(
             "qos_fraction must be in (0,1], got {}",

@@ -265,58 +265,11 @@ impl PlacementState {
     /// Whether swapping slots `a` and `b` would produce a valid state,
     /// decided without allocating or re-validating the whole assignment:
     /// the workloads must differ and neither may already occupy another
-    /// slot of its destination host. Agrees with
+    /// slot of its destination host. `host_of` is the slot→host table
+    /// (`host_of[s] == problem.host_of_slot(s)`), precomputed so the
+    /// annealer's per-iteration check never divides. Agrees with
     /// [`swap`](Self::swap)`.is_some()` for every slot pair.
-    pub fn swap_is_valid(&self, problem: &PlacementProblem, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let wa = self.assignment[a];
-        let wb = self.assignment[b];
-        if wa == wb {
-            return false;
-        }
-        let per_host = problem.slots_per_host();
-        let base_b = problem.host_of_slot(b) * per_host;
-        for s in base_b..base_b + per_host {
-            if s != a && s != b && self.assignment[s] == wa {
-                return false;
-            }
-        }
-        let base_a = problem.host_of_slot(a) * per_host;
-        for s in base_a..base_a + per_host {
-            if s != a && s != b && self.assignment[s] == wb {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Transposes two slots in place, without validity checking — the
-    /// annealer's move/undo primitive (applying the same transposition
-    /// twice restores the state exactly). Callers must have established
-    /// validity via [`swap_is_valid`](Self::swap_is_valid) first.
-    pub(crate) fn swap_in_place(&mut self, a: usize, b: usize) {
-        self.assignment.swap(a, b);
-    }
-
-    /// Copies another state's assignment into this one without
-    /// reallocating — the annealer's best-state snapshot primitive.
-    /// Both states must belong to the same problem.
-    pub(crate) fn copy_assignment_from(&mut self, other: &Self) {
-        self.assignment.copy_from_slice(&other.assignment);
-    }
-
-    /// [`swap_is_valid`](Self::swap_is_valid) with the slot→host map
-    /// supplied as a precomputed table — the annealer's per-iteration
-    /// form, sparing the two divisions. Same decisions, bit for bit.
-    pub(crate) fn swap_is_valid_hosted(
-        &self,
-        per_host: usize,
-        host_of: &[usize],
-        a: usize,
-        b: usize,
-    ) -> bool {
+    fn swap_is_valid(&self, per_host: usize, host_of: &[usize], a: usize, b: usize) -> bool {
         if a == b {
             return false;
         }
@@ -340,99 +293,44 @@ impl PlacementState {
         true
     }
 
+    /// Transposes two slots in place, without validity checking — the
+    /// annealer's move/undo primitive (applying the same transposition
+    /// twice restores the state exactly). Callers must have drawn the
+    /// pair with [`random_swap_indices`](Self::random_swap_indices).
+    pub(crate) fn swap_in_place(&mut self, a: usize, b: usize) {
+        self.assignment.swap(a, b);
+    }
+
+    /// Copies another state's assignment into this one without
+    /// reallocating — the annealer's best-state snapshot primitive.
+    /// Both states must belong to the same problem.
+    pub(crate) fn copy_assignment_from(&mut self, other: &Self) {
+        self.assignment.copy_from_slice(&other.assignment);
+    }
+
     /// Draws the slot indices of a random valid swap, if one exists
-    /// within `attempts` tries, consuming exactly the same RNG stream as
-    /// [`random_swap`](Self::random_swap).
+    /// within `attempts` tries. Each attempt draws two slots; a pair
+    /// touching a workload pinned by `constraints`, or one
+    /// [`swap`](Self::swap) would refuse, counts as a failed attempt.
+    /// `host_of` is the slot→host table of `problem`.
     pub(crate) fn random_swap_indices(
         &self,
         problem: &PlacementProblem,
-        rng: &mut Rng,
-        attempts: usize,
-    ) -> Option<(usize, usize)> {
-        for _ in 0..attempts {
-            let a = rng.gen_range(0..problem.slots());
-            let b = rng.gen_range(0..problem.slots());
-            if self.swap_is_valid(problem, a, b) {
-                return Some((a, b));
-            }
-        }
-        None
-    }
-
-    /// [`random_swap_indices`](Self::random_swap_indices) with the
-    /// slot→host table precomputed by the caller. Identical RNG
-    /// consumption and identical picks — only the divisions go.
-    pub(crate) fn random_swap_indices_hosted(
-        &self,
-        slots: usize,
-        per_host: usize,
         host_of: &[usize],
         rng: &mut Rng,
         attempts: usize,
+        constraints: Option<&PlacementConstraints>,
     ) -> Option<(usize, usize)> {
+        let slots = problem.slots();
+        let per_host = problem.slots_per_host();
         for _ in 0..attempts {
             let a = rng.gen_range(0..slots);
             let b = rng.gen_range(0..slots);
-            if self.swap_is_valid_hosted(per_host, host_of, a, b) {
-                return Some((a, b));
-            }
-        }
-        None
-    }
-
-    /// [`random_swap_indices`](Self::random_swap_indices) restricted by
-    /// per-app constraints, consuming exactly the same RNG stream as
-    /// [`random_swap_constrained`](Self::random_swap_constrained).
-    pub(crate) fn random_swap_indices_constrained(
-        &self,
-        problem: &PlacementProblem,
-        rng: &mut Rng,
-        attempts: usize,
-        constraints: &PlacementConstraints,
-    ) -> Option<(usize, usize)> {
-        for _ in 0..attempts {
-            let a = rng.gen_range(0..problem.slots());
-            let b = rng.gen_range(0..problem.slots());
-            if !constraints.permits_swap(self, a, b) {
+            if constraints.is_some_and(|c| !c.permits_swap(self, a, b)) {
                 continue;
             }
-            if self.swap_is_valid(problem, a, b) {
+            if self.swap_is_valid(per_host, host_of, a, b) {
                 return Some((a, b));
-            }
-        }
-        None
-    }
-
-    /// Draws a random valid swap, if one exists within `attempts` tries.
-    pub fn random_swap(
-        &self,
-        problem: &PlacementProblem,
-        rng: &mut Rng,
-        attempts: usize,
-    ) -> Option<Self> {
-        let (a, b) = self.random_swap_indices(problem, rng, attempts)?;
-        self.swap(problem, a, b)
-    }
-
-    /// [`random_swap`](Self::random_swap) restricted by per-app
-    /// constraints: swaps touching a pinned workload's slots are treated
-    /// as failed attempts. With empty constraints this draws exactly the
-    /// same sequence as `random_swap`.
-    pub fn random_swap_constrained(
-        &self,
-        problem: &PlacementProblem,
-        rng: &mut Rng,
-        attempts: usize,
-        constraints: &PlacementConstraints,
-    ) -> Option<Self> {
-        for _ in 0..attempts {
-            let a = rng.gen_range(0..problem.slots());
-            let b = rng.gen_range(0..problem.slots());
-            if !constraints.permits_swap(self, a, b) {
-                continue;
-            }
-            if let Some(next) = self.swap(problem, a, b) {
-                return Some(next);
             }
         }
         None
@@ -562,6 +460,30 @@ mod tests {
         Rng::from_seed(1)
     }
 
+    fn host_of(p: &PlacementProblem) -> Vec<usize> {
+        (0..p.slots()).map(|s| p.host_of_slot(s)).collect()
+    }
+
+    /// The historical draw the picker must reproduce: two slots per
+    /// attempt, kept when the constraints permit them and
+    /// [`PlacementState::swap`] accepts them.
+    fn reference_pick(
+        state: &PlacementState,
+        p: &PlacementProblem,
+        rng: &mut Rng,
+        attempts: usize,
+        constraints: &PlacementConstraints,
+    ) -> Option<(usize, usize)> {
+        for _ in 0..attempts {
+            let a = rng.gen_range(0..p.slots());
+            let b = rng.gen_range(0..p.slots());
+            if constraints.permits_swap(state, a, b) && state.swap(p, a, b).is_some() {
+                return Some((a, b));
+            }
+        }
+        None
+    }
+
     #[test]
     fn paper_default_shape() {
         let p = problem();
@@ -673,12 +595,13 @@ mod tests {
         ];
         let mut rng = rng();
         for p in &shapes {
+            let host_of = host_of(p);
             for _ in 0..5 {
                 let state = PlacementState::random(p, &mut rng);
                 for a in 0..p.slots() {
                     for b in 0..p.slots() {
                         assert_eq!(
-                            state.swap_is_valid(p, a, b),
+                            state.swap_is_valid(p.slots_per_host(), &host_of, a, b),
                             state.swap(p, a, b).is_some(),
                             "swap ({a}, {b}) disagreement on {:?}",
                             state.assignment()
@@ -696,7 +619,7 @@ mod tests {
         let original = PlacementState::random(&p, &mut rng);
         let mut state = original.clone();
         let (a, b) = original
-            .random_swap_indices(&p, &mut rng, 64)
+            .random_swap_indices(&p, &host_of(&p), &mut rng, 64, None)
             .expect("a swap exists");
         state.swap_in_place(a, b);
         assert_ne!(state, original);
@@ -706,53 +629,39 @@ mod tests {
     }
 
     #[test]
-    fn random_swap_indices_draw_the_same_stream_as_random_swap() {
+    fn random_swap_indices_draw_the_reference_stream() {
         let p = problem();
+        let host_of = host_of(&p);
         let state = PlacementState::random(&p, &mut rng());
-        let constraints = {
-            let mut c = PlacementConstraints::new();
-            c.pin(2);
-            c
-        };
-        let mut rng_a = Rng::from_seed(77);
-        let mut rng_b = Rng::from_seed(77);
-        for _ in 0..30 {
-            let by_state = state.random_swap(&p, &mut rng_a, 8);
-            let by_index = state.random_swap_indices(&p, &mut rng_b, 8);
-            match (by_state, by_index) {
-                (Some(next), Some((a, b))) => {
-                    let mut applied = state.clone();
-                    applied.swap_in_place(a, b);
-                    assert_eq!(applied, next);
-                }
-                (None, None) => {}
-                (s, i) => panic!("streams diverged: {s:?} vs {i:?}"),
+        let none = PlacementConstraints::new();
+        let mut pin = PlacementConstraints::new();
+        pin.pin(2);
+        for (constraints, reference) in [(None, &none), (Some(&none), &none), (Some(&pin), &pin)] {
+            let mut rng_a = Rng::from_seed(77);
+            let mut rng_b = Rng::from_seed(77);
+            for _ in 0..30 {
+                assert_eq!(
+                    state.random_swap_indices(&p, &host_of, &mut rng_a, 8, constraints),
+                    reference_pick(&state, &p, &mut rng_b, 8, reference),
+                    "picks diverged under {constraints:?}"
+                );
+                assert_eq!(
+                    rng_a, rng_b,
+                    "word consumption diverged under {constraints:?}"
+                );
             }
-            assert_eq!(rng_a, rng_b, "word consumption diverged");
-        }
-        for _ in 0..30 {
-            let by_state = state.random_swap_constrained(&p, &mut rng_a, 8, &constraints);
-            let by_index = state.random_swap_indices_constrained(&p, &mut rng_b, 8, &constraints);
-            match (by_state, by_index) {
-                (Some(next), Some((a, b))) => {
-                    let mut applied = state.clone();
-                    applied.swap_in_place(a, b);
-                    assert_eq!(applied, next);
-                }
-                (None, None) => {}
-                (s, i) => panic!("constrained streams diverged: {s:?} vs {i:?}"),
-            }
-            assert_eq!(rng_a, rng_b, "constrained word consumption diverged");
         }
     }
 
     #[test]
-    fn random_swap_eventually_finds_one() {
+    fn random_swap_indices_eventually_find_one() {
         let p = problem();
         let mut rng = rng();
         let state = PlacementState::random(&p, &mut rng);
-        let next = state.random_swap(&p, &mut rng, 64).expect("a swap exists");
-        assert_ne!(state, next);
+        let (a, b) = state
+            .random_swap_indices(&p, &host_of(&p), &mut rng, 64, None)
+            .expect("a swap exists");
+        assert!(state.swap(&p, a, b).is_some());
     }
 
     #[test]
@@ -776,6 +685,7 @@ mod tests {
     #[test]
     fn constrained_swap_never_touches_pinned_workloads() {
         let p = problem();
+        let host_of = host_of(&p);
         let state = PlacementState::new(&p, (0..8).flat_map(|h| [h % 4, (h + 1) % 4]).collect())
             .expect("valid");
         let mut constraints = PlacementConstraints::new();
@@ -783,9 +693,10 @@ mod tests {
         let pinned_slots = state.slots_of(0);
         let mut rng = rng();
         for _ in 0..50 {
-            let next = state
-                .random_swap_constrained(&p, &mut rng, 64, &constraints)
+            let (a, b) = state
+                .random_swap_indices(&p, &host_of, &mut rng, 64, Some(&constraints))
                 .expect("unpinned swaps exist");
+            let next = state.swap(&p, a, b).expect("a valid swap");
             assert_eq!(next.slots_of(0), pinned_slots, "pinned workload moved");
         }
         // Pinning everything leaves no legal swap.
@@ -794,23 +705,8 @@ mod tests {
             all.pin(w);
         }
         assert!(state
-            .random_swap_constrained(&p, &mut rng, 64, &all)
+            .random_swap_indices(&p, &host_of, &mut rng, 64, Some(&all))
             .is_none());
-    }
-
-    #[test]
-    fn empty_constraints_draw_the_same_swaps_as_unconstrained() {
-        let p = problem();
-        let state = PlacementState::random(&p, &mut rng());
-        let none = PlacementConstraints::new();
-        let mut rng_a = Rng::from_seed(42);
-        let mut rng_b = Rng::from_seed(42);
-        for _ in 0..20 {
-            assert_eq!(
-                state.random_swap(&p, &mut rng_a, 8),
-                state.random_swap_constrained(&p, &mut rng_b, 8, &none)
-            );
-        }
     }
 
     #[test]

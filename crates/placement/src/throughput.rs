@@ -6,7 +6,7 @@ use icm_rng::Rng;
 use crate::annealing::AnnealConfig;
 use crate::error::PlacementError;
 use crate::estimator::Estimator;
-use crate::incremental::{anneal_estimator, SearchGoal};
+use crate::goal::{anneal_estimator, SearchGoal};
 use crate::state::PlacementState;
 
 /// Configuration for the throughput-placement study.

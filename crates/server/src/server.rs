@@ -691,9 +691,10 @@ impl Server {
                 let fleet = &self.fleet;
                 let all_live = vec![true; fleet.apps().len()];
                 let no_suspicion = vec![0.0; fleet.problem().hosts()];
+                let mut objective = FleetObjective::new(fleet, &all_live, &no_suspicion);
                 let result = match anneal_with(
                     fleet.problem(),
-                    FleetObjective::new(fleet, &all_live, &no_suspicion),
+                    |s| objective.eval(s),
                     &anneal_config,
                     &self.tracer,
                 ) {

@@ -798,9 +798,10 @@ fn place_searches_land_within_one_percent_of_the_best_of_fifty() {
                     seed: seed.wrapping_add(admitted.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                     ..AnnealConfig::default()
                 };
+                let mut objective = FleetObjective::new(&fleet, &all_live, &no_suspicion);
                 anneal_with(
                     fleet.problem(),
-                    FleetObjective::new(&fleet, &all_live, &no_suspicion),
+                    |s| objective.eval(s),
                     &config,
                     &icm_obs::Tracer::disabled(),
                 )

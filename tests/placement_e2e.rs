@@ -96,32 +96,55 @@ fn annealer_matches_exhaustive_oracle_on_small_problem() {
     let problem =
         PlacementProblem::new(4, 2, apps.iter().map(|a| (*a).to_owned()).collect()).expect("valid");
     let estimator = Estimator::from_map(&problem, &models).expect("valid");
-    let cost = |state: &icm::placement::PlacementState| {
-        estimator.estimate(state).expect("estimates").weighted_total
-    };
-    let (oracle_state, oracle_cost) =
-        exhaustive::exhaustive_best(&problem, cost).expect("enumerates");
-    let result = anneal_estimator(
-        &estimator,
-        SearchGoal::MinWeightedTotal,
-        &AnnealConfig {
-            iterations: 400,
-            ..AnnealConfig::default()
-        },
-        &Tracer::disabled(),
-    )
-    .expect("search runs");
-    assert!(
-        result.cost <= oracle_cost + 1e-9,
-        "annealer ({}) must reach the oracle optimum ({oracle_cost})",
-        result.cost
-    );
-    // With every host forced to hold {milc, hkm}, all placements tie; the
-    // oracle state is structurally equivalent.
-    assert_eq!(
-        oracle_state.hosts_of(&problem, 0).len(),
-        result.state.hosts_of(&problem, 0).len()
-    );
+    // The unconstrained goal, and a QoS goal on milc whose bound no
+    // placement meets: both sides must then settle for the least
+    // violating placement.
+    for (goal, feasible) in [
+        (SearchGoal::MinWeightedTotal, true),
+        (
+            SearchGoal::Qos {
+                target: 0,
+                max_normalized: 1.0,
+            },
+            false,
+        ),
+    ] {
+        // Both sides price through the one goal evaluation.
+        let (oracle_state, oracle) =
+            exhaustive::exhaustive_best(&problem, |s| goal.eval(&estimator, s))
+                .expect("enumerates");
+        let result = anneal_estimator(
+            &estimator,
+            goal,
+            &AnnealConfig {
+                iterations: 400,
+                ..AnnealConfig::default()
+            },
+            &Tracer::disabled(),
+        )
+        .expect("search runs");
+        let found = goal.eval(&estimator, &result.state).expect("evaluates");
+        assert_eq!(oracle.violation <= 0.0, feasible, "{goal:?}");
+        assert_eq!(result.feasible, feasible, "{goal:?}");
+        assert!(
+            found.violation <= oracle.violation + 1e-9,
+            "{goal:?}: annealer violation {} above the oracle's {}",
+            found.violation,
+            oracle.violation
+        );
+        assert!(
+            result.cost <= oracle.cost + 1e-9,
+            "{goal:?}: annealer ({}) must reach the oracle optimum ({})",
+            result.cost,
+            oracle.cost
+        );
+        // With every host forced to hold {milc, hkm}, all placements tie;
+        // the oracle state is structurally equivalent.
+        assert_eq!(
+            oracle_state.hosts_of(&problem, 0).len(),
+            result.state.hosts_of(&problem, 0).len()
+        );
+    }
 }
 
 #[test]

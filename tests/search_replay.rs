@@ -20,10 +20,10 @@
 //!   manager re-anneal from the `place` result with one application
 //!   shed, a host down and non-zero drift suspicion.
 //!
-//! A separate test counts the probes a daemon `place` makes through the
-//! [`Objective`] protocol: the walk stalls early and then redraws the
-//! neighbours it already priced, so far fewer than one probe per
-//! candidate reaches the objective.
+//! Every search prices through a counting evaluation closure, and a
+//! separate test pins how many evaluations reach it: a walk that stalls
+//! redraws the neighbours it already priced, and the search's memo
+//! answers those, so far fewer evaluations than candidates run.
 
 use std::cell::Cell;
 
@@ -37,8 +37,7 @@ use icm_manager::Fleet;
 use icm_obs::{Recorder, Telemetry, TelemetryConfig, TelemetrySink, Tracer};
 use icm_placement::{
     anneal_estimator, anneal_with, re_anneal_with, AcceptRule, AnnealConfig, AnnealResult,
-    Estimator, Eval, IncrementalObjective, Objective, PlacementConstraints, PlacementError,
-    PlacementState, SearchGoal,
+    Estimator, Eval, PlacementConstraints, PlacementError, PlacementState, SearchGoal,
 };
 use icm_server::world::{build_world, ServerConfig};
 
@@ -48,16 +47,36 @@ const GOLDEN: &str = include_str!("search_replay.golden");
 /// Seed of the experiment world and the daemon world.
 const SEED: u64 = 2016;
 
-/// Runs `search` under a recording tracer teed into telemetry and
-/// returns its result and golden line.
+/// One pinned search: its result, its golden line, and how many times
+/// its evaluation closure ran.
+struct Pinned {
+    result: AnnealResult,
+    line: String,
+    evaluated: usize,
+}
+
+/// `evaluate`, counting its calls in `calls`.
+fn counting<'a>(
+    calls: &'a Cell<usize>,
+    mut evaluate: impl FnMut(&PlacementState) -> Result<Eval, PlacementError> + 'a,
+) -> impl FnMut(&PlacementState) -> Result<Eval, PlacementError> + 'a {
+    move |state| {
+        calls.set(calls.get() + 1);
+        evaluate(state)
+    }
+}
+
+/// Runs `search` under a recording tracer teed into telemetry, with a
+/// call counter for its evaluation closure.
 fn traced(
     label: &str,
-    search: impl FnOnce(&Tracer) -> Result<AnnealResult, PlacementError>,
-) -> (AnnealResult, String) {
+    search: impl FnOnce(&Tracer, &Cell<usize>) -> Result<AnnealResult, PlacementError>,
+) -> Pinned {
     let recorder = Recorder::with_capacity(8192);
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let tracer = Tracer::with_telemetry(TelemetrySink::tee(telemetry.clone(), recorder.clone()));
-    let result = search(&tracer).expect("search runs");
+    let calls = Cell::new(0);
+    let result = search(&tracer, &calls).expect("search runs");
     tracer.flush();
     let events = recorder.events();
     assert!(events.len() < 8192, "{label}: the recorder dropped events");
@@ -72,11 +91,15 @@ fn traced(
         fnv1a64(stream.as_bytes()),
         fnv1a64(telemetry.to_text().as_bytes()),
     );
-    (result, line)
+    Pinned {
+        result,
+        line,
+        evaluated: calls.get(),
+    }
 }
 
-/// The golden lines of the Fig. 11 mix searches.
-fn mix_searches() -> Vec<String> {
+/// The Fig. 11 mix searches.
+fn mix_searches() -> Vec<Pinned> {
     let cfg = ExpConfig {
         fast: true,
         seed: SEED,
@@ -97,21 +120,30 @@ fn mix_searches() -> Vec<String> {
         },
         ..greedy
     };
-    let mut lines = Vec::new();
-    let (best, line) = traced("fig11-greedy", |tracer| {
-        anneal_estimator(&estimator, SearchGoal::MinWeightedTotal, &greedy, tracer)
+    // What `anneal_estimator` runs, with the goal's evaluation counted.
+    let search = |goal: SearchGoal, config: &AnnealConfig, tracer: &Tracer, calls: &Cell<usize>| {
+        let evaluate = counting(calls, |s| goal.eval(&estimator, s));
+        anneal_with(&ctx.problem, evaluate, config, tracer)
+    };
+    let mut pinned = Vec::new();
+    let greedy_best = traced("fig11-greedy", |tracer, calls| {
+        search(SearchGoal::MinWeightedTotal, &greedy, tracer, calls)
     });
-    lines.push(line);
-    lines.push(
-        traced("fig11-metropolis", |tracer| {
-            anneal_estimator(
-                &estimator,
-                SearchGoal::MinWeightedTotal,
-                &metropolis,
-                tracer,
-            )
-        })
-        .1,
+    let best = greedy_best.result.state.clone();
+    pinned.push(greedy_best);
+    pinned.push(traced("fig11-metropolis", |tracer, calls| {
+        search(SearchGoal::MinWeightedTotal, &metropolis, tracer, calls)
+    }));
+    // The counted search is the production one.
+    assert_eq!(
+        pinned[1].result,
+        anneal_estimator(
+            &estimator,
+            SearchGoal::MinWeightedTotal,
+            &metropolis,
+            &Tracer::disabled()
+        )
+        .expect("search runs")
     );
 
     // A bound the random start misses: the walk climbs the violation
@@ -120,8 +152,8 @@ fn mix_searches() -> Vec<String> {
         target: 0,
         max_normalized: 1.05,
     };
-    let (qos_result, line) = traced("qos-infeasible-start", |tracer| {
-        anneal_estimator(&estimator, qos, &greedy, tracer)
+    let qos_search = traced("qos-infeasible-start", |tracer, calls| {
+        search(qos, &greedy, tracer, calls)
     });
     let start = PlacementState::random(&ctx.problem, &mut icm_rng::Rng::from_seed(greedy.seed));
     let start_time = estimator
@@ -129,13 +161,13 @@ fn mix_searches() -> Vec<String> {
         .expect("estimates")
         .normalized_times[0];
     assert!(start_time > 1.05, "the QoS search must start infeasible");
-    assert!(qos_result.accepted > 0);
-    lines.push(line);
+    assert!(qos_search.result.accepted > 0);
+    pinned.push(qos_search);
 
     // Evict workload 0 from the hosts it holds in the greedy optimum
     // and pin workload 3 where it is.
     let mut constraints = PlacementConstraints::new();
-    for host in best.state.hosts_of(&ctx.problem, 0) {
+    for host in best.hosts_of(&ctx.problem, 0) {
         constraints.exclude(0, host);
     }
     constraints.pin(3);
@@ -144,21 +176,17 @@ fn mix_searches() -> Vec<String> {
         seed: SEED ^ 0xD00D,
         ..AnnealConfig::default()
     };
-    lines.push(
-        traced("fig11-constrained-re-anneal", |tracer| {
-            let objective = IncrementalObjective::new(&estimator, SearchGoal::MinWeightedTotal)?;
-            re_anneal_with(
-                &ctx.problem,
-                objective,
-                &best.state,
-                &constraints,
-                &reanneal,
-                tracer,
-            )
-        })
-        .1,
-    );
-    lines
+    pinned.push(traced("fig11-constrained-re-anneal", |tracer, calls| {
+        re_anneal_with(
+            &ctx.problem,
+            counting(calls, |s| SearchGoal::MinWeightedTotal.eval(&estimator, s)),
+            &best,
+            &constraints,
+            &reanneal,
+            tracer,
+        )
+    }));
+    pinned
 }
 
 /// The daemon's fleet (fast world at [`SEED`]) and the manager's
@@ -176,7 +204,7 @@ fn daemon_fleet() -> (Fleet, usize, usize) {
 /// 400 candidates) over its fleet.
 fn place(
     fleet: &Fleet,
-    objective: impl Objective,
+    evaluate: impl FnMut(&PlacementState) -> Result<Eval, PlacementError>,
     tracer: &Tracer,
 ) -> Result<AnnealResult, PlacementError> {
     let config = AnnealConfig {
@@ -184,74 +212,82 @@ fn place(
         seed: SEED.wrapping_add(2u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         ..AnnealConfig::default()
     };
-    anneal_with(fleet.problem(), objective, &config, tracer)
+    anneal_with(fleet.problem(), evaluate, &config, tracer)
 }
 
-/// The golden lines of the fleet searches.
-fn fleet_searches() -> Vec<String> {
+/// The fleet searches.
+fn fleet_searches() -> Vec<Pinned> {
     let (fleet, initial_iterations, reanneal_iterations) = daemon_fleet();
     let n = fleet.apps().len();
     let hosts = fleet.problem().hosts();
     let all_live = vec![true; n];
     let no_suspicion = vec![0.0; hosts];
-    let mut lines = Vec::new();
-    let (placed, line) = traced("daemon-place", |tracer| {
-        place(
-            &fleet,
-            FleetObjective::new(&fleet, &all_live, &no_suspicion),
+    let mut pinned = Vec::new();
+    let placed = traced("daemon-place", |tracer, calls| {
+        let mut objective = FleetObjective::new(&fleet, &all_live, &no_suspicion);
+        place(&fleet, counting(calls, |s| objective.eval(s)), tracer)
+    });
+    let placed_state = placed.result.state.clone();
+    pinned.push(placed);
+    pinned.push(traced("manager-initial-placement", |tracer, calls| {
+        let config = AnnealConfig {
+            iterations: initial_iterations,
+            seed: SEED ^ 0x1CF7,
+            ..AnnealConfig::default()
+        };
+        let mut objective = FleetObjective::new(&fleet, &all_live, &no_suspicion);
+        anneal_with(
+            fleet.problem(),
+            counting(calls, |s| objective.eval(s)),
+            &config,
             tracer,
         )
-    });
-    lines.push(line);
-    lines.push(
-        traced("manager-initial-placement", |tracer| {
-            let config = AnnealConfig {
-                iterations: initial_iterations,
-                seed: SEED ^ 0x1CF7,
-                ..AnnealConfig::default()
-            };
-            let objective = FleetObjective::new(&fleet, &all_live, &no_suspicion);
-            anneal_with(fleet.problem(), objective, &config, tracer)
-        })
-        .1,
-    );
+    }));
 
     // The last application shed, the first host down, and suspicion
     // on every host the first application holds.
     let mut live = all_live.clone();
     live[n - 1] = false;
     let mut suspicion = vec![0.0; hosts];
-    for host in placed.state.hosts_of(fleet.problem(), 0) {
+    for host in placed_state.hosts_of(fleet.problem(), 0) {
         suspicion[host] = 0.75;
     }
     let mut constraints = PlacementConstraints::new();
     for app in (0..n).filter(|&i| live[i]) {
         constraints.exclude(app, 0);
     }
-    let (reanneal, line) = traced("manager-re-anneal", |tracer| {
+    let reanneal = traced("manager-re-anneal", |tracer, calls| {
         let config = AnnealConfig {
             iterations: reanneal_iterations,
             seed: SEED ^ 0xD00D,
             ..AnnealConfig::default()
         };
-        let objective = FleetObjective::new(&fleet, &live, &suspicion);
+        let mut objective = FleetObjective::new(&fleet, &live, &suspicion);
         re_anneal_with(
             fleet.problem(),
-            objective,
-            &placed.state,
+            counting(calls, |s| objective.eval(s)),
+            &placed_state,
             &constraints,
             &config,
             tracer,
         )
     });
-    assert!(reanneal.accepted > 0, "the re-anneal must move something");
-    lines.push(line);
-    lines
+    assert!(
+        reanneal.result.accepted > 0,
+        "the re-anneal must move something"
+    );
+    pinned.push(reanneal);
+    pinned
+}
+
+/// Every pinned search, in golden order.
+fn pinned_searches() -> Vec<Pinned> {
+    mix_searches().into_iter().chain(fleet_searches()).collect()
 }
 
 #[test]
 fn every_search_matches_its_golden() {
-    let lines: Vec<String> = mix_searches().into_iter().chain(fleet_searches()).collect();
+    let lines: Vec<String> = pinned_searches().into_iter().map(|p| p.line).collect();
     for line in &lines {
         let label = line.split(':').next().expect("a label");
         let golden = GOLDEN
@@ -264,58 +300,31 @@ fn every_search_matches_its_golden() {
     assert_eq!(pinned, lines.len(), "a golden line has no search");
 }
 
-/// Counts the probes that reach the wrapped objective.
-struct Counting<'a, O> {
-    inner: O,
-    probes: &'a Cell<usize>,
-}
-
-impl<O: Objective> Objective for Counting<'_, O> {
-    fn reset(&mut self, state: &PlacementState) -> Result<Eval, PlacementError> {
-        self.inner.reset(state)
-    }
-
-    fn probe(
-        &mut self,
-        state: &PlacementState,
-        a: usize,
-        b: usize,
-    ) -> Result<Eval, PlacementError> {
-        self.probes.set(self.probes.get() + 1);
-        self.inner.probe(state, a, b)
-    }
-
-    fn accept(&mut self) {
-        self.inner.accept();
-    }
-
-    fn reject(&mut self) {
-        self.inner.reject();
-    }
-}
+/// Each pinned search's evaluations (start state included) and its
+/// candidates priced, memo hits included: a redrawn neighbour of the
+/// committed state is answered from the memo, so only the greedy walks'
+/// first visits and the Metropolis walk's many accepted moves reach the
+/// evaluation closure. The same in debug and release builds.
+const EVALUATED: [(&str, usize, usize); 7] = [
+    ("fig11-greedy", 90, 801),
+    ("fig11-metropolis", 763, 801),
+    ("qos-infeasible-start", 108, 801),
+    ("fig11-constrained-re-anneal", 91, 401),
+    ("daemon-place", 67, 401),
+    ("manager-initial-placement", 60, 601),
+    ("manager-re-anneal", 70, 251),
+];
 
 #[test]
-fn a_daemon_place_probes_each_neighbour_once_per_committed_state() {
-    let (fleet, _, _) = daemon_fleet();
-    let all_live = vec![true; fleet.apps().len()];
-    let no_suspicion = vec![0.0; fleet.problem().hosts()];
-    let probes = Cell::new(0);
-    let counting = Counting {
-        inner: FleetObjective::new(&fleet, &all_live, &no_suspicion),
-        probes: &probes,
-    };
-    let counted = place(&fleet, counting, &Tracer::disabled()).expect("place runs");
-    let plain = place(
-        &fleet,
-        FleetObjective::new(&fleet, &all_live, &no_suspicion),
-        &Tracer::disabled(),
-    )
-    .expect("place runs");
-    assert_eq!(counted, plain, "counting changed the search");
-    assert_eq!(counted.evaluations, 401, "every candidate is priced");
-    assert!(
-        probes.get() <= 100,
-        "a 400-candidate place made {} real probes",
-        probes.get()
-    );
+fn every_search_evaluates_each_neighbour_once_per_committed_state() {
+    let pinned = pinned_searches();
+    assert_eq!(pinned.len(), EVALUATED.len());
+    for (search, (label, evaluated, evaluations)) in pinned.iter().zip(EVALUATED) {
+        assert!(search.line.starts_with(&format!("{label}:")), "{label}");
+        assert_eq!(
+            (search.evaluated, search.result.evaluations),
+            (evaluated, evaluations),
+            "{label}: (evaluated, candidates priced)"
+        );
+    }
 }
