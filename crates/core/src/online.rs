@@ -18,6 +18,8 @@
 
 use std::collections::BTreeMap;
 
+use icm_json::Shared;
+
 use crate::error::ModelError;
 use crate::model::InterferenceModel;
 
@@ -49,7 +51,9 @@ pub const DEFAULT_CORRECTION_BAND: (f64, f64) = (0.5, 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineModel {
-    base: InterferenceModel,
+    /// Never changes, so clones and snapshots share it and it is
+    /// encoded once.
+    base: Shared<InterferenceModel>,
     alpha: f64,
     min_correction: f64,
     max_correction: f64,
@@ -113,7 +117,7 @@ impl OnlineModel {
             "alpha must be in (0, 1], got {alpha}"
         );
         Self {
-            base,
+            base: Shared::new(base),
             alpha,
             min_correction: DEFAULT_CORRECTION_BAND.0,
             max_correction: DEFAULT_CORRECTION_BAND.1,

@@ -114,10 +114,11 @@ impl World {
     }
 
     /// Captures the world (plus the driver RNG, the tracer clock and
-    /// the trace position) into a serializable savestate, sealing the
-    /// run history first ([`WorldSnapshot::capture`]).
+    /// the trace position) into a serializable savestate that shares
+    /// the run history, app catalog and base models with the world
+    /// ([`WorldSnapshot::capture`]).
     pub fn snapshot(
-        &mut self,
+        &self,
         tracer: &Tracer,
         trace_path: Option<&str>,
         trace_bytes: u64,
@@ -126,13 +127,7 @@ impl World {
             rngs: vec![RngState::capture(&self.driver)],
             trace_path: trace_path.map(str::to_owned),
             trace_bytes,
-            ..WorldSnapshot::capture(
-                &self.testbed,
-                &self.fleet,
-                &self.config,
-                &mut self.run,
-                tracer,
-            )
+            ..WorldSnapshot::capture(&self.testbed, &self.fleet, &self.config, &self.run, tracer)
         }
     }
 

@@ -496,12 +496,13 @@ fn run(
 /// a mutation API.
 ///
 /// The run history (detections, actions, provenance) only grows or
-/// settles, yet every savestate carries all of it. Each history record
-/// keeps its compact JSON text from the last [`ManagedRun::seal`] until
-/// it changes, and serialization splices that text in, so a checkpoint
-/// encodes only what changed since the previous one. The cached text is
-/// never serialized: a parsed run starts without it and writes the same
-/// bytes either way.
+/// settles, yet every savestate carries all of it. Cloning a run shares
+/// the history instead of copying it, and each record is an
+/// [`icm_json::Shared`] value: its first encode, through the run or any
+/// snapshot of it, caches its compact JSON text until the record
+/// changes, so a checkpoint encodes only what changed since the
+/// previous one. The cached text is never serialized: a parsed run
+/// starts without it and writes the same bytes either way.
 #[derive(Debug, Clone)]
 pub struct ManagedRun {
     managed: bool,
@@ -631,16 +632,6 @@ impl ManagedRun {
     /// Violation-seconds accumulated so far.
     pub fn violation_seconds(&self) -> f64 {
         self.violation_seconds
-    }
-
-    /// Encodes every history record that is new or changed since the
-    /// last seal, so the next serialization splices cached text instead
-    /// of encoding it again. Call it before checkpointing; it changes no
-    /// serialized byte.
-    pub fn seal(&mut self) {
-        self.detections.seal();
-        self.actions.seal();
-        self.provenance.seal();
     }
 
     /// Executes one supervisory tick: peek at outages, deploy and

@@ -10,6 +10,11 @@
 //! [`icm_json::fs::SnapshotStore`], which treats the snapshot as opaque
 //! bytes.
 //!
+//! A capture copies only the small state that changes every tick. The
+//! history, the app catalog and the base models are shared with the
+//! live world, copy-on-write, and each is encoded once (see
+//! [`WorldSnapshot`]).
+//!
 //! What is deliberately *not* snapshotted: telemetry accumulators.
 //! They are derived data — a resumed run restarts them empty, and the
 //! byte-identity contract covers the event trace, results, and final
@@ -74,11 +79,16 @@ impl FromJson for RngState {
 /// reject payloads from a different format generation with a typed
 /// error before attempting a full decode.
 ///
-/// [`WorldSnapshot::to_text`] streams the compact text. The run's
-/// history records write the text cached at their last
-/// [`ManagedRun::seal`], so a snapshot taken from a sealed run encodes
-/// only the records that changed since; the bytes are the same either
-/// way, and the cache is never part of them.
+/// [`WorldSnapshot::to_text`] streams the compact text. A snapshot
+/// shares what does not change between checkpoints with the world it
+/// was captured from, and each shared part is an [`icm_json::Shared`]
+/// value that is encoded once: the run's history records, the
+/// testbed's app catalog and the fleet's base models. So a capture
+/// copies none of them, and an encode writes cached text for every one
+/// that has not changed since it was last encoded, through this
+/// snapshot, an earlier one or the live world. Edits to the world are
+/// copy-on-write, so a held snapshot keeps its capture-time bytes. The
+/// bytes are the same either way, and the cache is never part of them.
 #[derive(Debug, Clone)]
 pub struct WorldSnapshot {
     /// Payload format version ([`WORLD_SNAPSHOT_VERSION`]).
@@ -169,19 +179,17 @@ pub fn parse_versioned<T: FromJson, const READS: u64>(
 }
 
 impl WorldSnapshot {
-    /// Captures a supervised world at a tick boundary. Seals the run's
-    /// history first (see [`ManagedRun::seal`]), so the snapshot encodes
-    /// only the records that changed since the last one. No driver
-    /// RNGs and no trace position are recorded; a caller that owns them
-    /// fills in `rngs`, `trace_path` and `trace_bytes`.
+    /// Captures a supervised world at a tick boundary, sharing its
+    /// history, app catalog and base models instead of copying them. No
+    /// driver RNGs and no trace position are recorded; a caller that
+    /// owns them fills in `rngs`, `trace_path` and `trace_bytes`.
     pub fn capture(
         testbed: &SimTestbed,
         fleet: &Fleet,
         config: &ManagerConfig,
-        run: &mut ManagedRun,
+        run: &ManagedRun,
         tracer: &Tracer,
     ) -> Self {
-        run.seal();
         Self {
             version: WORLD_SNAPSHOT_VERSION,
             testbed: testbed.snapshot(),

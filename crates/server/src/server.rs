@@ -155,10 +155,10 @@ impl ServerSnapshot {
     ///
     /// World construction failures.
     fn fresh(config: ServerConfig, tracer: &Tracer) -> Result<Self, ServerError> {
-        let (testbed, fleet, manager_config, mut run) = build_world(&config)?;
+        let (testbed, fleet, manager_config, run) = build_world(&config)?;
         Ok(Self {
             version: SERVER_SNAPSHOT_VERSION,
-            world: WorldSnapshot::capture(&testbed, &fleet, &manager_config, &mut run, tracer),
+            world: WorldSnapshot::capture(&testbed, &fleet, &manager_config, &run, tracer),
             config,
             clock_us: 0,
             last_arrival_us: 0,
@@ -871,12 +871,13 @@ impl Server {
         Ok(())
     }
 
-    /// Captures the server's state, sealing the run's history (see
+    /// Captures the server's state, sharing the world's history, app
+    /// catalog and base models instead of copying them (see
     /// [`WorldSnapshot::capture`]). Meaningful only when the queue is
     /// empty (checkpoints are taken at quiescent commits); pending
     /// requests are deliberately not serialized — they were never
     /// acknowledged, and recovery re-feeds them from the intake log.
-    pub fn snapshot(&mut self) -> ServerSnapshot {
+    pub fn snapshot(&self) -> ServerSnapshot {
         ServerSnapshot {
             version: SERVER_SNAPSHOT_VERSION,
             config: self.config.clone(),
@@ -884,7 +885,7 @@ impl Server {
                 &self.testbed,
                 &self.fleet,
                 &self.manager_config,
-                &mut self.run,
+                &self.run,
                 &self.tracer,
             ),
             clock_us: self.clock_us,

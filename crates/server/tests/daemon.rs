@@ -829,3 +829,76 @@ fn snapshots_refuse_unknown_versions() {
     let err = ServerSnapshot::parse(r#"{"version":1}"#).expect_err("refused");
     assert!(matches!(err, ServerSnapshotError::Payload(_)), "{err}");
 }
+
+/// A snapshot shares the daemon's history, app catalog and base models,
+/// copy-on-write: holding one across frames that change corrections and
+/// history must leave it encoding its capture-time bytes, whether its
+/// first encode comes before those frames or after them. The reference
+/// bytes come from a twin daemon fed the same frames, so they share no
+/// cache with the held snapshot.
+#[test]
+fn a_held_snapshot_keeps_its_capture_time_bytes() {
+    let tick = |k: u64| format!(r#"{{"id":"t{k}","kind":"tick","deadline_ms":120000}}"#);
+    let start = || {
+        let mut server = Server::start(fast_config(), None).expect("starts");
+        // Crossed models mispredict, so the manager detects and reacts:
+        // the ticks add history records and settle earlier ones.
+        let apps = server.fleet_mut().apps_mut();
+        let online = apps[0].online.clone();
+        apps[0].online = apps[1].online.clone();
+        apps[1].online = online;
+        for k in 0..3 {
+            assert_eq!(status_of(&feed(&mut server, &tick(k))[0]), "ok");
+        }
+        server
+    };
+    let expected = icm_json::to_string(&start().snapshot());
+    let provenance = |text: &str| {
+        let snapshot = icm_json::parse(text).expect("parses");
+        let run = snapshot.get("world").and_then(|w| w.get("run"));
+        let records = run.and_then(|r| r.get("provenance"));
+        records
+            .and_then(Json::as_array)
+            .expect("provenance")
+            .to_vec()
+    };
+    let held_provenance = provenance(&expected);
+    assert!(!held_provenance.is_empty(), "the prefix made history");
+    for encode_at_capture in [true, false] {
+        let mut server = start();
+        let held = server.snapshot();
+        if encode_at_capture {
+            assert_eq!(icm_json::to_string(&held), expected);
+        }
+        for k in 0..12u32 {
+            let observe = format!(
+                r#"{{"id":"o{k}","kind":"observe","app":"M.milc","corunners":["H.KM"],"normalized":{}}}"#,
+                1.5 + 0.1 * f64::from(k)
+            );
+            assert_eq!(status_of(&feed(&mut server, &observe)[0]), "ok");
+            assert_eq!(
+                status_of(&feed(&mut server, &tick(3 + u64::from(k)))[0]),
+                "ok"
+            );
+            // Fill the shared caches from the live side, as checkpoints do.
+            icm_json::to_string(&server.snapshot());
+        }
+        let live = provenance(&icm_json::to_string(&server.snapshot()));
+        assert!(
+            live.len() > held_provenance.len(),
+            "the frames added history"
+        );
+        assert!(
+            held_provenance
+                .iter()
+                .zip(&live)
+                .any(|(then, now)| then != now),
+            "the frames changed a record the snapshot holds"
+        );
+        assert_eq!(
+            icm_json::to_string(&held),
+            expected,
+            "encoded at capture: {encode_at_capture}"
+        );
+    }
+}

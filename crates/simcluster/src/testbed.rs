@@ -2,6 +2,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use icm_json::Shared;
 use icm_obs::{Tracer, Value};
 use icm_simnode::{solve_contention, Bubble, MemoryProfile};
 
@@ -359,7 +360,8 @@ impl TestbedStats {
 #[derive(Debug, Clone)]
 pub struct SimTestbed {
     cluster: ClusterSpec,
-    apps: BTreeMap<String, AppSpec>,
+    /// Shared with every snapshot, which encodes it once.
+    apps: Shared<BTreeMap<String, AppSpec>>,
     bubble: Bubble,
     noise: Noise,
     run_counter: u64,
@@ -384,8 +386,9 @@ pub struct SimTestbed {
 pub struct TestbedSnapshot {
     /// Cluster geometry and background-tenant model.
     pub cluster: ClusterSpec,
-    /// Registered applications, by name.
-    pub apps: BTreeMap<String, AppSpec>,
+    /// Registered applications, by name. The testbed it was captured
+    /// from shares them until it registers another.
+    pub apps: Shared<BTreeMap<String, AppSpec>>,
     /// The addressed noise source (seed only; draws are stateless).
     pub noise: Noise,
     /// Run counter — the position in the noise history.
@@ -412,7 +415,7 @@ impl SimTestbed {
         let bubble = Bubble::new(cluster.node(0));
         Self {
             cluster,
-            apps: BTreeMap::new(),
+            apps: Shared::new(BTreeMap::new()),
             bubble,
             noise: Noise::new(seed),
             run_counter: 0,
@@ -452,7 +455,7 @@ impl SimTestbed {
     /// Registers (or replaces) an application so it can be deployed by
     /// name.
     pub fn register_app(&mut self, spec: AppSpec) {
-        self.apps.insert(spec.name().to_owned(), spec);
+        self.apps.make_mut().insert(spec.name().to_owned(), spec);
     }
 
     /// Looks up a registered application.

@@ -190,26 +190,7 @@ echo "verify: checkpoint naming smoke OK"
 # acknowledged (journaled) reply must survive the kill byte-for-byte,
 # the recovered journal must equal an uninterrupted same-script run's,
 # and a same-seed rerun must be byte-identical end to end.
-{
-    printf '%s\n' \
-        '{"id":"w1","kind":"predict","app":"M.milc","corunners":["H.KM"],"at_ms":100,"deadline_ms":500}' \
-        '{"id":"o1","kind":"observe","app":"M.milc","corunners":["H.KM"],"normalized":1.4,"at_ms":140,"deadline_ms":500}' \
-        'this is not a request' \
-        '{"id":"a1","kind":"place","iterations":200,"at_ms":200,"deadline_ms":500}' \
-        '{"id":"u1","kind":"predict","app":"M.milc","corunners":["H.KM"]}' \
-        '{"id":"u2","kind":"status"}'
-    i=0
-    while [ "$i" -lt 12 ]; do
-        printf '{"id":"b%d","kind":"predict","app":"H.KM","corunners":["M.milc"],"priority":%d,"at_ms":400,"deadline_ms":60}\n' \
-            "$i" $((i % 4))
-        i=$((i + 1))
-    done
-    printf '%s\n' \
-        '{"id":"s1","kind":"status","at_ms":900,"deadline_ms":500}' \
-        '{"id":"w2","kind":"predict","app":"M.milc","corunners":["H.KM"],"at_ms":1000,"deadline_ms":500}' \
-        '{"id":"t1","kind":"tick","at_ms":1100,"deadline_ms":120000}' \
-        '{"id":"s2","kind":"status","at_ms":1300,"deadline_ms":500}'
-} > "$SMOKE/serve-script.jsonl"
+scripts/serve_script.sh > "$SMOKE/serve-script.jsonl"
 ./target/release/icm-server --fast --state "$SMOKE/ref-serve" --checkpoint-every 6 \
     --input "$SMOKE/serve-script.jsonl" --quiet > /dev/null
 grep -q '"status":"overloaded"' "$SMOKE/ref-serve/journal.log" \

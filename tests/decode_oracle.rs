@@ -253,7 +253,7 @@ fn snapshot_decode_keeps_its_golden_verdicts_on_damaged_savestates() {
     });
     assert!(accepted > 0, "no mutated savestate was accepted");
 
-    let mut server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
+    let server = Server::start(ServerConfig::new(2016, true), None).expect("starts");
     let text = icm::json::to_string(&server.snapshot());
     check_corpus("server", &text, 0x5E4E, 40, |text| {
         snapshot(text, ServerSnapshot::parse)

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use icm::core::model::ModelBuilder;
 use icm::core::InterferenceModel;
 use icm::placement::{
-    anneal_estimator, exhaustive, place_qos, AnnealConfig, Estimator, PlacementProblem, QosConfig,
-    SearchGoal,
+    anneal_estimator, exhaustive, place_qos, AcceptRule, AnnealConfig, Estimator, PlacementProblem,
+    QosConfig, SearchGoal,
 };
 use icm::simcluster::{Deployment, Placement};
 use icm::workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
@@ -143,6 +143,49 @@ fn annealer_matches_exhaustive_oracle_on_small_problem() {
         assert_eq!(
             oracle_state.hosts_of(&problem, 0).len(),
             result.state.hosts_of(&problem, 0).len()
+        );
+    }
+
+    // Four workloads × 2 slots on the same hosts: placements differ in
+    // cost, so the oracle's optimum is one a search can miss. Greedy
+    // acceptance misses it on 9 of these 20 seeds (ROADMAP item 2);
+    // Metropolis must reach it on every one.
+    let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(43).build();
+    let apps = ["M.milc", "H.KM", "N.cg", "C.mcf"];
+    let models = build_models(&mut tb, &apps, 2);
+    let problem =
+        PlacementProblem::new(4, 2, apps.iter().map(|a| (*a).to_owned()).collect()).expect("valid");
+    let estimator = Estimator::from_map(&problem, &models).expect("valid");
+    let goal = SearchGoal::MinWeightedTotal;
+    let cost = |s: &icm::placement::PlacementState| goal.eval(&estimator, s).expect("prices").cost;
+    let mut worst = f64::NEG_INFINITY;
+    let states = exhaustive::for_each_placement(&problem, |s| worst = worst.max(cost(s)))
+        .expect("enumerates");
+    assert_eq!(states, 1440);
+    let (_, oracle) =
+        exhaustive::exhaustive_best(&problem, |s| goal.eval(&estimator, s)).expect("enumerates");
+    assert!(
+        oracle.cost < worst,
+        "the optimum {} must beat the worst placement {worst}",
+        oracle.cost
+    );
+    for seed in 0..20 {
+        let config = AnnealConfig {
+            iterations: 400,
+            seed,
+            accept: AcceptRule::Metropolis {
+                initial_temperature: 0.3,
+                cooling: 0.999,
+            },
+            ..AnnealConfig::default()
+        };
+        let result =
+            anneal_estimator(&estimator, goal, &config, &Tracer::disabled()).expect("search runs");
+        assert!(
+            result.cost <= oracle.cost + 1e-9,
+            "anneal seed {seed}: {} above the oracle optimum {}",
+            result.cost,
+            oracle.cost
         );
     }
 }

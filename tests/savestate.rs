@@ -224,17 +224,17 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
 }
 
 /// What the history cache had to get right between two checks: records
-/// that were sealed at one check and then changed before the next.
+/// that were encoded at one check and then changed before the next.
 #[derive(Debug, Default)]
 struct Edited {
-    /// Sealed records whose report card resolved afterwards.
+    /// Encoded records whose report card resolved afterwards.
     resolved: usize,
-    /// Sealed records a recovery settled afterwards.
+    /// Encoded records a recovery settled afterwards.
     settled: usize,
 }
 
 /// Oracle for the run-history cache: every `every` ticks the streamed
-/// savestate, which splices each sealed record's cached text, must hold
+/// savestate, which splices each record's cached text, must hold
 /// the history exactly as an encode of the live records writes it, with
 /// no cache at all. Every `restore_every`-th check rebuilds the world
 /// from that text, so the cache also restarts empty mid-run. `step`
@@ -349,16 +349,15 @@ fn streamed_savestates_equal_their_trees_on_a_long_endurance_world() {
     });
     assert!(
         edited.resolved > 0,
-        "no sealed record was resolved: {edited:?}"
+        "no cached record was resolved: {edited:?}"
     );
 }
 
 /// The fast endurance fleet without ambient drift or the crash driver,
-/// under scripted crash windows and stragglers: a straggler kill fails
-/// its tick, so the re-anneal it triggers stays unsettled until a later
-/// tick's recovery, and the oracle checks after every tick.
-#[test]
-fn streamed_savestates_equal_their_trees_through_recoveries() {
+/// over 120 ticks under scripted crash windows and stragglers: a
+/// straggler kill fails its tick, so the re-anneal it triggers stays
+/// unsettled until a later tick's recovery.
+fn recovering_world() -> World {
     let mut world = World::new(&fast_cfg(), &Tracer::disabled()).expect("world builds");
     world.config.ticks = 120;
     world.config.environment = None;
@@ -376,18 +375,84 @@ fn streamed_savestates_equal_their_trees_through_recoveries() {
             .collect(),
         ..FaultPlan::default()
     }));
-    let edited = history_matches_uncached(world, 1, 25, |world, tracer| {
-        world
-            .run
-            .step(&mut world.testbed, &mut world.fleet, &world.config, tracer)
-            .expect("steps");
-    });
+    world
+}
+
+/// Steps a [`recovering_world`] one tick, without the crash driver.
+fn step_recovering(world: &mut World, tracer: &Tracer) {
+    world
+        .run
+        .step(&mut world.testbed, &mut world.fleet, &world.config, tracer)
+        .expect("steps");
+}
+
+/// The oracle checks after every tick of a [`recovering_world`].
+#[test]
+fn streamed_savestates_equal_their_trees_through_recoveries() {
+    let edited = history_matches_uncached(recovering_world(), 1, 25, step_recovering);
     assert!(
         edited.settled > 0,
-        "no sealed record was settled: {edited:?}"
+        "no cached record was settled: {edited:?}"
     );
     assert!(
         edited.resolved > 0,
-        "no sealed record was resolved: {edited:?}"
+        "no cached record was resolved: {edited:?}"
     );
+}
+
+/// A snapshot shares the world's history, app catalog and base models,
+/// copy-on-write: holding one while the world steps on through
+/// provenance settlements must leave it encoding its capture-time
+/// bytes, whether its first encode comes at capture or after the steps.
+/// The reference bytes come from a twin world stepped the same way, so
+/// they share no cache with the held snapshot.
+#[test]
+fn a_held_snapshot_keeps_its_capture_time_bytes() {
+    // Three records are unresolved and unsettled after tick 43.
+    const CAPTURE_TICK: u64 = 43;
+    let tracer = Tracer::disabled();
+    let prefix = || {
+        let mut world = recovering_world();
+        while world.run.next_tick() <= CAPTURE_TICK {
+            step_recovering(&mut world, &tracer);
+        }
+        world
+    };
+    let provenance = |world: &World| {
+        let run = world.run.clone();
+        run.into_outcome(&world.testbed, &world.fleet, &world.config)
+            .provenance
+    };
+    let expected = prefix().snapshot(&tracer, None, 0).to_text();
+    for encode_at_capture in [true, false] {
+        let mut world = prefix();
+        let held = world.snapshot(&tracer, None, 0);
+        let captured = provenance(&world);
+        if encode_at_capture {
+            assert_eq!(held.to_text(), expected);
+        }
+        while !world.run.is_done(&world.config) {
+            step_recovering(&mut world, &tracer);
+            // Fill the shared caches from the live side, as checkpoints do.
+            world.snapshot(&tracer, None, 0).to_text();
+        }
+        assert!(world.run.next_tick() > CAPTURE_TICK + 50);
+        let now = provenance(&world);
+        let changed = |edit: fn(&ProvenanceRecord, &ProvenanceRecord) -> bool| {
+            captured
+                .iter()
+                .zip(&now)
+                .filter(|(a, b)| edit(a, b))
+                .count()
+        };
+        let resolved = changed(|then, now| !then.resolved && now.resolved);
+        let settled = changed(|then, now| then.outcome.is_none() && now.outcome.is_some());
+        assert!(resolved > 0, "no held record was resolved afterwards");
+        assert!(settled > 0, "no held record was settled afterwards");
+        assert_eq!(
+            held.to_text(),
+            expected,
+            "encoded at capture: {encode_at_capture}"
+        );
+    }
 }
