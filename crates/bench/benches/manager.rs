@@ -8,7 +8,6 @@ use icm_core::model::ModelBuilder;
 use icm_core::{DriftConfig, OnlineModel};
 use icm_manager::{run_managed, run_unmanaged, Fleet, ManagedApp, ManagerConfig};
 use icm_obs::{Telemetry, TelemetryConfig, TelemetrySink, Tracer};
-use icm_placement::QosConfig;
 use icm_simcluster::{CrashWindow, FaultPlan};
 use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
@@ -41,10 +40,7 @@ fn config(ticks: u64) -> ManagerConfig {
         ticks,
         initial_iterations: 600,
         reanneal_iterations: 250,
-        qos: QosConfig {
-            qos_fraction: 0.5,
-            ..QosConfig::default()
-        },
+        qos_fraction: 0.5,
         drift: DriftConfig {
             threshold: 0.5,
             ..DriftConfig::default()

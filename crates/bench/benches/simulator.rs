@@ -40,6 +40,8 @@ fn main() {
         execute(
             SyncPattern::high_propagation(48),
             black_box(&slowdowns),
+            None,
+            &[],
             &noise,
             0.015,
             7,
@@ -49,6 +51,8 @@ fn main() {
         execute(
             SyncPattern::task_queue(120, 6),
             black_box(&slowdowns),
+            None,
+            &[],
             &noise,
             0.015,
             7,

@@ -13,8 +13,9 @@
 //!   co-runner (or per any caller-chosen context key), which is what
 //!   rescues applications whose mispredictions are co-runner-specific.
 //!
-//! Corrections start at 1 (no change) and are clamped to a configurable
-//! band so one outlier measurement cannot poison the model.
+//! Corrections start at 1 (no change) and are clamped to a fixed band
+//! ([`CORRECTION_BAND`]) so one outlier measurement cannot poison the
+//! model.
 
 use std::collections::BTreeMap;
 
@@ -23,11 +24,11 @@ use icm_json::Shared;
 use crate::error::ModelError;
 use crate::model::InterferenceModel;
 
-/// Default EWMA weight for new observations.
-pub const DEFAULT_ALPHA: f64 = 0.3;
+/// EWMA weight of a new observation.
+pub const ALPHA: f64 = 0.3;
 
-/// Default clamp band for correction factors.
-pub const DEFAULT_CORRECTION_BAND: (f64, f64) = (0.5, 2.0);
+/// Clamp band for correction factors.
+pub const CORRECTION_BAND: (f64, f64) = (0.5, 2.0);
 
 /// A statically profiled model plus online corrections learned from
 /// observed runs.
@@ -54,21 +55,11 @@ pub struct OnlineModel {
     /// Never changes, so clones and snapshots share it and it is
     /// encoded once.
     base: Shared<InterferenceModel>,
-    alpha: f64,
-    min_correction: f64,
-    max_correction: f64,
     global: Correction,
     keyed: BTreeMap<String, Correction>,
 }
 
-icm_json::impl_json!(struct OnlineModel {
-    base,
-    alpha,
-    min_correction,
-    max_correction,
-    global,
-    keyed,
-});
+icm_json::impl_json!(struct OnlineModel { base, global, keyed });
 
 /// One EWMA correction state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,38 +80,22 @@ impl Default for Correction {
 }
 
 impl Correction {
-    fn update(&mut self, ratio: f64, alpha: f64, lo: f64, hi: f64) {
-        let clamped = ratio.clamp(lo, hi);
+    fn update(&mut self, ratio: f64) {
+        let clamped = ratio.clamp(CORRECTION_BAND.0, CORRECTION_BAND.1);
         if self.observations == 0 {
             self.factor = clamped;
         } else {
-            self.factor = (1.0 - alpha) * self.factor + alpha * clamped;
+            self.factor = (1.0 - ALPHA) * self.factor + ALPHA * clamped;
         }
         self.observations += 1;
     }
 }
 
 impl OnlineModel {
-    /// Wraps a static model with default learning parameters.
+    /// Wraps a static model, with no correction learned yet.
     pub fn new(base: InterferenceModel) -> Self {
-        Self::with_alpha(base, DEFAULT_ALPHA)
-    }
-
-    /// Wraps a static model with an explicit EWMA weight `alpha ∈ (0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_alpha(base: InterferenceModel, alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && 0.0 < alpha && alpha <= 1.0,
-            "alpha must be in (0, 1], got {alpha}"
-        );
         Self {
             base: Shared::new(base),
-            alpha,
-            min_correction: DEFAULT_CORRECTION_BAND.0,
-            max_correction: DEFAULT_CORRECTION_BAND.1,
             global: Correction::default(),
             keyed: BTreeMap::new(),
         }
@@ -177,8 +152,7 @@ impl OnlineModel {
     /// or propagates pressure-vector validation errors.
     pub fn observe(&mut self, pressures: &[f64], actual: f64) -> Result<(), ModelError> {
         let ratio = self.ratio(pressures, actual)?;
-        self.global
-            .update(ratio, self.alpha, self.min_correction, self.max_correction);
+        self.global.update(ratio);
         Ok(())
     }
 
@@ -195,14 +169,8 @@ impl OnlineModel {
         actual: f64,
     ) -> Result<(), ModelError> {
         let ratio = self.ratio(pressures, actual)?;
-        self.keyed.entry(key.to_owned()).or_default().update(
-            ratio,
-            self.alpha,
-            self.min_correction,
-            self.max_correction,
-        );
-        self.global
-            .update(ratio, self.alpha, self.min_correction, self.max_correction);
+        self.keyed.entry(key.to_owned()).or_default().update(ratio);
+        self.global.update(ratio);
         Ok(())
     }
 
@@ -393,16 +361,22 @@ mod tests {
 
     #[test]
     fn corrections_converge_to_observed_bias() {
-        let mut online = OnlineModel::with_alpha(static_model(), 0.5);
+        let mut online = OnlineModel::new(static_model());
         let pressures = vec![2.0; 8];
         let base = online.base().predict(&pressures);
+        // The first observation sets the factor; each later one moves it
+        // an ALPHA = 0.3 step toward its own ratio.
+        online.observe(&pressures, base * 1.6).expect("valid");
+        assert!((online.correction() - 1.6).abs() < 1e-12);
+        online.observe(&pressures, base * 1.2).expect("valid");
+        assert!((online.correction() - (0.7 * 1.6 + 0.3 * 1.2)).abs() < 1e-12);
         // Reality consistently runs 20% slower than the static model.
-        for _ in 0..20 {
+        for _ in 0..60 {
             online.observe(&pressures, base * 1.2).expect("valid");
         }
-        assert!((online.correction() - 1.2).abs() < 0.01);
+        assert!((online.correction() - 1.2).abs() < 1e-6);
         let corrected = online.predict(&pressures).expect("valid");
-        assert!((corrected - base * 1.2).abs() / base < 0.02);
+        assert!((corrected - base * 1.2).abs() / base < 1e-6);
     }
 
     #[test]
@@ -427,18 +401,20 @@ mod tests {
 
     #[test]
     fn outliers_are_clamped() {
-        let mut online = OnlineModel::with_alpha(static_model(), 1.0);
+        let mut online = OnlineModel::new(static_model());
         let pressures = vec![2.0; 8];
         let base = online.base().predict(&pressures);
         online.observe(&pressures, base * 50.0).expect("valid");
-        assert!(online.correction() <= DEFAULT_CORRECTION_BAND.1 + 1e-12);
+        assert_eq!(online.correction(), CORRECTION_BAND.1);
+        // The low outlier enters the EWMA at the band's floor, not at 1e-6.
         online.observe(&pressures, base * 1e-6).expect("valid");
-        assert!(online.correction() >= DEFAULT_CORRECTION_BAND.0 - 1e-12);
+        let expected = 0.7 * CORRECTION_BAND.1 + 0.3 * CORRECTION_BAND.0;
+        assert!((online.correction() - expected).abs() < 1e-12);
     }
 
     #[test]
     fn corrected_prediction_never_below_one() {
-        let mut online = OnlineModel::with_alpha(static_model(), 1.0);
+        let mut online = OnlineModel::new(static_model());
         let none = vec![0.0; 8];
         online.observe(&none, 0.6).expect("valid"); // absurd but clamped
         assert!(online.predict(&none).expect("valid") >= 1.0);
@@ -481,24 +457,24 @@ mod tests {
         // A stream of absurd observations (crashing co-runner reporting
         // 100× slowdowns) must never push the EWMA past the clamp band,
         // no matter how long it runs.
-        let mut online = OnlineModel::with_alpha(static_model(), 0.9);
+        let mut online = OnlineModel::new(static_model());
         let pressures = vec![2.0; 8];
         let base = online.base().predict(&pressures);
         for i in 0..200 {
             let poison = base * if i % 2 == 0 { 100.0 } else { 1e-9 };
             online.observe(&pressures, poison).expect("positive");
+            assert!(online.correction() >= CORRECTION_BAND.0 - 1e-12);
+            assert!(online.correction() <= CORRECTION_BAND.1 + 1e-12);
         }
-        assert!(online.correction() >= DEFAULT_CORRECTION_BAND.0 - 1e-12);
-        assert!(online.correction() <= DEFAULT_CORRECTION_BAND.1 + 1e-12);
         // And the corrected prediction stays inside the banded envelope.
         let predicted = online.predict(&pressures).expect("valid");
-        assert!(predicted <= base * DEFAULT_CORRECTION_BAND.1 + 1e-9);
+        assert!(predicted <= base * CORRECTION_BAND.1 + 1e-9);
         assert!(predicted >= 1.0);
     }
 
     #[test]
     fn keyed_poisoning_does_not_leak_into_other_keys() {
-        let mut online = OnlineModel::with_alpha(static_model(), 0.5);
+        let mut online = OnlineModel::new(static_model());
         let pressures = vec![2.0; 8];
         let base = online.base().predict(&pressures);
         // An honest co-runner first, so the honest key has history.
@@ -519,16 +495,10 @@ mod tests {
         assert_eq!(honest_before, honest_after);
         // The poisoned key saturates at the band edge, not at 100×.
         let poisoned = online.correction_for("poisoned").expect("tracked");
-        assert!((poisoned - DEFAULT_CORRECTION_BAND.1).abs() < 1e-9);
+        assert!((poisoned - CORRECTION_BAND.1).abs() < 1e-9);
         // Keyed prediction for the honest co-runner stays calibrated.
         let honest_pred = online.predict_for("honest", &pressures).expect("valid");
         assert!((honest_pred - base * honest_after).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn bad_alpha_panics() {
-        let _ = OnlineModel::with_alpha(static_model(), 0.0);
     }
 
     #[test]

@@ -172,7 +172,6 @@ pub fn run_sa(cfg: &ExpConfig) -> Result<AblationSa, ExpError> {
                     iterations,
                     seed: cfg.seed ^ 0x5A,
                     accept: rule,
-                    ..AnnealConfig::default()
                 },
                 &icm_obs::Tracer::disabled(),
             )?;

@@ -36,7 +36,7 @@ use icm_obs::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, Tracer, Value,
 };
 use icm_placement::{
-    anneal_with, re_anneal_with, AnnealConfig, PlacementConstraints, PlacementState, QosConfig,
+    anneal_with, re_anneal_with, AnnealConfig, PlacementConstraints, PlacementState,
 };
 use icm_simcluster::{AppRun, Deployment, Placement, SimTestbed, TestbedError, TestbedStats};
 
@@ -62,6 +62,9 @@ pub struct EnvironmentDrift {
 
 icm_json::impl_json!(struct EnvironmentDrift { from_tick, pressures });
 
+/// Restart cost charged per migrated application, simulated seconds.
+const MIGRATION_COST_S: f64 = 30.0;
+
 /// Supervisory-loop configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerConfig {
@@ -70,8 +73,6 @@ pub struct ManagerConfig {
     /// Seed for every search the manager launches (initial placement
     /// and re-anneals); reaction seeds are derived from it and the tick.
     pub seed: u64,
-    /// Restart cost charged per migrated application, simulated seconds.
-    pub migration_cost_s: f64,
     /// Iterations of the initial (cold) placement search.
     pub initial_iterations: usize,
     /// Iterations of each bounded incremental re-anneal.
@@ -80,8 +81,10 @@ pub struct ManagerConfig {
     pub drift: DriftConfig,
     /// Ticks of consecutive QoS violation before the manager reacts.
     pub slo_trip_after: u32,
-    /// The QoS contract every application is held to.
-    pub qos: QosConfig,
+    /// The QoS contract every application is held to: the guaranteed
+    /// fraction of its solo performance (§5.2), so its normalized
+    /// runtime may reach `1 / qos_fraction`.
+    pub qos_fraction: f64,
     /// Optional ambient drift injected by the environment.
     pub environment: Option<EnvironmentDrift>,
 }
@@ -91,12 +94,11 @@ impl Default for ManagerConfig {
         Self {
             ticks: 12,
             seed: 2016,
-            migration_cost_s: 30.0,
             initial_iterations: 1500,
             reanneal_iterations: 300,
             drift: DriftConfig::default(),
             slo_trip_after: 3,
-            qos: QosConfig::default(),
+            qos_fraction: 0.8,
             environment: None,
         }
     }
@@ -105,25 +107,23 @@ impl Default for ManagerConfig {
 icm_json::impl_json!(struct ManagerConfig {
     ticks,
     seed,
-    migration_cost_s,
     initial_iterations,
     reanneal_iterations,
     drift,
     slo_trip_after,
-    qos,
+    qos_fraction,
     environment,
 });
 
 impl ManagerConfig {
+    /// The largest normalized runtime the QoS contract allows.
+    fn max_normalized_time(&self) -> f64 {
+        1.0 / self.qos_fraction
+    }
+
     fn validate(&self, hosts: usize) -> Result<(), ManagerError> {
         if self.ticks == 0 {
             return Err(ManagerError::Config("ticks must be >= 1".into()));
-        }
-        if !self.migration_cost_s.is_finite() || self.migration_cost_s < 0.0 {
-            return Err(ManagerError::Config(format!(
-                "migration cost must be finite and >= 0, got {}",
-                self.migration_cost_s
-            )));
         }
         if !(self.drift.threshold.is_finite() && self.drift.threshold > 0.0) {
             return Err(ManagerError::Config(format!(
@@ -136,13 +136,10 @@ impl ManagerConfig {
                 "trip_after windows must be >= 1".into(),
             ));
         }
-        if !(self.qos.qos_fraction.is_finite()
-            && self.qos.qos_fraction > 0.0
-            && self.qos.qos_fraction <= 1.0)
-        {
+        if !(self.qos_fraction.is_finite() && self.qos_fraction > 0.0 && self.qos_fraction <= 1.0) {
             return Err(ManagerError::Config(format!(
                 "qos fraction must be in (0, 1], got {}",
-                self.qos.qos_fraction
+                self.qos_fraction
             )));
         }
         if let Some(env) = &self.environment {
@@ -806,7 +803,7 @@ impl ManagedRun {
         i: usize,
         run: &AppRun,
     ) -> Result<(DriftSignal, bool), ManagerError> {
-        let bound = t.config.qos.max_normalized_time();
+        let bound = t.config.max_normalized_time();
         // Observation window per app: large enough that any detection
         // can cite every observation in its trip streak.
         let obs_window = t.config.drift.trip_after.max(t.config.slo_trip_after) as usize;
@@ -899,7 +896,7 @@ impl ManagedRun {
         let slo = (state.slo_streak >= config.slo_trip_after).then(|| Trip {
             kind: DetectionKind::SloViolation,
             score: state.last_normalized,
-            threshold: config.qos.max_normalized_time(),
+            threshold: config.max_normalized_time(),
             streak: config.slo_trip_after,
             suspicion: 0.5,
         });
@@ -1157,7 +1154,7 @@ impl ManagedRun {
             }
             let sim = self.sim_s(t.testbed);
             t.testbed.checkpoint_app(&app.name)?;
-            t.testbed.resume_app(&app.name, config.migration_cost_s)?;
+            t.testbed.resume_app(&app.name, MIGRATION_COST_S)?;
             // The candidate placement this migration commits to, with
             // the model's post-move prediction and its quality grade.
             let (pressures, key) = context_of(fleet, &current, &self.live, i);
@@ -1166,7 +1163,7 @@ impl ManagedRun {
                 sim,
                 ActionKind::Migrate,
                 Some(&app.name),
-                config.migration_cost_s,
+                MIGRATION_COST_S,
                 ActCtx {
                     quality: app.quality_at(&pressures).as_str(),
                     predicted,
@@ -1190,7 +1187,7 @@ impl ManagedRun {
         fleet: &Fleet,
         config: &ManagerConfig,
     ) -> ManagerOutcome {
-        let bound = config.qos.max_normalized_time();
+        let bound = config.max_normalized_time();
         let finals: Vec<AppFinal> = fleet
             .apps()
             .iter()

@@ -21,6 +21,10 @@ use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 /// so a plateau-equal cheaper state is never missed to f64 noise.
 const PLATEAU_EPS: f64 = 1e-12;
 
+/// Attempts per iteration to find a valid random swap; an iteration
+/// that finds none only cools.
+const SWAP_ATTEMPTS: usize = 32;
+
 /// Acceptance rule for candidate swaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AcceptRule {
@@ -93,11 +97,9 @@ pub struct AnnealConfig {
     pub seed: u64,
     /// Acceptance rule.
     pub accept: AcceptRule,
-    /// Attempts per iteration to find a valid random swap.
-    pub swap_attempts: usize,
 }
 
-icm_json::impl_json!(struct AnnealConfig { iterations, seed, accept, swap_attempts });
+icm_json::impl_json!(struct AnnealConfig { iterations, seed, accept });
 
 impl Default for AnnealConfig {
     fn default() -> Self {
@@ -105,7 +107,6 @@ impl Default for AnnealConfig {
             iterations: 4000,
             seed: 0xA11E,
             accept: AcceptRule::Greedy,
-            swap_attempts: 32,
         }
     }
 }
@@ -235,13 +236,9 @@ fn search(
     let mut generation = 1u64;
 
     for iteration in 1..=config.iterations {
-        let Some((a, b)) = current.random_swap_indices(
-            problem,
-            &host_of,
-            &mut rng,
-            config.swap_attempts,
-            constraints,
-        ) else {
+        let Some((a, b)) =
+            current.random_swap_indices(problem, &host_of, &mut rng, SWAP_ATTEMPTS, constraints)
+        else {
             cool(&config.accept, &mut temperature);
             continue;
         };
@@ -707,30 +704,33 @@ mod tests {
         // on some iterations: a feasible search (cooling only happened on
         // doubly-feasible candidates), a permanently infeasible one
         // (feasibility climbing skipped it entirely), and one where no
-        // valid swap is ever found (swap_attempts = 0).
-        let final_temperature = |config: &AnnealConfig, violation: fn(&PlacementState) -> f64| {
-            let (tracer, recorder) = icm_obs::Tracer::recording(8192);
-            anneal_with(
-                &problem,
-                with_violation(&estimator, violation),
-                config,
-                &tracer,
-            )
-            .expect("runs");
-            let events = recorder.events();
-            let end = events.last().expect("events");
-            assert_eq!(end.name, "anneal.end");
-            end.num("final_temperature").expect("field")
-        };
-        let feasible = final_temperature(&config, |_| 0.0);
-        let infeasible = final_temperature(&config, |_| 1.0);
-        let swapless = final_temperature(
-            &AnnealConfig {
-                swap_attempts: 0,
-                ..config
-            },
-            |_| 0.0,
-        );
+        // valid swap is ever found (every workload pinned).
+        let final_temperature =
+            |violation: fn(&PlacementState) -> f64, pinned: Option<&PlacementConstraints>| {
+                let (tracer, recorder) = icm_obs::Tracer::recording(8192);
+                let evaluate = with_violation(&estimator, violation);
+                match pinned {
+                    None => anneal_with(&problem, evaluate, &config, &tracer),
+                    Some(constraints) => {
+                        let start = PlacementState::random(&problem, &mut Rng::from_seed(1));
+                        re_anneal_with(&problem, evaluate, &start, constraints, &config, &tracer)
+                    }
+                }
+                .expect("runs");
+                let events = recorder.events();
+                let end = events.last().expect("events");
+                assert_eq!(end.name, "anneal.end");
+                let temperature = end.num("final_temperature").expect("field");
+                (temperature, end.num("evaluations").expect("field"))
+            };
+        let (feasible, _) = final_temperature(|_| 0.0, None);
+        let (infeasible, _) = final_temperature(|_| 1.0, None);
+        let mut all_pinned = PlacementConstraints::new();
+        for workload in 0..problem.workloads().len() {
+            all_pinned.pin(workload);
+        }
+        let (swapless, evaluations) = final_temperature(|_| 0.0, Some(&all_pinned));
+        assert_eq!(evaluations, 1.0, "a pinned walk priced a candidate");
         assert_eq!(
             feasible.to_bits(),
             expected.to_bits(),

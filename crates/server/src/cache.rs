@@ -3,7 +3,7 @@
 //!
 //! When the annealer (and everything behind it) is saturated, `predict`
 //! requests are answered from here: stale but bounded — an entry older
-//! than the configured maximum age is never served — and every such
+//! than [`CACHE_MAX_AGE_US`] is never served — and every such
 //! reply is marked `degraded: true` on the wire. Entries remember the
 //! model-cell quality backing them; a degraded answer that would rest
 //! on `Defaulted` cells trips the circuit breaker (a typed
@@ -13,6 +13,13 @@
 //! Eviction is least-recently-used on an explicit integer use stamp, so
 //! cache behavior replays deterministically and the whole cache can
 //! travel in a server snapshot.
+
+/// Entries the daemon's prediction cache holds.
+pub const CACHE_CAPACITY: usize = 64;
+
+/// Oldest cached prediction the daemon's degraded path may serve, in
+/// virtual microseconds.
+pub const CACHE_MAX_AGE_US: u64 = 60_000_000;
 
 /// One cached prediction.
 #[derive(Debug, Clone, PartialEq)]

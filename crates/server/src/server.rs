@@ -45,7 +45,7 @@ use icm_obs::Tracer;
 use icm_placement::{anneal_with, AnnealConfig};
 use icm_simcluster::SimTestbed;
 
-use crate::cache::{CacheEntry, PredictionCache};
+use crate::cache::{CacheEntry, PredictionCache, CACHE_CAPACITY, CACHE_MAX_AGE_US};
 use crate::error::ServerError;
 use crate::frame::Frame;
 use crate::journal::{JournalEntry, LineJournal};
@@ -71,8 +71,12 @@ pub const STATUS_COST_US: u64 = 20;
 /// open circuit) — refusing is cheap but not free.
 pub const REJECT_COST_US: u64 = 10;
 
+/// Queue backlog (virtual microseconds of pending service) beyond
+/// which `predict` degrades to the cache.
+pub const SATURATION_US: u64 = 4_000;
+
 /// Current server snapshot payload version.
-pub const SERVER_SNAPSHOT_VERSION: u64 = 1;
+pub const SERVER_SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a [`ServerSnapshot`] payload was rejected.
 pub type ServerSnapshotError = FormatError<SERVER_SNAPSHOT_VERSION>;
@@ -323,7 +327,7 @@ impl Server {
         let (testbed, fleet, manager_config, run) = snapshot.world.restore(&tracer);
         let mut server = Self {
             queue: AdmissionQueue::new(snapshot.config.queue_capacity),
-            cache: PredictionCache::restore(snapshot.config.cache_capacity, snapshot.cache),
+            cache: PredictionCache::restore(CACHE_CAPACITY, snapshot.cache),
             config: snapshot.config,
             manager_config,
             testbed,
@@ -587,12 +591,9 @@ impl Server {
                     let detail = format!("`{app}` (or a corunner) is not in the supervised fleet");
                     return self.refuse(slot, ErrorCode::UnknownApp, detail, replies);
                 };
-                let saturated = self.queue.backlog_us() > self.config.saturation_us;
+                let saturated = self.queue.backlog_us() > SATURATION_US;
                 if saturated {
-                    if let Some(entry) =
-                        self.cache
-                            .get(&app, &key, start_us, self.config.cache_max_age_us)
-                    {
+                    if let Some(entry) = self.cache.get(&app, &key, start_us, CACHE_MAX_AGE_US) {
                         if entry.quality == "defaulted" {
                             let detail = format!(
                                 "a degraded answer for `{app}` under `{key}` would rest \

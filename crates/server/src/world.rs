@@ -17,7 +17,6 @@
 use icm_core::model::ModelBuilder;
 use icm_core::{DriftConfig, OnlineModel, ProfilingAlgorithm};
 use icm_manager::{EnvironmentDrift, Fleet, ManagedApp, ManagedRun, ManagerConfig};
-use icm_placement::QosConfig;
 use icm_simcluster::SimTestbed;
 use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
@@ -55,14 +54,13 @@ pub fn supervised_apps(fast: bool) -> Vec<AppSpec> {
         .collect()
 }
 
-/// The manager settings every supervised run shares: migration cost,
-/// warm search budgets, SLO hysteresis, the QoS contract and a
-/// sensitive drift detector. `ticks` is the default's and there is no
-/// environment; callers override what differs.
+/// The manager settings every supervised run shares: warm search
+/// budgets, SLO hysteresis, the QoS contract and a sensitive drift
+/// detector. `ticks` is the default's and there is no environment;
+/// callers override what differs.
 pub fn base_manager_config(seed: u64, fast: bool) -> ManagerConfig {
     ManagerConfig {
         seed,
-        migration_cost_s: 30.0,
         initial_iterations: if fast { 600 } else { 1500 },
         reanneal_iterations: if fast { 250 } else { 400 },
         drift: DriftConfig {
@@ -70,10 +68,7 @@ pub fn base_manager_config(seed: u64, fast: bool) -> ManagerConfig {
             trip_after: 2,
         },
         slo_trip_after: 2,
-        qos: QosConfig {
-            qos_fraction: 0.6,
-            ..QosConfig::default()
-        },
+        qos_fraction: 0.6,
         ..ManagerConfig::default()
     }
 }
@@ -137,9 +132,13 @@ pub fn build_fleet(
 /// can never disagree with the world it is resuming.
 ///
 /// The restart rule: the checkpoint owns what shapes replies (`seed`,
-/// `fast`, `apps`, the queue, cache and saturation settings), and a
-/// restart that names another value for one of them is refused with
-/// [`ServerError::ConfigMismatch`]. The process owns checkpoint cadence,
+/// `fast`, `apps` and `queue_capacity`), and a restart that names
+/// another value for one of them is refused with
+/// [`ServerError::ConfigMismatch`]. The cache bounds and the saturation
+/// threshold shape replies too, but they are constants
+/// ([`crate::cache::CACHE_CAPACITY`], [`crate::cache::CACHE_MAX_AGE_US`],
+/// [`crate::server::SATURATION_US`]), so no restart can name another
+/// value. The process owns checkpoint cadence,
 /// retention and sync (`checkpoint_every`, `keep_checkpoints`, `sync`):
 /// a restarted daemon runs on the values it was started with, and its
 /// later checkpoints record them.
@@ -153,14 +152,6 @@ pub struct ServerConfig {
     pub apps: Vec<AppSpec>,
     /// Bounded request-queue capacity (requests).
     pub queue_capacity: usize,
-    /// LRU prediction-cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Oldest cached prediction the degraded path may serve, in virtual
-    /// microseconds.
-    pub cache_max_age_us: u64,
-    /// Queue backlog (virtual microseconds of pending service) beyond
-    /// which `predict` degrades to the cache.
-    pub saturation_us: u64,
     /// Committed replies between [`WorldSnapshot`]-carrying
     /// checkpoints; `0` disables checkpointing.
     ///
@@ -182,9 +173,6 @@ icm_json::impl_json!(struct ServerConfig {
     fast,
     apps,
     queue_capacity,
-    cache_capacity,
-    cache_max_age_us,
-    saturation_us,
     checkpoint_every,
     keep_checkpoints,
     sync,
@@ -192,18 +180,14 @@ icm_json::impl_json!(struct ServerConfig {
 
 impl ServerConfig {
     /// The default daemon configuration for a seed: a small supervised
-    /// fleet, an 8-deep queue, a 64-entry cache serving entries up to
-    /// 60 virtual seconds stale, checkpoints every 32 commits keeping
-    /// the last 4 generations.
+    /// fleet, an 8-deep queue, checkpoints every 32 commits keeping the
+    /// last 4 generations.
     pub fn new(seed: u64, fast: bool) -> Self {
         Self {
             seed,
             fast,
             apps: supervised_apps(fast),
             queue_capacity: 8,
-            cache_capacity: 64,
-            cache_max_age_us: 60_000_000,
-            saturation_us: 4_000,
             checkpoint_every: 32,
             keep_checkpoints: 4,
             sync: true,
@@ -211,7 +195,10 @@ impl ServerConfig {
     }
 
     /// The configuration a daemon started with `self` resumes a
-    /// checkpoint written under `checkpoint` with, by the restart rule.
+    /// checkpoint written under `checkpoint` with, by the restart rule:
+    /// `seed`, `fast`, `apps` and `queue_capacity` are the checkpoint's
+    /// and must equal `self`'s, and `checkpoint_every`,
+    /// `keep_checkpoints` and `sync` are `self`'s.
     pub(crate) fn resume(&self, checkpoint: Self) -> Result<Self, ServerError> {
         let resumed = Self {
             checkpoint_every: self.checkpoint_every,

@@ -9,7 +9,7 @@ use icm_json::Json;
 use icm_server::frame::Frame;
 use icm_server::server::{Server, ServerSnapshot};
 use icm_server::world::ServerConfig;
-use icm_server::ServerError;
+use icm_server::{ServerError, SERVER_SNAPSHOT_VERSION};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("icm-daemon-{tag}-{}", std::process::id()));
@@ -532,8 +532,12 @@ fn a_damaged_newest_checkpoint_falls_back_to_the_previous_generation() {
             let store = SnapshotStore::open(&dir.join("checkpoints")).expect("store reopens");
             let renumbered = store
                 .save(
-                    text.replacen("\"version\":1", "\"version\":99", 1)
-                        .as_bytes(),
+                    text.replacen(
+                        &format!("\"version\":{SERVER_SNAPSHOT_VERSION}"),
+                        "\"version\":99",
+                        1,
+                    )
+                    .as_bytes(),
                 )
                 .expect("saves");
             assert_eq!(renumbered, newest);
@@ -820,14 +824,42 @@ fn place_searches_land_within_one_percent_of_the_best_of_fifty() {
     }
 }
 
+/// A daemon payload that declares the previous format version is
+/// refused by that version, not decoded, and a daemon whose only
+/// checkpoint is such a generation refuses to start, naming the
+/// checkpoint directory.
 #[test]
 fn snapshots_refuse_unknown_versions() {
     use icm_server::server::ServerSnapshotError;
     let err = ServerSnapshot::parse(r#"{"version":99}"#).expect_err("refused");
     assert_eq!(err, ServerSnapshotError::UnknownVersion(99));
-    assert!(err.to_string().contains("(this build reads 1)"), "{err}");
-    let err = ServerSnapshot::parse(r#"{"version":1}"#).expect_err("refused");
+    assert!(err.to_string().contains("(this build reads 2)"), "{err}");
+    let err = ServerSnapshot::parse(r#"{"version":2}"#).expect_err("refused");
     assert!(matches!(err, ServerSnapshotError::Payload(_)), "{err}");
+
+    let server = Server::start(fast_config(), None).expect("starts");
+    let text = icm_json::to_string(&server.snapshot());
+    assert!(text.starts_with(r#"{"version":2,"#), "the version leads");
+    let older = text.replacen(r#""version":2"#, r#""version":1"#, 1);
+    let err = ServerSnapshot::parse(&older).expect_err("refused");
+    assert_eq!(err, ServerSnapshotError::UnknownVersion(1));
+
+    let dir = scratch("old-version");
+    let checkpoints = dir.join("checkpoints");
+    SnapshotStore::open(&checkpoints)
+        .expect("store opens")
+        .save(older.as_bytes())
+        .expect("saves");
+    let err = Server::start(fast_config(), Some(&dir))
+        .err()
+        .expect("an old-version checkpoint is refused");
+    let message = err.to_string();
+    assert!(
+        message.contains(&checkpoints.display().to_string()),
+        "the refusal names the checkpoint directory: {message}"
+    );
+    assert!(message.contains("format version 1"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A snapshot shares the daemon's history, app catalog and base models,

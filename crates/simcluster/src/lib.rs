@@ -64,7 +64,7 @@ pub use app::{AppSpec, AppSpecBuilder, MasterBehavior};
 pub use cluster::{BackgroundTenants, ClusterSpec};
 pub use fault::{CrashWindow, FaultPlan, FaultPlanError};
 pub use noise::Noise;
-pub use sync::{execute, execute_phased, PhaseModulation, SyncPattern};
+pub use sync::{execute, PhaseModulation, SyncPattern};
 pub use testbed::{
     AppRun, Deployment, Placement, RunKind, SimTestbed, TestbedError, TestbedSnapshot, TestbedStats,
 };

@@ -194,31 +194,16 @@ impl PhaseModulation {
 ///
 /// * `slowdowns` — one contention slowdown factor per participating
 ///   worker node (the caller has already excluded a non-working master).
+/// * `modulation` / `drifts` — optional phase-sensitivity modulation;
+///   `drifts` gives each node's modulation offset (in phases), and an
+///   empty slice means zero drift everywhere.
 /// * `noise` / `sigma` / `run` — deterministic per-phase jitter.
-///
-/// # Panics
-///
-/// Panics if `slowdowns` is empty or the pattern is invalid.
-pub fn execute(
-    pattern: SyncPattern,
-    slowdowns: &[f64],
-    noise: &Noise,
-    sigma: f64,
-    run: u64,
-) -> f64 {
-    execute_phased(pattern, slowdowns, None, &[], noise, sigma, run)
-}
-
-/// [`execute`] with optional phase-sensitivity modulation.
-///
-/// `drifts` gives each node's modulation offset (in phases); an empty
-/// slice means zero drift everywhere.
 ///
 /// # Panics
 ///
 /// Panics if `slowdowns` is empty, the pattern or modulation is invalid,
 /// or `drifts` is non-empty with a length different from `slowdowns`.
-pub fn execute_phased(
+pub fn execute(
     pattern: SyncPattern,
     slowdowns: &[f64],
     modulation: Option<PhaseModulation>,
@@ -341,28 +326,21 @@ mod tests {
         Noise::new(1)
     }
 
+    /// A noiseless run without phase modulation.
+    fn quiet(pattern: SyncPattern, slowdowns: &[f64]) -> f64 {
+        execute(pattern, slowdowns, None, &[], &noise(), QUIET, 0)
+    }
+
     #[test]
     fn solo_collective_runs_in_unit_time() {
-        let t = execute(
-            SyncPattern::high_propagation(50),
-            &[1.0; 8],
-            &noise(),
-            QUIET,
-            0,
-        );
+        let t = quiet(SyncPattern::high_propagation(50), &[1.0; 8]);
         assert!((t - 1.0).abs() < 1e-9, "got {t}");
     }
 
     #[test]
     fn solo_task_queue_runs_in_unit_time_when_divisible() {
         // 64 tasks over 8 workers divide evenly: makespan = 1.
-        let t = execute(
-            SyncPattern::task_queue(64, 4),
-            &[1.0; 8],
-            &noise(),
-            QUIET,
-            0,
-        );
+        let t = quiet(SyncPattern::task_queue(64, 4), &[1.0; 8]);
         assert!((t - 1.0).abs() < 1e-9, "got {t}");
     }
 
@@ -370,15 +348,12 @@ mod tests {
     fn full_barrier_propagates_single_slow_node() {
         let mut sd = [1.0; 8];
         sd[3] = 2.0;
-        let t = execute(
+        let t = quiet(
             SyncPattern::Collective {
                 phases: 10,
                 coupling: 1.0,
             },
             &sd,
-            &noise(),
-            QUIET,
-            0,
         );
         assert!(
             (t - 2.0).abs() < 1e-9,
@@ -390,15 +365,12 @@ mod tests {
     fn decoupled_pattern_degrades_proportionally() {
         let mut sd = [1.0; 8];
         sd[0] = 2.0;
-        let t = execute(
+        let t = quiet(
             SyncPattern::Collective {
                 phases: 10,
                 coupling: 0.0,
             },
             &sd,
-            &noise(),
-            QUIET,
-            0,
         );
         let expected = (7.0 + 2.0) / 8.0;
         assert!((t - expected).abs() < 1e-9, "got {t}, expected {expected}");
@@ -408,8 +380,8 @@ mod tests {
     fn high_propagation_beats_proportional_for_one_slow_node() {
         let mut sd = [1.0; 8];
         sd[0] = 2.0;
-        let high = execute(SyncPattern::high_propagation(10), &sd, &noise(), QUIET, 0);
-        let prop = execute(SyncPattern::proportional(10), &sd, &noise(), QUIET, 0);
+        let high = quiet(SyncPattern::high_propagation(10), &sd);
+        let prop = quiet(SyncPattern::proportional(10), &sd);
         assert!(
             high > prop + 0.3,
             "barrier coupling must amplify a single slow node: high={high}, prop={prop}"
@@ -421,7 +393,7 @@ mod tests {
         let mut sd = [1.0; 8];
         sd[0] = 3.0;
         // Many small tasks: the slow node simply takes fewer of them.
-        let t = execute(SyncPattern::task_queue(256, 1), &sd, &noise(), QUIET, 0);
+        let t = quiet(SyncPattern::task_queue(256, 1), &sd);
         // Aggregate speed = 7 + 1/3; perfect balancing gives 8/(7+1/3) ≈ 1.09.
         assert!(
             t < 1.2,
@@ -434,8 +406,8 @@ mod tests {
     fn task_queue_with_coarse_tasks_suffers_stragglers() {
         let mut sd = [1.0; 8];
         sd[0] = 3.0;
-        let coarse = execute(SyncPattern::task_queue(8, 1), &sd, &noise(), QUIET, 0);
-        let fine = execute(SyncPattern::task_queue(256, 1), &sd, &noise(), QUIET, 0);
+        let coarse = quiet(SyncPattern::task_queue(8, 1), &sd);
+        let fine = quiet(SyncPattern::task_queue(256, 1), &sd);
         assert!(
             coarse > fine,
             "coarse tasks cannot re-balance: coarse={coarse}, fine={fine}"
@@ -455,7 +427,7 @@ mod tests {
                 for s in sd.iter_mut().take(k) {
                     *s = 1.8;
                 }
-                let t = execute(pattern, &sd, &noise(), QUIET, 0);
+                let t = quiet(pattern, &sd);
                 assert!(
                     t >= last - 1e-9,
                     "{pattern:?}: runtime decreased at k={k}: {t} < {last}"
@@ -470,6 +442,8 @@ mod tests {
         let t = execute(
             SyncPattern::high_propagation(100),
             &[1.0; 8],
+            None,
+            &[],
             &noise(),
             0.02,
             3,
@@ -481,9 +455,33 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_run_id() {
         let sd = [1.3, 1.0, 1.0, 2.0, 1.0, 1.0, 1.1, 1.0];
-        let a = execute(SyncPattern::high_propagation(30), &sd, &noise(), 0.02, 5);
-        let b = execute(SyncPattern::high_propagation(30), &sd, &noise(), 0.02, 5);
-        let c = execute(SyncPattern::high_propagation(30), &sd, &noise(), 0.02, 6);
+        let a = execute(
+            SyncPattern::high_propagation(30),
+            &sd,
+            None,
+            &[],
+            &noise(),
+            0.02,
+            5,
+        );
+        let b = execute(
+            SyncPattern::high_propagation(30),
+            &sd,
+            None,
+            &[],
+            &noise(),
+            0.02,
+            5,
+        );
+        let c = execute(
+            SyncPattern::high_propagation(30),
+            &sd,
+            None,
+            &[],
+            &noise(),
+            0.02,
+            6,
+        );
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -491,21 +489,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn empty_slowdowns_panic() {
-        let _ = execute(SyncPattern::high_propagation(5), &[], &noise(), QUIET, 0);
+        let _ = quiet(SyncPattern::high_propagation(5), &[]);
     }
 
     #[test]
     #[should_panic(expected = "invalid sync pattern")]
     fn zero_phases_panic() {
-        let _ = execute(
+        let _ = quiet(
             SyncPattern::Collective {
                 phases: 0,
                 coupling: 0.5,
             },
             &[1.0],
-            &noise(),
-            QUIET,
-            0,
         );
     }
 
@@ -570,14 +565,8 @@ mod tests {
             amplitude: 0.8,
             period: 3,
         };
-        let plain = execute(
-            SyncPattern::high_propagation(24),
-            &[1.0; 8],
-            &noise(),
-            QUIET,
-            0,
-        );
-        let phased = execute_phased(
+        let plain = quiet(SyncPattern::high_propagation(24), &[1.0; 8]);
+        let phased = execute(
             SyncPattern::high_propagation(24),
             &[1.0; 8],
             Some(m),
@@ -598,8 +587,8 @@ mod tests {
             period: 4,
         };
         let sd = [1.4; 8];
-        let plain = execute(SyncPattern::proportional(16), &sd, &noise(), QUIET, 0);
-        let phased = execute_phased(
+        let plain = quiet(SyncPattern::proportional(16), &sd);
+        let phased = execute(
             SyncPattern::proportional(16),
             &sd,
             Some(m),
@@ -627,9 +616,9 @@ mod tests {
             phases: 32,
             coupling: 1.0,
         };
-        let aligned = execute_phased(pattern, &sd, Some(m), &[], &noise(), QUIET, 0);
+        let aligned = execute(pattern, &sd, Some(m), &[], &noise(), QUIET, 0);
         let drifts: Vec<usize> = (0..8).collect();
-        let drifted = execute_phased(pattern, &sd, Some(m), &drifts, &noise(), QUIET, 0);
+        let drifted = execute(pattern, &sd, Some(m), &drifts, &noise(), QUIET, 0);
         assert!(
             drifted > aligned + 0.05,
             "drift must amplify the barrier penalty: {drifted} vs {aligned}"
@@ -643,7 +632,7 @@ mod tests {
             amplitude: 0.5,
             period: 4,
         };
-        let _ = execute_phased(
+        let _ = execute(
             SyncPattern::high_propagation(8),
             &[1.0; 8],
             Some(m),
@@ -661,7 +650,7 @@ mod tests {
             amplitude: 2.0,
             period: 4,
         };
-        let _ = execute_phased(
+        let _ = execute(
             SyncPattern::high_propagation(8),
             &[1.0; 8],
             Some(m),

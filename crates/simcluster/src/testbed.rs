@@ -10,7 +10,7 @@ use crate::app::AppSpec;
 use crate::cluster::ClusterSpec;
 use crate::fault::FaultPlan;
 use crate::noise::{stream, Noise};
-use crate::sync::execute_phased;
+use crate::sync::execute;
 
 /// CPU-load volatility attributed to unobserved background tenants, as
 /// felt by I/O-sensitive applications.
@@ -755,7 +755,7 @@ impl SimTestbed {
                     .collect(),
                 None => Vec::new(),
             };
-            let normalized = execute_phased(
+            let normalized = execute(
                 spec.pattern(),
                 &slowdowns,
                 spec.phase_modulation(),

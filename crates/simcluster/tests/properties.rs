@@ -36,7 +36,7 @@ fn runtime_is_positive_and_finite() {
         let slowdowns = random_slowdowns(&mut rng);
         let seed = rng.next_u64();
         let run = rng.next_u64();
-        let t = execute(pattern, &slowdowns, &Noise::new(seed), 0.02, run);
+        let t = execute(pattern, &slowdowns, None, &[], &Noise::new(seed), 0.02, run);
         assert!(t.is_finite(), "case {case}: non-finite runtime");
         assert!(t > 0.0, "case {case}: non-positive runtime {t}");
     }
@@ -51,7 +51,7 @@ fn runtime_at_least_mean_slowdown_without_noise() {
         // Any coupling scheme is ≥ the perfectly balanced lower bound
         // (mean slowdown) and ≤ the fully serialized upper bound (max),
         // modulo task-granularity remainder effects for TaskQueue.
-        let t = execute(pattern, &slowdowns, &Noise::new(0), 0.0, 0);
+        let t = execute(pattern, &slowdowns, None, &[], &Noise::new(0), 0.0, 0);
         let mean = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
         let max = slowdowns.iter().cloned().fold(0.0f64, f64::max);
         match pattern {
@@ -87,8 +87,8 @@ fn uniformly_slowing_all_nodes_scales_runtime() {
         let nodes = rng.gen_range(1..12usize);
         let factor = rng.gen_f64_range(1.0, 3.0);
         let noise = Noise::new(1);
-        let base = execute(pattern, &vec![1.0; nodes], &noise, 0.0, 0);
-        let slowed = execute(pattern, &vec![factor; nodes], &noise, 0.0, 0);
+        let base = execute(pattern, &vec![1.0; nodes], None, &[], &noise, 0.0, 0);
+        let slowed = execute(pattern, &vec![factor; nodes], None, &[], &noise, 0.0, 0);
         assert!(
             (slowed / base - factor).abs() < 1e-6,
             "case {case}: uniform slowdown must scale: {slowed}/{base} vs {factor}"
@@ -104,11 +104,11 @@ fn runtime_monotone_in_any_node_slowdown() {
         let slowdowns = random_slowdowns(&mut rng);
         let bump = rng.gen_f64_range(0.0, 2.0);
         let noise = Noise::new(3);
-        let before = execute(pattern, &slowdowns, &noise, 0.0, 0);
+        let before = execute(pattern, &slowdowns, None, &[], &noise, 0.0, 0);
         let mut bumped = slowdowns.clone();
         let idx = rng.gen_range(0..bumped.len());
         bumped[idx] += bump;
-        let after = execute(pattern, &bumped, &noise, 0.0, 0);
+        let after = execute(pattern, &bumped, None, &[], &noise, 0.0, 0);
         match pattern {
             SyncPattern::Collective { .. } => {
                 assert!(

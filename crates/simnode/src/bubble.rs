@@ -7,62 +7,33 @@ use crate::spec::NodeSpec;
 /// means "no bubble".
 pub const MAX_PRESSURE: u8 = 8;
 
-/// Calibration constants for the [`Bubble`] pressure generator.
-///
-/// The paper's bubble is designed so that each +1 pressure step roughly
-/// doubles the LLC misses it induces (§4.4). We encode that as exponential
-/// growth of both its cache footprint and its memory traffic with
-/// pressure: `working_set = llc × ws_base × 2^(p / ws_halving)` and
-/// similarly for bandwidth. The defaults are calibrated so that pressure 8
-/// overwhelms the LLC of the default host about two-fold and consumes a
-/// large share of its memory bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BubbleScale {
-    /// Working-set fraction of LLC at pressure 0⁺.
-    pub ws_base_frac: f64,
-    /// Pressure steps per working-set doubling.
-    pub ws_doubling: f64,
-    /// Bandwidth fraction of node bandwidth at pressure 0⁺.
-    pub bw_base_frac: f64,
-    /// Pressure steps per bandwidth doubling.
-    pub bw_doubling: f64,
-    /// Re-reference intensity of the bubble (it streams hot data).
-    pub access_weight: f64,
-    /// Extra traffic per unit of its own evicted fraction, as a fraction
-    /// of node bandwidth.
-    pub miss_bw_frac: f64,
-    /// How strongly the bubble itself slows down when *it* loses cache
-    /// (used when the bubble acts as the Bubble-Up reporter).
-    pub cache_sensitivity: f64,
-    /// Bandwidth-stall exponent of the reporter bubble.
-    pub bandwidth_sensitivity: f64,
-}
+// Calibration of the [`Bubble`] pressure generator. The paper's bubble
+// is designed so that each +1 pressure step roughly doubles the LLC
+// misses it induces (§4.4). That is encoded as exponential growth of
+// both its cache footprint and its memory traffic with pressure:
+// `working_set = llc × WS_BASE_FRAC × 2^(p / WS_DOUBLING)`, and likewise
+// for bandwidth. The values make pressure 8 overwhelm the LLC of the
+// default host about two-fold and consume a large share of its memory
+// bandwidth.
 
-icm_json::impl_json!(struct BubbleScale {
-    ws_base_frac,
-    ws_doubling,
-    bw_base_frac,
-    bw_doubling,
-    access_weight,
-    miss_bw_frac,
-    cache_sensitivity,
-    bandwidth_sensitivity,
-});
-
-impl Default for BubbleScale {
-    fn default() -> Self {
-        Self {
-            ws_base_frac: 0.18,
-            ws_doubling: 2.2,
-            bw_base_frac: 0.025,
-            bw_doubling: 2.0,
-            access_weight: 1.6,
-            miss_bw_frac: 0.25,
-            cache_sensitivity: 1.0,
-            bandwidth_sensitivity: 1.0,
-        }
-    }
-}
+/// Working-set fraction of LLC at pressure 0⁺.
+const WS_BASE_FRAC: f64 = 0.18;
+/// Pressure steps per working-set doubling.
+const WS_DOUBLING: f64 = 2.2;
+/// Bandwidth fraction of node bandwidth at pressure 0⁺.
+const BW_BASE_FRAC: f64 = 0.025;
+/// Pressure steps per bandwidth doubling.
+const BW_DOUBLING: f64 = 2.0;
+/// Re-reference intensity of the bubble (it streams hot data).
+const ACCESS_WEIGHT: f64 = 1.6;
+/// Extra traffic per unit of its own evicted fraction, as a fraction of
+/// node bandwidth.
+const MISS_BW_FRAC: f64 = 0.25;
+/// How strongly the bubble itself slows down when *it* loses cache
+/// (used when the bubble acts as the Bubble-Up reporter).
+const CACHE_SENSITIVITY: f64 = 1.0;
+/// Bandwidth-stall exponent of the reporter bubble.
+const BANDWIDTH_SENSITIVITY: f64 = 1.0;
 
 /// The synthetic interference generator of the Bubble-Up methodology.
 ///
@@ -87,31 +58,17 @@ impl Default for BubbleScale {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bubble {
     node: NodeSpec,
-    scale: BubbleScale,
 }
 
-icm_json::impl_json!(struct Bubble { node, scale });
-
 impl Bubble {
-    /// Creates a bubble generator calibrated for `node` with default
-    /// scaling.
+    /// Creates a bubble generator calibrated for `node`.
     pub fn new(node: NodeSpec) -> Self {
-        Self::with_scale(node, BubbleScale::default())
-    }
-
-    /// Creates a bubble generator with explicit calibration.
-    pub fn with_scale(node: NodeSpec, scale: BubbleScale) -> Self {
-        Self { node, scale }
+        Self { node }
     }
 
     /// The node this bubble is calibrated against.
     pub fn node(&self) -> NodeSpec {
         self.node
-    }
-
-    /// The calibration constants.
-    pub fn scale(&self) -> BubbleScale {
-        self.scale
     }
 
     /// Memory profile of the bubble at `pressure`.
@@ -128,16 +85,15 @@ impl Bubble {
         if pressure <= 0.0 {
             return MemoryProfile::idle();
         }
-        let s = &self.scale;
-        let ws = self.node.llc_mb() * s.ws_base_frac * 2f64.powf(pressure / s.ws_doubling);
-        let bw = self.node.membw_gbps() * s.bw_base_frac * 2f64.powf(pressure / s.bw_doubling);
+        let ws = self.node.llc_mb() * WS_BASE_FRAC * 2f64.powf(pressure / WS_DOUBLING);
+        let bw = self.node.membw_gbps() * BW_BASE_FRAC * 2f64.powf(pressure / BW_DOUBLING);
         MemoryProfile::builder()
             .working_set_mb(ws)
-            .access_weight(s.access_weight)
+            .access_weight(ACCESS_WEIGHT)
             .bandwidth_gbps(bw)
-            .miss_bandwidth_gbps(self.node.membw_gbps() * s.miss_bw_frac)
-            .cache_sensitivity(s.cache_sensitivity)
-            .bandwidth_sensitivity(s.bandwidth_sensitivity)
+            .miss_bandwidth_gbps(self.node.membw_gbps() * MISS_BW_FRAC)
+            .cache_sensitivity(CACHE_SENSITIVITY)
+            .bandwidth_sensitivity(BANDWIDTH_SENSITIVITY)
             .build()
             .expect("bubble parameters are always valid for finite positive pressure")
     }
@@ -149,14 +105,13 @@ impl Bubble {
     /// light (so it does not meaningfully perturb the application being
     /// scored); the paper uses the bubble program itself in this role.
     pub fn reporter(&self) -> MemoryProfile {
-        let s = &self.scale;
         MemoryProfile::builder()
             .working_set_mb(self.node.llc_mb() * 0.50)
             .access_weight(0.8)
             .bandwidth_gbps(self.node.membw_gbps() * 0.02)
             .miss_bandwidth_gbps(self.node.membw_gbps() * 0.20)
-            .cache_sensitivity(s.cache_sensitivity)
-            .bandwidth_sensitivity(s.bandwidth_sensitivity)
+            .cache_sensitivity(CACHE_SENSITIVITY)
+            .bandwidth_sensitivity(BANDWIDTH_SENSITIVITY)
             .build()
             .expect("reporter parameters are always valid")
     }
@@ -206,9 +161,8 @@ mod tests {
     #[test]
     fn pressure_step_doubles_working_set_per_calibration() {
         let b = bubble();
-        let d = b.scale().ws_doubling;
         let p_lo = b.profile_at(2.0);
-        let p_hi = b.profile_at(2.0 + d);
+        let p_hi = b.profile_at(2.0 + WS_DOUBLING);
         let ratio = p_hi.working_set_mb() / p_lo.working_set_mb();
         assert!(
             (ratio - 2.0).abs() < 1e-9,
@@ -257,13 +211,5 @@ mod tests {
             last = sd;
         }
         assert!(last > 1.05, "pressure 8 must visibly slow the reporter");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let b = bubble();
-        let json = icm_json::to_string(&b);
-        let back: Bubble = icm_json::from_str(&json).expect("deserialize");
-        assert_eq!(b, back);
     }
 }

@@ -49,7 +49,7 @@ mod error;
 mod process;
 mod spec;
 
-pub use bubble::{Bubble, BubbleScale, MAX_PRESSURE};
+pub use bubble::{Bubble, MAX_PRESSURE};
 pub use contention::{solve_contention, solve_contention_detailed, ContentionOutcome};
 pub use error::ProfileError;
 pub use process::{MemoryProfile, MemoryProfileBuilder};

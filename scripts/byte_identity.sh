@@ -18,8 +18,10 @@
 #     (`scripts/serve_script.sh`): the journal, the intake log and every
 #     checkpoint generation.
 #
-# Every artifact is compared with `cmp`; the script exits non-zero and
-# names the first file that differs or exists on one side only.
+# Every artifact is compared with `cmp`. The script names every file
+# that differs and every file that exists on one side only, so a
+# deliberate format change shows its whole footprint, then exits
+# non-zero if it named any.
 set -eu
 cd "$(dirname "$0")/.."
 REV="${1:?usage: scripts/byte_identity.sh <rev>}"
@@ -62,15 +64,25 @@ produce "$HERE/target/release" "$WORK/head"
 cd "$WORK"
 (cd base && find . -type f | sort) > base.list
 (cd head && find . -type f | sort) > head.list
-ONE_SIDE="$(comm -3 base.list head.list | head -n 1)"
-if [ -n "$ONE_SIDE" ]; then
-    echo "byte_identity: $ONE_SIDE exists on one side only" >&2
-    exit 1
-fi
+FAILED=0
+comm -23 base.list head.list > base-only.list
+while read -r F; do
+    echo "byte_identity: $F exists only at $REV" >&2
+    FAILED=1
+done < base-only.list
+comm -13 base.list head.list > head-only.list
+while read -r F; do
+    echo "byte_identity: $F exists only in the working tree" >&2
+    FAILED=1
+done < head-only.list
+comm -12 base.list head.list > both.list
 while read -r F; do
     cmp -s "base/$F" "head/$F" || {
         echo "byte_identity: $F differs between $REV and the working tree" >&2
-        exit 1
+        FAILED=1
     }
-done < base.list
+done < both.list
+if [ "$FAILED" -ne 0 ]; then
+    exit 1
+fi
 echo "byte_identity: $(wc -l < base.list) files identical to $REV"

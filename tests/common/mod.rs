@@ -6,7 +6,6 @@
 use icm_core::model::ModelBuilder;
 use icm_core::{DriftConfig, OnlineModel};
 use icm_manager::{ManagedApp, ManagerConfig};
-use icm_placement::QosConfig;
 use icm_workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
 
 /// Hosts every test application spans.
@@ -42,10 +41,7 @@ pub fn lenient(ticks: u64) -> ManagerConfig {
         ticks,
         initial_iterations: 600,
         reanneal_iterations: 250,
-        qos: QosConfig {
-            qos_fraction: 0.5,
-            ..QosConfig::default()
-        },
+        qos_fraction: 0.5,
         drift: DriftConfig {
             threshold: 0.5,
             ..DriftConfig::default()

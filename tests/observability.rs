@@ -86,7 +86,6 @@ fn traced_search(seed: u64) -> String {
                 initial_temperature: 0.5,
                 cooling: 0.995,
             },
-            ..AnnealConfig::default()
         },
         &tracer,
     )

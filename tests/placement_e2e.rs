@@ -177,7 +177,6 @@ fn annealer_matches_exhaustive_oracle_on_small_problem() {
                 initial_temperature: 0.3,
                 cooling: 0.999,
             },
-            ..AnnealConfig::default()
         };
         let result =
             anneal_estimator(&estimator, goal, &config, &Tracer::disabled()).expect("search runs");

@@ -150,7 +150,7 @@ fn violations_are_fully_attributed_to_causes() {
     // and a tight QoS bound: violations accrue on the observed ticks and
     // must flow through the attribution taxonomy.
     let mut config = lenient(6);
-    config.qos.qos_fraction = 0.6;
+    config.qos_fraction = 0.6;
     config.drift = DriftConfig {
         threshold: 0.2,
         trip_after: 2,

@@ -24,7 +24,6 @@ use icm_manager::{
     ActionKind, DetectionKind, EnvironmentDrift, Fleet, ManagedRun, ManagerConfig, ManagerOutcome,
 };
 use icm_obs::{JsonlSink, SharedBuf, Telemetry, TelemetryConfig, TelemetrySink, Tracer};
-use icm_placement::QosConfig;
 use icm_simcluster::{CrashWindow, FaultPlan};
 use icm_workloads::SimTestbedAdapter;
 
@@ -111,7 +110,7 @@ fn scenario(name: &str, seed: u64) -> Scenario {
                     threshold: 1e9,
                     trip_after: 2,
                 },
-                qos: QosConfig::default(),
+                qos_fraction: 0.8,
                 slo_trip_after: 2,
                 environment: ambient(6.0),
                 ..config
@@ -136,7 +135,7 @@ fn scenario(name: &str, seed: u64) -> Scenario {
                     threshold: 0.15,
                     trip_after: 2,
                 },
-                qos: QosConfig::default(),
+                qos_fraction: 0.8,
                 environment: ambient(6.0),
                 ..config
             };

@@ -15,7 +15,7 @@ use std::process::Command;
 use icm::experiments::endurance::{self, World};
 use icm::experiments::ExpConfig;
 use icm::json::fs::SnapshotStore;
-use icm_manager::snapshot::WorldSnapshot;
+use icm_manager::snapshot::{SnapshotFormatError, WorldSnapshot};
 use icm_obs::{JsonlSink, ProvenanceRecord, Tracer};
 use icm_simcluster::{CrashWindow, FaultPlan};
 
@@ -182,13 +182,24 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
 
     let store = SnapshotStore::open(&dir).expect("store opens");
 
+    // This run's newest payload as the previous format version wrote
+    // it: refused by that version, and the previous generation wins.
+    let text = String::from_utf8(store.load(3).expect("loads")).expect("utf-8");
+    let older = text.replacen("\"version\":3", "\"version\":2", 1);
+    assert_eq!(
+        WorldSnapshot::parse(&older).expect_err("refused"),
+        SnapshotFormatError::UnknownVersion(2)
+    );
+    store.save(older.as_bytes()).expect("saves gen 4");
+    assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
+
     // Unknown format version in a perfectly intact store frame: the
     // payload check rejects it, the previous generation wins.
-    store.save(b"{\"version\":9}").expect("saves gen 4");
+    store.save(b"{\"version\":9}").expect("saves gen 5");
     assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
 
     // Right version, missing fields: same fallback.
-    store.save(b"{\"version\":1}").expect("saves gen 5");
+    store.save(b"{\"version\":3}").expect("saves gen 6");
     assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
 
     // One flipped byte mid-payload: the checksum rejects generation 3.
@@ -213,7 +224,7 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
     std::fs::write(dir.join("gen-000001.icmsnap"), b"garbage").expect("writes");
     let err = endurance::load_resumable(&dir).expect_err("nothing usable");
     let message = err.to_string();
-    for generation in 1..=5 {
+    for generation in 1..=6 {
         assert!(
             message.contains(&format!("generation {generation}")),
             "error must list generation {generation}: {message}"
@@ -296,9 +307,10 @@ fn history_matches_uncached(
 /// refuse larger seeds): a world at the largest accepted seed must
 /// snapshot, parse and restore to byte-identical text, and resume.
 ///
-/// The same holds for the text an older version wrote of that world:
-/// its QoS policy still carried a `"refuse_defaulted":false` key, which
-/// decoding ignores, so it restores to this version's bytes.
+/// The same holds for that text with a key this version does not know
+/// in its manager config (the `"migration_cost_s":30` an earlier layout
+/// stored there): decoding ignores it, so it restores to this version's
+/// bytes.
 #[test]
 fn a_world_at_seed_two_to_the_53_restores_byte_identically() {
     let cfg = ExpConfig {
@@ -315,17 +327,14 @@ fn a_world_at_seed_two_to_the_53_restores_byte_identically() {
     world.step(&tracer).expect("steps");
     let next = world.snapshot(&tracer, None, 0).to_text();
 
-    let qos = text
-        .find("\"qos\":{")
-        .expect("the manager config is stored");
-    let anneal = qos
-        + text[qos..]
-            .find("\"anneal\":")
-            .expect("qos holds its search");
+    let config = text
+        .find("\"config\":{\"ticks\":")
+        .expect("the manager config is stored")
+        + "\"config\":{".len();
     let older = format!(
-        "{}\"refuse_defaulted\":false,{}",
-        &text[..anneal],
-        &text[anneal..]
+        "{}\"migration_cost_s\":30,{}",
+        &text[..config],
+        &text[config..]
     );
     for input in [&text, &older] {
         let parsed = WorldSnapshot::parse(input).expect("parses");
