@@ -15,6 +15,10 @@
 //!
 //! The simulator keys its noise by run counter, so every caller that
 //! measures through this module issues the same runs in the same order.
+//! That still holds for the fixed-size sets — the solo repeats, the
+//! curve grid and the heterogeneous samples — which go to the testbed
+//! as one [`Testbed::run_apps`] batch each: a batch's runs keep their
+//! order and their run numbers, however the testbed measures them.
 
 use icm_rng::Rng;
 
@@ -52,10 +56,7 @@ impl<'a, T: Testbed + ?Sized> Probe<'a, T> {
         hosts: usize,
         repeats: usize,
     ) -> Result<Self, ModelError> {
-        let zeros = vec![0.0; hosts];
-        let runs: Vec<f64> = (0..repeats.max(1))
-            .map(|_| testbed.run_app(app, &zeros))
-            .collect::<Result<_, _>>()?;
+        let runs = testbed.run_apps(app, &vec![vec![0.0; hosts]; repeats.max(1)])?;
         let solo = mean(&runs);
         if !solo.is_finite() || solo <= 0.0 {
             return Err(ModelError::Profiling(format!(
@@ -96,15 +97,29 @@ impl<'a, T: Testbed + ?Sized> Probe<'a, T> {
         pressures: &[usize],
         node_counts: &[usize],
     ) -> Result<Vec<Vec<f64>>, ModelError> {
-        pressures
+        let probe = &*self;
+        let settings: Vec<Vec<f64>> = pressures
             .iter()
-            .map(|&p| {
+            .flat_map(|&p| {
                 node_counts
                     .iter()
-                    .map(|&k| if k == 0 { Ok(1.0) } else { self.measure(p, k) })
+                    .filter(|&&k| k > 0)
+                    .map(move |&k| probe.setting(p, k))
+            })
+            .collect();
+        let mut measured = self.run_all(&settings)?.into_iter();
+        Ok(pressures
+            .iter()
+            .map(|_| {
+                node_counts
+                    .iter()
+                    .map(|&k| match k {
+                        0 => 1.0,
+                        _ => measured.next().expect("one run per interfered cell"),
+                    })
                     .collect()
             })
-            .collect()
+            .collect())
     }
 
     /// The §3.3 policy-selection samples: `count` heterogeneous settings
@@ -121,17 +136,30 @@ impl<'a, T: Testbed + ?Sized> Probe<'a, T> {
         count: usize,
     ) -> Result<Vec<(Vec<f64>, f64)>, ModelError> {
         let mut rng = Rng::from_seed(seed);
-        (0..count)
-            .map(|_| {
-                let pressures = heterogeneous_setting(&mut rng, self.hosts, self.max_pressure);
-                let normalized = self.run(&pressures)?;
-                Ok((pressures, normalized))
-            })
-            .collect()
+        let settings: Vec<Vec<f64>> = (0..count)
+            .map(|_| heterogeneous_setting(&mut rng, self.hosts, self.max_pressure))
+            .collect();
+        let normalized = self.run_all(&settings)?;
+        Ok(settings.into_iter().zip(normalized).collect())
     }
 
-    fn run(&mut self, pressures: &[f64]) -> Result<f64, ModelError> {
-        Ok(self.testbed.run_app(self.app, pressures)? / self.solo)
+    /// Bubbles of pressure `pressure` on the last `nodes` hosts.
+    fn setting(&self, pressure: usize, nodes: usize) -> Vec<f64> {
+        let mut pressures = vec![0.0; self.hosts];
+        for slot in pressures.iter_mut().rev().take(nodes) {
+            *slot = pressure as f64;
+        }
+        pressures
+    }
+
+    /// Measures every setting as one batch, normalized by the solo
+    /// baseline.
+    fn run_all(&mut self, settings: &[Vec<f64>]) -> Result<Vec<f64>, ModelError> {
+        let mut runs = self.testbed.run_apps(self.app, settings)?;
+        for seconds in &mut runs {
+            *seconds /= self.solo;
+        }
+        Ok(runs)
     }
 }
 
@@ -145,11 +173,8 @@ impl<T: Testbed + ?Sized> ProfileSource for Probe<'_, T> {
     }
 
     fn measure(&mut self, pressure: usize, nodes: usize) -> Result<f64, ModelError> {
-        let mut pressures = vec![0.0; self.hosts];
-        for slot in pressures.iter_mut().rev().take(nodes) {
-            *slot = pressure as f64;
-        }
-        self.run(&pressures)
+        let pressures = self.setting(pressure, nodes);
+        Ok(self.testbed.run_app(self.app, &pressures)? / self.solo)
     }
 }
 

@@ -17,22 +17,37 @@ pub trait Testbed {
     /// Number of calibrated bubble pressure levels (8 in the paper).
     fn max_pressure(&self) -> usize;
 
-    /// Runs `app` on exactly `pressures.len()` hosts, with a bubble of
-    /// pressure `pressures[k]` co-located on the app's `k`-th host
-    /// (`0` = no bubble). Returns wall-clock seconds.
+    /// Runs `app` once per pressure vector, in order, as
+    /// [`run_app`](Self::run_app) would one at a time; returns the
+    /// seconds of each run. The runs are independent, so an
+    /// implementation may measure them concurrently, as long as it
+    /// reports what the one-at-a-time loop would: the same seconds, and
+    /// the first error (discarding the runs after it).
     ///
     /// # Errors
     ///
     /// Implementations report unknown applications, malformed vectors, or
     /// execution failures as [`ModelError::Testbed`].
-    fn run_app(&mut self, app: &str, pressures: &[f64]) -> Result<f64, ModelError>;
+    fn run_apps(&mut self, app: &str, pressures: &[Vec<f64>]) -> Result<Vec<f64>, ModelError>;
+
+    /// Runs `app` on exactly `pressures.len()` hosts, with a bubble of
+    /// pressure `pressures[k]` co-located on the app's `k`-th host
+    /// (`0` = no bubble). Returns wall-clock seconds. A one-run
+    /// [`run_apps`](Self::run_apps).
+    ///
+    /// # Errors
+    ///
+    /// See [`run_apps`](Self::run_apps).
+    fn run_app(&mut self, app: &str, pressures: &[f64]) -> Result<f64, ModelError> {
+        Ok(self.run_apps(app, &[pressures.to_vec()])?[0])
+    }
 
     /// Measures the reporter bubble's slowdown when co-located with
     /// `app` (averaged over the app's hosts); the input to bubble scoring.
     ///
     /// # Errors
     ///
-    /// See [`run_app`](Self::run_app).
+    /// See [`run_apps`](Self::run_apps).
     fn reporter_slowdown_with_app(&mut self, app: &str) -> Result<f64, ModelError>;
 
     /// Measures the reporter bubble's slowdown when co-located with a
@@ -41,7 +56,7 @@ pub trait Testbed {
     ///
     /// # Errors
     ///
-    /// See [`run_app`](Self::run_app).
+    /// See [`run_apps`](Self::run_apps).
     fn reporter_slowdown_with_bubble(&mut self, pressure: f64) -> Result<f64, ModelError>;
 }
 
@@ -63,7 +78,7 @@ pub(crate) mod mock {
         pub coupling: f64,
         pub severity: f64,
         pub calls: usize,
-        /// The pressure vector of the latest `run_app`.
+        /// The pressure vector of the latest run.
         pub last_run: Vec<f64>,
     }
 
@@ -110,13 +125,18 @@ pub(crate) mod mock {
             self.max_pressure
         }
 
-        fn run_app(&mut self, _app: &str, pressures: &[f64]) -> Result<f64, ModelError> {
-            self.calls += 1;
-            self.last_run = pressures.to_vec();
-            if pressures.is_empty() {
-                return Err(ModelError::Testbed("empty pressure vector".into()));
-            }
-            Ok(100.0 * self.truth(pressures))
+        fn run_apps(&mut self, _app: &str, pressures: &[Vec<f64>]) -> Result<Vec<f64>, ModelError> {
+            pressures
+                .iter()
+                .map(|p| {
+                    self.calls += 1;
+                    self.last_run.clone_from(p);
+                    if p.is_empty() {
+                        return Err(ModelError::Testbed("empty pressure vector".into()));
+                    }
+                    Ok(100.0 * self.truth(p))
+                })
+                .collect()
         }
 
         fn reporter_slowdown_with_app(&mut self, _app: &str) -> Result<f64, ModelError> {

@@ -20,9 +20,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use icm_json::fs::SnapshotStore;
+use icm_manager::snapshot::WorldSnapshot;
 use icm_obs::manager as events;
 use icm_obs::provenance::{CAUSE_FAULT, CAUSE_LATENCY, CAUSE_MISPREDICT, QOS_VIOLATION};
 use icm_obs::{Event, Value};
+use icm_server::ServerSnapshot;
 
 /// Maximum causal depth rendered — generously past the real chain
 /// (outcome → action → detection → observation), purely a guard against
@@ -248,22 +250,27 @@ pub fn explain_violations(trace: &[Event]) -> Result<String, String> {
     Ok(out)
 }
 
-/// The tick a persisted snapshot generation would resume at.
+/// The tick a persisted snapshot generation would resume at, read
+/// through the versioned parse that resuming uses: a generation that
+/// `--resume` or a restarted `icm-server` refuses is refused here, with
+/// the message they give.
 ///
 /// Both snapshot shapes in the workspace are understood: a bare
-/// `WorldSnapshot` (`{"run":{"next_tick":…}}`, written by the savestate
-/// machinery) and an `icm-server` `ServerSnapshot`, which nests the
-/// world under `"world"`. Parsing is deliberately structural — only the
-/// tick is extracted — so a checkpoint from a newer payload version
-/// still names correctly as long as that path survives.
-fn snapshot_tick(payload: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let json = icm_json::parse(text).ok()?;
-    let world = json.get("world").unwrap_or(&json);
-    match world.get("run")?.get("next_tick")? {
-        icm_json::Json::Number(n) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
+/// [`WorldSnapshot`] (written by the savestate machinery) and an
+/// `icm-server` [`ServerSnapshot`], which nests the world under
+/// `"world"`.
+fn snapshot_tick(payload: Vec<u8>) -> Result<u64, String> {
+    let text = String::from_utf8(payload).map_err(|e| e.to_string())?;
+    let nested = icm_json::parse(&text).is_ok_and(|json| json.get("world").is_some());
+    let run = if nested {
+        ServerSnapshot::parse(&text)
+            .map_err(|e| e.to_string())?
+            .world
+            .run
+    } else {
+        WorldSnapshot::parse(&text).map_err(|e| e.to_string())?.run
+    };
+    Ok(run.next_tick())
 }
 
 /// Names the newest checkpoint generation in `dir` that precedes
@@ -272,9 +279,9 @@ fn snapshot_tick(payload: &[u8]) -> Option<u64> {
 ///
 /// A generation precedes the action when its resume tick (`next_tick`)
 /// is at or before the action's tick: the snapshot was taken before
-/// that tick ran, so the action is still in its future. Damaged or
-/// unreadable generations are skipped (and reported), matching how
-/// recovery itself falls back.
+/// that tick ran, so the action is still in its future. Damaged,
+/// unreadable or refused generations are skipped (and reported),
+/// matching how recovery itself falls back.
 ///
 /// # Errors
 ///
@@ -312,9 +319,12 @@ pub fn checkpoint_for_action(trace: &[Event], n: usize, dir: &Path) -> Result<St
                 continue;
             }
         };
-        let Some(snap_tick) = snapshot_tick(&payload) else {
-            skipped.push(format!("gen {generation}: no run.next_tick in payload"));
-            continue;
+        let snap_tick = match snapshot_tick(payload) {
+            Ok(tick) => tick,
+            Err(err) => {
+                skipped.push(format!("gen {generation}: {err}"));
+                continue;
+            }
         };
         if snap_tick <= tick {
             // Generations ascend, so later qualifying ones are newer.
@@ -473,8 +483,30 @@ mod tests {
         dir
     }
 
+    /// A fresh fast world's snapshot text (its run resumes at tick 1).
+    fn fresh_world() -> &'static str {
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| {
+            let cfg = crate::context::ExpConfig {
+                seed: 7,
+                fast: true,
+            };
+            let tracer = Tracer::disabled();
+            let world = crate::endurance::World::new(&cfg, &tracer).expect("builds");
+            world.snapshot(&tracer, None, 0).to_text()
+        })
+    }
+
+    /// `text` with its run's resume tick rewritten from 1 to `next_tick`.
+    fn resuming_at(text: &str, next_tick: u64) -> Vec<u8> {
+        let fresh = "\"next_tick\":1,";
+        assert!(text.contains(fresh), "a fresh run resumes at tick 1");
+        text.replacen(fresh, &format!("\"next_tick\":{next_tick},"), 1)
+            .into_bytes()
+    }
+
     fn world_payload(next_tick: u64) -> Vec<u8> {
-        format!("{{\"version\":1,\"run\":{{\"next_tick\":{next_tick}}}}}").into_bytes()
+        resuming_at(fresh_world(), next_tick)
     }
 
     #[test]
@@ -499,8 +531,10 @@ mod tests {
         let dir = checkpoint_dir("server");
         let store = SnapshotStore::open(&dir).unwrap();
         // A server-shaped snapshot nests the world one level down.
+        let server = icm_server::Server::start(icm_server::ServerConfig::new(7, true), None)
+            .expect("starts");
         store
-            .save(b"{\"version\":1,\"world\":{\"run\":{\"next_tick\":0}}}")
+            .save(&resuming_at(&icm_json::to_string(&server.snapshot()), 0))
             .unwrap();
         let gen2 = store.save(&world_payload(1)).unwrap();
         // Corrupt the newest qualifying generation: naming falls back.
@@ -508,6 +542,34 @@ mod tests {
         let text = checkpoint_for_action(&trace, 0, &dir).expect("falls back");
         assert!(text.contains("gen-000001.icmsnap"), "got: {text}");
         assert!(text.contains("skipped gen 2"), "got: {text}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_for_action_skips_generations_that_resume_refuses() {
+        let trace = synthetic_trace(); // action 0 runs at tick 1
+        let dir = checkpoint_dir("version");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(&world_payload(0)).unwrap();
+        // The newest generation would precede the action, but it carries
+        // an older payload version, which `--resume` refuses.
+        let current = format!(
+            "\"version\":{},",
+            icm_manager::snapshot::WORLD_SNAPSHOT_VERSION
+        );
+        let old =
+            String::from_utf8(world_payload(1))
+                .unwrap()
+                .replacen(&current, "\"version\":2,", 1);
+        store.save(old.as_bytes()).unwrap();
+        let refusal = WorldSnapshot::parse(&old).expect_err("resume refuses it");
+        let text = checkpoint_for_action(&trace, 0, &dir).expect("falls back");
+        assert!(text.contains("gen-000001.icmsnap"), "got: {text}");
+        assert!(
+            text.contains(&format!("  skipped gen 2: {refusal}\n")),
+            "got: {text}"
+        );
+        assert!(text.contains("this build reads"), "got: {text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

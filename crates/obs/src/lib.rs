@@ -636,8 +636,9 @@ impl Tracer {
     }
 
     /// Records one wall duration under `name` (no-op unless
-    /// [`enable_wall_profiling`](Self::enable_wall_profiling) was called).
-    fn record_wall(&self, name: &str, elapsed: std::time::Duration) {
+    /// [`enable_wall_profiling`](Self::enable_wall_profiling) was called):
+    /// the form for work timed off this thread, which holds no tracer.
+    pub fn record_wall(&self, name: &str, elapsed: std::time::Duration) {
         if let Some(inner) = &self.inner {
             if let Some(wall) = inner.borrow_mut().wall.as_mut() {
                 wall.record(name, elapsed);

@@ -50,11 +50,12 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod app;
 mod cluster;
+mod cpu;
 mod fault;
 mod noise;
 mod sync;

@@ -1,6 +1,10 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use icm_json::Shared;
 use icm_obs::{Tracer, Value};
@@ -8,6 +12,7 @@ use icm_simnode::{solve_contention, Bubble, MemoryProfile};
 
 use crate::app::AppSpec;
 use crate::cluster::ClusterSpec;
+use crate::cpu;
 use crate::fault::FaultPlan;
 use crate::noise::{stream, Noise};
 use crate::sync::execute;
@@ -532,7 +537,8 @@ impl SimTestbed {
     }
 
     /// Runs an arbitrary deployment; returns one [`AppRun`] per placement,
-    /// in order.
+    /// in order. A one-element [`run_deployments`](Self::run_deployments),
+    /// measured inline on the calling thread.
     ///
     /// Interference is *persistent*: every co-runner is assumed to remain
     /// active for the full duration of each measured application
@@ -542,320 +548,81 @@ impl SimTestbed {
     /// # Errors
     ///
     /// Returns a [`TestbedError`] describing the first malformed part of
-    /// the deployment.
+    /// the deployment, or the fault injected into its run.
     pub fn run_deployment(&mut self, deployment: &Deployment) -> Result<Vec<AppRun>, TestbedError> {
-        // Validation comes first so a malformed deployment leaves *no*
-        // trace: the run counter, the stats (including the per-kind
-        // counters) and the event stream all describe completed runs
-        // only — an error path can never desynchronize accounting.
-        self.validate(deployment)?;
-        let kind = RunKind::classify(deployment);
-        let hosts = self.cluster.hosts();
-        let run = self.next_run();
+        let mut runs = None;
+        self.run_batch(std::slice::from_ref(deployment), 1, |r| runs = Some(r))?;
+        Ok(runs.expect("a committed batch of one holds one run"))
+    }
 
-        // Fault injection. Failed injections advance the run counter (a
-        // retry sees fresh noise, as on real hardware) but never touch
-        // `stats.runs` or the per-kind counters, which keep describing
-        // completed measurements only. With no plan installed this block
-        // is dead and the fault-free path is byte-identical.
-        let mut straggle = 1.0;
-        let mut timed_out = false;
-        if let Some(plan) = &self.fault_plan {
-            for placement in &deployment.placements {
-                for &h in &placement.hosts {
-                    if plan.host_down(h, run) {
-                        self.stats.injected_host_down += 1;
-                        if self.tracer.enabled() {
-                            self.tracer.event(
-                                "fault",
-                                &[
-                                    ("kind", Value::from("host_down")),
-                                    ("run", Value::from(run)),
-                                    ("host", Value::from(h)),
-                                ],
-                            );
-                        }
-                        return Err(TestbedError::HostDown { host: h, run });
-                    }
-                }
-            }
-            if plan.probe_failure_prob > 0.0
-                && self.noise.uniform(stream::FAULT_PROBE, run, 0) < plan.probe_failure_prob
-            {
-                self.stats.injected_probe_failures += 1;
-                if self.tracer.enabled() {
-                    self.tracer.event(
-                        "fault",
-                        &[
-                            ("kind", Value::from("probe_failed")),
-                            ("run", Value::from(run)),
-                        ],
-                    );
-                }
-                return Err(TestbedError::ProbeFailed { run });
-            }
-            if plan.straggler_prob > 0.0
-                && self.noise.uniform(stream::FAULT_STRAGGLER, run, 0) < plan.straggler_prob
-            {
-                straggle = 1.0
-                    + plan.straggler_severity * self.noise.uniform(stream::FAULT_STRAGGLER, run, 1);
-                timed_out = straggle >= plan.deadline_factor;
-            }
-        }
-        let corruption = self
-            .fault_plan
-            .as_ref()
-            .filter(|p| p.corruption_prob > 0.0)
-            .map(|p| (p.corruption_prob, p.corruption_scale));
-        let deadline_factor = self.fault_plan.as_ref().map_or(1.0, |p| p.deadline_factor);
+    /// Runs a batch of deployments as consecutive runs; returns one
+    /// [`run_deployment`](Self::run_deployment) result per deployment, in
+    /// order.
+    ///
+    /// A run is a pure function of the seed, its run number, its
+    /// deployment and the fault plan, so the runs of a large batch are
+    /// measured on every core (in contiguous chunks, the calling thread
+    /// taking the first) and then committed in run order: run counter,
+    /// stats, fault counters, trace events and telemetry end exactly as
+    /// a one-at-a-time loop leaves them. The batch stops at the first
+    /// error as that loop would; later runs are discarded uncommitted.
+    ///
+    /// # Errors
+    ///
+    /// The first deployment's error, as
+    /// [`run_deployment`](Self::run_deployment) reports it.
+    pub fn run_deployments(
+        &mut self,
+        deployments: &[Deployment],
+    ) -> Result<Vec<Vec<AppRun>>, TestbedError> {
+        let mut runs = Vec::with_capacity(deployments.len());
+        let chunks = chunk_count(deployments.len(), cores());
+        self.run_batch(deployments, chunks, |r| runs.push(r))?;
+        Ok(runs)
+    }
 
-        // A timed-out run is killed at the deadline: it emits no run
-        // span and no measurements, only a `fault` event after the
-        // wasted cluster time has been charged below.
-        let span = if self.tracer.enabled() && !timed_out {
-            let apps = deployment
-                .placements
-                .iter()
-                .map(|p| p.app.as_str())
-                .collect::<Vec<_>>()
-                .join("+");
-            let span = self.tracer.span(
-                "run",
-                &[
-                    ("kind", Value::from(kind.as_str())),
-                    ("run", Value::from(run)),
-                    ("apps", Value::from(apps)),
-                    ("placements", Value::from(deployment.placements.len())),
-                ],
-            );
-            for (h, &p) in deployment.bubbles.iter().enumerate() {
-                if p > 0.0 {
-                    self.tracer.event(
-                        "host_bubble",
-                        &[("host", Value::from(h)), ("pressure", Value::from(p))],
-                    );
-                }
-            }
-            Some(span)
-        } else {
-            None
+    /// The one deployment path: measures every deployment as a pure
+    /// function of its run number, in `chunks` contiguous chunks, then
+    /// commits each in order and hands its results to `sink`.
+    fn run_batch(
+        &mut self,
+        deployments: &[Deployment],
+        chunks: usize,
+        mut sink: impl FnMut(Vec<AppRun>),
+    ) -> Result<(), TestbedError> {
+        let timed = self.tracer.wall_profiling_enabled();
+        let Self {
+            cluster,
+            apps,
+            bubble,
+            noise,
+            run_counter,
+            stats,
+            tracer,
+            fault_plan,
+        } = self;
+        let rig = Rig {
+            cluster,
+            apps,
+            bubble,
+            noise,
+            fault_plan: fault_plan.as_ref(),
         };
-        if straggle > 1.0 && !timed_out {
-            // A straggler that stays under the deadline completes with
-            // an inflated (but real) measurement.
-            self.stats.injected_stragglers += 1;
-            if self.tracer.enabled() {
-                self.tracer.event(
-                    "fault",
-                    &[
-                        ("kind", Value::from("straggler")),
-                        ("run", Value::from(run)),
-                        ("factor", Value::from(straggle)),
-                    ],
-                );
-            }
-        }
-
-        // Per-host co-located memory profiles, and for each placement the
-        // index of its profile within each host's list.
-        let mut host_profiles: Vec<Vec<MemoryProfile>> = vec![Vec::new(); hosts];
-        let mut host_members: Vec<Vec<usize>> = vec![Vec::new(); hosts]; // placement idx
-        for (pi, placement) in deployment.placements.iter().enumerate() {
-            let spec = &self.apps[&placement.app];
-            for (local, &h) in placement.hosts.iter().enumerate() {
-                host_profiles[h].push(spec.profile_on_host(local, placement.hosts.len()));
-                host_members[h].push(pi);
-            }
-        }
-        for (h, &pressure) in deployment.bubbles.iter().enumerate() {
-            if pressure > 0.0 {
-                host_profiles[h].push(self.bubble.profile_at(pressure));
-                host_members[h].push(usize::MAX); // bubble marker
-            }
-        }
-        // Unobserved background tenants (EC2-style).
-        if let Some(bg) = self.cluster.background() {
-            for h in 0..hosts {
-                let present = self
-                    .noise
-                    .uniform(stream::BACKGROUND_PRESENCE, run, h as u64)
-                    < bg.probability;
-                if present {
-                    let pressure = bg.max_pressure
-                        * self
-                            .noise
-                            .uniform(stream::BACKGROUND_PRESSURE, run, h as u64);
-                    if pressure > 0.0 {
-                        host_profiles[h].push(self.bubble.profile_at(pressure));
-                        host_members[h].push(usize::MAX - 1); // background marker
-                    }
-                }
-            }
-        }
-
-        // Solve per-host contention once. The wall scope feeds the
-        // self-profiling side channel only — no event is emitted, so the
-        // deterministic trace is unaffected.
-        let contention_scope = self.tracer.wall_scope("sim.contention");
-        let host_slowdowns: Vec<Vec<f64>> = (0..hosts)
-            .map(|h| solve_contention(&self.cluster.node(h), &host_profiles[h]))
-            .collect();
-        drop(contention_scope);
-
-        // Execute each placement (wall side channel only; no events).
-        let _execute_scope = self.tracer.wall_scope("sim.execute");
-        let mut results = Vec::with_capacity(deployment.placements.len());
-        let mut simulated = 0.0;
-        for (pi, placement) in deployment.placements.iter().enumerate() {
-            let spec = &self.apps[&placement.app];
-            let total = placement.hosts.len();
-            let workers = spec.worker_hosts(total);
-            let mut slowdowns = Vec::with_capacity(workers.len());
-            for &local in &workers {
-                let h = placement.hosts[local];
-                let slot = host_members[h]
-                    .iter()
-                    .position(|&m| m == pi)
-                    .expect("placement registered on its own host");
-                let mut sd = host_slowdowns[h][slot];
-                // The M.Gems effect (§4.3): latency-sensitive blocked I/O
-                // contends for Dom0 CPU with *any* co-tenant — a steady
-                // component the profiling bubble also triggers (so the
-                // model can learn it) — plus an unpredictable component
-                // driven by the co-runner's CPU-load fluctuation, which a
-                // static memory-pressure model cannot see.
-                if spec.io_sensitivity() > 0.0 {
-                    let has_cotenant = host_members[h].iter().any(|&m| m != pi);
-                    if has_cotenant {
-                        let vol = self.ambient_volatility(&deployment.placements, pi, h, run);
-                        let z = self
-                            .noise
-                            .normal(stream::IO_VOLATILITY, run, (pi as u64) << 32 | h as u64)
-                            .abs();
-                        sd *= 1.0
-                            + spec.io_sensitivity()
-                                * (IO_COTENANT_BASE + IO_VOLATILITY_SCALE * vol * (0.3 + 0.7 * z));
-                    }
-                }
-                slowdowns.push(sd);
-            }
-            // Decorrelate phase noise between placements in the same run.
-            let app_run = run.wrapping_mul(251).wrapping_add(pi as u64);
-            // Phase-modulated apps drift out of alignment differently
-            // every run (data-dependent load imbalance) — the dynamic
-            // behaviour a single static profile cannot capture (§4.4).
-            let drifts: Vec<usize> = match spec.phase_modulation() {
-                Some(m) => (0..slowdowns.len())
-                    .map(|node| {
-                        let u = self
-                            .noise
-                            .uniform(stream::PHASE_DRIFT, app_run, node as u64);
-                        (u * (2 * m.period) as f64) as usize
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            let normalized = execute(
-                spec.pattern(),
-                &slowdowns,
-                spec.phase_modulation(),
-                &drifts,
-                &self.noise,
-                self.cluster.phase_sigma(),
-                app_run,
-            );
-            let measurement = self.noise.lognormal(
-                self.cluster.measurement_sigma(),
-                stream::MEASUREMENT,
-                run,
-                pi as u64,
-            );
-            let mut seconds = spec.base_runtime_s() * normalized * measurement * straggle;
-            if let Some((prob, scale)) = corruption {
-                if !timed_out
-                    && self
-                        .noise
-                        .uniform(stream::FAULT_CORRUPT, run, (pi as u64) * 2)
-                        < prob
-                {
-                    let factor = 1.0
-                        + scale
-                            * self
-                                .noise
-                                .uniform(stream::FAULT_CORRUPT, run, (pi as u64) * 2 + 1);
-                    seconds *= factor;
-                    self.stats.injected_corruptions += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.event(
-                            "fault",
-                            &[
-                                ("kind", Value::from("corruption")),
-                                ("run", Value::from(run)),
-                                ("app", Value::from(placement.app.as_str())),
-                                ("factor", Value::from(factor)),
-                            ],
-                        );
-                    }
-                }
-            }
-            simulated += seconds;
-            let trace_event = if self.tracer.enabled() && !timed_out {
-                // Phase/sync breakdown: `mean_slowdown` is the average
-                // node-local contention, `normalized` what the sync
-                // pattern amplified it into, so `sync_factor` isolates
-                // the propagation cost (§4.1).
-                let mean_slowdown = slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64;
-                self.tracer.event(
-                    "app_run",
-                    &[
-                        ("app", Value::from(placement.app.as_str())),
-                        ("nodes", Value::from(slowdowns.len())),
-                        ("mean_slowdown", Value::from(mean_slowdown)),
-                        ("normalized", Value::from(normalized)),
-                        ("sync_factor", Value::from(normalized / mean_slowdown)),
-                        ("seconds", Value::from(seconds)),
-                    ],
-                )
-            } else {
-                0
-            };
-            results.push(AppRun {
-                app: placement.app.clone(),
-                seconds,
-                trace_event,
-            });
-        }
-        if timed_out {
-            // Killed at the deadline: the cluster burned
-            // `nominal × deadline_factor` seconds and produced nothing.
-            // (`simulated` carries the full straggle inflation, so the
-            // nominal runtime is `simulated / straggle`.)
-            let wasted = simulated / straggle * deadline_factor;
-            self.stats.injected_timeouts += 1;
-            self.stats.wasted_seconds += wasted;
-            self.tracer.advance_sim(wasted);
-            if self.tracer.enabled() {
-                self.tracer.event(
-                    "fault",
-                    &[
-                        ("kind", Value::from("timeout")),
-                        ("run", Value::from(run)),
-                        ("factor", Value::from(straggle)),
-                        ("wasted_s", Value::from(wasted)),
-                    ],
-                );
-            }
-            return Err(TestbedError::ProbeTimeout { run });
-        }
-        self.stats.record(kind, simulated);
-        self.tracer.advance_sim(simulated);
-        // Non-event path: run durations flow into the rollup windows even
-        // when raw tracing is off, without adding any event to the stream.
-        self.tracer.telemetry_observe("testbed.run_s", simulated);
-        if let Some(span) = span {
-            span.end_with(&[("simulated_s", Value::from(simulated))]);
-        }
-        Ok(results)
+        let first = *run_counter + 1;
+        let mut ledger = Ledger {
+            run_counter,
+            stats,
+            tracer,
+        };
+        measure_then_commit(
+            deployments.len(),
+            chunks,
+            |i| rig.measure(&deployments[i], first + i as u64, timed),
+            |i, measured| {
+                sink(ledger.commit(&deployments[i], measured)?);
+                Ok(())
+            },
+        )
     }
 
     /// Slowdown of the low-pressure reporter bubble co-located with `app`,
@@ -1084,6 +851,325 @@ impl SimTestbed {
         self.run_counter += 1;
         self.run_counter
     }
+}
+
+/// Fewest runs worth a thread of their own: below this, spawning and
+/// joining a thread costs more than the runs it takes off the caller.
+const MIN_RUNS_PER_THREAD: usize = 16;
+
+/// How many contiguous chunks a batch of `runs` runs is measured in on
+/// `cores` cores: one per core, but never so many that a chunk gets
+/// fewer than [`MIN_RUNS_PER_THREAD`] runs. One chunk is measured inline.
+fn chunk_count(runs: usize, cores: usize) -> usize {
+    cores.min(runs / MIN_RUNS_PER_THREAD).max(1)
+}
+
+/// The host's available parallelism, read once per process.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Measures items `0..n` in `chunks` contiguous chunks and commits them
+/// in index order, stopping at the first commit error.
+///
+/// The calling thread measures and commits the first chunk itself while
+/// scoped workers measure the others; their results are committed after
+/// it, chunk by chunk. After an error, the remaining measurements are
+/// discarded. A worker's panic is resumed on the caller. One chunk runs
+/// inline: no thread and no allocation.
+fn measure_then_commit<M: Send, E>(
+    n: usize,
+    chunks: usize,
+    measure: impl Fn(usize) -> M + Sync,
+    mut commit: impl FnMut(usize, M) -> Result<(), E>,
+) -> Result<(), E> {
+    if chunks <= 1 {
+        return (0..n).try_for_each(|i| commit(i, measure(i)));
+    }
+    let bounds = |c: usize| c * n / chunks..(c + 1) * n / chunks;
+    let measure = &measure;
+    let parent = cpu::current();
+    thread::scope(|scope| {
+        let workers: Vec<_> = (1..chunks)
+            .map(|c| {
+                scope.spawn(move || {
+                    cpu::spread(parent, c - 1);
+                    bounds(c).map(measure).collect::<Vec<M>>()
+                })
+            })
+            .collect();
+        // Let each worker run long enough to move off this CPU.
+        for _ in &workers {
+            thread::yield_now();
+        }
+        let mut outcome = bounds(0).try_for_each(|i| commit(i, measure(i)));
+        for (c, worker) in (1..chunks).zip(workers) {
+            let measured = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            if outcome.is_ok() {
+                outcome = bounds(c).zip(measured).try_for_each(|(i, m)| commit(i, m));
+            }
+        }
+        outcome
+    })
+}
+
+/// What measuring a run reads: the testbed without its run counter,
+/// stats and tracer, shared by reference with every measuring thread.
+#[derive(Clone, Copy)]
+struct Rig<'a> {
+    cluster: &'a ClusterSpec,
+    apps: &'a BTreeMap<String, AppSpec>,
+    bubble: &'a Bubble,
+    noise: &'a Noise,
+    fault_plan: Option<&'a FaultPlan>,
+}
+
+/// A run measured but not yet committed: what its commit writes to the
+/// stats and the trace.
+struct Execution {
+    run: u64,
+    kind: RunKind,
+    /// Straggler inflation (`1.0` when the run did not straggle).
+    straggle: f64,
+    /// Simulated seconds of every placement, straggle included.
+    simulated: f64,
+    /// Straggled past the deadline: killed, measuring nothing, after
+    /// burning this many simulated seconds.
+    wasted: Option<f64>,
+    /// One result per placement, with no trace event yet.
+    results: Vec<AppRun>,
+    /// What each placement's `app_run` and `fault` events report.
+    details: Vec<AppDetail>,
+    /// Wall time of the contention solve and of the execution, when the
+    /// tracer profiles wall time.
+    wall: Option<(Duration, Duration)>,
+}
+
+/// One placement's execution, as its trace events report it.
+struct AppDetail {
+    nodes: usize,
+    mean_slowdown: f64,
+    normalized: f64,
+    /// The injected corruption factor, if the measurement was corrupted.
+    corruption: Option<f64>,
+}
+
+impl Rig<'_> {
+    /// Measures `deployment` as run number `run`: validation, fault
+    /// draws, contention and execution. Pure: the same arguments give
+    /// the same bytes on any thread.
+    ///
+    /// A validation error consumes no run number; [`TestbedError::HostDown`]
+    /// and [`TestbedError::ProbeFailed`] are injected faults that do.
+    fn measure(
+        &self,
+        deployment: &Deployment,
+        run: u64,
+        timed: bool,
+    ) -> Result<Execution, TestbedError> {
+        self.validate(deployment)?;
+        let kind = RunKind::classify(deployment);
+        let hosts = self.cluster.hosts();
+
+        // Fault injection. With no plan installed this block is dead and
+        // the fault-free path is byte-identical.
+        let mut straggle = 1.0;
+        let mut timed_out = false;
+        if let Some(plan) = self.fault_plan {
+            for placement in &deployment.placements {
+                if let Some(&host) = placement.hosts.iter().find(|&&h| plan.host_down(h, run)) {
+                    return Err(TestbedError::HostDown { host, run });
+                }
+            }
+            if plan.probe_failure_prob > 0.0
+                && self.noise.uniform(stream::FAULT_PROBE, run, 0) < plan.probe_failure_prob
+            {
+                return Err(TestbedError::ProbeFailed { run });
+            }
+            if plan.straggler_prob > 0.0
+                && self.noise.uniform(stream::FAULT_STRAGGLER, run, 0) < plan.straggler_prob
+            {
+                straggle = 1.0
+                    + plan.straggler_severity * self.noise.uniform(stream::FAULT_STRAGGLER, run, 1);
+                timed_out = straggle >= plan.deadline_factor;
+            }
+        }
+        let corruption = self
+            .fault_plan
+            .filter(|p| p.corruption_prob > 0.0)
+            .map(|p| (p.corruption_prob, p.corruption_scale));
+
+        // Per-host co-located memory profiles, and for each placement the
+        // index of its profile within each host's list.
+        let mut host_profiles: Vec<Vec<MemoryProfile>> = vec![Vec::new(); hosts];
+        let mut host_members: Vec<Vec<usize>> = vec![Vec::new(); hosts]; // placement idx
+        for (pi, placement) in deployment.placements.iter().enumerate() {
+            let spec = &self.apps[&placement.app];
+            for (local, &h) in placement.hosts.iter().enumerate() {
+                host_profiles[h].push(spec.profile_on_host(local, placement.hosts.len()));
+                host_members[h].push(pi);
+            }
+        }
+        for (h, &pressure) in deployment.bubbles.iter().enumerate() {
+            if pressure > 0.0 {
+                host_profiles[h].push(self.bubble.profile_at(pressure));
+                host_members[h].push(usize::MAX); // bubble marker
+            }
+        }
+        // Unobserved background tenants (EC2-style).
+        if let Some(bg) = self.cluster.background() {
+            for h in 0..hosts {
+                let present = self
+                    .noise
+                    .uniform(stream::BACKGROUND_PRESENCE, run, h as u64)
+                    < bg.probability;
+                if present {
+                    let pressure = bg.max_pressure
+                        * self
+                            .noise
+                            .uniform(stream::BACKGROUND_PRESSURE, run, h as u64);
+                    if pressure > 0.0 {
+                        host_profiles[h].push(self.bubble.profile_at(pressure));
+                        host_members[h].push(usize::MAX - 1); // background marker
+                    }
+                }
+            }
+        }
+
+        // Solve per-host contention once, then execute each placement.
+        // The wall clock is read only for the profiling side channel.
+        let started = timed.then(Instant::now);
+        let host_slowdowns: Vec<Vec<f64>> = (0..hosts)
+            .map(|h| solve_contention(&self.cluster.node(h), &host_profiles[h]))
+            .collect();
+        let solved = timed.then(Instant::now);
+        let mut results = Vec::with_capacity(deployment.placements.len());
+        let mut details = Vec::with_capacity(deployment.placements.len());
+        let mut simulated = 0.0;
+        for (pi, placement) in deployment.placements.iter().enumerate() {
+            let spec = &self.apps[&placement.app];
+            let total = placement.hosts.len();
+            let workers = spec.worker_hosts(total);
+            let mut slowdowns = Vec::with_capacity(workers.len());
+            for &local in &workers {
+                let h = placement.hosts[local];
+                let slot = host_members[h]
+                    .iter()
+                    .position(|&m| m == pi)
+                    .expect("placement registered on its own host");
+                let mut sd = host_slowdowns[h][slot];
+                // The M.Gems effect (§4.3): latency-sensitive blocked I/O
+                // contends for Dom0 CPU with *any* co-tenant — a steady
+                // component the profiling bubble also triggers (so the
+                // model can learn it) — plus an unpredictable component
+                // driven by the co-runner's CPU-load fluctuation, which a
+                // static memory-pressure model cannot see.
+                if spec.io_sensitivity() > 0.0 {
+                    let has_cotenant = host_members[h].iter().any(|&m| m != pi);
+                    if has_cotenant {
+                        let vol = self.ambient_volatility(&deployment.placements, pi, h, run);
+                        let z = self
+                            .noise
+                            .normal(stream::IO_VOLATILITY, run, (pi as u64) << 32 | h as u64)
+                            .abs();
+                        sd *= 1.0
+                            + spec.io_sensitivity()
+                                * (IO_COTENANT_BASE + IO_VOLATILITY_SCALE * vol * (0.3 + 0.7 * z));
+                    }
+                }
+                slowdowns.push(sd);
+            }
+            // Decorrelate phase noise between placements in the same run.
+            let app_run = run.wrapping_mul(251).wrapping_add(pi as u64);
+            // Phase-modulated apps drift out of alignment differently
+            // every run (data-dependent load imbalance) — the dynamic
+            // behaviour a single static profile cannot capture (§4.4).
+            let drifts: Vec<usize> = match spec.phase_modulation() {
+                Some(m) => (0..slowdowns.len())
+                    .map(|node| {
+                        let u = self
+                            .noise
+                            .uniform(stream::PHASE_DRIFT, app_run, node as u64);
+                        (u * (2 * m.period) as f64) as usize
+                    })
+                    .collect(),
+                None => Vec::new(),
+            };
+            let normalized = execute(
+                spec.pattern(),
+                &slowdowns,
+                spec.phase_modulation(),
+                &drifts,
+                self.noise,
+                self.cluster.phase_sigma(),
+                app_run,
+            );
+            let measurement = self.noise.lognormal(
+                self.cluster.measurement_sigma(),
+                stream::MEASUREMENT,
+                run,
+                pi as u64,
+            );
+            let mut seconds = spec.base_runtime_s() * normalized * measurement * straggle;
+            let mut corrupted = None;
+            if let Some((prob, scale)) = corruption {
+                if !timed_out
+                    && self
+                        .noise
+                        .uniform(stream::FAULT_CORRUPT, run, (pi as u64) * 2)
+                        < prob
+                {
+                    let factor = 1.0
+                        + scale
+                            * self
+                                .noise
+                                .uniform(stream::FAULT_CORRUPT, run, (pi as u64) * 2 + 1);
+                    seconds *= factor;
+                    corrupted = Some(factor);
+                }
+            }
+            simulated += seconds;
+            // Phase/sync breakdown: `mean_slowdown` is the average
+            // node-local contention, `normalized` what the sync pattern
+            // amplified it into, so their ratio isolates the propagation
+            // cost (§4.1).
+            details.push(AppDetail {
+                nodes: slowdowns.len(),
+                mean_slowdown: slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64,
+                normalized,
+                corruption: corrupted,
+            });
+            results.push(AppRun {
+                app: placement.app.clone(),
+                seconds,
+                trace_event: 0,
+            });
+        }
+        let wall = started
+            .zip(solved)
+            .map(|(started, solved)| (solved - started, solved.elapsed()));
+        // Killed at the deadline: the cluster burned
+        // `nominal × deadline_factor` seconds and produced nothing.
+        // (`simulated` carries the full straggle inflation, so the
+        // nominal runtime is `simulated / straggle`.)
+        let wasted = self
+            .fault_plan
+            .filter(|_| timed_out)
+            .map(|p| simulated / straggle * p.deadline_factor);
+        Ok(Execution {
+            run,
+            kind,
+            straggle,
+            simulated,
+            wasted,
+            results,
+            details,
+            wall,
+        })
+    }
 
     /// Maximum CPU volatility among the *other* tenants sharing host `h`
     /// with placement `pi` (background tenants count at a fixed level).
@@ -1145,6 +1231,198 @@ impl SimTestbed {
             }
         }
         Ok(())
+    }
+}
+
+/// What committing a run writes: the testbed's run counter, stats and
+/// trace.
+struct Ledger<'a> {
+    run_counter: &'a mut u64,
+    stats: &'a mut TestbedStats,
+    tracer: &'a Tracer,
+}
+
+impl Ledger<'_> {
+    /// Commits one measured run of `deployment`, in run order.
+    ///
+    /// A validation error leaves *no* trace: the run counter, the stats
+    /// (including the per-kind counters) and the event stream all
+    /// describe completed runs only. An injected failure consumes its
+    /// run number (a retry sees fresh noise, as on real hardware) and
+    /// counts in its fault counter, but never in `stats.runs` or the
+    /// per-kind counters, which keep describing completed measurements.
+    fn commit(
+        &mut self,
+        deployment: &Deployment,
+        measured: Result<Execution, TestbedError>,
+    ) -> Result<Vec<AppRun>, TestbedError> {
+        let tracer = self.tracer;
+        let Execution {
+            run,
+            kind,
+            straggle,
+            simulated,
+            wasted,
+            mut results,
+            details,
+            wall,
+        } = match measured {
+            Ok(execution) => execution,
+            Err(err) => {
+                self.refuse(&err);
+                return Err(err);
+            }
+        };
+        *self.run_counter = run;
+        let timed_out = wasted.is_some();
+
+        // A timed-out run is killed at the deadline: it emits no run
+        // span and no measurements, only a `fault` event after the
+        // wasted cluster time has been charged below.
+        let span = if tracer.enabled() && !timed_out {
+            let apps = deployment
+                .placements
+                .iter()
+                .map(|p| p.app.as_str())
+                .collect::<Vec<_>>()
+                .join("+");
+            let span = tracer.span(
+                "run",
+                &[
+                    ("kind", Value::from(kind.as_str())),
+                    ("run", Value::from(run)),
+                    ("apps", Value::from(apps)),
+                    ("placements", Value::from(deployment.placements.len())),
+                ],
+            );
+            for (h, &p) in deployment.bubbles.iter().enumerate() {
+                if p > 0.0 {
+                    tracer.event(
+                        "host_bubble",
+                        &[("host", Value::from(h)), ("pressure", Value::from(p))],
+                    );
+                }
+            }
+            Some(span)
+        } else {
+            None
+        };
+        if straggle > 1.0 && !timed_out {
+            // A straggler that stays under the deadline completes with
+            // an inflated (but real) measurement.
+            self.stats.injected_stragglers += 1;
+            if tracer.enabled() {
+                tracer.event(
+                    "fault",
+                    &[
+                        ("kind", Value::from("straggler")),
+                        ("run", Value::from(run)),
+                        ("factor", Value::from(straggle)),
+                    ],
+                );
+            }
+        }
+        // The wall side channel only; no event.
+        if let Some((contention, execution)) = wall {
+            tracer.record_wall("sim.contention", contention);
+            tracer.record_wall("sim.execute", execution);
+        }
+        for (result, detail) in results.iter_mut().zip(&details) {
+            if let Some(factor) = detail.corruption {
+                self.stats.injected_corruptions += 1;
+                if tracer.enabled() {
+                    tracer.event(
+                        "fault",
+                        &[
+                            ("kind", Value::from("corruption")),
+                            ("run", Value::from(run)),
+                            ("app", Value::from(result.app.as_str())),
+                            ("factor", Value::from(factor)),
+                        ],
+                    );
+                }
+            }
+            if tracer.enabled() && !timed_out {
+                result.trace_event = tracer.event(
+                    "app_run",
+                    &[
+                        ("app", Value::from(result.app.as_str())),
+                        ("nodes", Value::from(detail.nodes)),
+                        ("mean_slowdown", Value::from(detail.mean_slowdown)),
+                        ("normalized", Value::from(detail.normalized)),
+                        (
+                            "sync_factor",
+                            Value::from(detail.normalized / detail.mean_slowdown),
+                        ),
+                        ("seconds", Value::from(result.seconds)),
+                    ],
+                );
+            }
+        }
+        if let Some(wasted) = wasted {
+            self.stats.injected_timeouts += 1;
+            self.stats.wasted_seconds += wasted;
+            tracer.advance_sim(wasted);
+            if tracer.enabled() {
+                tracer.event(
+                    "fault",
+                    &[
+                        ("kind", Value::from("timeout")),
+                        ("run", Value::from(run)),
+                        ("factor", Value::from(straggle)),
+                        ("wasted_s", Value::from(wasted)),
+                    ],
+                );
+            }
+            return Err(TestbedError::ProbeTimeout { run });
+        }
+        self.stats.record(kind, simulated);
+        tracer.advance_sim(simulated);
+        // Non-event path: run durations flow into the rollup windows even
+        // when raw tracing is off, without adding any event to the stream.
+        tracer.telemetry_observe("testbed.run_s", simulated);
+        if let Some(span) = span {
+            span.end_with(&[("simulated_s", Value::from(simulated))]);
+        }
+        Ok(results)
+    }
+
+    /// Commits a run that measured nothing: an injected host-down or
+    /// probe failure consumes its run number and counts; a validation
+    /// error leaves no trace.
+    fn refuse(&mut self, err: &TestbedError) {
+        let (run, host) = match *err {
+            TestbedError::HostDown { host, run } => {
+                self.stats.injected_host_down += 1;
+                (run, Some(host))
+            }
+            TestbedError::ProbeFailed { run } => {
+                self.stats.injected_probe_failures += 1;
+                (run, None)
+            }
+            _ => return,
+        };
+        *self.run_counter = run;
+        if !self.tracer.enabled() {
+            return;
+        }
+        match host {
+            Some(host) => self.tracer.event(
+                "fault",
+                &[
+                    ("kind", Value::from("host_down")),
+                    ("run", Value::from(run)),
+                    ("host", Value::from(host)),
+                ],
+            ),
+            None => self.tracer.event(
+                "fault",
+                &[
+                    ("kind", Value::from("probe_failed")),
+                    ("run", Value::from(run)),
+                ],
+            ),
+        };
     }
 }
 
@@ -1917,5 +2195,243 @@ mod tests {
         let restored = SimTestbed::restore(tb.snapshot());
         assert!(restored.host_down_at(1, 5));
         assert!(!restored.host_down_at(1, 7));
+    }
+
+    #[test]
+    fn the_chunk_plan_is_inline_for_one_core_or_one_run_and_bounded_per_thread() {
+        for runs in 0..=300 {
+            assert_eq!(chunk_count(runs, 1), 1, "one core measures inline");
+            assert!(chunk_count(runs, 0) == 1, "a zero count still runs");
+            for cores in [2, 3, 8, 1024] {
+                let chunks = chunk_count(runs, cores);
+                assert!(chunks >= 1 && chunks <= cores);
+                assert!(
+                    chunks <= (runs / MIN_RUNS_PER_THREAD).max(1),
+                    "{runs} runs on {cores} cores planned {chunks} chunks"
+                );
+                if chunks > 1 {
+                    assert!(runs / chunks >= MIN_RUNS_PER_THREAD);
+                }
+            }
+        }
+        assert_eq!(chunk_count(1, 1024), 1, "one run measures inline");
+        assert_eq!(chunk_count(2 * MIN_RUNS_PER_THREAD, 1024), 2);
+    }
+
+    #[test]
+    fn chunked_measurement_commits_in_order_and_stops_at_the_first_error() {
+        for chunks in 1..=4 {
+            let mut committed = Vec::new();
+            let all = measure_then_commit(
+                37,
+                chunks,
+                |i| i * 10,
+                |i, m| {
+                    committed.push((i, m));
+                    Ok::<(), usize>(())
+                },
+            );
+            assert_eq!(all, Ok(()));
+            assert_eq!(committed, (0..37).map(|i| (i, i * 10)).collect::<Vec<_>>());
+            for stop in [0, 5, 18, 36] {
+                let mut seen = Vec::new();
+                let outcome = measure_then_commit(
+                    37,
+                    chunks,
+                    |i| i,
+                    |i, _| {
+                        seen.push(i);
+                        if i == stop {
+                            Err(i)
+                        } else {
+                            Ok(())
+                        }
+                    },
+                );
+                assert_eq!(outcome, Err(stop));
+                assert_eq!(seen, (0..=stop).collect::<Vec<_>>(), "{chunks} chunks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_measuring_workers_panic_resumes_on_the_caller() {
+        for (chunks, at) in [(2, 30), (3, 20), (3, 0)] {
+            let caught = std::panic::catch_unwind(|| {
+                measure_then_commit(
+                    40,
+                    chunks,
+                    |i| {
+                        if i == at {
+                            panic!("measurement {i} failed");
+                        }
+                        i
+                    },
+                    |_, _| Ok::<(), ()>(()),
+                )
+            })
+            .expect_err("the panic is not swallowed");
+            let message = caught
+                .downcast_ref::<String>()
+                .expect("the worker's own payload");
+            assert_eq!(*message, format!("measurement {at} failed"));
+        }
+    }
+
+    /// Seeded deployments of every kind: solos, bubble probes, pairs and
+    /// mixed placements, each app on a random subset of the hosts.
+    fn mixed_deployments(seed: u64, count: usize) -> Vec<Deployment> {
+        let noise = Noise::new(seed);
+        let draw = |i: usize, lane: u64, n: usize| {
+            (noise.uniform(stream::MEASUREMENT, i as u64, lane) * n as f64) as usize
+        };
+        let names = ["coupled", "loose", "framework"];
+        (0..count)
+            .map(|i| {
+                let app = names[draw(i, 0, 3)];
+                let all: Vec<usize> = (0..8).collect();
+                match draw(i, 1, 4) {
+                    0 => Deployment::of_placements(vec![Placement::new(app, all)]),
+                    1 => Deployment {
+                        placements: vec![Placement::new(app, all)],
+                        bubbles: (0..8).map(|h| draw(i, 2 + h, 9) as f64).collect(),
+                    },
+                    2 => Deployment::of_placements(vec![
+                        Placement::new(app, all.clone()),
+                        Placement::new(names[(draw(i, 0, 3) + 1) % 3], all),
+                    ]),
+                    _ => {
+                        let split = 1 + draw(i, 2, 7);
+                        Deployment::of_placements(vec![
+                            Placement::new(app, (0..split).collect()),
+                            Placement::new(names[(draw(i, 0, 3) + 2) % 3], (split..8).collect()),
+                        ])
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Everything a batch leaves behind: its outcome, the next run
+    /// number, the stats and the JSONL trace bytes.
+    type Aftermath = (
+        Result<Vec<Vec<AppRun>>, TestbedError>,
+        u64,
+        TestbedStats,
+        String,
+    );
+
+    fn aftermath(
+        plan: Option<&FaultPlan>,
+        run: impl FnOnce(&mut SimTestbed) -> Result<Vec<Vec<AppRun>>, TestbedError>,
+    ) -> Aftermath {
+        let mut tb = testbed();
+        tb.set_fault_plan(plan.cloned());
+        let buf = icm_obs::SharedBuf::new();
+        tb.set_tracer(Tracer::with_sink(icm_obs::JsonlSink::new(buf.clone())));
+        // A committed prefix, so the batch starts mid-history.
+        tb.run_solo("loose").ok();
+        let outcome = run(&mut tb);
+        tb.tracer().flush();
+        (outcome, tb.peek_run(), tb.stats(), buf.text())
+    }
+
+    #[test]
+    fn a_batch_leaves_exactly_what_one_run_at_a_time_leaves() {
+        let n = 40;
+        let base = mixed_deployments(2016, n);
+        let mut bad = base.clone();
+        let malformed = Deployment::of_placements(vec![Placement::new("coupled", vec![3, 3])]);
+        let window = |from_run| FaultPlan {
+            crash_windows: vec![CrashWindow {
+                host: 5,
+                from_run,
+                until_run: from_run + 2,
+            }],
+            ..FaultPlan::default()
+        };
+        let mut cases: Vec<(&str, Option<FaultPlan>, Vec<Deployment>)> = vec![
+            ("no faults", None, base.clone()),
+            ("inactive plan", Some(FaultPlan::default()), base.clone()),
+            // Run 1 is the committed prefix, so the batch's runs are 2..=41.
+            ("host down at the start", Some(window(2)), base.clone()),
+            ("host down in the middle", Some(window(22)), base.clone()),
+            ("host down at the end", Some(window(41)), base.clone()),
+            (
+                "every probe fails",
+                Some(FaultPlan::probe_failures(1.0)),
+                base.clone(),
+            ),
+            (
+                "some probes fail",
+                Some(FaultPlan::probe_failures(0.05)),
+                base.clone(),
+            ),
+            (
+                "stragglers",
+                Some(FaultPlan {
+                    straggler_prob: 0.5,
+                    straggler_severity: 0.5,
+                    deadline_factor: 10.0,
+                    ..FaultPlan::default()
+                }),
+                base.clone(),
+            ),
+            (
+                "timeouts",
+                Some(FaultPlan {
+                    straggler_prob: 0.3,
+                    straggler_severity: 1.0,
+                    deadline_factor: 1.6,
+                    ..FaultPlan::default()
+                }),
+                base.clone(),
+            ),
+            (
+                "corruption",
+                Some(FaultPlan {
+                    corruption_prob: 0.5,
+                    corruption_scale: 1.0,
+                    ..FaultPlan::default()
+                }),
+                base.clone(),
+            ),
+        ];
+        for at in [0, n / 2, n - 1] {
+            bad.clone_from(&base);
+            bad[at] = malformed.clone();
+            cases.push(("malformed deployment", None, bad.clone()));
+        }
+        let mut failed_at = Vec::new();
+        for (name, plan, deployments) in &cases {
+            let one_at_a_time = aftermath(plan.as_ref(), |tb| {
+                deployments.iter().map(|d| tb.run_deployment(d)).collect()
+            });
+            for chunks in 1..=4 {
+                let batched = aftermath(plan.as_ref(), |tb| {
+                    let mut runs = Vec::new();
+                    tb.run_batch(deployments, chunks, |r| runs.push(r))
+                        .map(|()| runs)
+                });
+                assert_eq!(batched.0, one_at_a_time.0, "{name}: {chunks} chunks");
+                assert_eq!(batched.1, one_at_a_time.1, "{name}: {chunks} chunks");
+                assert_eq!(batched.2, one_at_a_time.2, "{name}: {chunks} chunks");
+                assert!(batched.3 == one_at_a_time.3, "{name}: {chunks} chunks");
+            }
+            let public = aftermath(plan.as_ref(), |tb| tb.run_deployments(deployments));
+            assert!(public == one_at_a_time, "{name}: run_deployments");
+            failed_at.push(one_at_a_time.1);
+        }
+        // The cases do what their names say: runs 2..=41 are the batch's.
+        let full = 2 + n as u64;
+        assert_eq!(&failed_at[..3], [full, full, 3], "{failed_at:?}");
+        assert_eq!(&failed_at[3..6], [23, 42, 3], "{failed_at:?}");
+        assert_eq!(&failed_at[10..], [2, 22, 41], "{failed_at:?}");
+        let (_, _, stats, _) = aftermath(cases[7].1.as_ref(), |tb| tb.run_deployments(&base));
+        assert!(stats.injected_stragglers > 0);
+        let (outcome, _, _, _) = aftermath(cases[8].1.as_ref(), |tb| tb.run_deployments(&base));
+        assert!(matches!(outcome, Err(TestbedError::ProbeTimeout { .. })));
+        let (_, _, stats, _) = aftermath(cases[9].1.as_ref(), |tb| tb.run_deployments(&base));
+        assert!(stats.injected_corruptions > 0);
     }
 }

@@ -99,22 +99,37 @@ impl Testbed for SimTestbedAdapter {
         usize::from(MAX_PRESSURE)
     }
 
-    fn run_app(&mut self, app: &str, pressures: &[f64]) -> Result<f64, ModelError> {
+    fn run_apps(&mut self, app: &str, pressures: &[Vec<f64>]) -> Result<Vec<f64>, ModelError> {
         let cluster_hosts = self.sim.cluster().hosts();
-        if pressures.is_empty() || pressures.len() > cluster_hosts {
+        // A vector of a bad span fails where a one-at-a-time loop would:
+        // after the runs before it.
+        let spans = 1..=cluster_hosts;
+        let valid = pressures
+            .iter()
+            .take_while(|p| spans.contains(&p.len()))
+            .count();
+        let deployments: Vec<Deployment> = pressures[..valid]
+            .iter()
+            .map(|p| {
+                let mut bubbles = vec![0.0; cluster_hosts];
+                bubbles[..p.len()].copy_from_slice(p);
+                Deployment {
+                    placements: vec![Placement::new(app, (0..p.len()).collect())],
+                    bubbles,
+                }
+            })
+            .collect();
+        let runs = self
+            .sim
+            .run_deployments(&deployments)
+            .map_err(convert_err)?;
+        if let Some(bad) = pressures.get(valid) {
             return Err(ModelError::Testbed(format!(
                 "app must span 1..={cluster_hosts} hosts, got {}",
-                pressures.len()
+                bad.len()
             )));
         }
-        let mut bubbles = vec![0.0; cluster_hosts];
-        bubbles[..pressures.len()].copy_from_slice(pressures);
-        let deployment = Deployment {
-            placements: vec![Placement::new(app, (0..pressures.len()).collect())],
-            bubbles,
-        };
-        let runs = self.sim.run_deployment(&deployment).map_err(convert_err)?;
-        Ok(runs[0].seconds)
+        Ok(runs.iter().map(|r| r[0].seconds).collect())
     }
 
     fn reporter_slowdown_with_app(&mut self, app: &str) -> Result<f64, ModelError> {
@@ -168,6 +183,19 @@ mod tests {
         let mut tb = adapter();
         assert!(tb.run_app("M.milc", &[]).is_err());
         assert!(tb.run_app("M.milc", &[0.0; 9]).is_err());
+    }
+
+    #[test]
+    fn a_bad_span_in_a_batch_fails_after_the_runs_before_it() {
+        let mut batched = adapter();
+        let mut alone = adapter();
+        let err = batched
+            .run_apps("M.milc", &[vec![0.0; 8], vec![0.0; 9], vec![0.0; 8]])
+            .unwrap_err();
+        assert_eq!(err, alone.run_app("M.milc", &[0.0; 9]).unwrap_err());
+        alone.run_app("M.milc", &[0.0; 8]).expect("runs");
+        assert_eq!(batched.sim().peek_run(), 2, "only the first run ran");
+        assert_eq!(batched.sim().stats(), alone.sim().stats());
     }
 
     #[test]

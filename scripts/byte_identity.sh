@@ -9,7 +9,11 @@
 # at seeds 2016 and 7, each at the same output path so that paths
 # recorded in the artifacts agree:
 #
-#   * `all --fast`: stdout and the `--results` document;
+#   * `all --fast` and the full `all`: stdout and the `--results`
+#     document;
+#   * `icm-profiler profile --apps M.milc,M.Gems,H.KM`: the model store
+#     and the `--trace` (the full-mode profiling path, whose fixed-size
+#     run sets are measured as batches);
 #   * `recovery endurance --fast`: stdout, `--trace`, `--telemetry` and
 #     `--results`;
 #   * `endurance --fast --checkpoint-every 2`: stdout, trace and every
@@ -46,6 +50,10 @@ produce() {
         mkdir -p "$OUT"
         "$BIN/icm-experiments" all --fast --quiet --seed "$SEED" \
             --results "$OUT/all.json" > "$OUT/all.stdout"
+        "$BIN/icm-experiments" all --quiet --seed "$SEED" \
+            --results "$OUT/all-full.json" > "$OUT/all-full.stdout"
+        "$BIN/icm-profiler" profile --apps M.milc,M.Gems,H.KM --seed "$SEED" \
+            --out "$OUT/fleet.json" --trace "$OUT/fleet.jsonl" --quiet > "$OUT/fleet.stdout"
         "$BIN/icm-experiments" recovery endurance --fast --quiet --seed "$SEED" \
             --trace "$OUT/recovery.jsonl" --telemetry "$OUT/recovery-telemetry.json" \
             --results "$OUT/recovery.json" > "$OUT/recovery.stdout"

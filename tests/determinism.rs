@@ -2,9 +2,10 @@
 //! seed.
 
 use icm::core::model::ModelBuilder;
-use icm::core::Testbed;
+use icm::core::{ModelError, ProfilingAlgorithm, Testbed};
 use icm::experiments::{ExpConfig, Experiment};
-use icm::workloads::{Catalog, TestbedBuilder};
+use icm::workloads::{Catalog, SimTestbedAdapter, TestbedBuilder};
+use icm_obs::{JsonlSink, SharedBuf, Tracer};
 
 #[test]
 fn identical_seeds_give_identical_measurement_histories() {
@@ -51,6 +52,79 @@ fn model_building_is_reproducible() {
     assert_eq!(
         m1.predict(&[3.0, 1.0, 0.0, 0.0, 5.0, 0.0, 0.0, 2.0]),
         m2.predict(&[3.0, 1.0, 0.0, 0.0, 5.0, 0.0, 0.0, 2.0])
+    );
+}
+
+/// The simulated testbed with every batch split into one-run batches:
+/// what a testbed that measures one run at a time does.
+struct OneRunAtATime(SimTestbedAdapter);
+
+impl Testbed for OneRunAtATime {
+    fn cluster_hosts(&self) -> usize {
+        self.0.cluster_hosts()
+    }
+
+    fn max_pressure(&self) -> usize {
+        self.0.max_pressure()
+    }
+
+    fn run_apps(&mut self, app: &str, pressures: &[Vec<f64>]) -> Result<Vec<f64>, ModelError> {
+        pressures.iter().map(|p| self.0.run_app(app, p)).collect()
+    }
+
+    fn reporter_slowdown_with_app(&mut self, app: &str) -> Result<f64, ModelError> {
+        self.0.reporter_slowdown_with_app(app)
+    }
+
+    fn reporter_slowdown_with_bubble(&mut self, pressure: f64) -> Result<f64, ModelError> {
+        self.0.reporter_slowdown_with_bubble(pressure)
+    }
+}
+
+#[test]
+fn batched_model_building_matches_one_run_at_a_time_byte_for_byte() {
+    // The daemon's fleet, built as a full-mode daemon start builds it.
+    let build = |batched: bool| {
+        let mut adapter = TestbedBuilder::new(&Catalog::paper()).seed(7).build();
+        let buf = SharedBuf::new();
+        let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
+        adapter.sim_mut().set_tracer(tracer.clone());
+        let mut one_at_a_time = OneRunAtATime(adapter.clone());
+        let testbed: &mut dyn Testbed = if batched {
+            &mut adapter
+        } else {
+            &mut one_at_a_time
+        };
+        let models: Vec<String> = ["M.milc", "M.Gems", "H.KM"]
+            .into_iter()
+            .map(|app| {
+                let model = ModelBuilder::new(app)
+                    .algorithm(ProfilingAlgorithm::BinaryOptimized)
+                    .policy_samples(60)
+                    .solo_repeats(3)
+                    .seed(7u64.wrapping_add(0x40DE1))
+                    .hosts(4)
+                    .tracer(tracer.clone())
+                    .build(testbed)
+                    .expect("builds");
+                icm::json::to_string(&model)
+            })
+            .collect();
+        let sim = if batched { &adapter } else { &one_at_a_time.0 };
+        tracer.flush();
+        (
+            models,
+            icm::json::to_string(&sim.sim().snapshot()),
+            buf.text(),
+        )
+    };
+    let (batched, one_at_a_time) = (build(true), build(false));
+    assert_eq!(batched.0, one_at_a_time.0, "model JSON");
+    assert!(batched.1 == one_at_a_time.1, "testbed snapshot");
+    assert!(batched.2 == one_at_a_time.2, "trace bytes");
+    assert!(
+        batched.2.contains("\"kind\":\"bubble\""),
+        "the trace records the runs"
     );
 }
 
