@@ -4,7 +4,7 @@
 use icm_bench::Bench;
 use icm_core::{
     profile, profile_resilient, FnSource, ModelError, ProfileSource, ProfilerConfig,
-    ProfilingAlgorithm, RetryPolicy,
+    ProfilingAlgorithm,
 };
 use icm_obs::Tracer;
 
@@ -66,7 +66,6 @@ fn main() {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles")
@@ -80,7 +79,6 @@ fn main() {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles")

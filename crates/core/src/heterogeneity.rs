@@ -4,9 +4,9 @@
 use crate::propagation::PropagationMatrix;
 use crate::stats::Summary;
 
-/// Default pressure tolerance within which two nodes count as suffering
-/// "the same top pressure" when bubble scores are fractional.
-pub const DEFAULT_TIE_TOLERANCE: f64 = 0.25;
+/// Pressure tolerance within which two nodes count as suffering "the
+/// same top pressure" when bubble scores are fractional.
+const TIE_TOLERANCE: f64 = 0.25;
 
 /// The four heterogeneity mapping policies of §3.3.
 ///
@@ -68,30 +68,15 @@ impl MappingPolicy {
 
     /// Converts a heterogeneous per-node pressure vector (zeros for
     /// uninterfered nodes) into the homogeneous equivalent under this
-    /// policy, using the default tie tolerance.
+    /// policy. Nodes within 0.25 of the maximum pressure count as "at
+    /// the top pressure".
     ///
     /// # Panics
     ///
     /// Panics if `pressures` is empty or contains negative/non-finite
     /// values.
     pub fn convert(&self, pressures: &[f64]) -> HomogeneousInterference {
-        self.convert_with_tolerance(pressures, DEFAULT_TIE_TOLERANCE)
-    }
-
-    /// [`convert`](Self::convert) with an explicit tie tolerance: nodes
-    /// within `tolerance` of the maximum count as "at the top pressure".
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`convert`](Self::convert), or
-    /// if `tolerance` is negative.
-    pub fn convert_with_tolerance(
-        &self,
-        pressures: &[f64],
-        tolerance: f64,
-    ) -> HomogeneousInterference {
         assert!(!pressures.is_empty(), "pressure vector must not be empty");
-        assert!(tolerance >= 0.0, "tolerance must be non-negative");
         for &p in pressures {
             assert!(
                 p.is_finite() && p >= 0.0,
@@ -106,10 +91,13 @@ impl MappingPolicy {
                 nodes: 0.0,
             };
         }
-        let top = pressures.iter().filter(|&&p| p >= max - tolerance).count();
+        let top = pressures
+            .iter()
+            .filter(|&&p| p >= max - TIE_TOLERANCE)
+            .count();
         let milder = pressures
             .iter()
-            .filter(|&&p| p > 0.0 && p < max - tolerance)
+            .filter(|&&p| p > 0.0 && p < max - TIE_TOLERANCE)
             .count();
         match self {
             MappingPolicy::NMax => HomogeneousInterference {
@@ -185,7 +173,6 @@ impl PolicyEvaluation {
 pub fn evaluate_policies(
     matrix: &PropagationMatrix,
     samples: &[(Vec<f64>, f64)],
-    tolerance: f64,
 ) -> Vec<PolicyEvaluation> {
     assert!(
         !samples.is_empty(),
@@ -201,7 +188,7 @@ pub fn evaluate_policies(
                         measured.is_finite() && *measured > 0.0,
                         "measured normalized time must be positive, got {measured}"
                     );
-                    let hom = policy.convert_with_tolerance(pressures, tolerance);
+                    let hom = policy.convert(pressures);
                     let predicted = matrix.predict(hom.pressure, hom.nodes);
                     ((predicted - measured) / measured).abs() * 100.0
                 })
@@ -294,12 +281,12 @@ mod tests {
 
     #[test]
     fn tie_tolerance_groups_close_scores() {
-        // Fractional bubble scores 4.3 and 4.15 should count as one top
-        // group with the default tolerance.
+        // Fractional bubble scores 4.3 and 4.15 count as one top group;
+        // 4.0 is more than the 0.25 tolerance below 4.3.
         let hom = MappingPolicy::NMax.convert(&[4.3, 4.15, 1.0, 0.0]);
         assert_eq!(hom.nodes, 2.0);
-        let strict = MappingPolicy::NMax.convert_with_tolerance(&[4.3, 4.15, 1.0, 0.0], 0.0);
-        assert_eq!(strict.nodes, 1.0);
+        let apart = MappingPolicy::NMax.convert(&[4.3, 4.0, 1.0, 0.0]);
+        assert_eq!(apart.nodes, 1.0);
     }
 
     #[test]
@@ -362,7 +349,7 @@ mod tests {
                 (c.clone(), matrix.predict(hom.pressure, hom.nodes))
             })
             .collect();
-        let evals = evaluate_policies(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
+        let evals = evaluate_policies(&matrix, &samples);
         let best = &evals[select_policy(&evals)];
         assert_eq!(best.policy, MappingPolicy::NMax);
         assert!(best.errors.mean < 1e-9);
@@ -372,7 +359,7 @@ mod tests {
     fn evaluation_reports_all_four_policies() {
         let matrix = test_matrix();
         let samples = vec![(vec![4.0, 2.0, 0.0, 0.0], 1.7)];
-        let evals = evaluate_policies(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
+        let evals = evaluate_policies(&matrix, &samples);
         assert_eq!(evals.len(), 4);
         let policies: Vec<_> = evals.iter().map(|e| e.policy).collect();
         assert_eq!(policies, MappingPolicy::ALL.to_vec());
@@ -383,7 +370,7 @@ mod tests {
     fn evaluation_rejects_non_positive_measurement() {
         let matrix = test_matrix();
         let samples = vec![(vec![4.0, 2.0], 0.0)];
-        let _ = evaluate_policies(&matrix, &samples, DEFAULT_TIE_TOLERANCE);
+        let _ = evaluate_policies(&matrix, &samples);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`profiling`] — the *binary-brute* / *binary-optimized* profiling
 //!   algorithms (Algorithms 1 & 2) and random baselines that keep the
 //!   profiling cost low.
-//! * [`resilient`] — retry / backoff / outlier-rejection wrapper around
+//! * [`resilient`] — retry / backoff / monotone-fallback wrapper around
 //!   any profile source, with per-cell [`ModelQuality`] provenance for
 //!   downstream confidence-aware consumers.
 //! * [`probe`] — the measurement protocol every model is built from:
@@ -78,7 +78,6 @@ pub use curve::SensitivityCurve;
 pub use error::ModelError;
 pub use heterogeneity::{
     evaluate_policies, select_policy, HomogeneousInterference, MappingPolicy, PolicyEvaluation,
-    DEFAULT_TIE_TOLERANCE,
 };
 pub use model::{InterferenceModel, ModelBuilder, NaiveModel};
 pub use online::{DriftConfig, DriftDetector, DriftSignal, OnlineModel};
@@ -89,7 +88,7 @@ pub use profiling::{
 pub use propagation::PropagationMatrix;
 pub use resilient::{
     profile_resilient, ModelQuality, QualityGrid, ResilienceStats, ResilientOutcome,
-    ResilientSource, RetryPolicy,
+    ResilientSource,
 };
 pub use score::combine_scores;
 pub use score::ReporterCurve;

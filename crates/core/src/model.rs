@@ -5,7 +5,6 @@ use crate::curve::SensitivityCurve;
 use crate::error::ModelError;
 use crate::heterogeneity::{
     evaluate_policies, select_policy, HomogeneousInterference, MappingPolicy, PolicyEvaluation,
-    DEFAULT_TIE_TOLERANCE,
 };
 use icm_obs::{Tracer, Value};
 
@@ -36,7 +35,6 @@ pub struct InterferenceModel {
     propagation: PropagationMatrix,
     policy: MappingPolicy,
     policy_evaluations: Vec<PolicyEvaluation>,
-    tie_tolerance: f64,
     profiling_cost: f64,
     reporter_curve: ReporterCurve,
 }
@@ -48,7 +46,6 @@ icm_json::impl_json!(struct InterferenceModel {
     propagation,
     policy,
     policy_evaluations,
-    tie_tolerance,
     profiling_cost,
     reporter_curve,
 });
@@ -80,7 +77,7 @@ impl InterferenceModel {
     }
 
     /// Accuracy of every candidate policy on the profiling samples
-    /// (Fig. 4); empty if the policy was forced by the caller.
+    /// (Fig. 4).
     pub fn policy_evaluations(&self) -> &[PolicyEvaluation] {
         &self.policy_evaluations
     }
@@ -140,9 +137,7 @@ impl InterferenceModel {
                 )));
             }
         }
-        let hom = self
-            .policy
-            .convert_with_tolerance(pressures, self.tie_tolerance);
+        let hom = self.policy.convert(pressures);
         Ok(self.propagation.predict(hom.pressure, hom.nodes))
     }
 
@@ -158,8 +153,7 @@ impl InterferenceModel {
     /// The homogeneous `(pressure, nodes)` coordinates this model's
     /// policy maps a heterogeneous vector to (diagnostic; Fig. 5).
     pub fn convert(&self, pressures: &[f64]) -> HomogeneousInterference {
-        self.policy
-            .convert_with_tolerance(pressures, self.tie_tolerance)
+        self.policy.convert(pressures)
     }
 }
 
@@ -174,7 +168,6 @@ pub struct NaiveModel {
     bubble_score: f64,
     full_pressure_curve: SensitivityCurve,
     hosts: usize,
-    tie_tolerance: f64,
 }
 
 icm_json::impl_json!(struct NaiveModel {
@@ -183,7 +176,6 @@ icm_json::impl_json!(struct NaiveModel {
     bubble_score,
     full_pressure_curve,
     hosts,
-    tie_tolerance,
 });
 
 impl NaiveModel {
@@ -203,7 +195,6 @@ impl NaiveModel {
             full_pressure_curve: SensitivityCurve::new(values)
                 .expect("column of a valid matrix forms a valid curve"),
             hosts: m,
-            tie_tolerance: model.tie_tolerance,
         }
     }
 
@@ -248,7 +239,7 @@ impl NaiveModel {
                 )));
             }
         }
-        let hom = MappingPolicy::NPlus1Max.convert_with_tolerance(pressures, self.tie_tolerance);
+        let hom = MappingPolicy::NPlus1Max.convert(pressures);
         let full = self.full_pressure_curve.value_at(hom.pressure);
         Ok(1.0 + (full - 1.0) * hom.nodes / self.hosts as f64)
     }
@@ -286,12 +277,9 @@ pub struct ModelBuilder {
     app: String,
     hosts: Option<usize>,
     algorithm: ProfilingAlgorithm,
-    config: ProfilerConfig,
-    forced_policy: Option<MappingPolicy>,
     policy_samples: usize,
     solo_repeats: usize,
     score_repeats: usize,
-    tie_tolerance: f64,
     seed: u64,
     tracer: Tracer,
 }
@@ -305,12 +293,9 @@ impl ModelBuilder {
             app: app.into(),
             hosts: None,
             algorithm: ProfilingAlgorithm::BinaryOptimized,
-            config: ProfilerConfig::default(),
-            forced_policy: None,
             policy_samples: 60,
             solo_repeats: 3,
             score_repeats: 5,
-            tie_tolerance: DEFAULT_TIE_TOLERANCE,
             seed: 0xBEEF,
             tracer: Tracer::disabled(),
         }
@@ -337,12 +322,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Forces a mapping policy instead of selecting one from samples.
-    pub fn policy(&mut self, policy: MappingPolicy) -> &mut Self {
-        self.forced_policy = Some(policy);
-        self
-    }
-
     /// Number of random heterogeneous configurations used for policy
     /// selection (the paper samples 60 on the private cluster, 100 on
     /// EC2).
@@ -360,12 +339,6 @@ impl ModelBuilder {
     /// Repeated reporter co-runs to average for the bubble score.
     pub fn score_repeats(&mut self, repeats: usize) -> &mut Self {
         self.score_repeats = repeats.max(1);
-        self
-    }
-
-    /// Pressure tie tolerance for heterogeneity conversion.
-    pub fn tie_tolerance(&mut self, tolerance: f64) -> &mut Self {
-        self.tie_tolerance = tolerance;
         self
     }
 
@@ -416,18 +389,18 @@ impl ModelBuilder {
         stage.end_with(&[("score", Value::from(bubble_score))]);
 
         // 4. Propagation matrix via the selected profiling algorithm.
-        let profiled = profile(&mut probe, self.algorithm, &self.config, &self.tracer)?;
+        let profiled = profile(
+            &mut probe,
+            self.algorithm,
+            &ProfilerConfig::default(),
+            &self.tracer,
+        )?;
 
         // 5. Heterogeneity policy.
         let stage = self.tracer.span("policy", &[]);
-        let (policy, evaluations) = match self.forced_policy {
-            Some(policy) => (policy, Vec::new()),
-            None => {
-                let samples = probe.heterogeneous_samples(self.seed, self.policy_samples)?;
-                let evaluations = evaluate_policies(&profiled.matrix, &samples, self.tie_tolerance);
-                (evaluations[select_policy(&evaluations)].policy, evaluations)
-            }
-        };
+        let samples = probe.heterogeneous_samples(self.seed, self.policy_samples)?;
+        let evaluations = evaluate_policies(&profiled.matrix, &samples);
+        let policy = evaluations[select_policy(&evaluations)].policy;
         stage.end_with(&[("policy", Value::from(policy.to_string()))]);
 
         self.tracer.event(
@@ -450,7 +423,6 @@ impl ModelBuilder {
             propagation: profiled.matrix,
             policy,
             policy_evaluations: evaluations,
-            tie_tolerance: self.tie_tolerance,
             profiling_cost: profiled.cost,
             reporter_curve: calibration.curve,
         })
@@ -536,27 +508,6 @@ mod tests {
             .build(&mut tb)
             .expect("builds");
         assert_eq!(model.policy(), MappingPolicy::Interpolate);
-    }
-
-    #[test]
-    fn forced_policy_skips_sampling() {
-        let mut tb = MockTestbed::default();
-        let calls_before_sampling = {
-            let mut probe = MockTestbed::default();
-            let _ = ModelBuilder::new("mock")
-                .policy(MappingPolicy::AllMax)
-                .build(&mut probe)
-                .expect("builds");
-            probe.calls
-        };
-        let model = ModelBuilder::new("mock")
-            .policy(MappingPolicy::AllMax)
-            .build(&mut tb)
-            .expect("builds");
-        assert_eq!(model.policy(), MappingPolicy::AllMax);
-        assert!(model.policy_evaluations().is_empty());
-        // Forcing the policy must not run the 24+ sampling runs.
-        assert_eq!(tb.calls, calls_before_sampling);
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Resilient profiling: retries, deterministic backoff, outlier
-//! rejection, and per-cell model quality.
+//! Resilient profiling: retries, deterministic backoff, and per-cell
+//! model quality.
 //!
 //! The paper's Algorithms 1–2 assume every `(pressure, nodes)` setting is
 //! measurable; on a consolidated cluster probe runs crash, straggle past
 //! deadlines and return contaminated samples. [`ResilientSource`] wraps
-//! any [`ProfileSource`] with a [`RetryPolicy`]: failed measurements are
-//! retried with exponential backoff (accounted in *simulated* seconds, so
-//! the determinism contract holds), repeated samples are cleaned by
-//! median-absolute-deviation outlier rejection, and settings that stay
-//! unmeasurable are filled with a conservative monotone fallback instead
-//! of aborting the profile. Every cell of the resulting matrix carries a
-//! [`ModelQuality`] so downstream consumers (placement, QoS policies) can
-//! price low-confidence predictions conservatively.
+//! any [`ProfileSource`]: each setting is measured once, a failed
+//! measurement is retried up to three times with exponential backoff
+//! (30, 60, 120 s, accounted in *simulated* seconds, so the determinism
+//! contract holds), and a setting that stays unmeasurable is filled with
+//! a conservative monotone fallback instead of aborting the profile.
+//! Every cell of the resulting matrix carries a [`ModelQuality`] so
+//! downstream consumers (placement, QoS policies) can price
+//! low-confidence predictions conservatively. A measurement that
+//! succeeds with a wrong value is taken as it is: nothing here detects
+//! silent corruption.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,51 +55,6 @@ impl ModelQuality {
     }
 }
 
-/// Retry/backoff/outlier-rejection policy for resilient profiling.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Extra attempts allowed per setting after failures.
-    pub max_retries: u32,
-    /// Samples to collect per setting (medians over repeats reject
-    /// corrupted measurements; `1` reproduces plain profiling exactly).
-    pub samples: u32,
-    /// First backoff delay, in simulated seconds; retry `k` waits
-    /// `backoff_base_s · 2^(k−1)`.
-    pub backoff_base_s: f64,
-    /// MAD outlier threshold: with ≥ 3 samples, samples farther than
-    /// `mad_threshold × MAD` from the median are discarded.
-    pub mad_threshold: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            samples: 1,
-            backoff_base_s: 30.0,
-            mad_threshold: 3.5,
-        }
-    }
-}
-
-icm_json::impl_json!(struct RetryPolicy {
-    max_retries,
-    samples,
-    backoff_base_s,
-    mad_threshold
-});
-
-impl RetryPolicy {
-    /// A policy taking `samples` repeats per setting (outlier rejection
-    /// needs at least 3 to act).
-    pub fn with_samples(samples: u32) -> Self {
-        Self {
-            samples: samples.max(1),
-            ..Self::default()
-        }
-    }
-}
-
 /// Accounting of the resilience machinery's work.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceStats {
@@ -107,8 +64,6 @@ pub struct ResilienceStats {
     pub failures: u64,
     /// Failures that were retried.
     pub retries: u64,
-    /// Samples discarded by MAD outlier rejection.
-    pub rejected_outliers: u64,
     /// Settings filled by the conservative fallback.
     pub defaulted_settings: u64,
     /// Simulated seconds spent backing off between retries.
@@ -119,7 +74,6 @@ icm_json::impl_json!(struct ResilienceStats {
     attempts,
     failures,
     retries,
-    rejected_outliers,
     defaulted_settings,
     backoff_seconds
 });
@@ -201,27 +155,25 @@ impl QualityGrid {
     }
 }
 
-/// A [`ProfileSource`] wrapper adding retries, backoff, outlier rejection
-/// and conservative fallbacks, so the profiling algorithms above it never
-/// see a failed measurement.
+/// A [`ProfileSource`] wrapper adding retries, backoff and conservative
+/// fallbacks, so the profiling algorithms above it never see a failed
+/// measurement.
 pub struct ResilientSource<'a> {
     inner: &'a mut dyn ProfileSource,
-    policy: RetryPolicy,
     tracer: Tracer,
     stats: ResilienceStats,
-    /// Cleaned value per setting that produced at least one sample.
+    /// Measured value per setting that produced a valid sample.
     measured_ok: BTreeMap<(usize, usize), f64>,
     /// Settings filled by the fallback.
     defaulted: BTreeSet<(usize, usize)>,
 }
 
 impl<'a> ResilientSource<'a> {
-    /// Wraps `inner` with the given policy; retry/default events go to
-    /// `tracer` (whose simulated clock also absorbs the backoff time).
-    pub fn new(inner: &'a mut dyn ProfileSource, policy: RetryPolicy, tracer: Tracer) -> Self {
+    /// Wraps `inner`; retry/default events go to `tracer` (whose
+    /// simulated clock also absorbs the backoff time).
+    pub fn new(inner: &'a mut dyn ProfileSource, tracer: Tracer) -> Self {
         Self {
             inner,
-            policy,
             tracer,
             stats: ResilienceStats::default(),
             measured_ok: BTreeMap::new(),
@@ -279,37 +231,14 @@ impl<'a> ResilientSource<'a> {
             .fold(1.0f64, f64::max);
         lower
     }
-
-    /// Cleans the collected samples: with ≥ 3, discard MAD outliers, then
-    /// take the median. Returns `(value, rejected)`.
-    fn clean(&self, samples: &mut Vec<f64>) -> (f64, u64) {
-        if samples.len() < 3 {
-            return (median(samples), 0);
-        }
-        let med = median(samples);
-        let mut deviations: Vec<f64> = samples.iter().map(|&x| (x - med).abs()).collect();
-        let mad = median(&mut deviations).max(1e-3);
-        let before = samples.len();
-        samples.retain(|&x| (x - med).abs() <= self.policy.mad_threshold * mad);
-        let rejected = (before - samples.len()) as u64;
-        (median(samples), rejected)
-    }
 }
 
-/// Median of a slice (sorts in place; mean of the middle pair for even
-/// lengths). Empty slices yield NaN — callers guarantee non-emptiness.
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    let k = values.len();
-    if k == 0 {
-        return f64::NAN;
-    }
-    if k % 2 == 1 {
-        values[k / 2]
-    } else {
-        0.5 * (values[k / 2 - 1] + values[k / 2])
-    }
-}
+/// Retries a failed measurement may take after its first attempt.
+const MAX_RETRIES: u32 = 3;
+
+/// First backoff delay, in simulated seconds; retry `k` waits
+/// `BACKOFF_BASE_S · 2^(k−1)`.
+const BACKOFF_BASE_S: f64 = 30.0;
 
 impl ProfileSource for ResilientSource<'_> {
     fn hosts(&self) -> usize {
@@ -321,67 +250,51 @@ impl ProfileSource for ResilientSource<'_> {
     }
 
     fn measure(&mut self, pressure: usize, nodes: usize) -> Result<f64, ModelError> {
-        let budget = self.policy.samples.max(1) + self.policy.max_retries;
-        let mut samples: Vec<f64> = Vec::with_capacity(self.policy.samples.max(1) as usize);
-        let mut failures_here = 0u32;
-        for attempt in 1..=budget {
-            if samples.len() >= self.policy.samples.max(1) as usize {
-                break;
-            }
+        for attempt in 1..=1 + MAX_RETRIES {
             self.stats.attempts += 1;
-            let outcome = self.inner.measure(pressure, nodes);
-            match outcome {
-                Ok(v) if v.is_finite() && v > 0.0 => samples.push(v),
-                other => {
-                    let detail = match other {
-                        Err(err) => err.to_string(),
-                        Ok(v) => format!("invalid measurement {v}"),
-                    };
-                    self.stats.failures += 1;
-                    failures_here += 1;
-                    if attempt < budget {
-                        // Deterministic exponential backoff, charged to
-                        // the simulated clock (never wall time).
-                        let backoff = self.policy.backoff_base_s
-                            * f64::from(1u32 << (failures_here - 1).min(16));
-                        self.stats.retries += 1;
-                        self.stats.backoff_seconds += backoff;
-                        self.tracer.advance_sim(backoff);
-                        if self.tracer.enabled() {
-                            self.tracer.event(
-                                "probe_retry",
-                                &[
-                                    ("pressure", Value::from(pressure)),
-                                    ("nodes", Value::from(nodes)),
-                                    ("attempt", Value::from(attempt as usize)),
-                                    ("backoff_s", Value::from(backoff)),
-                                    ("error", Value::from(detail.as_str())),
-                                ],
-                            );
-                        }
-                    }
+            let detail = match self.inner.measure(pressure, nodes) {
+                Ok(v) if v.is_finite() && v > 0.0 => {
+                    self.measured_ok.insert((pressure, nodes), v);
+                    return Ok(v);
+                }
+                Err(err) => err.to_string(),
+                Ok(v) => format!("invalid measurement {v}"),
+            };
+            self.stats.failures += 1;
+            if attempt <= MAX_RETRIES {
+                // Deterministic exponential backoff, charged to the
+                // simulated clock (never wall time).
+                let backoff = BACKOFF_BASE_S * f64::from(1u32 << (attempt - 1));
+                self.stats.retries += 1;
+                self.stats.backoff_seconds += backoff;
+                self.tracer.advance_sim(backoff);
+                if self.tracer.enabled() {
+                    self.tracer.event(
+                        "probe_retry",
+                        &[
+                            ("pressure", Value::from(pressure)),
+                            ("nodes", Value::from(nodes)),
+                            ("attempt", Value::from(attempt as usize)),
+                            ("backoff_s", Value::from(backoff)),
+                            ("error", Value::from(detail.as_str())),
+                        ],
+                    );
                 }
             }
         }
-        if samples.is_empty() {
-            let value = self.fallback(pressure, nodes);
-            self.stats.defaulted_settings += 1;
-            self.defaulted.insert((pressure, nodes));
-            if self.tracer.enabled() {
-                self.tracer.event(
-                    "probe_defaulted",
-                    &[
-                        ("pressure", Value::from(pressure)),
-                        ("nodes", Value::from(nodes)),
-                        ("value", Value::from(value)),
-                    ],
-                );
-            }
-            return Ok(value);
+        let value = self.fallback(pressure, nodes);
+        self.stats.defaulted_settings += 1;
+        self.defaulted.insert((pressure, nodes));
+        if self.tracer.enabled() {
+            self.tracer.event(
+                "probe_defaulted",
+                &[
+                    ("pressure", Value::from(pressure)),
+                    ("nodes", Value::from(nodes)),
+                    ("value", Value::from(value)),
+                ],
+            );
         }
-        let (value, rejected) = self.clean(&mut samples);
-        self.stats.rejected_outliers += rejected;
-        self.measured_ok.insert((pressure, nodes), value);
         Ok(value)
     }
 }
@@ -395,7 +308,7 @@ pub struct ResilientOutcome {
     pub result: ProfileResult,
     /// Per-cell provenance of the matrix.
     pub quality: QualityGrid,
-    /// Retry/backoff/outlier accounting.
+    /// Retry/backoff accounting.
     pub stats: ResilienceStats,
 }
 
@@ -412,10 +325,9 @@ pub fn profile_resilient(
     source: &mut dyn ProfileSource,
     algorithm: ProfilingAlgorithm,
     config: &ProfilerConfig,
-    policy: &RetryPolicy,
     tracer: &Tracer,
 ) -> Result<ResilientOutcome, ModelError> {
-    let mut resilient = ResilientSource::new(source, policy.clone(), tracer.clone());
+    let mut resilient = ResilientSource::new(source, tracer.clone());
     let result = profile(&mut resilient, algorithm, config, tracer)?;
     let quality = resilient.quality_grid();
     let stats = resilient.stats().clone();
@@ -480,7 +392,6 @@ mod tests {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles");
@@ -502,7 +413,6 @@ mod tests {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles");
@@ -531,7 +441,6 @@ mod tests {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles despite the dead corner");
@@ -539,52 +448,20 @@ mod tests {
         assert_eq!(outcome.quality.at(8, 8), ModelQuality::Defaulted);
         assert_eq!(outcome.quality.worst(), ModelQuality::Defaulted);
         assert!(outcome.quality.defaulted_fraction() > 0.0);
+        // The retry budget: the dead corner costs one attempt plus three
+        // retries, backing off 30 + 60 + 120 simulated seconds; every
+        // other setting measures on its first attempt.
+        assert_eq!(outcome.stats.failures, 4);
+        assert_eq!(outcome.stats.retries, 3);
+        assert_eq!(outcome.stats.backoff_seconds, 210.0);
+        assert_eq!(
+            outcome.stats.attempts,
+            outcome.result.measured.len() as u64 + 3
+        );
         // The fallback respects monotonicity bounds: it is at least the
         // largest dominated measurement.
         let corner = outcome.result.matrix.at(8, 8);
         assert!(corner >= outcome.result.matrix.at(1, 8) - 1e-9);
-    }
-
-    #[test]
-    fn mad_rejection_cleans_corrupted_samples() {
-        // One sample in five is corrupted by 3×; the median + MAD filter
-        // must recover the true value.
-        let mut call = 0u64;
-        let mut source = FnSource::new(8, 8, move |p, n| {
-            call += 1;
-            let v = truth(p, n);
-            if call.is_multiple_of(5) {
-                v * 3.0
-            } else {
-                v
-            }
-        });
-        let outcome = profile_resilient(
-            &mut source,
-            ProfilingAlgorithm::BinaryOptimized,
-            &ProfilerConfig::default(),
-            &RetryPolicy::with_samples(5),
-            &Tracer::disabled(),
-        )
-        .expect("profiles");
-        assert!(outcome.stats.rejected_outliers > 0);
-        let mut clean = FnSource::new(8, 8, truth);
-        let expected = profile(
-            &mut clean,
-            ProfilingAlgorithm::BinaryOptimized,
-            &ProfilerConfig::default(),
-            &Tracer::disabled(),
-        )
-        .expect("profiles");
-        let err = outcome
-            .result
-            .matrix
-            .mean_abs_error_pct(&expected.matrix)
-            .expect("same shape");
-        assert!(
-            err < 1.0,
-            "outlier rejection keeps the matrix clean: {err}%"
-        );
     }
 
     #[test]
@@ -625,7 +502,6 @@ mod tests {
             &mut source,
             ProfilingAlgorithm::BinaryOptimized,
             &ProfilerConfig::default(),
-            &RetryPolicy::default(),
             &Tracer::disabled(),
         )
         .expect("profiles");
@@ -646,7 +522,6 @@ mod tests {
                 &mut source,
                 ProfilingAlgorithm::BinaryOptimized,
                 &ProfilerConfig::default(),
-                &RetryPolicy::default(),
                 &tracer,
             )
             .expect("profiles");
@@ -664,12 +539,5 @@ mod tests {
             .expect("at least one retry");
         assert!(retry.num("backoff_s").expect("field") > 0.0);
         assert!(retry.str("error").expect("field").contains("injected"));
-    }
-
-    #[test]
-    fn median_handles_even_and_odd() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert!(median(&mut []).is_nan());
     }
 }

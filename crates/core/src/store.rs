@@ -15,7 +15,7 @@ use crate::error::ModelError;
 use crate::model::InterferenceModel;
 
 /// Current on-disk format version; bumped on breaking schema changes.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// A persistent, named collection of interference models.
 ///
@@ -238,6 +238,31 @@ mod tests {
         let json = r#"{"version": 99, "models": {}}"#;
         let err = ModelStore::load_from(json.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("version"));
+    }
+
+    #[test]
+    fn refuses_a_version_1_store_by_its_version() {
+        // A real store in the previous layout: version 1, whose models
+        // carried `"tie_tolerance": 0.25`.
+        let mut buffer = Vec::new();
+        ModelStore::from_models([model("old")])
+            .save_to(&mut buffer)
+            .expect("saves");
+        let text = String::from_utf8(buffer).expect("utf-8");
+        assert!(text.contains("\"version\": 2"), "{text}");
+        assert!(text.contains("\"profiling_cost\":"), "{text}");
+        let older = text
+            .replacen("\"version\": 2", "\"version\": 1", 1)
+            .replace(
+                "\"profiling_cost\":",
+                "\"tie_tolerance\": 0.25,\n      \"profiling_cost\":",
+            );
+        let err = ModelStore::load_from(older.as_bytes()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("model store version 1 unsupported (expected 2)"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use icm_json::fs::SnapshotStore;
+use icm_json::fs::{SnapshotStore, StoreError};
 use icm_manager::snapshot::WorldSnapshot;
 use icm_obs::manager as events;
 use icm_obs::provenance::{CAUSE_FAULT, CAUSE_LATENCY, CAUSE_MISPREDICT, QOS_VIOLATION};
@@ -279,9 +279,11 @@ fn snapshot_tick(payload: Vec<u8>) -> Result<u64, String> {
 ///
 /// A generation precedes the action when its resume tick (`next_tick`)
 /// is at or before the action's tick: the snapshot was taken before
-/// that tick ran, so the action is still in its future. Damaged,
-/// unreadable or refused generations are skipped (and reported),
-/// matching how recovery itself falls back.
+/// that tick ran, so the action is still in its future. The store's
+/// newest-first walk ([`SnapshotStore::load_newest_noting`]) passes
+/// over damaged, unreadable or refused generations as recovery itself
+/// does, and over those that resume after the action's tick; each
+/// generation newer than the one named is reported with its reason.
 ///
 /// # Errors
 ///
@@ -300,58 +302,37 @@ pub fn checkpoint_for_action(trace: &[Event], n: usize, dir: &Path) -> Result<St
         return Err(format!("action {n} carries no tick field"));
     };
     let store = SnapshotStore::open(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let generations = store
-        .generations()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    if generations.is_empty() {
-        return Err(format!(
-            "{}: no checkpoint generations found",
-            dir.display()
-        ));
-    }
-    let mut skipped = Vec::new();
-    let mut best: Option<(u64, u64)> = None;
-    for &generation in &generations {
-        let payload = match store.load(generation) {
-            Ok(payload) => payload,
-            Err(err) => {
-                skipped.push(format!("gen {generation}: {err}"));
-                continue;
-            }
-        };
-        let snap_tick = match snapshot_tick(payload) {
-            Ok(tick) => tick,
-            Err(err) => {
-                skipped.push(format!("gen {generation}: {err}"));
-                continue;
-            }
-        };
-        if snap_tick <= tick {
-            // Generations ascend, so later qualifying ones are newer.
-            best = Some((generation, snap_tick));
-        }
-    }
-    let mut out = String::new();
-    match best {
-        Some((generation, snap_tick)) => {
-            let _ = writeln!(
-                out,
-                "checkpoint: gen-{generation:06}.icmsnap (resumes at tick {snap_tick}, \
-                 action {n} runs at tick {tick}) in {}",
+    let mut skipped = String::new();
+    let newest = store.load_newest_noting(
+        |payload| match snapshot_tick(payload)? {
+            snap_tick if snap_tick <= tick => Ok(snap_tick),
+            snap_tick => Err(format!("resumes at tick {snap_tick}, after tick {tick}")),
+        },
+        |generation, err| {
+            let _ = writeln!(skipped, "  skipped gen {generation}: {err}");
+        },
+    );
+    let (generation, snap_tick) = match newest {
+        Ok(Some(found)) => found,
+        Ok(None) => {
+            return Err(format!(
+                "{}: no checkpoint generations found",
                 dir.display()
-            );
+            ))
         }
-        None => {
+        Err(StoreError::NoneValid(_)) => {
             return Err(format!(
                 "{}: no usable checkpoint precedes tick {tick} (action {n})",
                 dir.display()
-            ));
+            ))
         }
-    }
-    for line in &skipped {
-        let _ = writeln!(out, "  skipped {line}");
-    }
-    Ok(out)
+        Err(err) => return Err(format!("{}: {err}", dir.display())),
+    };
+    Ok(format!(
+        "checkpoint: gen-{generation:06}.icmsnap (resumes at tick {snap_tick}, \
+         action {n} runs at tick {tick}) in {}\n{skipped}",
+        dir.display()
+    ))
 }
 
 #[cfg(test)]
@@ -517,11 +498,18 @@ mod tests {
         store.save(&world_payload(0)).unwrap(); // gen 1: before the action
         store.save(&world_payload(1)).unwrap(); // gen 2: action still ahead
         store.save(&world_payload(2)).unwrap(); // gen 3: too late
+                                                // Damage older than the named generation is never read.
+        std::fs::write(dir.join("gen-000001.icmsnap"), b"junk").unwrap();
         let text = checkpoint_for_action(&trace, 0, &dir).expect("names a generation");
         assert!(
             text.contains("gen-000002.icmsnap (resumes at tick 1, action 0 runs at tick 1)"),
             "got: {text}"
         );
+        assert!(
+            text.ends_with("\n  skipped gen 3: resumes at tick 2, after tick 1\n"),
+            "got: {text}"
+        );
+        assert!(!text.contains("gen 1"), "got: {text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

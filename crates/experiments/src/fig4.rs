@@ -4,7 +4,7 @@
 
 use icm_core::{
     evaluate_policies, profile, select_policy, PolicyEvaluation, Probe, ProfilerConfig,
-    ProfilingAlgorithm, Testbed, DEFAULT_TIE_TOLERANCE,
+    ProfilingAlgorithm, Testbed,
 };
 use icm_obs::Tracer;
 
@@ -55,7 +55,7 @@ pub(crate) fn policy_study<T: Testbed + ?Sized>(
         &Tracer::disabled(),
     )?;
     let samples = probe.heterogeneous_samples(seed, samples)?;
-    let evaluations = evaluate_policies(&full.matrix, &samples, DEFAULT_TIE_TOLERANCE);
+    let evaluations = evaluate_policies(&full.matrix, &samples);
     let best = select_policy(&evaluations);
     Ok((evaluations, best))
 }

@@ -17,7 +17,7 @@
 
 use icm_core::{
     profile, profile_resilient, MappingPolicy, Probe, ProfilerConfig, ProfilingAlgorithm,
-    PropagationMatrix, RetryPolicy,
+    PropagationMatrix,
 };
 use icm_obs::Tracer;
 use icm_placement::{
@@ -189,7 +189,7 @@ fn placement_cost(
 /// Ground truth per application is a faultless full profile; every sweep
 /// point then re-profiles all applications on a same-seed testbed with a
 /// [`FaultPlan::uniform`] at the point's rate, through the resilient
-/// driver (default [`RetryPolicy`]).
+/// driver.
 ///
 /// # Errors
 ///
@@ -252,7 +252,6 @@ pub fn run(cfg: &ExpConfig) -> Result<RobustnessResult, ExpError> {
                 &mut probe,
                 ProfilingAlgorithm::BinaryOptimized,
                 &config,
-                &RetryPolicy::default(),
                 &Tracer::disabled(),
             )?;
             let after = probe.testbed().sim().stats();

@@ -457,11 +457,10 @@ impl SnapshotStore {
     /// Periodic checkpointing would otherwise grow the store without
     /// bound. The extra guarantee matters when the newest files are torn
     /// or corrupt: a prune that only counted filenames could delete the
-    /// one generation [`SnapshotStore::load_latest`] would have fallen
-    /// back to. When the newest generation on disk is the one this store
-    /// wrote last, it is taken as the newest loadable one without being
-    /// read; any other newest generation goes through
-    /// [`SnapshotStore::load_latest`]. Unparseable (non-`gen-*`) files
+    /// one generation an integrity-only [`SnapshotStore::load_newest`]
+    /// would have fallen back to. When the newest generation on disk is
+    /// the one this store wrote last, it is taken as the newest loadable
+    /// one without being read; otherwise that walk finds it. Unparseable (non-`gen-*`) files
     /// are never touched.
     ///
     /// Returns the generation numbers removed, ascending. A
@@ -477,7 +476,7 @@ impl SnapshotStore {
         let newest_loadable = if newest == self.written.get() {
             newest
         } else {
-            self.load_latest()
+            self.load_newest(Ok)
                 .ok()
                 .flatten()
                 .map(|(generation, _)| generation)
@@ -511,7 +510,19 @@ impl SnapshotStore {
     /// generations exist but none is usable.
     pub fn load_newest<T>(
         &self,
+        check: impl FnMut(Vec<u8>) -> Result<T, String>,
+    ) -> Result<Option<(u64, T)>, StoreError> {
+        self.load_newest_noting(check, |_, _| {})
+    }
+
+    /// [`SnapshotStore::load_newest`], also handing `skipped` each
+    /// generation it passes over, newest first, with the reason, as it
+    /// goes: so a caller can say why the generation it got is not the
+    /// newest one.
+    pub fn load_newest_noting<T>(
+        &self,
         mut check: impl FnMut(Vec<u8>) -> Result<T, String>,
+        mut skipped: impl FnMut(u64, &LoadError),
     ) -> Result<Option<(u64, T)>, StoreError> {
         let generations = self
             .generations()
@@ -523,7 +534,10 @@ impl SnapshotStore {
                 .and_then(|payload| check(payload).map_err(LoadError::Payload))
             {
                 Ok(value) => return Ok(Some((generation, value))),
-                Err(err) => failures.push((generation, err)),
+                Err(err) => {
+                    skipped(generation, &err);
+                    failures.push((generation, err));
+                }
             }
         }
         if failures.is_empty() {
@@ -633,12 +647,12 @@ mod tests {
     fn save_load_round_trips_and_generations_grow() {
         let dir = tmpdir("gen");
         let store = SnapshotStore::open(&dir).unwrap();
-        assert_eq!(store.load_latest().unwrap(), None);
+        assert_eq!(store.load_newest(Ok).unwrap(), None);
         assert_eq!(store.save(b"one").unwrap(), 1);
         assert_eq!(store.save(b"two").unwrap(), 2);
         assert_eq!(store.generations().unwrap(), vec![1, 2]);
         assert_eq!(store.load(1).unwrap(), b"one");
-        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        let (generation, payload) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!((generation, payload.as_slice()), (2, b"two".as_slice()));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -657,7 +671,7 @@ mod tests {
             store.load(2),
             Err(LoadError::LengthMismatch { .. })
         ));
-        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        let (generation, payload) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!(
             (generation, payload.as_slice()),
             (1, b"good payload".as_slice())
@@ -680,7 +694,7 @@ mod tests {
             store.load(2),
             Err(LoadError::ChecksumMismatch { .. })
         ));
-        let (generation, _) = store.load_latest().unwrap().unwrap();
+        let (generation, _) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!(generation, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -694,7 +708,10 @@ mod tests {
         let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
         fs::write(&path, text.replacen("icmsnap v2 ", "icmsnap v9 ", 1)).unwrap();
         assert_eq!(store.load(1), Err(LoadError::UnknownVersion(9)));
-        assert!(matches!(store.load_latest(), Err(StoreError::NoneValid(_))));
+        assert!(matches!(
+            store.load_newest(Ok),
+            Err(StoreError::NoneValid(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -710,7 +727,7 @@ mod tests {
         let path = dir.join("gen-000002.icmsnap");
         fs::write(&path, &old).unwrap();
         assert_eq!(store.load(2), Err(LoadError::UnknownVersion(1)));
-        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        let (generation, payload) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!(
             (generation, payload.as_slice()),
             (1, b"current framing".as_slice())
@@ -749,7 +766,7 @@ mod tests {
                             assert_eq!(payload, payloads[g as usize - 1], "{context}");
                         }
                     }
-                    let (newest, payload) = store.load_latest().unwrap().unwrap();
+                    let (newest, payload) = store.load_newest(Ok).unwrap().unwrap();
                     assert_eq!(payload, payloads[newest as usize - 1], "{context}");
                     assert!(newest == 2 || generation == 2, "{context}");
                     if newest == 1 {
@@ -772,7 +789,7 @@ mod tests {
         for generation in [1u64, 2] {
             fs::write(dir.join(format!("gen-{generation:06}.icmsnap")), b"garbage").unwrap();
         }
-        match store.load_latest() {
+        match store.load_newest(Ok) {
             Err(StoreError::NoneValid(tried)) => {
                 assert_eq!(tried.len(), 2);
                 assert_eq!(tried[0].0, 2, "failures reported newest first");
@@ -796,9 +813,19 @@ mod tests {
         let (generation, value) = store.load_newest(check).unwrap().unwrap();
         assert_eq!((generation, value.as_slice()), (2, b"2".as_slice()));
         // Integrity alone accepts the newest.
-        assert_eq!(store.load_latest().unwrap().unwrap().0, 3);
+        assert_eq!(store.load_newest(Ok).unwrap().unwrap().0, 3);
         fs::write(dir.join("gen-000002.icmsnap"), b"junk").unwrap();
         assert_eq!(store.load_newest(check).unwrap().unwrap().0, 1);
+        let mut skipped = Vec::new();
+        let found = store.load_newest_noting(check, |g, e| skipped.push((g, e.clone())));
+        assert_eq!(found.unwrap().unwrap().0, 1);
+        assert!(
+            matches!(
+                skipped.as_slice(),
+                [(3, LoadError::Payload(_)), (2, LoadError::BadHeader(_))]
+            ),
+            "newest first, with reasons: {skipped:?}"
+        );
         fs::write(dir.join("gen-000001.icmsnap"), b"junk").unwrap();
         let err = store.load_newest(check).unwrap_err();
         match &err {
@@ -828,7 +855,7 @@ mod tests {
         let removed = store.prune(2).unwrap();
         assert_eq!(removed, vec![1, 2, 3]);
         assert_eq!(store.generations().unwrap(), vec![4, 5]);
-        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        let (generation, payload) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!((generation, payload.as_slice()), (5, b"g5".as_slice()));
         // Pruning again is a no-op.
         assert!(store.prune(2).unwrap().is_empty());
@@ -856,11 +883,11 @@ mod tests {
             "gen 2 must survive, it is the fallback"
         );
         assert_eq!(store.generations().unwrap(), vec![2, 4]);
-        let (generation, payload) = store.load_latest().unwrap().unwrap();
+        let (generation, payload) = store.load_newest(Ok).unwrap().unwrap();
         assert_eq!((generation, payload.as_slice()), (2, b"g2".as_slice()));
         // keep_last = 0 is clamped: the store never prunes itself empty.
         assert!(store.prune(0).unwrap().is_empty());
-        assert!(store.load_latest().unwrap().is_some());
+        assert!(store.load_newest(Ok).unwrap().is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 

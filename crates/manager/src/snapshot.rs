@@ -32,7 +32,7 @@ use crate::runtime::{ManagedRun, ManagerConfig};
 
 /// Current snapshot payload format version. Bump on any change to the
 /// field layout of [`WorldSnapshot`] or its components.
-pub const WORLD_SNAPSHOT_VERSION: u64 = 3;
+pub const WORLD_SNAPSHOT_VERSION: u64 = 4;
 
 /// Serializable xoshiro256++ generator state.
 ///

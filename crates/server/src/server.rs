@@ -76,7 +76,7 @@ pub const REJECT_COST_US: u64 = 10;
 pub const SATURATION_US: u64 = 4_000;
 
 /// Current server snapshot payload version.
-pub const SERVER_SNAPSHOT_VERSION: u64 = 2;
+pub const SERVER_SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a [`ServerSnapshot`] payload was rejected.
 pub type ServerSnapshotError = FormatError<SERVER_SNAPSHOT_VERSION>;

@@ -833,16 +833,27 @@ fn snapshots_refuse_unknown_versions() {
     use icm_server::server::ServerSnapshotError;
     let err = ServerSnapshot::parse(r#"{"version":99}"#).expect_err("refused");
     assert_eq!(err, ServerSnapshotError::UnknownVersion(99));
-    assert!(err.to_string().contains("(this build reads 2)"), "{err}");
-    let err = ServerSnapshot::parse(r#"{"version":2}"#).expect_err("refused");
+    assert!(err.to_string().contains("(this build reads 3)"), "{err}");
+    let err = ServerSnapshot::parse(r#"{"version":3}"#).expect_err("refused");
     assert!(matches!(err, ServerSnapshotError::Payload(_)), "{err}");
 
+    // A real payload in the previous layout: version 2, whose models
+    // carried `"tie_tolerance":0.25`.
     let server = Server::start(fast_config(), None).expect("starts");
     let text = icm_json::to_string(&server.snapshot());
-    assert!(text.starts_with(r#"{"version":2,"#), "the version leads");
-    let older = text.replacen(r#""version":2"#, r#""version":1"#, 1);
+    assert!(text.starts_with(r#"{"version":3,"#), "the version leads");
+    assert!(
+        text.contains(r#""profiling_cost":"#),
+        "the payload holds models"
+    );
+    let older = text
+        .replacen(r#""version":3"#, r#""version":2"#, 1)
+        .replace(
+            r#""profiling_cost":"#,
+            r#""tie_tolerance":0.25,"profiling_cost":"#,
+        );
     let err = ServerSnapshot::parse(&older).expect_err("refused");
-    assert_eq!(err, ServerSnapshotError::UnknownVersion(1));
+    assert_eq!(err, ServerSnapshotError::UnknownVersion(2));
 
     let dir = scratch("old-version");
     let checkpoints = dir.join("checkpoints");
@@ -858,7 +869,7 @@ fn snapshots_refuse_unknown_versions() {
         message.contains(&checkpoints.display().to_string()),
         "the refusal names the checkpoint directory: {message}"
     );
-    assert!(message.contains("format version 1"), "{message}");
+    assert!(message.contains("format version 2"), "{message}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

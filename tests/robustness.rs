@@ -11,7 +11,7 @@
 
 use icm_core::{
     profile, profile_resilient, Probe, ProfileResult, ProfilerConfig, ProfilingAlgorithm,
-    ResilientOutcome, RetryPolicy,
+    ResilientOutcome,
 };
 use icm_experiments::context::{private_testbed, ExpConfig};
 use icm_obs::{JsonlSink, SharedBuf, Tracer};
@@ -37,7 +37,6 @@ fn resilient_sweep(seed: u64, plan: Option<FaultPlan>) -> (String, TestbedStats,
         &mut probe,
         ProfilingAlgorithm::BinaryOptimized,
         &ProfilerConfig::default(),
-        &RetryPolicy::default(),
         &tracer,
     )
     .expect("profiles");

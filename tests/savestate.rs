@@ -183,12 +183,20 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
     let store = SnapshotStore::open(&dir).expect("store opens");
 
     // This run's newest payload as the previous format version wrote
-    // it: refused by that version, and the previous generation wins.
+    // it (version 3 models carried `"tie_tolerance":0.25`): refused by
+    // that version, and the previous generation wins.
     let text = String::from_utf8(store.load(3).expect("loads")).expect("utf-8");
-    let older = text.replacen("\"version\":3", "\"version\":2", 1);
+    assert!(
+        text.contains("\"profiling_cost\":"),
+        "the payload holds models"
+    );
+    let older = text.replacen("\"version\":4", "\"version\":3", 1).replace(
+        "\"profiling_cost\":",
+        "\"tie_tolerance\":0.25,\"profiling_cost\":",
+    );
     assert_eq!(
         WorldSnapshot::parse(&older).expect_err("refused"),
-        SnapshotFormatError::UnknownVersion(2)
+        SnapshotFormatError::UnknownVersion(3)
     );
     store.save(older.as_bytes()).expect("saves gen 4");
     assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
@@ -199,7 +207,7 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
     assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
 
     // Right version, missing fields: same fallback.
-    store.save(b"{\"version\":3}").expect("saves gen 6");
+    store.save(b"{\"version\":4}").expect("saves gen 6");
     assert_eq!(endurance::load_resumable(&dir).expect("falls back").0, 3);
 
     // One flipped byte mid-payload: the checksum rejects generation 3.
